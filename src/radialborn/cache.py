@@ -1,7 +1,9 @@
 """On-disk spectrum cache keyed by the exact problem content.
 
 Spectra are expensive at high precision, so every solve can be memoized under
-a sha256 key of (profile serialization, kind, radius, term count, precision).
+a sha256 key of the exact binary value of every profile input (kind, radius,
+breakpoints and values or analytic parameters), the term count and the
+precision.
 Values are stored as decimal strings with enough digits to round-trip the
 binary precision; writes go through a temporary file and an atomic rename so
 a killed process never leaves a torn entry.
@@ -15,13 +17,14 @@ import tempfile
 from pathlib import Path
 
 from mpmath import mp, mpf
+from mpmath.libmp import from_float, from_int
 
 from .forward import DtnSpectrum
 from .highprec import GUARD_BITS, check_precision, to_prec
-from .profiles import ProfileKind, serialize_profile
+from .profiles import PiecewiseProfile, ProfileKind
 
 CACHE_DIR_ENV = "RADIALBORN_CACHE_DIR"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def default_cache_dir():
@@ -36,15 +39,28 @@ def decimal_digits(prec):
     return int(math.ceil(prec * math.log10(2))) + 2
 
 
+def _exact(x):
+    # exact binary value as a normalized (sign, mantissa, exponent, bits) tuple,
+    # so 0.5, mpf(0.5) and mpf("0.5") key alike and no two values collide
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join(_exact(v) for v in x) + "]"
+    if isinstance(x, mpf):
+        return str(x._mpf_)
+    if isinstance(x, int):
+        return str(from_int(x))
+    return str(from_float(float(x)))
+
+
 def spectrum_key(profile, kmax, prec):
     """sha256 content key; stable across processes and paths."""
-    payload = "\n".join([
-        f"v{FORMAT_VERSION}",
-        serialize_profile(profile),
-        str(kmax),
-        str(check_precision(prec)),
-    ])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    fields = [f"v{FORMAT_VERSION}", profile.kind.value, _exact(profile.radius)]
+    if isinstance(profile, PiecewiseProfile):
+        fields += ["piecewise", _exact(profile.breakpoints), _exact(profile.values)]
+    else:
+        fields += [f"analytic {profile.name}"]
+        fields += [f"{k}={_exact(v)}" for k, v in sorted(profile.params.items())]
+    fields += [str(kmax), str(check_precision(prec))]
+    return hashlib.sha256("\n".join(fields).encode("utf-8")).hexdigest()
 
 
 def _entry_path(cache_dir, key):

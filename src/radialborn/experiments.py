@@ -11,6 +11,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
@@ -101,14 +102,34 @@ def write_spectrum_csv(path, spec):
 
 
 def read_spectrum_csv(path, kind, radius, prec):
-    """Rebuild a DtnSpectrum from a k,lambda,shift CSV."""
+    """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
+
+    Raises ValueError naming the line when k does not run 0, 1, 2, ... or when
+    shift differs from lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|).
+    """
+    lambdas = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if [h.strip() for h in header[:2]] != ["k", "lambda"]:
+        if [h.strip() for h in header] != ["k", "lambda", "shift"]:
             raise ValueError(f"{path}: expected header k,lambda,shift")
         with mp.workprec(prec + GUARD_BITS):
-            lambdas = tuple(mpf(row[1]) for row in reader if row)
+            R = mpf(radius)
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3 or row[0].strip() != str(len(lambdas)):
+                raise ValueError(f"{path}, line {line}: expected k = {len(lambdas)} "
+                                 f"and three columns, got {row!r}")
+            with mp.workprec(prec):
+                lam = mpf(row[1])
+            with mp.workprec(prec + GUARD_BITS):
+                shift = mpf(row[2])
+                tol = mpmath.ldexp(max(abs(lam), abs(shift)), 2 - prec)
+                if abs(shift - (lam - len(lambdas) / R)) > tol:
+                    raise ValueError(f"{path}, line {line}: shift {row[2]} differs from "
+                                     f"lambda - k/R at {prec} bits")
+            lambdas.append(lam)
     return DtnSpectrum(ProfileKind(kind), mpf(radius), lambdas, prec)
 
 

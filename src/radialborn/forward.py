@@ -14,21 +14,43 @@ constant value c are
 
 The regular branch is selected on the innermost piece, (w, w') is matched
 across interfaces, and the state is renormalized after every piece so the
-propagation never overflows.  Finally lambda_k = w'(R)/w(R) - 1/R.
-
-Conductivities use u = A r^k + B r^{-(k+1)} per piece with (u, gamma u')
-continuous, and lambda_k = gamma(R-) u'(R)/u(R).
-
-The per-piece Bessel ladders are evaluated for all k at once (seeded at the
-top order, recurred downward for the regular family; upward from closed
-forms for the singular family), so a spectrum costs O(m K) big-float
+propagation never overflows.  Finally lambda_k = w'(R)/w(R) - 1/R.  The
+per-piece Bessel ladders are evaluated for all k at once (seeded at the top
+order, recurred downward for the regular family; upward from closed forms for
+the singular family), so a potential spectrum costs O(m K) big-float
 operations plus O(m) direct Bessel evaluations.
+
+Conductivities carry, for each degree k, only the log derivative
+eta_k(r) = r gamma u'/u, which is continuous across interfaces because u and
+gamma u' are (the Riccati form of layer stripping).  On a piece (a, b] with
+value gamma_j the solutions are u = A r^k + B r^{-(k+1)}; with
+rho = (B/A) r^{-(2k+1)} and e = eta/gamma_j,
+
+    rho = (k - e) / (e + k + 1),      e = (k - (k+1) rho) / (1 + rho),
+
+and crossing the piece multiplies rho by (a/b)^{2k+1}.  Writing
+sigma = 1 - (a/b)^{2k+1} and e = c/w, the step is the Moebius map
+
+    eta(b) = gamma_j ((2k+1) c + (k+1) p sigma) / ((2k+1) w - p sigma),
+    p = k w - c,
+
+whose two terms never cancel.  eta_k is held as a projective pair (N, D) of
+Python ints: gamma_j enters as its exact mantissa and exponent,
+(a/b)^{2k+1} as an F-bit fixed-point number with
+F = prec + GUARD_BITS + bit_length(max(m, K+1)), and after each step one
+right shift brings D back to F bits, the only rounding inside the loop.
+lambda_k = eta_k(R)/R is rounded to prec once, at the end.  Two cases stay
+exact: eta_0 = 0 (so lambda_0 = 0), and a piece with e = k (p = 0, flat
+gamma) resets the pair to gamma_j k without rounding, so a flat gamma gives
+lambda_k = gamma k/R correctly rounded.  A spectrum costs O(m K) integer
+multiplications and no big-float operation inside the loop.
 """
 
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from .highprec import (
     GUARD_BITS,
@@ -190,42 +212,58 @@ def potential_spectrum(q, kmax, prec):
     return DtnSpectrum(ProfileKind.POTENTIAL, q.radius, lambdas, prec)
 
 
+def _dyadic(x, bits):
+    # x = man * 2**exp, rounded to `bits` bits (exact for floats and for mpf of <= bits)
+    with mp.workprec(bits):
+        sign, man, exp, _ = mpf(x)._mpf_
+    return (-man if sign else man), exp
+
+
+def _fixed_ratio(a, b, bits):
+    # floor(a / b * 2**bits) for dyadics a = (man, exp), b = (man, exp)
+    (am, ae), (bm, be) = a, b
+    s = ae - be + bits
+    return (am << s) // bm if s >= 0 else am // (bm << -s)
+
+
 def conductivity_spectrum(g, kmax, prec):
     """DtN eigenvalues of div(gamma grad .) on the ball, k = 0..kmax."""
     if g.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("conductivity_spectrum requires a conductivity profile")
     prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        bp = [mpf(x) for x in g.breakpoints]
-        vals = [mpf(v) for v in g.values]
-        R = bp[-1]
-        nk = kmax + 1
+    F = prec + GUARD_BITS + max(g.piece_count, kmax + 1).bit_length()
+    bp = [_dyadic(x, F) for x in g.breakpoints]
+    one = 1 << F
+    for j, value in enumerate(g.values):
+        gm, ge = _dyadic(value, F)
+        G, gn = gm << max(ge, 0), max(-ge, 0)  # gamma_j = G / 2^gn
+        if j == 0:
+            # innermost piece: u = r^k, eta = gamma_0 k
+            N = [k * G for k in range(kmax + 1)]
+            D = [1 << gn] * (kmax + 1)
+            continue
+        t = _fixed_ratio(bp[j], bp[j + 1], F)
+        t2 = t * t >> F
+        tk = t  # (a/b)^{2k+1}
+        for k in range(kmax + 1):
+            w = D[k] * G
+            c = N[k] << gn  # e = eta / gamma_j = c / w
+            p = k * w - c  # rho = p / ((k+1) w + c)
+            if p:
+                x = p * (one - tk)
+                N[k] = (((2 * k + 1) * c << F) + (k + 1) * x) * G
+                d = ((2 * k + 1) * w << F) - x << gn
+                s = d.bit_length() - F  # >= 1: d > 2^F
+                N[k] >>= s
+                D[k] = d >> s
+            else:
+                # e = k: the pure r^k solution crosses unchanged
+                N[k], D[k] = k * G, 1 << gn
+            tk = tk * t2 >> F
 
-        # innermost piece: u = (r/b)^k, state is (u, gamma u')
-        b = bp[1]
-        states = [(mpf(1), vals[0] * k / b) for k in range(nk)]
-
-        for j in range(1, len(vals)):
-            a, b, gam = bp[j], bp[j + 1], vals[j]
-            t = a / b
-            tk = mpf(1)  # t^k
-            new_states = []
-            for k in range(nk):
-                u1a = tk                     # (a/b)^k
-                v1a = gam * k * u1a / a
-                u2a = 1 / (tk * t)           # (a/b)^{-(k+1)}
-                v2a = -gam * (k + 1) * u2a / a
-                u, v = states[k]
-                det = u1a * v2a - u2a * v1a
-                A = (u * v2a - v * u2a) / det
-                B = (v * u1a - u * v1a) / det
-                ub = A + B
-                vb = gam * (A * k - B * (k + 1)) / b
-                new_states.append(_renormalize(ub, vb))
-                tk *= t
-            states = new_states
-
-        lambdas = [to_prec(v / u, prec) for (u, v) in states]
+    rm, re = bp[-1]
+    lambdas = [mp.make_mpf(mpf_div(from_man_exp(n, -re), from_int(d * rm), prec, round_nearest))
+               for n, d in zip(N, D)]
     return DtnSpectrum(ProfileKind.CONDUCTIVITY, g.radius, lambdas, prec)
 
 

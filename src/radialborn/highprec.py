@@ -1,10 +1,10 @@
-"""Arbitrary-precision building blocks: gamma factors and spherical Bessel pairs.
+"""Arbitrary-precision building blocks: precision checks and spherical Bessel ladders.
 
-All routines take an explicit mantissa precision in bits and return mpmath
-``mpf`` values rounded to that precision.  Internally everything is evaluated
-with 32 guard bits.  The mpmath/gmpy big-float type plays the role of the
-extended-precision real number; precision is carried by the caller, not by
-the value.
+Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
+mantissa precision and round results with :func:`to_prec`; the ladders run at
+the caller's working precision.  The mpmath big-float type plays the role of
+the extended-precision real number; precision is carried by the caller, not
+by the value.
 
 Conventions for the spherical families (order ``k >= 0``, argument ``x > 0``):
 
@@ -25,50 +25,16 @@ GUARD_BITS = 32
 MIN_PRECISION = 64
 
 
-class SingularArgumentError(ValueError):
-    """Raised when a Bessel routine is asked for a value at a singular point."""
-
-
 def check_precision(prec):
     if int(prec) != prec or prec < MIN_PRECISION:
         raise ValueError(f"precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
     return int(prec)
 
 
-def workprec(prec):
-    """Context manager: evaluate with guard bits on top of ``prec``."""
-    return mp.workprec(check_precision(prec) + GUARD_BITS)
-
-
 def to_prec(x, prec):
     """Round ``x`` to ``prec`` bits."""
     with mp.workprec(prec):
         return +mpf(x)
-
-
-def gamma_half_integer(k, d, prec):
-    """Gamma(k + d/2) by upward recurrence from Gamma(1/2) or Gamma(1).
-
-    ``k`` is a nonnegative integer, ``d`` a positive integer (the ambient
-    dimension; callers use d >= 3).  Exact to ``prec`` up to rounding of the
-    final product.
-    """
-    if int(k) != k or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    if int(d) != d or d < 1:
-        raise ValueError(f"d must be a positive integer, got {d!r}")
-    prec = check_precision(prec)
-    n2 = 2 * int(k) + int(d)  # Gamma(n2 / 2)
-    with mp.workprec(prec + GUARD_BITS):
-        if n2 % 2 == 0:
-            g = mpmath.factorial(n2 // 2 - 1)
-        else:
-            g = mpmath.sqrt(mpmath.pi)
-            h = mpf(1) / 2
-            while h < mpf(n2) / 2:
-                g *= h
-                h += 1
-        return to_prec(g, prec)
 
 
 def _sph_from_cyl(kind, k, x):
@@ -78,58 +44,8 @@ def _sph_from_cyl(kind, k, x):
     return factor * kind(nu, x)
 
 
-def mod_sph_bessel_pair(k, x, prec):
-    """Return (i_k(x), i_k'(x)) for x > 0."""
-    if int(k) != k or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        x = mpf(x)
-        if x <= 0:
-            raise SingularArgumentError(f"mod_sph_bessel_pair requires x > 0, got {x}")
-        ik = _sph_from_cyl(mpmath.besseli, k, x)
-        ik1 = _sph_from_cyl(mpmath.besseli, k + 1, x)
-        dik = ik1 + k * ik / x
-        return to_prec(ik, prec), to_prec(dik, prec)
-
-
-def mod_sph_bessel_second_pair(k, x, prec):
-    """Return (kk_k(x), kk_k'(x)) for x > 0 (the singular partner of i_k)."""
-    if int(k) != k or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        x = mpf(x)
-        if x <= 0:
-            raise SingularArgumentError(f"mod_sph_bessel_second_pair requires x > 0, got {x}")
-        kk = _sph_from_cyl(mpmath.besselk, k, x)
-        kk1 = _sph_from_cyl(mpmath.besselk, k + 1, x)
-        dkk = -kk1 + k * kk / x
-        return to_prec(kk, prec), to_prec(dkk, prec)
-
-
-def sph_bessel_pair(k, x, prec):
-    """Return (j_k(x), j_k'(x), y_k(x), y_k'(x)) for x > 0."""
-    if int(k) != k or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        x = mpf(x)
-        if x == 0:
-            raise SingularArgumentError("y_k is singular at x = 0")
-        if x < 0:
-            raise SingularArgumentError(f"sph_bessel_pair requires x > 0, got {x}")
-        jk = _sph_from_cyl(mpmath.besselj, k, x)
-        jk1 = _sph_from_cyl(mpmath.besselj, k + 1, x)
-        yk = _sph_from_cyl(mpmath.bessely, k, x)
-        yk1 = _sph_from_cyl(mpmath.bessely, k + 1, x)
-        djk = -jk1 + k * jk / x
-        dyk = -yk1 + k * yk / x
-        return tuple(to_prec(v, prec) for v in (jk, djk, yk, dyk))
-
-
 # ---------------------------------------------------------------------------
-# Whole-ladder evaluations used by the transfer-matrix forward solver.  The
+# Whole-ladder evaluations used by the potential forward solver.  The
 # regular family is seeded at the top orders with direct evaluations and
 # propagated downward (stable: the regular solution dominates going down);
 # the singular family starts from closed forms at orders 0, 1 and goes up.
@@ -186,11 +102,3 @@ def sph_y_ladder(kmax, x):
     for m in range(1, n):
         vals[m + 1] = (2 * m + 1) * vals[m] / x - vals[m - 1]
     return vals
-
-
-def ladder_derivative(vals, k, x, sgn):
-    """f_k'(x) from a ladder of values via f_k' = sgn * f_{k+1} + (k/x) f_k.
-
-    ``sgn`` is +1 for the i family and -1 for the j, y and kk families.
-    """
-    return sgn * vals[k + 1] + k * vals[k] / x

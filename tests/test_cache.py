@@ -11,7 +11,7 @@ from radialborn.cache import (
     store_spectrum,
 )
 from radialborn.forward import spectrum_of
-from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind
 
 
 def gamma():
@@ -41,6 +41,31 @@ def test_key_depends_on_every_input():
     other = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0 + 1e-12))
     assert spectrum_key(other, 10, 256) != base
     assert spectrum_key(gamma(), 10, 256) == base
+
+
+def test_key_separates_values_closer_than_any_decimal_rendering(tmp_path):
+    # 2 and 2 + 1e-40 agree to 40 digits but give lambda_1 values 7.5e-42 apart
+    with mp.workprec(256):
+        near = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0),
+                                (mpf(2) + mpf(10) ** -40, 1.0))
+    assert spectrum_key(near, 10, 256) != spectrum_key(gamma(), 10, 256)
+    cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path)
+    served = cached_spectrum_of(near, 10, 256, cache_dir=tmp_path)
+    assert served.lambdas == spectrum_of(near, 10, 256).lambdas
+    assert served.lambdas[1] != spectrum_of(gamma(), 10, 256).lambdas[1]
+
+
+def test_key_is_the_same_for_equal_values_of_any_type():
+    with mp.workprec(256):
+        as_mpf = PiecewiseProfile(ProfileKind.CONDUCTIVITY, mpf(1), (0, mpf("0.5"), 1),
+                                  (mpf(2), 1))
+    assert spectrum_key(as_mpf, 10, 256) == spectrum_key(gamma(), 10, 256)
+    analytic = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "step2",
+                               {"r1": 0.5, "v1": 2.0, "v2": 1.0})
+    reordered = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "step2",
+                                {"v2": 1.0, "v1": 2.0, "r1": 0.5})
+    assert spectrum_key(analytic, 10, 256) == spectrum_key(reordered, 10, 256)
+    assert spectrum_key(analytic, 10, 256) != spectrum_key(gamma(), 10, 256)
 
 
 def test_miss_and_corruption_return_none(tmp_path):

@@ -6,8 +6,12 @@ from radialborn.experiments import (
     EXPERIMENT_IDS,
     experiment_config,
     experiment_profiles,
+    read_spectrum_csv,
     run_experiment,
+    write_spectrum_csv,
 )
+from radialborn.forward import spectrum_of
+from radialborn.profiles import PiecewiseProfile, ProfileKind
 
 SMALL = dict(terms=40, prec=128, grid_n=48, pieces=120, iterations=2, samples=2)
 
@@ -85,3 +89,35 @@ def test_exp7_emits_depth_curves(tmp_path, cache_dir):
     names = {p.name for p in tmp_path.glob("*.csv")}
     assert {"depth_error_alpha_1.csv", "depth_error_alpha_2.csv",
             "depth_error_alpha_3.csv"} <= names
+
+
+def _spectra():
+    gamma = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 2.5, (0.0, 0.7, 1.9, 2.5), (3.0, 0.2, 1.0))
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.4, 1.0), (-6.0, 2.0))
+    return [spectrum_of(gamma, 40, 256), spectrum_of(q, 25, 128)]
+
+
+def test_spectrum_csv_round_trip_is_bitwise(tmp_path):
+    for spec in _spectra():
+        path = write_spectrum_csv(tmp_path / "s.csv", spec)
+        back = read_spectrum_csv(path, spec.kind.value, spec.radius, spec.prec)
+        assert [x._mpf_ for x in back.lambdas] == [x._mpf_ for x in spec.lambdas]
+
+
+def test_spectrum_csv_rejects_bad_k_and_shift(tmp_path):
+    spec = _spectra()[0]
+    rows = write_spectrum_csv(tmp_path / "s.csv", spec).read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    gap = rows[:5] + rows[6:]  # drops k = 4, so line 6 holds k = 5
+    bad.write_text("\n".join(gap) + "\n")
+    with pytest.raises(ValueError, match="line 6: expected k = 4"):
+        read_spectrum_csv(bad, "conductivity", 2.5, 256)
+    k, lam, shift = rows[3].split(",")
+    digit = "1" if shift[40] != "1" else "2"  # an error of about 1e-37 in the shift
+    changed = rows[:3] + [f"{k},{lam},{shift[:40]}{digit}{shift[41:]}"] + rows[4:]
+    bad.write_text("\n".join(changed) + "\n")
+    with pytest.raises(ValueError, match="line 4: shift"):
+        read_spectrum_csv(bad, "conductivity", 2.5, 256)
+    # the shift column ties the file to its radius
+    with pytest.raises(ValueError, match="line 3: shift"):
+        read_spectrum_csv(tmp_path / "s.csv", "conductivity", 1.0, 256)

@@ -5,17 +5,67 @@ from mpmath import mp, mpf
 from radialborn.highprec import (
     GUARD_BITS,
     check_precision,
-    gamma_half_integer,
-    ladder_derivative,
-    mod_sph_bessel_pair,
-    mod_sph_bessel_second_pair,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
-    sph_bessel_pair,
     sph_j_ladder,
     sph_y_ladder,
     to_prec,
 )
+
+
+# -- oracles: direct single-order evaluations, rounded to prec ---------------
+
+def gamma_half_integer(k, d, prec):
+    """Gamma(k + d/2) by upward recurrence from Gamma(1/2) or Gamma(1)."""
+    n2 = 2 * k + d  # Gamma(n2 / 2)
+    with mp.workprec(prec + GUARD_BITS):
+        if n2 % 2 == 0:
+            g = mpmath.factorial(n2 // 2 - 1)
+        else:
+            g = mpmath.sqrt(mpmath.pi)
+            h = mpf(1) / 2
+            while h < mpf(n2) / 2:
+                g *= h
+                h += 1
+        return to_prec(g, prec)
+
+
+def _sph(kind, k, x):
+    # sqrt(pi/(2x)) Z_{k+1/2}(x) at the current working precision
+    return mpmath.sqrt(mpmath.pi / (2 * x)) * kind(mpf(2 * k + 1) / 2, x)
+
+
+def mod_sph_bessel_pair(k, x, prec):
+    """(i_k(x), i_k'(x))."""
+    with mp.workprec(prec + GUARD_BITS):
+        x = mpf(x)
+        ik = _sph(mpmath.besseli, k, x)
+        dik = _sph(mpmath.besseli, k + 1, x) + k * ik / x
+        return to_prec(ik, prec), to_prec(dik, prec)
+
+
+def mod_sph_bessel_second_pair(k, x, prec):
+    """(kk_k(x), kk_k'(x)), the singular partner of i_k."""
+    with mp.workprec(prec + GUARD_BITS):
+        x = mpf(x)
+        kk = _sph(mpmath.besselk, k, x)
+        dkk = -_sph(mpmath.besselk, k + 1, x) + k * kk / x
+        return to_prec(kk, prec), to_prec(dkk, prec)
+
+
+def sph_bessel_pair(k, x, prec):
+    """(j_k(x), j_k'(x), y_k(x), y_k'(x))."""
+    with mp.workprec(prec + GUARD_BITS):
+        x = mpf(x)
+        jk, yk = _sph(mpmath.besselj, k, x), _sph(mpmath.bessely, k, x)
+        djk = -_sph(mpmath.besselj, k + 1, x) + k * jk / x
+        dyk = -_sph(mpmath.bessely, k + 1, x) + k * yk / x
+        return tuple(to_prec(v, prec) for v in (jk, djk, yk, dyk))
+
+
+def ladder_derivative(vals, k, x, sgn):
+    """f_k'(x) = sgn f_{k+1}(x) + (k/x) f_k(x); sgn is +1 for i, -1 for j, y, kk."""
+    return sgn * vals[k + 1] + k * vals[k] / x
 
 
 def test_check_precision_rejects_small_and_fractional():
