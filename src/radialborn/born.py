@@ -8,16 +8,18 @@ which maps a coefficient sequence to a radial function of the frequency.
 Feeding eigenvalue shifts lambda_k - k produces the Fourier transform of the
 potential Born approximation; moments sigma_k[f] reproduce the Fourier
 transform of f itself; conductivity variants divide by |xi|^2 via an index
-shift.  Everything is evaluated in big-float arithmetic at an explicit
-precision.
+shift.  The products c_k mu_k are formed in big floats at prec + GUARD_BITS
+bits; one fixed-point kernel, ``_series_sum``, adds up the alternating terms
+in Python integers and rounds each value to prec once.  Non-finite entries
+or frequencies raise ``ValueError``.
 """
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .highprec import GUARD_BITS, check_precision, to_prec
 from .profiles import PiecewiseProfile, ProfileKind
@@ -66,39 +68,76 @@ def series_coefficients(kmax, d, prec):
         return out
 
 
-def _eval_at(coeffs, mu, xi):
-    # sum_k c_k (xi/2)^{2k} mu_k at current working precision
-    x2 = (xi / 2) ** 2
-    p = mpf(1)
-    s = mpf(0)
-    for c, m in zip(coeffs, mu):
-        s += c * p * m
-        p *= x2
-    return s
+def _series_terms(mu, d, prec):
+    # a_k = c_k mu_k, each rounded to prec + GUARD_BITS bits
+    work = prec + GUARD_BITS
+    with mp.workprec(work):
+        return [c * mpf(m) for c, m in zip(series_coefficients(len(mu) - 1, d, work), mu)]
+
+
+def _finite_dyadic(x, what):
+    # exact (man, exp) of a float or mpf, man signed; other types are read at
+    # the current working precision
+    sign, man, exp, _ = x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_
+    if not man and exp:
+        raise ValueError(f"non-finite {what}: {x!r}")
+    return (-man if sign else man), exp
+
+
+def _series_sum(a, xi_grid, prec):
+    """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
+
+    y is read exactly; y^k is an F-bit integer mantissa with an exponent,
+    truncated once per step, F = prec + GUARD_BITS + 8 + bit_length(K); the
+    terms are summed as integers with their LSB F bits below the top of the
+    largest, so the error before rounding is < 2^-(prec + GUARD_BITS + 5) sum|t_k|.
+    """
+    bits = prec + GUARD_BITS + 8 + (len(a) - 1).bit_length()
+    with mp.workprec(prec + GUARD_BITS):
+        A = [_finite_dyadic(t, "series term") for t in a]
+        X = [_finite_dyadic(xi, "frequency") for xi in xi_grid]
+    # nonzero terms: index, mantissa, exponent and top with |a_k| < 2^top
+    nz = [(k, am, ae, am.bit_length() + ae) for k, (am, ae) in enumerate(A) if am]
+    out = []
+    for xm, xe in X:
+        if not (xm and nz):  # xi = 0 leaves a_0 alone
+            S, T = A[0] if A else (0, 0)
+        else:
+            ym = xm * xm
+            s = max(ym.bit_length() - bits, 0)
+            ym, ye = ym >> s, 2 * xe - 2 + s  # (xi/2)^2, exact unless over F bits
+            # y^k = P[k] 2^pe[k] with 2^(F-1) <= P[k] < 2^F
+            p, e, P, pe = 1 << bits - 1, 1 - bits, [], []
+            for _ in range(nz[-1][0] + 1):
+                P.append(p)
+                pe.append(e)
+                p *= ym
+                s = p.bit_length() - bits
+                p >>= s
+                e += ye + s
+            # |a_k y^k| < 2^(top + pe[k] + F): the LSB 2^T sits F bits below the
+            # largest, so every shift below is to the right
+            T = max(top + pe[k] for k, _, _, top in nz)
+            S = sum(am * P[k] >> T - ae - pe[k] for k, am, ae, top in nz
+                    if top + pe[k] + bits > T)
+        out.append(mp.make_mpf(from_man_exp(S, T, prec, round_nearest)))
+    return out
 
 
 def eval_series_L(mu, xi, d=3, prec=1024):
     """Evaluate L_d(mu; xi); truncation is the sequence length."""
-    prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        xi = mpf(xi)
-        if mpmath.isnan(xi) or any(mpmath.isnan(mpf(m)) for m in mu):
-            raise ValueError("NaN input to eval_series_L")
-        coeffs = series_coefficients(len(mu) - 1, d, prec + GUARD_BITS)
-        return to_prec(_eval_at(coeffs, [mpf(m) for m in mu], xi), prec)
+    return eval_series_L_grid(mu, [xi], d, prec).values[0]
 
 
 def eval_series_L_grid(mu, xi_grid, d=3, prec=1024, label=""):
     """L_d(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
-    with mp.workprec(prec + GUARD_BITS):
-        mu = [mpf(m) for m in mu]
-        coeffs = series_coefficients(len(mu) - 1, d, prec + GUARD_BITS)
-        vals = [to_prec(_eval_at(coeffs, mu, mpf(xi)), prec) for xi in xi_grid]
+    vals = _series_sum(_series_terms(mu, d, prec), xi_grid, prec)
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label)
 
 
-def _potential_entries(spec, mode, R, d, prec):
+def _eigenvalue_entries(spec, mode, R, d, prec):
+    # mu_k of the L_d series; for conductivities, nu_k of the k >= 1 sum
     with mp.workprec(prec + GUARD_BITS):
         Rspec = mpf(spec.radius)
         if mode == "unit":
@@ -137,31 +176,8 @@ def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
     if mode == "finiteR" and R is None:
         raise ValueError("finiteR mode needs a target radius R")
     prec = check_precision(prec)
-    mu = _potential_entries(spec, mode, R, d, prec)
+    mu = _eigenvalue_entries(spec, mode, R, d, prec)
     return eval_series_L_grid(mu, xi_grid, d, prec, label=f"born_q_{mode}")
-
-
-def _conductivity_entries(spec, mode, R, d, prec):
-    # entries nu_k multiplying (xi/2)^{2k-2} in the -pi^{d/2} sum, k >= 1
-    with mp.workprec(prec + GUARD_BITS):
-        Rspec = mpf(spec.radius)
-        if mode == "unit":
-            return [Rspec ** (2 * k + d - 1) * (lam - mpf(k) / Rspec)
-                    for k, lam in enumerate(spec.lambdas)]
-        if float(spec.radius) != 1.0:
-            raise ValueError(f"mode {mode!r} requires the unit-ball spectrum")
-        if mode == "finiteR" and mpf(R) == 1:
-            return [lam - k for k, lam in enumerate(spec.lambdas)]
-        out = []
-        for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + d - 2
-            den = lam + k + d - 2
-            if mode == "finiteR":
-                den = den - mpf(R) ** (-m) * (lam - k)
-            if den == 0:
-                raise SeriesDenominatorError(k, mode)
-            out.append((lam - k) * m / den)
-        return out
 
 
 def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
@@ -191,21 +207,12 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
         return eval_series_L_grid(nu, xi_grid, d, prec, label="born_gamma_moment_form")
     if spec.kmax < 1:
         raise ValueError("need at least lambda_1")
-    entries = _conductivity_entries(spec, mode, R, d, prec)
+    # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
+    # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}
+    terms = _series_terms(_eigenvalue_entries(spec, mode, R, d, prec), d, prec)
     with mp.workprec(prec + GUARD_BITS):
-        coeffs = series_coefficients(spec.kmax, d, prec + GUARD_BITS)
-        # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k;
-        # reuse c_k = 2 pi^{d/2} (-1)^k / (...): term = -(c_k/2) (xi/2)^{2k-2} nu_k
-        vals = []
-        for xi in xi_grid:
-            xi = mpf(xi)
-            x2 = (xi / 2) ** 2
-            p = mpf(1)  # (xi/2)^{2k-2} starting at k = 1
-            s = mpf(0)
-            for k in range(1, spec.kmax + 1):
-                s += coeffs[k] * p * entries[k]
-                p *= x2
-            vals.append(to_prec(-s / 2, prec))
+        terms = [-t / 2 for t in terms[1:]]
+    vals = _series_sum(terms, xi_grid, prec)
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label=f"born_gamma_{mode}")
 
 

@@ -73,22 +73,20 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
     with mp.workprec(prec + GUARD_BITS):
         bp = [mpf(x) for x in f.breakpoints]
         dev = [mpf(v) - bg for v in f.values]
+        pieces = [(j, v) for j, v in enumerate(dev) if v != 0]
+        ends = {i for j, _ in pieces for i in (j, j + 1)}  # G once per breakpoint
         pi4 = 4 * mpmath.pi
         vals = []
         for xi in xi_grid:
             xi = mpf(xi)
             if xi == 0:
-                s = sum(v * (bp[j + 1] ** 3 - bp[j] ** 3) for j, v in enumerate(dev) if v != 0)
+                s = sum(v * (bp[j + 1] ** 3 - bp[j] ** 3) for j, v in pieces)
                 vals.append(to_prec(pi4 * s / 3, prec))
                 continue
-            # per piece: int_a^b r sin(xi r) dr = [sin(xi r)/xi^2 - r cos(xi r)/xi]_a^b
-            s = mpf(0)
-            for j, v in enumerate(dev):
-                if v == 0:
-                    continue
-                a, b = bp[j], bp[j + 1]
-                s += v * ((mpmath.sin(xi * b) / xi**2 - b * mpmath.cos(xi * b) / xi)
-                          - (mpmath.sin(xi * a) / xi**2 - a * mpmath.cos(xi * a) / xi))
+            # int_a^b r sin(xi r) dr = G(b) - G(a), G(r) = sin(xi r)/xi^2 - r cos(xi r)/xi
+            G = {i: mpmath.sin(xi * bp[i]) / xi**2 - bp[i] * mpmath.cos(xi * bp[i]) / xi
+                 for i in ends}
+            s = sum((v * (G[j + 1] - G[j]) for j, v in pieces), mpf(0))
             vals.append(to_prec(pi4 * s / xi, prec))
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label="forward_ft")
 

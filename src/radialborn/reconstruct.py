@@ -16,13 +16,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp
 
 from .born import (
+    _series_sum,
+    _series_terms,
     born_conductivity_fourier,
     born_potential_fourier,
-    eval_series_L_grid,
-    series_coefficients,
 )
 from .forward import DtnSpectrum, spectrum_of
 from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
@@ -239,17 +239,9 @@ def growth_slope(mu, xi_window, d=3, prec=256, n_points=40):
         raise ValueError("need 0 < a < b")
     prec = check_precision(prec)
     xs = np.linspace(a, b, n_points)
-    logs = []
     with mp.workprec(prec + GUARD_BITS):
-        coeffs = series_coefficients(len(mu) - 1, d, prec + GUARD_BITS)
-        mus = [mpf(m) for m in mu]
-        for xi in xs:
-            x2 = (mpf(xi) / 2) ** 2
-            p = mpf(1)
-            s = mpf(0)
-            for c, m in zip(coeffs, mus):
-                s += abs(c * p * m)
-                p *= x2
-            logs.append(float(mpmath.log(s)))
+        terms = [abs(t) for t in _series_terms(mu, d, prec)]
+        # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
+        logs = [float(mpmath.log(s)) for s in _series_sum(terms, xs, prec)]
     slope, _ = np.polyfit(xs, np.asarray(logs), 1)
     return float(slope)

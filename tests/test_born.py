@@ -1,4 +1,12 @@
+"""Born series, moment sequences and the Born Fourier transforms.
+
+``mpf_series_L_grid`` is the reference evaluator: the term-by-term big-float
+loop (c_k times (xi/2)^{2k} times mu_k at prec + 32 bits) that the fixed-point
+series kernel replaced.
+"""
+
 import math
+import random
 import warnings
 
 import mpmath
@@ -17,9 +25,62 @@ from radialborn.born import (
 )
 from radialborn.forward import spectrum_of
 from radialborn.fourier import RadialSamples
+from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 
 import numpy as np
+
+
+def mpf_series_L_grid(mu, xi_grid, d=3, prec=1024):
+    """sum_k c_k (xi/2)^{2k} mu_k term by term in big floats at prec + GUARD_BITS."""
+    with mp.workprec(prec + GUARD_BITS):
+        coeffs = series_coefficients(len(mu) - 1, d, prec + GUARD_BITS)
+        mu = [mpf(m) for m in mu]
+        out = []
+        for xi in xi_grid:
+            x2 = (mpf(xi) / 2) ** 2
+            p, s = mpf(1), mpf(0)
+            for c, m in zip(coeffs, mu):
+                s += c * p * m
+                p *= x2
+            out.append(to_prec(s, prec))
+    return out
+
+
+def reference_series(mu, xi, d, prec):
+    """(sum_k t_k, sum_k |t_k|) with t_k = c_k (xi/2)^{2k} mu_k, at prec + 256 bits."""
+    with mp.workprec(prec + 256):
+        x2 = (mpf(xi) / 2) ** 2
+        s = a = mpf(0)
+        for k, m in enumerate(mu):
+            t = (2 * mpmath.pi ** (mpf(d) / 2) * (-1) ** k * x2**k * mpf(m)
+                 / (mpmath.factorial(k) * mpmath.gamma(k + mpf(d) / 2)))
+            s += t
+            a += abs(t)
+    return s, a
+
+
+def _random_mu(rng, K):
+    """Decaying moments with random signs, zeros and tiny entries mixed in."""
+    mu = []
+    with mp.workprec(300):
+        for k in range(K + 1):
+            kind = rng.random()
+            if kind < 0.15:
+                mu.append(mpf(0) if rng.random() < 0.5 else 0.0)
+            elif kind < 0.25:
+                mu.append(mpf(2) ** -rng.randint(300, 3000) * rng.uniform(-1, 1))
+            elif kind < 0.6:
+                mu.append(rng.uniform(-1, 1) * 0.5 ** (2 * k + 3) / (2 * k + 3))
+            else:
+                mu.append(mpf(rng.uniform(-1, 1)) * mpf(rng.uniform(0.5, 1.0)) ** (2 * k)
+                          / mpf(3) ** rng.randint(0, 40))
+    return mu
+
+
+def _half_ulp(v, prec):
+    sign, man, exp, bc = v._mpf_
+    return mpmath.ldexp(mpf(1), exp + bc - prec - 1) if man else mpf(0)
 
 
 def indicator(alpha, kind=ProfileKind.POTENTIAL, value=1.0):
@@ -160,3 +221,45 @@ def test_mode_validation():
     gspec = spectrum_of(g, 5, 128)
     with pytest.raises(ValueError):
         born_potential_fourier(gspec, [0.0], prec=128)
+
+
+@pytest.mark.parametrize("K", (0, 1, 20, 150))
+@pytest.mark.parametrize("prec", (64, 256, 512))
+def test_series_kernel_and_oracle_within_the_bound(K, prec):
+    """Every node within 2^(bit_length(K) + 2 - prec - 32) sum|t_k| + half an ulp."""
+    rng = random.Random(1000 * K + prec)
+    for trial in range(3):
+        mu = _random_mu(rng, K)
+        floats = [0.0, 160.0, 159.9] + [rng.uniform(0, 161) for _ in range(5)]
+        with mp.workprec(300):
+            wide = [mpf(0), mpf(160) - mpf(2) ** -290] + [
+                mpf(rng.uniform(0, 160)) + mpf(rng.random()) * mpf(2) ** -250 for _ in range(5)]
+        for grid in (floats, wide):
+            got = eval_series_L_grid(mu, grid, prec=prec).values
+            oracle = mpf_series_L_grid(mu, grid, prec=prec)
+            for xi, g, o in zip(grid, got, oracle):
+                ref, abs_sum = reference_series(mu, xi, 3, prec)
+                with mp.workprec(prec + 256):
+                    tol = mpmath.ldexp(abs_sum, K.bit_length() + 2 - prec - GUARD_BITS)
+                    assert abs(g - ref) <= tol + _half_ulp(g, prec), (trial, xi)
+                    assert abs(o - ref) <= tol + _half_ulp(o, prec), (trial, xi)
+
+
+def test_series_at_zero_is_the_rounded_first_term():
+    mu = [mpf(1) / 3, mpf(-7), mpf(2) ** 900]
+    with mp.workprec(256 + GUARD_BITS):
+        first = series_coefficients(2, 3, 256 + GUARD_BITS)[0] * mu[0]
+    assert eval_series_L(mu, 0.0, prec=256) == to_prec(first, 256)
+    assert eval_series_L_grid([0, 0], [0.0, 5.0], prec=128).values == (0, 0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf, -mpmath.inf))
+def test_non_finite_inputs_raise(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_series_L_grid([1, bad, 2], [0.0, 1.0, 2.0], prec=128)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_series_L_grid([1, 2], [1.0, bad, 2.0], prec=128)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_series_L([1, bad], 1.0, prec=128)
+    with pytest.raises(ValueError, match="non-finite"):
+        eval_series_L([1, 2], bad, prec=128)

@@ -1,7 +1,10 @@
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from radialborn.born import FourierSamples
 from radialborn.fourier import (
@@ -11,7 +14,27 @@ from radialborn.fourier import (
     forward_radial_ft,
     inverse_radial_ft,
 )
+from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
+
+
+def per_piece_forward_ft(f, xi_grid, prec, bg=0.0):
+    """Closed-form transform evaluating both piece ends of every nonzero piece."""
+    with mp.workprec(prec + GUARD_BITS):
+        bp = [mpf(x) for x in f.breakpoints]
+        dev = [mpf(v) - bg for v in f.values]
+        vals = []
+        for xi in xi_grid:
+            xi = mpf(xi)
+            s = mpf(0)
+            for j, v in enumerate(dev):
+                if v == 0:
+                    continue
+                a, b = bp[j], bp[j + 1]
+                s += v * ((mpmath.sin(xi * b) / xi**2 - b * mpmath.cos(xi * b) / xi)
+                          - (mpmath.sin(xi * a) / xi**2 - a * mpmath.cos(xi * a) / xi))
+            vals.append(to_prec(4 * mpmath.pi * s / xi, prec))
+    return vals
 
 
 def half_ball():
@@ -30,6 +53,16 @@ def test_forward_background_subtraction():
     g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
     F = forward_radial_ft(g, [0.0], prec=128, subtract_background=True)
     assert float(F.values[0]) == pytest.approx(4 * math.pi / 3 * 0.125, rel=1e-15)
+
+
+def test_forward_shares_breakpoints_without_changing_a_bit():
+    rng = random.Random(5)
+    bps = sorted(rng.uniform(0, 2) for _ in range(39))
+    values = [1.0 if rng.random() < 0.3 else rng.uniform(0.5, 3) for _ in range(40)]
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 2.0, (0.0, *bps, 2.0), tuple(values))
+    xi = default_xi_grid(32, 20.0)[1:]
+    F = forward_radial_ft(g, xi, prec=256, subtract_background=True)
+    assert list(F.values) == per_piece_forward_ft(g, xi, 256, bg=1.0)
 
 
 def test_zero_input_gives_zero_output():
