@@ -12,13 +12,24 @@ constant value c are
     c < 0:  r j_k(s r),  r y_k(s r)       with s = sqrt(-c)
     c = 0:  r^{k+1},     r^{-k}
 
-The regular branch is selected on the innermost piece, (w, w') is matched
-across interfaces, and the state is renormalized after every piece so the
-propagation never overflows.  Finally lambda_k = w'(R)/w(R) - 1/R.  The
-per-piece Bessel ladders are evaluated for all k at once (seeded at the top
-order, recurred downward for the regular family; upward from closed forms for
-the singular family), so a potential spectrum costs O(m K) big-float
-operations plus O(m) direct Bessel evaluations.
+The regular branch is selected on the innermost piece.  For each degree k
+the state is a projective pair of Python ints (P, Q) proportional to
+(w, r w'), which is continuous across interfaces.  On a Bessel piece, with
+f the regular or singular spherical function at x = s r, a column of the
+fundamental matrix is r (f_k, g_k), g_k = (1+k) f_k +- x f_{k+1} = f_k + x f_k'.
+Every ladder value is read once as an exact mantissa and exponent, so f_k
+and g_k are exact ints sharing one exponent per column; the common factor r
+and the column exponents drop out of v_b = Phi_b adj(Phi_a) v_a up to one
+left shift that aligns the two columns, which leaves eight exact integer
+products per degree.  A flat piece (c = 0) uses Phi_a = [[1, 1], [k+1, -k]]
+and Phi_b = [[1, t], [k+1, -k t]] with t = (a/b)^{2k+1} in F-bit fixed
+point, F = prec + GUARD_BITS + bit_length(max(m, K+1)).  After each piece
+one shift brings max(|P|, |Q|) back to F bits, the only rounding inside the
+loop, and lambda_k = w'(R)/w(R) - 1/R = (Q - P)/(P R) is rounded to prec
+once.  The per-piece Bessel ladders are evaluated for all k at once (seeded
+at the top order, recurred downward for the regular family; upward from
+closed forms for the singular family), so a potential spectrum costs
+O(m K) big-float operations in the ladders plus O(m K) integer products.
 
 Conductivities carry, for each degree k, only the log derivative
 eta_k(r) = r gamma u'/u, which is continuous across interfaces because u and
@@ -103,38 +114,29 @@ class DtnSpectrum:
             return [lam - mpf(k) / R for k, lam in enumerate(self.lambdas)]
 
 
-def _renormalize(w, wp):
-    # scale max(|w|, |w'|) into [1, 2) by a power of two; exact operation
-    m = max(abs(w), abs(wp))
-    _, e = mpmath.frexp(m)
-    scale = mpmath.ldexp(mpf(1), int(e) - 1)
-    return w / scale, wp / scale
+def _bessel_columns(ladder, x, sgn, kmax):
+    """Exact ints (f, g, e) with (f_k(x), g_k(x)) = (f, g) 2^e, k = 0..kmax.
 
-
-def _piece_bases(c, a, b, kmax):
-    """Fundamental-solution values/derivatives of w on a piece (a, b].
-
-    Returns (W1a, dW1a, W2a, dW2a, W1b, dW1b, W2b, dW2b) as k-indexed lists,
-    or the string "powers" marker handled by the caller for c == 0.
+    g_k = (1+k) f_k + sgn x f_{k+1} = f_k + x f_k'(x), so r (f_k, g_k) at
+    x = s r is (w, r w') for w = r f_k(s r).
     """
-    if c > 0:
-        s = mpmath.sqrt(c)
-        fam = (mod_sph_i_ladder, mod_sph_k_ladder, 1, -1)
-    else:
-        s = mpmath.sqrt(-c)
-        fam = (sph_j_ladder, sph_y_ladder, -1, -1)
-    reg_ladder, sing_ladder, sgn1, sgn2 = fam
-    out = []
-    for r in (a, b):
-        x = s * r
-        f1 = reg_ladder(kmax, x)
-        f2 = sing_ladder(kmax, x)
-        W1 = [r * f1[k] for k in range(kmax + 1)]
-        W2 = [r * f2[k] for k in range(kmax + 1)]
-        dW1 = [f1[k] + s * r * (sgn1 * f1[k + 1] + k * f1[k] / x) for k in range(kmax + 1)]
-        dW2 = [f2[k] + s * r * (sgn2 * f2[k + 1] + k * f2[k] / x) for k in range(kmax + 1)]
-        out.extend([W1, dW1, W2, dW2])
-    return out
+    _, xm, xe, _ = x._mpf_
+    vals = [(-m if sign else m, e) for sign, m, e, _ in (v._mpf_ for v in ladder(kmax, x))]
+    cols = []
+    for k in range(kmax + 1):
+        fm, fe = vals[k]
+        hm, he = vals[k + 1]
+        he += xe
+        e = min(fe, he)
+        f = fm << fe - e
+        cols.append((f, (k + 1) * f + (sgn * xm * hm << he - e), e))
+    return cols
+
+
+def _to_bits(P, Q, bits):
+    # one shift brings max(|P|, |Q|) to `bits` bits
+    s = max(P.bit_length(), Q.bit_length()) - bits
+    return (P >> s, Q >> s) if s >= 0 else (P << -s, Q << -s)
 
 
 def potential_spectrum(q, kmax, prec):
@@ -142,73 +144,62 @@ def potential_spectrum(q, kmax, prec):
     if q.kind is not ProfileKind.POTENTIAL:
         raise ValueError("potential_spectrum requires a potential profile")
     prec = check_precision(prec)
+    F = prec + GUARD_BITS + max(q.piece_count, kmax + 1).bit_length()
+    ks = range(kmax + 1)
+    dy = [_dyadic(x, F) for x in q.breakpoints]
     with mp.workprec(prec + GUARD_BITS):
         bp = [mpf(x) for x in q.breakpoints]
-        vals = [mpf(v) for v in q.values]
-        R = bp[-1]
-        nk = kmax + 1
-
-        # innermost piece: regular branch only
-        b = bp[1]
-        c = vals[0]
-        if c == 0:
-            states = [(mpf(1), mpf(k + 1) / b) for k in range(nk)]
-        else:
-            if c > 0:
-                s = mpmath.sqrt(c)
-                lad = mod_sph_i_ladder(kmax, s * b)
-                sgn = 1
+        for j, value in enumerate(q.values):
+            a, b, c = bp[j], bp[j + 1], mpf(value)
+            if c == 0 and j == 0:
+                # innermost piece: w = r^{k+1}
+                state = [_to_bits(1, k + 1, F) for k in ks]
+            elif c == 0:
+                # columns r^{k+1}, r^{-k}, scaled to [[1, 1], [k+1, -k]] at a
+                t = _fixed_ratio(dy[j], dy[j + 1], F)
+                t2 = t * t >> F
+                tk = t  # (a/b)^{2k+1}
+                for k in ks:
+                    P, Q = state[k]
+                    A, B = k * P + Q, (k + 1) * P - Q
+                    x = tk * B
+                    state[k] = _to_bits((A << F) + x, ((k + 1) * A << F) - k * x, F)
+                    tk = tk * t2 >> F
             else:
-                s = mpmath.sqrt(-c)
-                lad = sph_j_ladder(kmax, s * b)
-                sgn = -1
-            x = s * b
-            states = []
-            for k in range(nk):
-                w = b * lad[k]
-                wp = lad[k] + s * b * (sgn * lad[k + 1] + k * lad[k] / x)
-                states.append(_renormalize(w, wp))
+                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if c > 0
+                                  else (sph_j_ladder, sph_y_ladder, -1))
+                s = mpmath.sqrt(abs(c))
+                xa, xb = s * a, s * b
+                reg_b = _bessel_columns(reg, xb, sgn, kmax)
+                if j == 0:
+                    # innermost piece: regular branch only
+                    state = [_to_bits(f, g, F) for f, g, _ in reg_b]
+                    continue
+                cols = zip(_bessel_columns(reg, xa, sgn, kmax), _bessel_columns(sing, xa, -1, kmax),
+                           reg_b, _bessel_columns(sing, xb, -1, kmax))
+                for k, ends in enumerate(cols):
+                    (f1a, g1a, e1a), (f2a, g2a, e2a), (f1b, g1b, e1b), (f2b, g2b, e2b) = ends
+                    # v_b = Phi_b adj(Phi_a) v_a: A carries 2^e2a and B 2^e1a, so
+                    # one left shift puts f1b A and f2b B on one exponent
+                    P, Q = state[k]
+                    A, B = g2a * P - f2a * Q, f1a * Q - g1a * P
+                    d = e1b + e2a - e2b - e1a
+                    if d > 0:
+                        A <<= d
+                    else:
+                        B <<= -d
+                    state[k] = _to_bits(f1b * A + f2b * B, g1b * A + g2b * B, F)
 
-        for j in range(1, len(vals)):
-            a, b, c = bp[j], bp[j + 1], vals[j]
-            if c == 0:
-                t = a / b
-                tk = mpf(1)  # t^k
-                new_states = []
-                for k in range(nk):
-                    w1a = tk * t            # (a/b)^{k+1}
-                    dw1a = (k + 1) * w1a / a
-                    w2a = 1 / tk            # (a/b)^{-k}
-                    dw2a = -k * w2a / a
-                    w, wp = states[k]
-                    det = w1a * dw2a - w2a * dw1a
-                    A = (w * dw2a - wp * w2a) / det
-                    B = (wp * w1a - w * dw1a) / det
-                    # at r = b the scaled bases are 1 with slopes (k+1)/b, -k/b
-                    wb = A + B
-                    wpb = (A * (k + 1) - B * k) / b
-                    new_states.append(_renormalize(wb, wpb))
-                    tk *= t
-                states = new_states
-            else:
-                W1a, dW1a, W2a, dW2a, W1b, dW1b, W2b, dW2b = _piece_bases(c, a, b, kmax)
-                new_states = []
-                for k in range(nk):
-                    w, wp = states[k]
-                    det = W1a[k] * dW2a[k] - W2a[k] * dW1a[k]
-                    A = (w * dW2a[k] - wp * W2a[k]) / det
-                    B = (wp * W1a[k] - w * dW1a[k]) / det
-                    wb = A * W1b[k] + B * W2b[k]
-                    wpb = A * dW1b[k] + B * dW2b[k]
-                    new_states.append(_renormalize(wb, wpb))
-                states = new_states
-
-        lambdas = []
-        collision_floor = mpmath.ldexp(mpf(1), -prec // 2)
-        for k, (w, wp) in enumerate(states):
-            if abs(w) < collision_floor * abs(wp):
-                raise DirichletCollisionError(k)
-            lambdas.append(to_prec(wp / w - 1 / R, prec))
+    # (P, Q) is proportional to (w, R w'), R = rm 2^re; a collision is
+    # |w| < 2^(-prec//2) |w'|, that is |P| rm 2^z < |Q|
+    rm, re = dy[-1]
+    z = re - (-prec // 2)
+    lambdas = []
+    for k, (P, Q) in enumerate(state):
+        if abs(P) * rm << max(z, 0) < abs(Q) << max(-z, 0):
+            raise DirichletCollisionError(k)
+        lambdas.append(mp.make_mpf(mpf_div(from_man_exp(Q - P, -re), from_int(P * rm),
+                                           prec, round_nearest)))
     return DtnSpectrum(ProfileKind.POTENTIAL, q.radius, lambdas, prec)
 
 

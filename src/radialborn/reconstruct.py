@@ -242,6 +242,10 @@ def growth_slope(mu, xi_window, d=3, prec=256, n_points=40):
     with mp.workprec(prec + GUARD_BITS):
         terms = [abs(t) for t in _series_terms(mu, d, prec)]
         # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
-        logs = [float(mpmath.log(s)) for s in _series_sum(terms, xs, prec)]
+        logs = []
+        for xi, s in zip(xs, _series_sum(terms, xs, prec)):
+            if not s:
+                raise ValueError(f"the series of |term_k| sums to 0 at xi = {xi}")
+            logs.append(float(mpmath.log(s)))
     slope, _ = np.polyfit(xs, np.asarray(logs), 1)
     return float(slope)

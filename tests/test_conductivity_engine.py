@@ -13,9 +13,10 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from radialborn.forward import _renormalize, conductivity_spectrum
+from radialborn.forward import conductivity_spectrum
 from radialborn.highprec import GUARD_BITS, check_precision, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
+from test_potential_engine import _renormalize
 
 KS = (0, 1, 20, 150)
 PRECS = (64, 256, 512)

@@ -101,3 +101,9 @@ def test_growth_slope_tracks_support_radius():
     slope = growth_slope(mu, (50.0, 130.0), prec=512)
     assert slope <= 0.5 * 1.05
     assert slope > 0.3
+
+
+def test_growth_slope_rejects_a_zero_series():
+    # log 0 would hand -inf to the fit and return nan
+    with pytest.raises(ValueError, match="sums to 0 at xi = 1.0"):
+        growth_slope([0, 0, 0], (1.0, 2.0))
