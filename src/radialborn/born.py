@@ -8,16 +8,20 @@ which maps a coefficient sequence to a radial function of the frequency.
 Feeding eigenvalue shifts lambda_k - k produces the Fourier transform of the
 potential Born approximation; moments sigma_k[f] reproduce the Fourier
 transform of f itself; conductivity variants divide by |xi|^2 via an index
-shift.  The products c_k mu_k are formed in big floats at prec + GUARD_BITS
-bits; one fixed-point kernel, ``_series_sum``, adds up the alternating terms
-in Python integers and rounds each value to prec once.  Non-finite entries
-or frequencies raise ``ValueError``.
+shift.  The products a_k = c_k mu_k are formed in big floats at
+prec + GUARD_BITS bits.  One kernel, ``_series_sum``, then sums the
+alternating terms a_k (xi/2)^{2k} at each node by a truncated Horner pass in
+Python integers: it starts at the highest term that can still reach the last
+kept bit and rounds each value to prec once.  Non-finite entries or
+frequencies raise ``ValueError``.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
@@ -87,40 +91,64 @@ def _finite_dyadic(x, what):
 def _series_sum(a, xi_grid, prec):
     """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
 
-    y is read exactly; y^k is an F-bit integer mantissa with an exponent,
-    truncated once per step, F = prec + GUARD_BITS + 8 + bit_length(K); the
-    terms are summed as integers with their LSB F bits below the top of the
-    largest, so the error before rounding is < 2^-(prec + GUARD_BITS + 5) sum|t_k|.
+    A truncated Horner pass in Python integers.  y = ym 2^ye is read exactly
+    (ym is cut to F bits only if longer), F = prec + GUARD_BITS + 8 +
+    bit_length(K).  With c = ceil(log2 y) and L = floor(log2 max_k |t_k|) - F - 1,
+    t_k = a_k y^k, the partial sum sum_{j>=k} a_j y^(j-k) is an integer S with
+    LSB 2^(L - kc), and one step is S <- (S ym >> (c - ye)) + (a_k aligned by
+    one shift).  Each shift truncates by less than 2^(L - kc), which y^k <= 2^(kc)
+    carries into the sum as less than 2^L.  The pass starts at the highest k
+    whose bound 2^top_k y^k (|a_k| < 2^top_k) reaches 2^L, so every dropped term
+    is below 2^L as well.  The error before rounding is < 3 (K + 1) 2^L <
+    2^-(prec + GUARD_BITS + 5) sum|t_k|.  log2 y, the largest term, the cut-off
+    and the alignment shifts are estimated for all nodes at once in numpy.
     """
     bits = prec + GUARD_BITS + 8 + (len(a) - 1).bit_length()
     with mp.workprec(prec + GUARD_BITS):
         A = [_finite_dyadic(t, "series term") for t in a]
         X = [_finite_dyadic(xi, "frequency") for xi in xi_grid]
-    # nonzero terms: index, mantissa, exponent and top with |a_k| < 2^top
-    nz = [(k, am, ae, am.bit_length() + ae) for k, (am, ae) in enumerate(A) if am]
-    out = []
-    for xm, xe in X:
-        if not (xm and nz):  # xi = 0 leaves a_0 alone
-            S, T = A[0] if A else (0, 0)
-        else:
-            ym = xm * xm
-            s = max(ym.bit_length() - bits, 0)
-            ym, ye = ym >> s, 2 * xe - 2 + s  # (xi/2)^2, exact unless over F bits
-            # y^k = P[k] 2^pe[k] with 2^(F-1) <= P[k] < 2^F
-            p, e, P, pe = 1 << bits - 1, 1 - bits, [], []
-            for _ in range(nz[-1][0] + 1):
-                P.append(p)
-                pe.append(e)
-                p *= ym
-                s = p.bit_length() - bits
-                p >>= s
-                e += ye + s
-            # |a_k y^k| < 2^(top + pe[k] + F): the LSB 2^T sits F bits below the
-            # largest, so every shift below is to the right
-            T = max(top + pe[k] for k, _, _, top in nz)
-            S = sum(am * P[k] >> T - ae - pe[k] for k, am, ae, top in nz
-                    if top + pe[k] + bits > T)
-        out.append(mp.make_mpf(from_man_exp(S, T, prec, round_nearest)))
+    # xi = 0 (and an all-zero or empty series) leaves a_0 alone
+    out = [mp.make_mpf(from_man_exp(*(A[0] if A else (0, 0)), prec, round_nearest))] * len(X)
+    nodes = [n for n, (xm, _) in enumerate(X) if xm]
+    if not (nodes and any(am for am, _ in A)):
+        return out
+    Y = []
+    for n in nodes:
+        xm, xe = X[n]
+        ym = xm * xm
+        s = max(ym.bit_length() - bits, 0)
+        Y.append((ym >> s, 2 * xe - 2 + s))  # (xi/2)^2, exact unless over F bits
+    k = np.arange(len(A))
+    nz = np.array([am != 0 for am, _ in A])
+    ae = np.array([e for _, e in A], dtype=np.int64)
+    top = np.where(nz, [am.bit_length() for am, _ in A] + ae, -np.inf)  # |a_k| < 2^top_k
+    sh = np.array([(ym - 1).bit_length() for ym, _ in Y], dtype=np.int64)
+    c = sh + [ye for _, ye in Y]  # ceil(log2 y)
+    ly = np.array([math.log2(ym) + ye for ym, ye in Y])
+    # keeps the float64 estimates within a bit and the int64 shifts from wrapping
+    if max(np.abs(top[nz]).max(), np.abs(ly).max() * len(A)) >= 2.0 ** 50:
+        raise ValueError("series term or frequency out of range: |log2| >= 2^50")
+    est = np.outer(ly, k)
+    est += top  # log2 of the bound 2^top_k y^k
+    L = np.floor(est.max(axis=1)).astype(np.int64) - bits - 1
+    # highest k whose bound reaches 2^L
+    kt = len(A) - 1 - np.argmax((est >= L[:, None])[:, ::-1], axis=1)
+    del est  # one nodes x terms table at a time
+    # right shift that puts a_k on the LSB 2^(L - kc); a common left shift G
+    # of every a_k, once per call, keeps the used ones non-negative
+    d = np.outer(-c, k)
+    d += L[:, None]
+    d -= ae
+    G = -int(d.min(where=nz & (k <= kt[:, None]), initial=0))
+    d += G
+    np.maximum(d, 0, out=d)  # zero terms: any shift will do
+    Arev = [am << G for am, _ in reversed(A)]
+    first = (len(A) - 1 - kt).tolist()
+    for n, (ym, _), s, T, j, D in zip(nodes, Y, sh.tolist(), L.tolist(), first, d[:, ::-1]):
+        S = 0
+        for am, dk in zip(Arev[j:], D[j:].tolist()):
+            S = (S * ym >> s) + (am >> dk)
+        out[n] = mp.make_mpf(from_man_exp(S, T, prec, round_nearest))
     return out
 
 
@@ -200,13 +228,13 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
         lam0 = mpf(spec.lambdas[0])
         if abs(lam0) > mpmath.ldexp(mpf(1), -prec // 2):
             warnings.warn("conductivity spectrum has lambda_0 != 0", stacklevel=2)
+    if spec.kmax < 1:
+        raise ValueError("need at least lambda_1")
     if mode == "moment_form":
         with mp.workprec(prec + GUARD_BITS):
             nu = [(mpf(spec.lambdas[k + 1]) - (k + 1)) / (2 * (k + 1) * (k + mpf(d) / 2))
                   for k in range(spec.kmax)]
         return eval_series_L_grid(nu, xi_grid, d, prec, label="born_gamma_moment_form")
-    if spec.kmax < 1:
-        raise ValueError("need at least lambda_1")
     # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
     # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}
     terms = _series_terms(_eigenvalue_entries(spec, mode, R, d, prec), d, prec)
@@ -242,8 +270,6 @@ def moment_sequence_exact(f, kmax, d=3, prec=256):
 
 def moments_from_samples(s, kmax, d=3):
     """Trapezoidal moments of sampled radial data (double precision)."""
-    import numpy as np
-
     r = np.asarray(s.r_grid, dtype=float)
     v = np.asarray(s.values, dtype=float)
     return [float(np.trapezoid(v * r ** (2 * k + d - 1), r)) for k in range(kmax + 1)]

@@ -84,8 +84,10 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
                 vals.append(to_prec(pi4 * s / 3, prec))
                 continue
             # int_a^b r sin(xi r) dr = G(b) - G(a), G(r) = sin(xi r)/xi^2 - r cos(xi r)/xi
-            G = {i: mpmath.sin(xi * bp[i]) / xi**2 - bp[i] * mpmath.cos(xi * bp[i]) / xi
-                 for i in ends}
+            G = {}
+            for i in ends:
+                c, s = mpmath.cos_sin(xi * bp[i])  # one mpf_cos_sin, same bits as cos and sin
+                G[i] = s / xi**2 - bp[i] * c / xi
             s = sum((v * (G[j + 1] - G[j]) for j, v in pieces), mpf(0))
             vals.append(to_prec(pi4 * s / xi, prec))
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label="forward_ft")

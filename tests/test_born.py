@@ -24,7 +24,7 @@ from radialborn.born import (
     series_coefficients,
 )
 from radialborn.forward import spectrum_of
-from radialborn.fourier import RadialSamples
+from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 
@@ -47,17 +47,22 @@ def mpf_series_L_grid(mu, xi_grid, d=3, prec=1024):
     return out
 
 
-def reference_series(mu, xi, d, prec):
-    """(sum_k t_k, sum_k |t_k|) with t_k = c_k (xi/2)^{2k} mu_k, at prec + 256 bits."""
+def reference_series(mu, xi_grid, d, prec):
+    """(sum_k t_k, sum_k |t_k|) per node, t_k = c_k (xi/2)^{2k} mu_k, at prec + 256 bits."""
     with mp.workprec(prec + 256):
-        x2 = (mpf(xi) / 2) ** 2
-        s = a = mpf(0)
-        for k, m in enumerate(mu):
-            t = (2 * mpmath.pi ** (mpf(d) / 2) * (-1) ** k * x2**k * mpf(m)
-                 / (mpmath.factorial(k) * mpmath.gamma(k + mpf(d) / 2)))
-            s += t
-            a += abs(t)
-    return s, a
+        ct = [2 * mpmath.pi ** (mpf(d) / 2) * (-1) ** k * mpf(m)
+              / (mpmath.factorial(k) * mpmath.gamma(k + mpf(d) / 2)) for k, m in enumerate(mu)]
+        out = []
+        for xi in xi_grid:
+            x2 = (mpf(xi) / 2) ** 2
+            p, s, a = mpf(1), mpf(0), mpf(0)
+            for c in ct:
+                t = c * p
+                s += t
+                a += abs(t)
+                p *= x2
+            out.append((s, a))
+    return out
 
 
 def _random_mu(rng, K):
@@ -76,6 +81,15 @@ def _random_mu(rng, K):
                 mu.append(mpf(rng.uniform(-1, 1)) * mpf(rng.uniform(0.5, 1.0)) ** (2 * k)
                           / mpf(3) ** rng.randint(0, 40))
     return mu
+
+
+def _growing_mu(rng, K):
+    """Terms near (y/4000)^k, y = (xi/2)^2: the high k are negligible at small xi
+    and dominate near xi = 160, so the kernel's term cut-off engages at one end of
+    the grid and not at the other."""
+    with mp.workprec(300):
+        return [rng.choice((-1, 1)) * mpf(rng.uniform(0.5, 1)) * mpmath.factorial(k)
+                * mpmath.gamma(k + mpf(1.5)) / mpf(4000) ** k for k in range(K + 1)]
 
 
 def _half_ulp(v, prec):
@@ -189,6 +203,14 @@ def test_potential_conductivity_index_shift_identity():
         assert abs((lhs + 2 * c0_term / xi**2) - mpf(rhs.values[0])) < mpf(10) ** -50
 
 
+def test_conductivity_needs_lambda_1_in_every_mode():
+    from radialborn.forward import DtnSpectrum
+    bare = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(1), (mpf(0),), 128)
+    for mode in ("unit", "scattering", "moment_form"):
+        with pytest.raises(ValueError, match="lambda_1"):
+            born_conductivity_fourier(bare, [0.0, 1.0], mode=mode, prec=128)
+
+
 def test_lambda0_warning_for_nonzero_boundary():
     from radialborn.forward import DtnSpectrum
     bad = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(1),
@@ -228,17 +250,22 @@ def test_mode_validation():
 def test_series_kernel_and_oracle_within_the_bound(K, prec):
     """Every node within 2^(bit_length(K) + 2 - prec - 32) sum|t_k| + half an ulp."""
     rng = random.Random(1000 * K + prec)
-    for trial in range(3):
-        mu = _random_mu(rng, K)
-        floats = [0.0, 160.0, 159.9] + [rng.uniform(0, 161) for _ in range(5)]
-        with mp.workprec(300):
-            wide = [mpf(0), mpf(160) - mpf(2) ** -290] + [
-                mpf(rng.uniform(0, 160)) + mpf(rng.random()) * mpf(2) ** -250 for _ in range(5)]
-        for grid in (floats, wide):
+    powers = [2.0 ** e for e in range(-2, 8)]  # y = 2^(2e - 2): mantissa 1, no Horner shift
+    for trial in range(4):
+        if trial < 3:
+            mu = _random_mu(rng, K)
+            floats = [0.0, 160.0, 159.9] + [rng.uniform(0, 161) for _ in range(5)] + powers
+            with mp.workprec(300):
+                wide = [mpf(0), mpf(160) - mpf(2) ** -290] + [
+                    mpf(rng.uniform(0, 160)) + mpf(rng.random()) * mpf(2) ** -250 for _ in range(5)]
+            grids = (floats, wide)
+        else:
+            mu = _growing_mu(rng, K)
+            grids = (default_xi_grid(512, 10.0),)
+        for grid in grids:
             got = eval_series_L_grid(mu, grid, prec=prec).values
             oracle = mpf_series_L_grid(mu, grid, prec=prec)
-            for xi, g, o in zip(grid, got, oracle):
-                ref, abs_sum = reference_series(mu, xi, 3, prec)
+            for xi, g, o, (ref, abs_sum) in zip(grid, got, oracle, reference_series(mu, grid, 3, prec)):
                 with mp.workprec(prec + 256):
                     tol = mpmath.ldexp(abs_sum, K.bit_length() + 2 - prec - GUARD_BITS)
                     assert abs(g - ref) <= tol + _half_ulp(g, prec), (trial, xi)
@@ -251,6 +278,15 @@ def test_series_at_zero_is_the_rounded_first_term():
         first = series_coefficients(2, 3, 256 + GUARD_BITS)[0] * mu[0]
     assert eval_series_L(mu, 0.0, prec=256) == to_prec(first, 256)
     assert eval_series_L_grid([0, 0], [0.0, 5.0], prec=128).values == (0, 0)
+
+
+def test_out_of_range_inputs_raise():
+    # beyond 2^(2^50) the kernel's float64 exponent estimates would lose bits
+    with pytest.raises(ValueError, match="out of range"):
+        eval_series_L([1, -1, mpf(1) / 3], 3 * mpf(2) ** (2**62), prec=64)
+    with pytest.raises(ValueError, match="out of range"):
+        eval_series_L([1, mpf(2) ** -(2**51)], 1.0, prec=64)
+    assert eval_series_L([1, mpf(2) ** -(2**51)], 0.0, prec=64) == eval_series_L([1], 0.0, prec=64)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf, -mpmath.inf))
