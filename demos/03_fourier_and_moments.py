@@ -24,7 +24,7 @@ from radialborn import (
 # Indicator of the ball of radius 1/2, treated as a potential.
 half = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (1.0, 0.0))
 
-# Forward transform on the canonical grid xi_j = j pi / L.
+# Forward transform on the canonical grid xi_j = j h, h = pi / L (exact mpf nodes).
 grid = default_xi_grid(256, 10.0)
 F = forward_radial_ft(half, grid, prec=128)
 print("F(0) =", float(F.values[0]), " (volume of B_1/2 =", 4 / 3 * np.pi / 8, ")")

@@ -24,7 +24,7 @@ from .experiments import (
     write_csv,
     write_spectrum_csv,
 )
-from .fourier import inverse_radial_ft
+from .fourier import default_xi_grid, inverse_radial_ft
 from .born import moment_sequence_exact
 from .forward import spectrum_of
 from .profiles import (
@@ -200,7 +200,7 @@ def cmd_born(args):
         L = np.pi * args.grid / args.xi_max
     else:
         L = params.length_factor * radius
-    xi = tuple(j * np.pi / L for j in range(args.grid + 1))
+    xi = default_xi_grid(args.grid, L)
     if spec.kind is ProfileKind.POTENTIAL:
         if mode == "moment_form":
             raise InputError("moment-form mode applies to conductivity spectra")

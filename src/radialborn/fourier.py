@@ -1,32 +1,37 @@
 """Radial Fourier transform (d = 3) and its discrete sine-sum inverse.
 
-Forward:  F(xi) = (4 pi / xi) \\int_0^inf r f0(r) sin(xi r) dr, evaluated in
-closed form per piece for piecewise-constant profiles.
+Forward:  F(xi) = (4 pi / xi) \\int_0^inf r f0(r) sin(xi r) dr, in closed form
+for piecewise-constant profiles on an exactly arithmetic grid xi_j = xi_0 + j h
+(``default_xi_grid`` gives xi_j = j h as exact mpfs), by one F-bit fixed-point
+rotation per breakpoint and node; ``forward_radial_ft`` states F and the error
+bound.  Other grids raise ``GridMismatchError``.
 
 Inverse:  samples of F on xi_j = j pi / L, j = 0..N, give
 
     f(r_m) = (h_xi / (2 pi^2 r_m)) sum_{j=1}^{N} xi_j F(xi_j) sin(r_m xi_j)
 
-on r_m = m L / N, with the analytic limit at r = 0.  The sum is evaluated
-either directly or through a type-I discrete sine transform; both paths
-agree to roundoff.  The inverse runs in double precision by design: the
+on r_m = m L / N, with the analytic limit at r = 0.  A grid that does not
+start at 0 or is not uniform raises ``GridMismatchError``.  The sum is
+evaluated either directly or through a type-I discrete sine transform; both
+paths agree to roundoff.  The inverse runs in double precision by design: the
 ill-conditioning lives in the eigenvalue series, not in the sine sum.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 import mpmath
 from mpmath import mp, mpf
-from scipy.fft import dst
+from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_mul, mpf_sub, round_nearest, to_fixed
 
-from .born import FourierSamples
+from .born import FourierSamples, _finite_dyadic
 from .highprec import GUARD_BITS, check_precision, to_prec
 from .profiles import PiecewiseProfile
 
 
 class GridMismatchError(ValueError):
-    """Fourier samples are not on the xi_j = j pi / L grid expected."""
+    """Fourier samples or nodes are not on the grid the transform requires."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +58,63 @@ class RadialSamples:
 
 
 def default_xi_grid(n, L):
-    """xi_j = j pi / L for j = 0..n (floats)."""
-    return tuple(j * np.pi / L for j in range(n + 1))
+    """xi_j = j h for j = 0..n, h = np.pi / L, as exact mpf multiples of the float h.
+
+    Each node is formed at 53 + bit_length(n) bits, so j h carries no rounding
+    and the grid is exactly arithmetic, as ``forward_radial_ft`` requires.
+    float(xi_1) == np.pi / L, so the inverse's spacing and r-grid are those of
+    the float grid j * np.pi / L; read as floats, some nodes differ from that
+    grid by one ulp.
+    """
+    h = mpf(np.pi / L)
+    with mp.workprec(53 + int(n).bit_length()):
+        return tuple(j * h for j in range(n + 1))
+
+
+def _arithmetic_grid(xi_grid):
+    """Integers (N, H, e) with xi_j = (N + j H) 2^e exactly, or GridMismatchError."""
+    X = [_finite_dyadic(x, "frequency") for x in xi_grid]
+    e = min((xe for xm, xe in X if xm), default=0)
+    N = [xm << (xe - e) for xm, xe in X]
+    H = N[1] - N[0] if len(N) > 1 else 0
+    if any(x != N[0] + j * H for j, x in enumerate(N)):
+        raise GridMismatchError("xi-grid is not exactly arithmetic, xi_j = xi_0 + j h")
+    return (N[0] if N else 0), H, e
+
+
+def _fixed_cos_sin(t, F):
+    # (cos t, sin t) of an exact raw mpf t as F-bit fixed-point integers
+    if not t[1]:
+        return 1 << F, 0
+    c, s = mpf_cos_sin(t, F)
+    return to_fixed(c, F), to_fixed(s, F)
 
 
 def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
     """Closed-form radial Fourier transform of a piecewise-constant profile.
 
-    The xi = 0 node is the volume integral 4 pi \\int r^2 f0 dr.  With
-    ``subtract_background`` the transform of f - bg (restricted to the ball)
-    is computed instead, which is the natural input for conductivities.
+    ``xi_grid`` must be exactly arithmetic, xi_j = xi_0 + j h for j = 0..n-1,
+    checked in exact arithmetic: ``default_xi_grid``, any slice of it or a
+    single node.  Any other grid raises ``GridMismatchError``.  The xi = 0 node
+    is the volume integral 4 pi \\int r^2 f0 dr.  With ``subtract_background``
+    the transform of f - bg (restricted to the ball) is computed instead, which
+    is the natural input for conductivities.
+
+    With G(r) = sin(xi r)/xi^2 - r cos(xi r)/xi, a piece contributes its value
+    times G(b) - G(a), so F(xi) = 4 pi (S1 - xi S2) / xi^3 with
+    S1 = sum_i w_i sin(xi r_i) and S2 = sum_i w_i r_i cos(xi r_i) over the m
+    breakpoints r_i > 0 with a nonzero jump w_i = v_{i-1} - v_i (v_{-1} = 0
+    and 0 past the last piece; G(0) = 0).  In F-bit fixed point,
+    F = prec + GUARD_BITS + bit_length(n) + bit_length(m) + 8, each breakpoint
+    carries u_i = w_i e^{i xi_j r_i}, started from two ``cos_sin`` calls at
+    xi_0 r_i and h r_i and advanced by one integer complex multiplication
+    (three products) per node.  S1 is then the sum of the imaginary parts and
+    S2 one integer dot product of the real parts with the breakpoints.  With
+    |w_i| < 2^E, each u_i is off by less than 6 (j + 1) 2^(E - F) at node j,
+    so S1 and S2 / max r_i are off by less than 2^(E - prec - GUARD_BITS - 4),
+    and F(xi) by less than 4 pi 2^(E - prec - GUARD_BITS - 4) (1 + |xi| max r_i)
+    / |xi|^3.  S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied
+    by 4 pi / xi^3 at that precision and rounded to prec.
     """
     if d != 3:
         raise ValueError("forward transform implemented for d = 3")
@@ -70,26 +122,53 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
         raise TypeError("forward_radial_ft needs a piecewise-constant profile")
     prec = check_precision(prec)
     bg = f.kind.background if subtract_background else 0.0
-    with mp.workprec(prec + GUARD_BITS):
+    work = prec + GUARD_BITS
+    with mp.workprec(work):
+        N0, H, e = _arithmetic_grid(xi_grid)
         bp = [mpf(x) for x in f.breakpoints]
         dev = [mpf(v) - bg for v in f.values]
         pieces = [(j, v) for j, v in enumerate(dev) if v != 0]
-        ends = {i for j, _ in pieces for i in (j, j + 1)}  # G once per breakpoint
+        jumps = []  # raw (r_i, w_i), w_i = v_{i-1} - v_i exact
+        for r, a, b in zip(bp, [mpf(0), *dev], [*dev, mpf(0)]):
+            w = mpf_sub(a._mpf_, b._mpf_)
+            if r and w[1]:
+                jumps.append((r._mpf_, w))
+        F = work + len(xi_grid).bit_length() + len(jumps).bit_length() + 8
+        E = max((w[2] + w[3] for _, w in jumps), default=0)  # |w_i| < 2^E
+        # breakpoints as integers r_i 2^-er, exact unless they span over F bits
+        er = max(min((r[2] for r, _ in jumps), default=0),
+                 max((r[2] + r[3] for r, _ in jumps), default=0) - F)
+        Rint = [to_fixed(r, -er) for r, _ in jumps]
+        # u_i = (X + iY) 2^(E-F); the step e^{i h r_i} = (A + iB) 2^-F, P = A + B, Q = B - A
+        X, Y, A, P, Q = [], [], [], [], []
+        x0, h = from_man_exp(N0, e), from_man_exp(H, e)
+        for r, w in jumps:
+            W = to_fixed(w, F - E)
+            c, s = _fixed_cos_sin(mpf_mul(x0, r), F)
+            a, b = _fixed_cos_sin(mpf_mul(h, r), F)
+            X.append(W * c >> F)
+            Y.append(W * s >> F)
+            A.append(a)
+            P.append(a + b)
+            Q.append(b - a)
         pi4 = 4 * mpmath.pi
         vals = []
-        for xi in xi_grid:
-            xi = mpf(xi)
-            if xi == 0:
-                s = sum(v * (bp[j + 1] ** 3 - bp[j] ** 3) for j, v in pieces)
-                vals.append(to_prec(pi4 * s / 3, prec))
+        for j in range(len(xi_grid)):
+            if j:
+                # (X + iY)(A + iB) = (K - YP) + i(K + XQ) with K = A(X + Y)
+                K = [a * (x + y) for x, y, a in zip(X, Y, A)]
+                X, Y = ([(k - y * p) >> F for k, y, p in zip(K, Y, P)],
+                        [(k + x * q) >> F for k, x, q in zip(K, X, Q)])
+            Nj = N0 + j * H
+            if not Nj:
+                vol = sum(v * (bp[i + 1] ** 3 - bp[i] ** 3) for i, v in pieces)
+                vals.append(to_prec(pi4 * vol / 3, prec))
                 continue
-            # int_a^b r sin(xi r) dr = G(b) - G(a), G(r) = sin(xi r)/xi^2 - r cos(xi r)/xi
-            G = {}
-            for i in ends:
-                c, s = mpmath.cos_sin(xi * bp[i])  # one mpf_cos_sin, same bits as cos and sin
-                G[i] = s / xi**2 - bp[i] * c / xi
-            s = sum((v * (G[j + 1] - G[j]) for j, v in pieces), mpf(0))
-            vals.append(to_prec(pi4 * s / xi, prec))
+            t = mpf_sub(from_man_exp(sum(Y), E - F),
+                        from_man_exp(Nj * sum(map(mul, Rint, X)), e + er + E - F),
+                        work, round_nearest)
+            xi = mp.make_mpf(from_man_exp(Nj, e))
+            vals.append(to_prec(pi4 * mp.make_mpf(t) / xi**3, prec))
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label="forward_ft")
 
 
@@ -104,6 +183,8 @@ def inverse_radial_ft(F, n_out=None, L=None, method="dst", label=""):
     n = len(xi) - 1
     if n < 2:
         raise GridMismatchError("need at least 3 Fourier samples")
+    if F.xi_grid[0] != 0:
+        raise GridMismatchError(f"xi-grid starts at {F.xi_grid[0]}, not at 0")
     h_xi = xi[1] - xi[0]
     if L is None:
         L = np.pi / h_xi
@@ -119,9 +200,11 @@ def inverse_radial_ft(F, n_out=None, L=None, method="dst", label=""):
     out = np.empty(n + 1)
     out[0] = h_xi / (2 * np.pi**2) * np.sum(xi[1:] ** 2 * vals[1:])
     if method == "dst":
-        # sum_{j=1}^{N-1} a_j sin(pi j m / N) = DST-I of a_1..a_{N-1}; the
-        # j = N term has sin(pi m) = 0 and drops out
-        sine_sums = 0.5 * dst(a[:-1], type=1)
+        # sum_{j=1}^{N-1} a_j sin(pi j m / N), a type-I DST of a_1..a_{N-1}, is
+        # -1/2 Im of the real FFT of the odd extension (0, a_1..a_{N-1}, 0,
+        # -a_{N-1}..-a_1); the j = N term has sin(pi m) = 0 and drops out
+        odd = np.concatenate(([0.0], a[:-1], [0.0], -a[-2::-1]))
+        sine_sums = -0.5 * np.fft.rfft(odd)[1:n].imag
         out[1:-1] = h_xi / (2 * np.pi**2 * r[1:-1]) * sine_sums
         out[-1] = 0.0
     elif method == "direct":

@@ -124,6 +124,33 @@ def test_invert_fourier_round_trip(workdir):
     assert all(abs(v - 1.0) < 0.1 for v in mid)
 
 
+def test_born_xi_column_is_the_default_grid(workdir):
+    import numpy as np
+    from radialborn.experiments import _fmt
+    from radialborn.fourier import default_xi_grid
+    prof = write(workdir / "g.txt", GAMMA_STEP)
+    for out, extra, L in (("a", [], 10.0), ("b", ["--xi-max", "40"], np.pi * 64 / 40)):
+        rc = main(["born", "--profile", prof, "--terms", "20", "--precision", "128",
+                   "--grid", "64", *extra, "--out", out])
+        assert rc == 0
+        xi = [row[0] for row in read_rows(workdir / out / "fourier.csv")]
+        assert xi == [_fmt(x) for x in default_xi_grid(64, L)]
+
+
+def test_invert_fourier_without_the_origin_row_is_an_input_error(workdir, capsys):
+    from radialborn.fourier import default_xi_grid, forward_radial_ft
+    from radialborn.profiles import PiecewiseProfile, ProfileKind
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (1.0, 0.0))
+    F = forward_radial_ft(q, default_xi_grid(64, 10.0)[1:], prec=128)
+    fpath = workdir / "F.csv"
+    with open(fpath, "w") as fh:
+        fh.write("xi,value\n")
+        for x, v in zip(F.xi_grid, F.values):
+            fh.write(f"{float(x)!r},{float(v)!r}\n")
+    assert main(["invert-fourier", "--input", str(fpath), "--out", "run"]) == 2
+    assert "not at 0" in capsys.readouterr().err
+
+
 def test_moments_output(workdir):
     prof = write(workdir / "g.txt", GAMMA_STEP)
     rc = main(["moments", "--profile", prof, "--terms", "3",

@@ -147,3 +147,89 @@ def test_restrict():
     s = RadialSamples(np.linspace(0, 10, 11), np.arange(11, dtype=float))
     t = s.restrict(2.0, 5.0)
     assert t.r_grid.tolist() == [2.0, 3.0, 4.0, 5.0]
+
+
+def _random_profile(rng, m, R, kind):
+    bps = sorted(rng.uniform(0, R) for _ in range(m - 1))
+    if kind is ProfileKind.CONDUCTIVITY:
+        # some pieces at the background, some adjacent pieces equal (zero jumps)
+        values = [1.0 if rng.random() < 0.2 else rng.uniform(0.5, 3.0) for _ in range(m)]
+    else:
+        values = [0.0 if rng.random() < 0.2 else rng.uniform(-20.0, 20.0) for _ in range(m)]
+    for j in range(1, m):
+        if rng.random() < 0.1:
+            values[j] = values[j - 1]
+    return PiecewiseProfile(kind, R, (0.0, *bps, R), tuple(values))
+
+
+def test_rotation_kernel_matches_the_per_piece_closed_form():
+    # seeded: 1 to 2000 pieces, prec 64/256/512, R 1 and 2.5, both kinds, and
+    # grids from 0, offset starts, a single node and [0, pi]
+    rng = random.Random(6)
+    cases = 0
+    for m in (1, 2, 7, 40, 300, 2000):
+        for prec in (64, 256, 512):
+            R = rng.choice((1.0, 2.5))
+            kind = rng.choice((ProfileKind.POTENTIAL, ProfileKind.CONDUCTIVITY))
+            f = _random_profile(rng, m, R, kind)
+            n = max(3, min(32, 6000 // m))
+            shape = cases % 4
+            if shape == 0:
+                xi = default_xi_grid(n, 10.0 * R)
+            elif shape == 1:
+                xi = default_xi_grid(n + 5, 10.0 * R)[rng.randrange(1, 6):]
+            elif shape == 2:
+                xi = (rng.uniform(0.01, 60.0),)
+            else:
+                xi = (0.0, math.pi)
+            bg = kind.background
+            F = forward_radial_ft(f, xi, prec=prec, subtract_background=True)
+            ref = per_piece_forward_ft(f, [x for x in xi if x != 0], prec + 64, bg=bg)
+            with mp.workprec(prec + 64):
+                if xi[0] == 0:  # the volume integral, the closed form's limit
+                    dev = [mpf(v) - bg for v in f.values]
+                    ref.insert(0, 4 * mpmath.pi / 3 * sum(
+                        v * (mpf(b) ** 3 - mpf(a) ** 3)
+                        for v, a, b in zip(dev, f.breakpoints, f.breakpoints[1:])))
+                scale = max(abs(v) for v in ref)
+                err = max(abs(a - b) for a, b in zip(F.values, ref))
+            assert err <= mpmath.ldexp(scale, 2 - prec), (m, prec, R, kind, shape)
+            cases += 1
+
+
+def test_default_grid_is_exactly_arithmetic_with_the_float_spacing():
+    for n, L in ((64, 10.0), (512, 10.0), (257, 25.0), (1000, 3.7)):
+        xi = default_xi_grid(n, L)
+        assert float(xi[1]) == np.pi / L
+        with mp.workprec(200):
+            assert all(x == j * xi[1] for j, x in enumerate(xi))
+
+
+def test_inverse_r_grid_is_that_of_the_float_grid():
+    for n, L in ((64, 10.0), (512, 10.0), (257, 25.0)):
+        old = [j * np.pi / L for j in range(n + 1)]
+        zeros = (0.0,) * (n + 1)
+        new = inverse_radial_ft(FourierSamples(default_xi_grid(n, L), zeros)).r_grid
+        assert np.array_equal(new, inverse_radial_ft(FourierSamples(old, zeros)).r_grid)
+
+
+def test_forward_rejects_a_grid_that_is_not_exactly_arithmetic():
+    with pytest.raises(GridMismatchError):
+        forward_radial_ft(half_ball(), (0.0, 0.3, 0.9))
+    # j * pi / L in floats is uniform to roundoff only
+    with pytest.raises(GridMismatchError):
+        forward_radial_ft(half_ball(), [j * np.pi / 10.0 for j in range(65)])
+
+
+def test_inverse_rejects_a_grid_without_the_origin():
+    F = forward_radial_ft(half_ball(), default_xi_grid(64, 10.0), prec=128)
+    with pytest.raises(GridMismatchError):
+        inverse_radial_ft(FourierSamples(F.xi_grid[1:], F.values[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 33, 257])
+def test_dst_and_direct_paths_agree_on_odd_and_small_grids(n):
+    F = forward_radial_ft(half_ball(), default_xi_grid(n, 10.0), prec=128)
+    a = inverse_radial_ft(F, method="dst").values
+    b = inverse_radial_ft(F, method="direct").values
+    assert np.max(np.abs(a[:-1] - b[:-1])) <= np.max(np.abs(b)) * 2.0 ** -40
