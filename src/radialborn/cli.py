@@ -1,22 +1,27 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 solver error, 4 cache I/O error.
-The cache directory and default precision can come from the environment
-(RADIALBORN_CACHE_DIR, RADIALBORN_PRECISION); explicit flags win.
+Each solver parameter is its flag if given, else its ``reconstruct.SCALES`` value
+(paper under --paper-scale; desk otherwise, with RADIALBORN_PRECISION first for the
+precision).  RADIALBORN_CACHE_DIR relocates the spectrum cache.
 """
 
 import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from mpmath import mp, mpf
 
-from .born import FourierSamples, born_conductivity_fourier, born_potential_fourier
-from .cache import cached_spectrum_of, default_cache_dir
+from .born import FourierSamples, moment_sequence_exact
+from .cache import cached_spectrum_of
 from .experiments import (
     EXPERIMENT_IDS,
+    _fmt,
+    _piecewise,
     fourier_rows,
     read_spectrum_csv,
     run_experiment,
@@ -24,18 +29,17 @@ from .experiments import (
     write_csv,
     write_spectrum_csv,
 )
-from .fourier import default_xi_grid, inverse_radial_ft
-from .born import moment_sequence_exact
-from .forward import spectrum_of
-from .profiles import (
-    DEFAULT_PROJECTION_PIECES,
-    PiecewiseProfile,
-    ProfileFormatError,
-    ProfileKind,
-    parse_profile,
-    project_midpoint,
+from .fourier import inverse_radial_ft
+from .profiles import PiecewiseProfile, ProfileFormatError, ProfileKind, parse_profile
+from .reconstruct import (
+    SCALES,
+    born_fourier,
+    born_inverse,
+    ensemble_depth_profile,
+    ensemble_params,
+    grid_radius,
+    iterate_born,
 )
-from .reconstruct import SolverParams, born_samples, ensemble_depth_profile, iterate_born
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,16 +53,6 @@ class InputError(Exception):
     pass
 
 
-def _default_precision():
-    env = os.environ.get(PRECISION_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"{PRECISION_ENV} must be an integer, got {env!r}")
-    return 512
-
-
 def _build_parser():
     p = argparse.ArgumentParser(prog="radialborn",
                                 description="DtN spectra and Born reconstructions "
@@ -68,8 +62,8 @@ def _build_parser():
     def common(sp, profile=True):
         if profile:
             sp.add_argument("--profile", required=True, help="profile file")
-        sp.add_argument("--terms", type=int, default=150, metavar="K")
-        sp.add_argument("--precision", type=int, default=None, metavar="BITS")
+        sp.add_argument("--terms", type=int, default=None, metavar="K")
+        sp.add_argument("--precision", dest="prec", type=int, default=None, metavar="BITS")
         sp.add_argument("--out", default=".", metavar="DIR")
         sp.add_argument("--paper-scale", action="store_true")
         return sp
@@ -85,11 +79,11 @@ def _build_parser():
     sp.add_argument("--kind", choices=["conductivity", "potential"],
                     help="required with --spectrum")
     sp.add_argument("--radius", type=float, default=1.0,
-                    help="spectrum ball radius (with --spectrum) or finiteR target")
+                    help="finiteR target radius; otherwise the ball of a --spectrum CSV")
     sp.add_argument("--mode", default="unit",
                     choices=["unit", "finiteR", "scattering", "moment-form"])
     sp.add_argument("--xi-max", type=float, default=None)
-    sp.add_argument("--grid", type=int, default=512, metavar="N")
+    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
 
     sp = sub.add_parser("invert-fourier", help="discrete inverse radial transform")
     sp.add_argument("--input", required=True, help="CSV of xi,value rows")
@@ -98,28 +92,23 @@ def _build_parser():
     sp = common(sub.add_parser("moments", help="exact moment sequence"))
 
     sp = common(sub.add_parser("reconstruct", help="fixed-point Born iteration"))
-    sp.add_argument("--grid", type=int, default=512, metavar="N")
+    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
     sp.add_argument("--iterations", type=int, default=8, metavar="N")
 
-    sp = sub.add_parser("ensemble", help="depth-error statistics over random potentials")
-    sp.add_argument("--terms", type=int, default=150, metavar="K")
-    sp.add_argument("--precision", type=int, default=None, metavar="BITS")
-    sp.add_argument("--grid", type=int, default=192, metavar="N")
+    sp = common(sub.add_parser("ensemble",
+                               help="depth-error statistics over random potentials"),
+                profile=False)
+    sp.add_argument("--grid", dest="grid_n", type=int, default=192, metavar="N")
     sp.add_argument("--seed", type=int, default=1234, metavar="S")
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--scale", type=float, default=1.0)
-    sp.add_argument("--out", default=".", metavar="DIR")
-    sp.add_argument("--paper-scale", action="store_true")
 
-    sp = sub.add_parser("experiment", help="run a canned experiment")
+    sp = common(sub.add_parser("experiment", help="run a canned experiment"),
+                profile=False)
     sp.add_argument("id", type=int, choices=EXPERIMENT_IDS)
-    sp.add_argument("--terms", type=int, default=None, metavar="K")
-    sp.add_argument("--precision", type=int, default=None, metavar="BITS")
-    sp.add_argument("--grid", type=int, default=None, metavar="N")
+    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
     sp.add_argument("--iterations", type=int, default=None, metavar="N")
     sp.add_argument("--seed", type=int, default=None, metavar="S")
-    sp.add_argument("--out", default=".", metavar="DIR")
-    sp.add_argument("--paper-scale", action="store_true")
     return p
 
 
@@ -134,87 +123,71 @@ def _load_profile(path):
         raise InputError(f"{path}: {e}")
 
 
-def _resolve(args, attr, paper, desk):
-    val = getattr(args, attr, None)
-    if val is not None:
-        return val
-    return paper if getattr(args, "paper_scale", False) else desk
+def _explicit(args, names):
+    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
 
 
-def _precision(args):
-    if args.precision is not None:
-        return args.precision
-    if getattr(args, "paper_scale", False):
-        return 1024
-    return _default_precision()
-
-
-def _as_piecewise(profile, paper_scale=False):
-    if isinstance(profile, PiecewiseProfile):
-        return profile
-    m = DEFAULT_PROJECTION_PIECES if paper_scale else 2000
-    return project_midpoint(profile, m)
+def _params(args):
+    """The command's SolverParams: its explicit flags over the chosen scale."""
+    given = _explicit(args, ("terms", "prec", "grid_n"))
+    if args.paper_scale:
+        return replace(SCALES["paper"], **given)
+    env = os.environ.get(PRECISION_ENV)
+    if env and "prec" not in given:
+        try:
+            given["prec"] = int(env)
+        except ValueError:
+            raise InputError(f"{PRECISION_ENV} must be an integer, got {env!r}")
+    return replace(SCALES["desk"], **given)
 
 
 def cmd_dtn(args):
-    profile = _as_piecewise(_load_profile(args.profile), args.paper_scale)
-    terms = _resolve(args, "terms", 400, args.terms)
-    prec = _precision(args)
+    params = _params(args)
+    profile = _piecewise(_load_profile(args.profile), params.pieces)
     if args.radius is not None and float(args.radius) != float(profile.radius):
-        scaled = PiecewiseProfile(profile.kind, args.radius,
-                                  tuple(b * args.radius / float(profile.radius)
-                                        for b in profile.breakpoints),
-                                  profile.values)
-        profile = scaled
-    spec = cached_spectrum_of(profile, terms, prec)
+        profile = PiecewiseProfile(profile.kind, args.radius,
+                                   tuple(b * args.radius / float(profile.radius)
+                                         for b in profile.breakpoints),
+                                   profile.values)
+    spec = cached_spectrum_of(profile, params.terms, params.prec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = write_spectrum_csv(out / "spectrum.csv", spec)
     print(path)
     return EXIT_OK
 
 
-def _spectrum_from_args(args, prec, terms):
+def _spectrum_from_args(args, params, mode):
     if args.spectrum:
         if not args.kind:
             raise InputError("--spectrum requires --kind")
+        # finiteR mode transforms the unit-ball spectrum; --radius is then the target
+        radius = 1.0 if mode == "finiteR" else args.radius
         try:
-            return read_spectrum_csv(args.spectrum, args.kind, args.radius, prec)
+            return read_spectrum_csv(args.spectrum, args.kind, radius, params.prec)
         except (OSError, ValueError) as e:
             raise InputError(f"{args.spectrum}: {e}")
     if not args.profile:
         raise InputError("born needs --profile or --spectrum")
-    profile = _as_piecewise(_load_profile(args.profile), args.paper_scale)
-    return cached_spectrum_of(profile, terms, prec)
+    profile = _piecewise(_load_profile(args.profile), params.pieces)
+    return cached_spectrum_of(profile, params.terms, params.prec)
 
 
 def cmd_born(args):
-    prec = _precision(args)
-    terms = args.terms if not args.paper_scale else max(args.terms, 400)
+    params = _params(args)
     mode = args.mode.replace("-", "_")
-    spec = _spectrum_from_args(args, prec, terms)
     R = args.radius if mode == "finiteR" else None
-    params = SolverParams(terms=terms, prec=prec, grid_n=args.grid)
-    radius = float(spec.radius)
+    spec = _spectrum_from_args(args, params, mode)
+    if spec.kind is ProfileKind.POTENTIAL and mode == "moment_form":
+        raise InputError("moment-form mode applies to conductivity spectra")
     if args.xi_max is not None:
-        L = np.pi * args.grid / args.xi_max
-    else:
-        L = params.length_factor * radius
-    xi = default_xi_grid(args.grid, L)
-    if spec.kind is ProfileKind.POTENTIAL:
-        if mode == "moment_form":
-            raise InputError("moment-form mode applies to conductivity spectra")
-        F = born_potential_fourier(spec, xi, mode=mode, R=R, prec=prec)
-        recon = inverse_radial_ft(F, label="born_q")
-    else:
-        F = born_conductivity_fourier(spec, xi, mode=mode, R=R, prec=prec)
-        base = inverse_radial_ft(F, label="born_gamma")
-        recon = type(base)(base.r_grid, base.values + 1.0, base.label)
+        rho = grid_radius(spec, mode, R)
+        params = replace(params, length_factor=np.pi * params.grid_n / (args.xi_max * rho))
+    F = born_fourier(spec, params, mode, R)
+    recon = born_inverse(F, spec.kind)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fpath = write_csv(out / "fourier.csv", ("xi", "value"), fourier_rows(F, prec))
+    fpath = write_csv(out / "fourier.csv", ("xi", "value"), fourier_rows(F, params.prec))
     rpath = write_csv(out / "reconstruction.csv", ("r", "value", "in_ball"),
-                      samples_rows(recon, radius=radius))
+                      samples_rows(recon, radius=float(spec.radius)))
     print(fpath)
     print(rpath)
     return EXIT_OK
@@ -225,43 +198,39 @@ def cmd_invert_fourier(args):
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            rows = [(float(a), float(b)) for a, b, *_ in reader if a]
+            rows = [(a, float(b)) for a, b, *_ in reader if a]
+        # read each node at the bits fourier_rows writes it with, so a node that
+        # lies halfway between two floats rounds as it did when it was computed
+        with mp.workprec(53 + (len(rows) - 1).bit_length()):
+            xi = tuple(mpf(a) for a, _ in rows)
     except (OSError, ValueError, StopIteration) as e:
         raise InputError(f"{args.input}: {e}")
-    F = FourierSamples(tuple(x for x, _ in rows), tuple(v for _, v in rows))
+    F = FourierSamples(xi, tuple(v for _, v in rows))
     s = inverse_radial_ft(F, label="inverse")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "inverse.csv", ("r", "value"), samples_rows(s))
     print(path)
     return EXIT_OK
 
 
 def cmd_moments(args):
-    profile = _as_piecewise(_load_profile(args.profile), args.paper_scale)
-    prec = _precision(args)
-    sigma = moment_sequence_exact(profile, args.terms, prec=prec)
-    from .experiments import _fmt
-    rows = [(k, _fmt(s, prec)) for k, s in enumerate(sigma)]
+    params = _params(args)
+    profile = _piecewise(_load_profile(args.profile), params.pieces)
+    sigma = moment_sequence_exact(profile, params.terms, prec=params.prec)
+    rows = [(k, _fmt(s, params.prec)) for k, s in enumerate(sigma)]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = write_csv(out / "moments.csv", ("k", "sigma"), rows)
     print(path)
     return EXIT_OK
 
 
 def cmd_reconstruct(args):
+    params = _params(args)
     profile = _load_profile(args.profile)
-    prec = _precision(args)
-    pieces = DEFAULT_PROJECTION_PIECES if args.paper_scale else 2000
-    params = SolverParams(terms=args.terms, prec=prec, pieces=pieces,
-                          grid_n=args.grid)
-    pw = _as_piecewise(profile, args.paper_scale)
-    spec = cached_spectrum_of(pw, args.terms, prec)
+    spec = cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
     trace = iterate_born(profile.kind, spec, profile, n_iter=args.iterations,
                          params=params)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     paths = []
     for n, it in enumerate(trace.iterates):
         paths.append(write_csv(out / f"iterate_{n}.csv", ("r", "value"),
@@ -275,15 +244,9 @@ def cmd_reconstruct(args):
 
 
 def cmd_ensemble(args):
-    prec = _precision(args)
-    params = SolverParams(terms=args.terms, prec=min(prec, 256),
-                          pieces=400, grid_n=args.grid)
-    if args.paper_scale:
-        params = SolverParams(terms=400, prec=512, pieces=2000, grid_n=args.grid)
     curve = ensemble_depth_profile(args.seed, args.samples, scale=args.scale,
-                                   params=params)
+                                   params=ensemble_params(_params(args)))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = [(repr(float(r)), repr(float(e)))
             for r, e in zip(curve.r_grid, curve.mean_abs_error)]
     path = write_csv(out / f"depth_error_seed{args.seed}.csv",
@@ -293,12 +256,7 @@ def cmd_ensemble(args):
 
 
 def cmd_experiment(args):
-    overrides = {}
-    for flag, key in (("terms", "terms"), ("precision", "prec"), ("grid", "grid_n"),
-                      ("iterations", "iterations"), ("seed", "seed")):
-        val = getattr(args, flag)
-        if val is not None:
-            overrides[key] = val
+    overrides = _explicit(args, ("terms", "prec", "grid_n", "iterations", "seed"))
     files = run_experiment(args.id, Path(args.out) / f"experiment_{args.id}",
                            paper_scale=args.paper_scale, **overrides)
     for f in files:
@@ -325,10 +283,7 @@ def main(argv=None):
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as e:

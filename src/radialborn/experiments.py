@@ -8,17 +8,16 @@ strings, never timestamps, so identical configs give byte-identical output.
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from .born import born_potential_fourier, born_conductivity_fourier
 from .cache import cached_spectrum_of, decimal_digits
-from .forward import DtnSpectrum, spectrum_of
-from .fourier import forward_radial_ft, inverse_radial_ft
+from .forward import DtnSpectrum
+from .fourier import forward_radial_ft
 from .highprec import GUARD_BITS
 from .profiles import (
     AnalyticProfile,
@@ -27,33 +26,28 @@ from .profiles import (
     project_midpoint,
 )
 from .reconstruct import (
+    SCALES,
     SolverParams,
+    born_fourier,
     born_samples,
     ensemble_depth_profile,
+    ensemble_params,
     iterate_born,
+    profile_on_grid,
 )
 
 EXPERIMENT_IDS = tuple(range(1, 13))
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters for one experiment run."""
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(SolverParams):
+    """Resolved parameters for one experiment run: the solver's and the experiment's own."""
 
     id: int
-    terms: int = 150
-    prec: int = 512
-    pieces: int = 2000
-    grid_n: int = 512
     iterations: int = 8
     seed: int = 1234
     samples: int = 20
-    radii: tuple = ()
     paper_scale: bool = False
-
-    def solver_params(self):
-        return SolverParams(terms=self.terms, prec=self.prec,
-                            pieces=self.pieces, grid_n=self.grid_n)
 
 
 # Profiles whose deviation fills the whole unit ball force a tighter xi-grid:
@@ -66,13 +60,11 @@ _FULL_SUPPORT = {2, 3, 4, 6, 7, 9, 11, 12}
 def experiment_config(exp_id, paper_scale=False, **overrides):
     if exp_id not in EXPERIMENT_IDS:
         raise ValueError(f"experiment id must be 1..12, got {exp_id}")
-    base = dict(id=exp_id, paper_scale=paper_scale)
-    if paper_scale:
-        base.update(terms=400, prec=1024, pieces=10_000, grid_n=512)
-    elif exp_id in _FULL_SUPPORT:
+    base = asdict(SCALES["paper" if paper_scale else "desk"])
+    if not paper_scale and exp_id in _FULL_SUPPORT:
         base.update(grid_n=256)
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig(id=exp_id, paper_scale=paper_scale, **base)
 
 
 def _fmt(x, prec=None):
@@ -141,13 +133,15 @@ def samples_rows(s, radius=None):
 
 
 def fourier_rows(F, prec):
-    return [(_fmt(x), _fmt(v, prec)) for x, v in zip(F.xi_grid, F.values)]
+    # the nodes of default_xi_grid(n, L) are exact at 53 + bit_length(n) bits;
+    # nstr of an mpf does not depend on the working precision
+    digits = decimal_digits(53 + (len(F.xi_grid) - 1).bit_length())
+    return [(mp.nstr(x, digits, strip_zeros=False), _fmt(v, prec))
+            for x, v in zip(F.xi_grid, F.values)]
 
 
 def _truth_rows(profile, r_grid):
-    return [(_fmt(r), _fmt(profile(min(r, float(profile.radius)))
-                           if r <= float(profile.radius)
-                           else profile.kind.background)) for r in r_grid]
+    return [(_fmt(r), _fmt(v)) for r, v in zip(r_grid, profile_on_grid(profile, r_grid))]
 
 
 # experiment profile catalogs -------------------------------------------------
@@ -230,15 +224,11 @@ def _spectrum(profile, cfg, cache_dir):
 
 def _born_bundle(name, profile, cfg, cache_dir, out, mode="unit", R=None):
     """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs."""
-    params = cfg.solver_params()
     spec, pw = _spectrum(profile, cfg, cache_dir)
-    recon = born_samples(spec, params, mode=mode, R=R)
-    xi = params.xi_grid(float(spec.radius))
-    if profile.kind is ProfileKind.POTENTIAL:
-        Fb = born_potential_fourier(spec, xi, mode=mode, R=R, prec=cfg.prec)
-    else:
-        Fb = born_conductivity_fourier(spec, xi, mode=mode, R=R, prec=cfg.prec)
-    Ft = forward_radial_ft(pw, xi, prec=cfg.prec, subtract_background=True)
+    # born_samples repeats the transform Fb (ROADMAP item 5); the benchmark pins it
+    recon = born_samples(spec, cfg, mode=mode, R=R)
+    Fb = born_fourier(spec, cfg, mode=mode, R=R)
+    Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec, subtract_background=True)
     tag = name if mode == "unit" else f"{name}_{mode}"
     files = {
         f"{tag}_truth.csv": (("r", "value"), _truth_rows(profile, recon.r_grid)),
@@ -250,10 +240,8 @@ def _born_bundle(name, profile, cfg, cache_dir, out, mode="unit", R=None):
 
 
 def _iteration_bundle(name, profile, cfg, cache_dir, out):
-    params = cfg.solver_params()
     spec, pw = _spectrum(profile, cfg, cache_dir)
-    trace = iterate_born(profile.kind, spec, profile, n_iter=cfg.iterations,
-                         params=params)
+    trace = iterate_born(profile.kind, spec, profile, n_iter=cfg.iterations, params=cfg)
     files = {out / f"{name}_truth.csv":
              (("r", "value"), _truth_rows(profile, trace.iterates[0].r_grid))}
     for n, it in enumerate(trace.iterates):
@@ -285,11 +273,9 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
         files.update(_born_bundle("q", q, cfg, cache_dir, out, mode="finiteR", R=5.0))
         files.update(_born_bundle("q", q, cfg, cache_dir, out, mode="scattering"))
     elif exp_id == 7:
-        ens_params = SolverParams(terms=cfg.terms, prec=min(cfg.prec, 256),
-                                  pieces=min(cfg.pieces, 400), grid_n=cfg.grid_n)
         for alpha in (1.0, 2.0, 3.0):
             curve = ensemble_depth_profile(cfg.seed, cfg.samples, scale=alpha,
-                                           params=ens_params)
+                                           params=ensemble_params(cfg))
             rows = [(_fmt(r), _fmt(e))
                     for r, e in zip(curve.r_grid, curve.mean_abs_error)]
             files[out / f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"), rows)

@@ -72,7 +72,7 @@ from .highprec import (
     sph_y_ladder,
     to_prec,
 )
-from .profiles import PiecewiseProfile, ProfileKind
+from .profiles import ProfileKind
 
 
 class DirichletCollisionError(ArithmeticError):

@@ -172,10 +172,11 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
     return FourierSamples(tuple(xi_grid), tuple(vals), d, label="forward_ft")
 
 
-def inverse_radial_ft(F, n_out=None, L=None, method="dst", label=""):
+def inverse_radial_ft(F, method="dst", label=""):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
-    Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1.
+    Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
+    L = pi / (xi_1 - xi_0).
     ``method`` is "dst" (fast path) or "direct" (reference sum).
     """
     xi = np.asarray([float(x) for x in F.xi_grid])
@@ -186,15 +187,10 @@ def inverse_radial_ft(F, n_out=None, L=None, method="dst", label=""):
     if F.xi_grid[0] != 0:
         raise GridMismatchError(f"xi-grid starts at {F.xi_grid[0]}, not at 0")
     h_xi = xi[1] - xi[0]
-    if L is None:
-        L = np.pi / h_xi
-    if abs(h_xi - np.pi / L) > 1e-9 * h_xi:
-        raise GridMismatchError(f"grid spacing {h_xi} is not pi/L = {np.pi / L}")
     if np.max(np.abs(np.diff(xi) - h_xi)) > 1e-9 * h_xi:
         raise GridMismatchError("xi-grid is not uniform")
-    if n_out is not None and n_out != n:
-        raise GridMismatchError("output node count must match the input sample count")
 
+    L = np.pi / h_xi
     r = np.arange(n + 1) * (L / n)
     a = xi[1:] * vals[1:]  # xi_j F_j, j = 1..N
     out = np.empty(n + 1)

@@ -175,9 +175,6 @@ _ANALYTIC_BUILTINS = {
     "exp3_profile": _eval_exp3,
 }
 
-DEFAULT_PROJECTION_PIECES = 10_000
-
-
 def project_midpoint(profile, m):
     """Project a profile onto m equal pieces by midpoint sampling."""
     if m < 1:

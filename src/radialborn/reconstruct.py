@@ -12,7 +12,7 @@ growth-rate fit used as the numerical stand-in for the support theory.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import mpmath
@@ -24,7 +24,7 @@ from .born import (
     born_conductivity_fourier,
     born_potential_fourier,
 )
-from .forward import DtnSpectrum, spectrum_of
+from .forward import spectrum_of
 from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
 from .highprec import GUARD_BITS, check_precision
 from .profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
@@ -36,18 +36,30 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Desk-scale pipeline parameters (paper scale: terms=400, prec=1024, pieces=10000)."""
+    """Pipeline parameters; the defaults are the desk row of ``SCALES``.
+
+    Spectra run over degrees 0..terms at prec bits, analytic profiles are
+    projected onto ``pieces`` pieces and the Born xi-grid has grid_n intervals.
+    """
 
     terms: int = 150
     prec: int = 512
     pieces: int = 2000
     grid_n: int = 512
     d: int = 3
-    length_factor: float = 10.0   # inverse-transform domain [0, length_factor * R]
+    length_factor: float = 10.0   # inverse-transform domain [0, length_factor * rho]
     eps_floor: float = 1e-3       # conductivity clamp before forward solves
 
-    def xi_grid(self, radius):
-        return default_xi_grid(self.grid_n, self.length_factor * radius)
+
+# The only place the scales are written.  Commands and experiments start from
+# one of them and replace the fields a caller sets explicitly.
+SCALES = {"desk": SolverParams(),
+          "paper": SolverParams(terms=400, prec=1024, pieces=10_000)}
+
+
+def ensemble_params(params):
+    """The depth-error ensemble's parameters at a scale: at most 256 bits and 400 pieces."""
+    return replace(params, prec=min(params.prec, 256), pieces=min(params.pieces, 400))
 
 
 @dataclass(frozen=True)
@@ -67,21 +79,42 @@ class DepthErrorCurve:
     failed: int = 0
 
 
-def born_samples(spec, params=None, mode="unit", R=None):
-    """Born reconstruction of a spectrum as radial samples on [0, L].
+def grid_radius(spec, mode="unit", R=None):
+    """The radius rho of ``born_fourier``'s xi-grid."""
+    if mode == "finiteR" and R is not None:
+        return R
+    return 1.0 if mode == "scattering" else float(spec.radius)
 
-    Potentials return q_exp; conductivities return gamma_exp (background 1
-    already added).
+
+def born_fourier(spec, params=None, mode="unit", R=None):
+    """Born Fourier transform of a spectrum on default_xi_grid(grid_n, length_factor * rho).
+
+    rho is R in finiteR mode, 1 in scattering mode and the spectrum's radius
+    otherwise (``grid_radius``), so the inverse covers [0, length_factor * rho].
+    Potentials give the transform of q, conductivities that of gamma - 1.
     """
     params = params or SolverParams()
-    radius = R if mode == "finiteR" and R is not None else float(spec.radius)
-    xi = params.xi_grid(radius if mode != "scattering" else 1.0)
-    if spec.kind is ProfileKind.POTENTIAL:
-        F = born_potential_fourier(spec, xi, mode=mode, R=R, d=params.d, prec=params.prec)
+    xi = default_xi_grid(params.grid_n, params.length_factor * grid_radius(spec, mode, R))
+    born = (born_potential_fourier if spec.kind is ProfileKind.POTENTIAL
+            else born_conductivity_fourier)
+    return born(spec, xi, mode=mode, R=R, d=params.d, prec=params.prec)
+
+
+def born_inverse(F, kind):
+    """Radial samples of a Born transform of ``kind``, background added."""
+    if kind is ProfileKind.POTENTIAL:
         return inverse_radial_ft(F, label="born_q")
-    F = born_conductivity_fourier(spec, xi, mode=mode, R=R, d=params.d, prec=params.prec)
     out = inverse_radial_ft(F, label="born_gamma")
-    return RadialSamples(out.r_grid, out.values + 1.0, out.label)
+    return RadialSamples(out.r_grid, out.values + kind.background, out.label)
+
+
+def born_samples(spec, params=None, mode="unit", R=None):
+    """Born reconstruction of a spectrum as radial samples on [0, length_factor * rho].
+
+    rho is as in ``born_fourier``.  Potentials return q_exp; conductivities
+    gamma_exp (background 1 already added).
+    """
+    return born_inverse(born_fourier(spec, params, mode, R), spec.kind)
 
 
 def samples_to_profile(s, kind, radius, pieces, eps_floor=None):
@@ -134,16 +167,9 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
     born0 = born_samples(target_spec, params)
     r_grid = born0.r_grid
     ref_vals = profile_on_grid(reference, r_grid)
-    domain_mask = r_grid <= radius
-
-    def record(sample):
-        diff = (sample.values - ref_vals)[domain_mask]
-        l2 = math.sqrt(np.trapezoid(diff**2, r_grid[domain_mask]))
-        return l2, float(np.max(np.abs(diff)))
-
     iterates = [born0]
     l2s, linfs = [], []
-    l2, linf = record(born0)
+    l2, linf = error_norms(born0, ref_vals, (0.0, radius))
     l2s.append(l2)
     linfs.append(linf)
     current = born0
@@ -156,7 +182,7 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
         nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values,
                             label="iterate")
         iterates.append(nxt)
-        l2, linf = record(nxt)
+        l2, linf = error_norms(nxt, ref_vals, (0.0, radius))
         l2s.append(l2)
         linfs.append(linf)
         if l2 > l2s[-2]:
@@ -190,7 +216,7 @@ def ensemble_depth_profile(seed, n_samples, scale=1.0, basis_size=20, params=Non
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    params = params or SolverParams(terms=150, prec=256, pieces=400, grid_n=192)
+    params = params or ensemble_params(SolverParams(grid_n=192))
     rng = np.random.default_rng(seed)
     acc = None
     failed = 0

@@ -126,15 +126,17 @@ def test_invert_fourier_round_trip(workdir):
 
 def test_born_xi_column_is_the_default_grid(workdir):
     import numpy as np
-    from radialborn.experiments import _fmt
+    from mpmath import mp, mpf
     from radialborn.fourier import default_xi_grid
     prof = write(workdir / "g.txt", GAMMA_STEP)
     for out, extra, L in (("a", [], 10.0), ("b", ["--xi-max", "40"], np.pi * 64 / 40)):
         rc = main(["born", "--profile", prof, "--terms", "20", "--precision", "128",
                    "--grid", "64", *extra, "--out", out])
         assert rc == 0
-        xi = [row[0] for row in read_rows(workdir / out / "fourier.csv")]
-        assert xi == [_fmt(x) for x in default_xi_grid(64, L)]
+        # each node is exact at 53 + bit_length(64) bits and written to round-trip there
+        with mp.workprec(53 + (64).bit_length()):
+            xi = [mpf(row[0]) for row in read_rows(workdir / out / "fourier.csv")]
+        assert xi == list(default_xi_grid(64, L))
 
 
 def test_invert_fourier_without_the_origin_row_is_an_input_error(workdir, capsys):
@@ -193,3 +195,86 @@ def test_env_precision_default(workdir, monkeypatch):
     assert main(["dtn", "--profile", prof, "--terms", "2", "--out", "run"]) == 0
     monkeypatch.setenv("RADIALBORN_PRECISION", "junk")
     assert main(["dtn", "--profile", prof, "--terms", "2", "--out", "run2"]) == 2
+
+
+Q_BUMP = "kind potential\nradius 1\nanalytic bump height=2\n"
+
+
+class _Requested(Exception):
+    pass
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Record what the commands ask the solvers for, without solving anything."""
+    import radialborn.cli as cli
+    seen = []
+
+    def record(name):
+        def fake(*args, **kwargs):
+            seen.append((name, args, kwargs))
+            raise _Requested
+        return fake
+
+    for name in ("cached_spectrum_of", "moment_sequence_exact", "ensemble_depth_profile"):
+        monkeypatch.setattr(cli, name, record(name))
+    return seen
+
+
+def test_paper_scale_reaches_every_command(workdir, solver_calls):
+    prof = write(workdir / "q.txt", Q_BUMP)
+    for argv in (["dtn", "--profile", prof], ["moments", "--profile", prof],
+                 ["reconstruct", "--profile", prof], ["born", "--profile", prof]):
+        with pytest.raises(_Requested):
+            main([*argv, "--paper-scale"])
+        name, args, kwargs = solver_calls.pop()
+        profile, terms = args[:2]
+        prec = args[2] if len(args) > 2 else kwargs["prec"]
+        assert (profile.piece_count, terms, prec) == (10_000, 400, 1024), argv[0]
+
+
+def test_explicit_flags_win_over_paper_scale(workdir, solver_calls):
+    prof = write(workdir / "q.txt", Q_BUMP)
+    with pytest.raises(_Requested):
+        main(["born", "--profile", prof, "--paper-scale", "--terms", "150"])
+    _, (profile, terms, prec), _ = solver_calls.pop()
+    assert (profile.piece_count, terms, prec) == (10_000, 150, 1024)
+
+
+def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls):
+    from radialborn.experiments import experiment_config
+    from radialborn.reconstruct import ensemble_params
+    with pytest.raises(_Requested):
+        main(["ensemble", "--paper-scale"])
+    params = solver_calls.pop()[2]["params"]
+    exp7 = ensemble_params(experiment_config(7, paper_scale=True))
+    assert (params.terms, params.prec, params.pieces) == (exp7.terms, exp7.prec, exp7.pieces)
+
+
+def test_born_finiteR_from_spectrum_and_profile_agree(workdir):
+    from radialborn.experiments import read_spectrum_csv, samples_rows
+    from radialborn.reconstruct import SolverParams, born_samples
+    prof = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
+    flags = ["--terms", "30", "--precision", "128", "--grid", "64"]
+    assert main(["dtn", "--profile", prof, *flags[:4], "--out", "unit"]) == 0
+    finite = ["--mode", "finiteR", "--radius", "5", *flags]
+    assert main(["born", "--profile", prof, *finite, "--out", "p"]) == 0
+    assert main(["born", "--spectrum", str(workdir / "unit" / "spectrum.csv"),
+                 "--kind", "potential", *finite, "--out", "s"]) == 0
+    for name in ("fourier.csv", "reconstruction.csv"):
+        assert (workdir / "p" / name).read_bytes() == (workdir / "s" / name).read_bytes()
+    spec = read_spectrum_csv(workdir / "unit" / "spectrum.csv", "potential", 1.0, 128)
+    expected = born_samples(spec, SolverParams(terms=30, prec=128, grid_n=64), "finiteR", 5.0)
+    assert [row[:2] for row in read_rows(workdir / "p" / "reconstruction.csv")] == \
+        [list(row) for row in samples_rows(expected)]
+    assert float(read_rows(workdir / "p" / "reconstruction.csv")[-1][0]) == pytest.approx(50.0)
+
+
+def test_invert_fourier_of_born_output_reproduces_the_reconstruction(workdir):
+    prof = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
+    assert main(["born", "--profile", prof, "--terms", "30", "--precision", "128",
+                 "--grid", "64", "--out", "run"]) == 0
+    assert main(["invert-fourier", "--input", str(workdir / "run" / "fourier.csv"),
+                 "--out", "run"]) == 0
+    assert read_rows(workdir / "run" / "inverse.csv") == \
+        [row[:2] for row in read_rows(workdir / "run" / "reconstruction.csv")]

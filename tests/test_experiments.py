@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 
 import pytest
 
@@ -14,6 +16,11 @@ from radialborn.forward import spectrum_of
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 
 SMALL = dict(terms=40, prec=128, grid_n=48, pieces=120, iterations=2, samples=2)
+
+
+def _column(path, j=0):
+    with open(path, newline="") as fh:
+        return [row[j] for row in list(csv.reader(fh))[1:]]
 
 
 @pytest.fixture
@@ -75,6 +82,11 @@ def test_exp9_emits_all_modes(tmp_path, cache_dir):
     assert any("finiteR" in n for n in names)
     assert any("scattering" in n for n in names)
     assert "q_born.csv" in names
+    # both finite-R transforms sit on the grid whose inverse is q_finiteR_born.csv
+    r_max = float(_column(tmp_path / "q_finiteR_born.csv")[-1])
+    for name in ("q_finiteR_fourier_born.csv", "q_finiteR_fourier_truth.csv"):
+        xi = _column(tmp_path / name)
+        assert float(xi[1]) == pytest.approx(math.pi / r_max, rel=1e-12)
 
 
 def test_exp11_emits_iterates(tmp_path, cache_dir):
