@@ -47,7 +47,6 @@ class FourierSamples:
 
     xi_grid: tuple
     values: tuple
-    d: int = 3
     label: str = ""
 
     def __post_init__(self):
@@ -55,10 +54,6 @@ class FourierSamples:
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.xi_grid) != len(self.values):
             raise ValueError("grid/value length mismatch")
-
-    @property
-    def spacing(self):
-        return (float(self.xi_grid[-1]) - float(self.xi_grid[0])) / (len(self.xi_grid) - 1)
 
 
 def series_coefficients(kmax, d, prec):
@@ -161,7 +156,7 @@ def eval_series_L_grid(mu, xi_grid, d=3, prec=1024, label=""):
     """L_d(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
     vals = _series_sum(_series_terms(mu, d, prec), xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals), d, label)
+    return FourierSamples(tuple(xi_grid), tuple(vals), label)
 
 
 def _eigenvalue_entries(spec, mode, R, d, prec):
@@ -241,7 +236,7 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     with mp.workprec(prec + GUARD_BITS):
         terms = [-t / 2 for t in terms[1:]]
     vals = _series_sum(terms, xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals), d, label=f"born_gamma_{mode}")
+    return FourierSamples(tuple(xi_grid), tuple(vals), label=f"born_gamma_{mode}")
 
 
 def moment_sequence_exact(f, kmax, d=3, prec=256):

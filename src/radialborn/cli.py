@@ -29,7 +29,7 @@ from .experiments import (
     write_csv,
     write_spectrum_csv,
 )
-from .fourier import inverse_radial_ft
+from .fourier import inverse_radial_ft, xi_node_bits
 from .profiles import PiecewiseProfile, ProfileFormatError, ProfileKind, parse_profile
 from .reconstruct import (
     SCALES,
@@ -201,7 +201,7 @@ def cmd_invert_fourier(args):
             rows = [(a, float(b)) for a, b, *_ in reader if a]
         # read each node at the bits fourier_rows writes it with, so a node that
         # lies halfway between two floats rounds as it did when it was computed
-        with mp.workprec(53 + (len(rows) - 1).bit_length()):
+        with mp.workprec(xi_node_bits(len(rows) - 1)):
             xi = tuple(mpf(a) for a, _ in rows)
     except (OSError, ValueError, StopIteration) as e:
         raise InputError(f"{args.input}: {e}")
@@ -256,9 +256,10 @@ def cmd_ensemble(args):
 
 
 def cmd_experiment(args):
-    overrides = _explicit(args, ("terms", "prec", "grid_n", "iterations", "seed"))
+    overrides = _explicit(args, ("terms", "grid_n", "iterations", "seed"))
     files = run_experiment(args.id, Path(args.out) / f"experiment_{args.id}",
-                           paper_scale=args.paper_scale, **overrides)
+                           paper_scale=args.paper_scale, prec=_params(args).prec,
+                           **overrides)
     for f in files:
         print(f)
     return EXIT_OK

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 from .cache import cached_spectrum_of, decimal_digits
 from .forward import DtnSpectrum
-from .fourier import forward_radial_ft
+from .fourier import forward_radial_ft, xi_node_bits
 from .highprec import GUARD_BITS
 from .profiles import (
     AnalyticProfile,
@@ -133,9 +133,9 @@ def samples_rows(s, radius=None):
 
 
 def fourier_rows(F, prec):
-    # the nodes of default_xi_grid(n, L) are exact at 53 + bit_length(n) bits;
+    # the nodes of default_xi_grid(n, L) are exact at xi_node_bits(n) bits;
     # nstr of an mpf does not depend on the working precision
-    digits = decimal_digits(53 + (len(F.xi_grid) - 1).bit_length())
+    digits = decimal_digits(xi_node_bits(len(F.xi_grid) - 1))
     return [(mp.nstr(x, digits, strip_zeros=False), _fmt(v, prec))
             for x, v in zip(F.xi_grid, F.values)]
 

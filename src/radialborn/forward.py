@@ -107,12 +107,6 @@ class DtnSpectrum:
     def kmax(self):
         return len(self.lambdas) - 1
 
-    def shifts(self):
-        """lambda_k - k/R as a list (the Born series data)."""
-        R = mpf(self.radius)
-        with mp.workprec(self.prec):
-            return [lam - mpf(k) / R for k, lam in enumerate(self.lambdas)]
-
 
 def _bessel_columns(ladder, x, sgn, kmax):
     """Exact ints (f, g, e) with (f_k(x), g_k(x)) = (f, g) 2^e, k = 0..kmax.
@@ -264,14 +258,14 @@ def spectrum_of(profile, kmax, prec):
     return conductivity_spectrum(profile, kmax, prec)
 
 
-def transfer_radius(spec, R, d=3):
+def transfer_radius(spec, R):
     """Map a unit-ball potential spectrum to the ball of radius R >= 1.
 
     Valid when the underlying potential is supported in the unit ball:
 
         lambda_k^R - k/R =
-            R^{-(2k+d-1)} (lambda_k - k) (2k+d-2)
-            / (lambda_k + k + d - 2 - R^{-(2k+d-2)} (lambda_k - k))
+            R^{-(2k+2)} (lambda_k - k) (2k+1)
+            / (lambda_k + k + 1 - R^{-(2k+1)} (lambda_k - k))
     """
     if spec.kind is not ProfileKind.POTENTIAL:
         raise ValueError("radius transfer is defined for potential spectra")
@@ -284,8 +278,8 @@ def transfer_radius(spec, R, d=3):
         R = mpf(R)
         out = []
         for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + d - 2
-            den = lam + k + d - 2 - R**(-m) * (lam - k)
+            m = 2 * k + 1
+            den = lam + k + 1 - R**(-m) * (lam - k)
             if den == 0:
                 raise TransferDenominatorError(k)
             shift = R**(-(m + 1)) * (lam - k) * m / den
@@ -293,7 +287,7 @@ def transfer_radius(spec, R, d=3):
     return DtnSpectrum(ProfileKind.POTENTIAL, float(R), out, prec)
 
 
-def untransfer_radius(spec, d=3):
+def untransfer_radius(spec):
     """Invert :func:`transfer_radius`: recover the unit-ball spectrum from radius R."""
     if spec.kind is not ProfileKind.POTENTIAL:
         raise ValueError("radius transfer is defined for potential spectra")
@@ -302,7 +296,7 @@ def untransfer_radius(spec, d=3):
         R = mpf(spec.radius)
         out = []
         for k, lamR in enumerate(spec.lambdas):
-            m = 2 * k + d - 2
+            m = 2 * k + 1
             s = lamR - mpf(k) / R
             den = R**(-(m + 1)) * m - s * (1 - R**(-m))
             if den == 0:

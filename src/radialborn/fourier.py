@@ -12,9 +12,9 @@ Inverse:  samples of F on xi_j = j pi / L, j = 0..N, give
 
 on r_m = m L / N, with the analytic limit at r = 0.  A grid that does not
 start at 0 or is not uniform raises ``GridMismatchError``.  The sum is
-evaluated either directly or through a type-I discrete sine transform; both
-paths agree to roundoff.  The inverse runs in double precision by design: the
-ill-conditioning lives in the eigenvalue series, not in the sine sum.
+evaluated through a type-I discrete sine transform.  The inverse runs in
+double precision by design: the ill-conditioning lives in the eigenvalue
+series, not in the sine sum.
 """
 
 from dataclasses import dataclass
@@ -48,26 +48,27 @@ class RadialSamples:
         if self.r_grid.shape != self.values.shape:
             raise ValueError("grid/value shape mismatch")
 
-    @property
-    def spacing(self):
-        return float(self.r_grid[1] - self.r_grid[0])
-
     def restrict(self, a, b):
         mask = (self.r_grid >= a) & (self.r_grid <= b)
         return RadialSamples(self.r_grid[mask], self.values[mask], self.label)
 
 
+def xi_node_bits(n):
+    """Bits that hold every node j h, j = 0..n, of a float h exactly: 53 + bit_length(n)."""
+    return 53 + int(n).bit_length()
+
+
 def default_xi_grid(n, L):
     """xi_j = j h for j = 0..n, h = np.pi / L, as exact mpf multiples of the float h.
 
-    Each node is formed at 53 + bit_length(n) bits, so j h carries no rounding
+    Each node is formed at ``xi_node_bits(n)`` bits, so j h carries no rounding
     and the grid is exactly arithmetic, as ``forward_radial_ft`` requires.
     float(xi_1) == np.pi / L, so the inverse's spacing and r-grid are those of
     the float grid j * np.pi / L; read as floats, some nodes differ from that
     grid by one ulp.
     """
     h = mpf(np.pi / L)
-    with mp.workprec(53 + int(n).bit_length()):
+    with mp.workprec(xi_node_bits(n)):
         return tuple(j * h for j in range(n + 1))
 
 
@@ -90,7 +91,7 @@ def _fixed_cos_sin(t, F):
     return to_fixed(c, F), to_fixed(s, F)
 
 
-def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
+def forward_radial_ft(f, xi_grid, prec=256, subtract_background=False):
     """Closed-form radial Fourier transform of a piecewise-constant profile.
 
     ``xi_grid`` must be exactly arithmetic, xi_j = xi_0 + j h for j = 0..n-1,
@@ -116,8 +117,6 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
     / |xi|^3.  S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied
     by 4 pi / xi^3 at that precision and rounded to prec.
     """
-    if d != 3:
-        raise ValueError("forward transform implemented for d = 3")
     if not isinstance(f, PiecewiseProfile):
         raise TypeError("forward_radial_ft needs a piecewise-constant profile")
     prec = check_precision(prec)
@@ -169,15 +168,14 @@ def forward_radial_ft(f, xi_grid, d=3, prec=256, subtract_background=False):
                         work, round_nearest)
             xi = mp.make_mpf(from_man_exp(Nj, e))
             vals.append(to_prec(pi4 * mp.make_mpf(t) / xi**3, prec))
-    return FourierSamples(tuple(xi_grid), tuple(vals), d, label="forward_ft")
+    return FourierSamples(tuple(xi_grid), tuple(vals), label="forward_ft")
 
 
-def inverse_radial_ft(F, method="dst", label=""):
+def inverse_radial_ft(F, label=""):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
     Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
     L = pi / (xi_1 - xi_0).
-    ``method`` is "dst" (fast path) or "direct" (reference sum).
     """
     xi = np.asarray([float(x) for x in F.xi_grid])
     vals = np.asarray([float(v) for v in F.values])
@@ -195,17 +193,11 @@ def inverse_radial_ft(F, method="dst", label=""):
     a = xi[1:] * vals[1:]  # xi_j F_j, j = 1..N
     out = np.empty(n + 1)
     out[0] = h_xi / (2 * np.pi**2) * np.sum(xi[1:] ** 2 * vals[1:])
-    if method == "dst":
-        # sum_{j=1}^{N-1} a_j sin(pi j m / N), a type-I DST of a_1..a_{N-1}, is
-        # -1/2 Im of the real FFT of the odd extension (0, a_1..a_{N-1}, 0,
-        # -a_{N-1}..-a_1); the j = N term has sin(pi m) = 0 and drops out
-        odd = np.concatenate(([0.0], a[:-1], [0.0], -a[-2::-1]))
-        sine_sums = -0.5 * np.fft.rfft(odd)[1:n].imag
-        out[1:-1] = h_xi / (2 * np.pi**2 * r[1:-1]) * sine_sums
-        out[-1] = 0.0
-    elif method == "direct":
-        for m in range(1, n + 1):
-            out[m] = h_xi / (2 * np.pi**2 * r[m]) * np.sum(a * np.sin(r[m] * xi[1:]))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    # sum_{j=1}^{N-1} a_j sin(pi j m / N), a type-I DST of a_1..a_{N-1}, is
+    # -1/2 Im of the real FFT of the odd extension (0, a_1..a_{N-1}, 0,
+    # -a_{N-1}..-a_1); the j = N term has sin(pi m) = 0 and drops out
+    odd = np.concatenate(([0.0], a[:-1], [0.0], -a[-2::-1]))
+    sine_sums = -0.5 * np.fft.rfft(odd)[1:n].imag
+    out[1:-1] = h_xi / (2 * np.pi**2 * r[1:-1]) * sine_sums
+    out[-1] = 0.0
     return RadialSamples(r, out, label=label or F.label)

@@ -29,6 +29,8 @@ from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
 from .highprec import GUARD_BITS, check_precision
 from .profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
+EPS_FLOOR = 1e-3  # conductivity clamp before forward solves
+
 
 class DegenerateSamplesError(ValueError):
     """Samples coincide with the background; no support radius exists."""
@@ -46,9 +48,7 @@ class SolverParams:
     prec: int = 512
     pieces: int = 2000
     grid_n: int = 512
-    d: int = 3
     length_factor: float = 10.0   # inverse-transform domain [0, length_factor * rho]
-    eps_floor: float = 1e-3       # conductivity clamp before forward solves
 
 
 # The only place the scales are written.  Commands and experiments start from
@@ -97,7 +97,7 @@ def born_fourier(spec, params=None, mode="unit", R=None):
     xi = default_xi_grid(params.grid_n, params.length_factor * grid_radius(spec, mode, R))
     born = (born_potential_fourier if spec.kind is ProfileKind.POTENTIAL
             else born_conductivity_fourier)
-    return born(spec, xi, mode=mode, R=R, d=params.d, prec=params.prec)
+    return born(spec, xi, mode=mode, R=R, prec=params.prec)
 
 
 def born_inverse(F, kind):
@@ -117,18 +117,17 @@ def born_samples(spec, params=None, mode="unit", R=None):
     return born_inverse(born_fourier(spec, params, mode, R), spec.kind)
 
 
-def samples_to_profile(s, kind, radius, pieces, eps_floor=None):
+def samples_to_profile(s, kind, radius, pieces):
     """Midpoint projection of grid samples to a piecewise-constant profile.
 
     Linear interpolation between nodes; conductivities are clamped below at
-    ``eps_floor`` so the forward problem stays elliptic.
+    ``EPS_FLOOR``.
     """
     h = radius / pieces
     mids = (np.arange(pieces) + 0.5) * h
     vals = np.interp(mids, s.r_grid, s.values)
     if kind is ProfileKind.CONDUCTIVITY:
-        floor = eps_floor if eps_floor is not None else 1e-3
-        vals = np.maximum(vals, floor)
+        vals = np.maximum(vals, EPS_FLOOR)
     bps = tuple(j * h for j in range(pieces + 1))
     return PiecewiseProfile(kind, radius, bps, tuple(float(v) for v in vals))
 
@@ -141,16 +140,12 @@ def profile_on_grid(profile, r_grid):
 
 
 def error_norms(s, reference, interval):
-    """(L2, Linf) of s - reference on [a, b] by trapezoid / grid max."""
+    """(L2, Linf) of s - reference (values on s.r_grid) on [a, b] by trapezoid / grid max."""
     a, b = interval
     if not a < b:
         raise ValueError("need a < b")
     part = s.restrict(a, b)
-    if callable(reference):
-        ref = np.asarray([reference(r) for r in part.r_grid], dtype=float)
-    else:
-        ref = np.asarray(reference, dtype=float)
-        ref = ref[(s.r_grid >= a) & (s.r_grid <= b)]
+    ref = np.asarray(reference, dtype=float)[(s.r_grid >= a) & (s.r_grid <= b)]
     diff = part.values - ref
     l2 = math.sqrt(np.trapezoid(diff**2, part.r_grid))
     return l2, float(np.max(np.abs(diff)))
@@ -176,7 +171,7 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
     increases = 0
     converged = True
     for _ in range(n_iter):
-        prof = samples_to_profile(current, kind, radius, params.pieces, params.eps_floor)
+        prof = samples_to_profile(current, kind, radius, params.pieces)
         spec_n = spectrum_of(prof, params.terms, params.prec)
         born_n = born_samples(spec_n, params)
         nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values,
@@ -196,18 +191,18 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
     return IterationTrace(iterates, l2s, linfs, converged)
 
 
-def draw_cosine_potential(rng, basis_size=20, radius=1.0):
-    """One random potential from the cosine basis, rescaled into the unit L2 ball."""
-    j = np.arange(1, basis_size + 1)
+def draw_cosine_potential(rng):
+    """One random potential from the 20-term cosine basis, rescaled into the unit L2 ball."""
+    j = np.arange(1, 21)
     c = rng.uniform(-1.0 / j, 1.0 / j)
     norm2 = float(np.sum(c**2))
     if norm2 > 1.0:
         c = c / math.sqrt(norm2)
-    return AnalyticProfile(ProfileKind.POTENTIAL, radius, "cosine_series",
+    return AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "cosine_series",
                            {"c": [float(v) for v in c]})
 
 
-def ensemble_depth_profile(seed, n_samples, scale=1.0, basis_size=20, params=None):
+def ensemble_depth_profile(seed, n_samples, scale=1.0, params=None):
     """Mean Born error versus depth over random cosine-basis potentials.
 
     e_scale(r) = (1 / (scale * N_s)) sum_i |scale q_i(r) - Born(scale q_i)(r)|
@@ -221,7 +216,7 @@ def ensemble_depth_profile(seed, n_samples, scale=1.0, basis_size=20, params=Non
     acc = None
     failed = 0
     for _ in range(n_samples):
-        base = draw_cosine_potential(rng, basis_size)
+        base = draw_cosine_potential(rng)
         scaled = AnalyticProfile(ProfileKind.POTENTIAL, base.radius, base.name,
                                  {"c": [scale * v for v in base.params["c"]]})
         prof = project_midpoint(scaled, params.pieces)
@@ -242,19 +237,17 @@ def ensemble_depth_profile(seed, n_samples, scale=1.0, basis_size=20, params=Non
     return DepthErrorCurve(r_grid, acc / (scale * used), used, scale, failed)
 
 
-def support_radius_estimate(s, background, threshold=0.01):
-    """Largest r where |s - background| exceeds threshold * max deviation."""
-    if not 0 < threshold < 1:
-        raise ValueError("threshold must lie in (0, 1)")
+def support_radius_estimate(s, background):
+    """Largest r where |s - background| exceeds 1 % of its maximum."""
     dev = np.abs(s.values - background)
     peak = float(dev.max())
     if peak == 0.0:
         raise DegenerateSamplesError("samples identically equal the background")
-    return float(s.r_grid[dev > threshold * peak].max())
+    return float(s.r_grid[dev > 0.01 * peak].max())
 
 
-def growth_slope(mu, xi_window, d=3, prec=256, n_points=40):
-    """Least-squares slope of log sum_k |term_k(xi)| over a xi window.
+def growth_slope(mu, xi_window, d=3, prec=256):
+    """Least-squares slope of log sum_k |term_k(xi)| at 40 points of a xi window.
 
     The empirical exponential type of the series with entries mu; for
     moment sequences of a function supported in B_alpha the slope
@@ -264,7 +257,7 @@ def growth_slope(mu, xi_window, d=3, prec=256, n_points=40):
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
     prec = check_precision(prec)
-    xs = np.linspace(a, b, n_points)
+    xs = np.linspace(a, b, 40)
     with mp.workprec(prec + GUARD_BITS):
         terms = [abs(t) for t in _series_terms(mu, d, prec)]
         # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 
 import pytest
@@ -171,11 +172,47 @@ def test_experiment_subcommand_writes_manifest(workdir):
     assert (out / "q_annular_born.csv").exists()
 
 
+def test_experiment_honours_env_precision(workdir, monkeypatch):
+    argv = ["experiment", "1", "--terms", "20", "--grid", "32"]
+
+    def manifest_prec(out):
+        path = workdir / out / "experiment_1" / "manifest.json"
+        return json.loads(path.read_text())["config"]["prec"]
+
+    assert main([*argv, "--out", "desk"]) == 0
+    assert manifest_prec("desk") == 512
+    monkeypatch.setenv("RADIALBORN_PRECISION", "128")
+    assert main([*argv, "--out", "env"]) == 0
+    assert manifest_prec("env") == 128
+    assert main([*argv, "--precision", "96", "--out", "flag"]) == 0
+    assert manifest_prec("flag") == 96
+
+
+@pytest.mark.parametrize("mode", ["moment-form", "scattering"])
+def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
+    from radialborn.experiments import fourier_rows, samples_rows
+    from radialborn.forward import spectrum_of
+    from radialborn.profiles import parse_profile
+    from radialborn.reconstruct import SolverParams, born_fourier, born_inverse
+    prof = write(workdir / "g.txt", GAMMA_STEP)
+    assert main(["born", "--profile", prof, "--mode", mode, "--terms", "30",
+                 "--precision", "128", "--grid", "64", "--out", "run"]) == 0
+    spec = spectrum_of(parse_profile(GAMMA_STEP), 30, 128)
+    F = born_fourier(spec, SolverParams(terms=30, prec=128, grid_n=64), mode.replace("-", "_"))
+    assert read_rows(workdir / "run" / "fourier.csv") == \
+        [list(row) for row in fourier_rows(F, 128)]
+    assert read_rows(workdir / "run" / "reconstruction.csv") == \
+        [[str(x) for x in row] for row in samples_rows(born_inverse(F, spec.kind), radius=1.0)]
+
+
 def test_exit_code_input_error(workdir):
     bad = write(workdir / "bad.txt", "kind sideways\n")
     assert main(["dtn", "--profile", bad]) == 2
     assert main(["dtn", "--profile", str(workdir / "missing.txt")]) == 2
     assert main(["born", "--precision", "128"]) == 2
+    q = write(workdir / "q.txt", Q_ONE)
+    assert main(["born", "--profile", q, "--mode", "moment-form", "--terms", "5",
+                 "--precision", "128", "--grid", "32"]) == 2
 
 
 def test_exit_code_solver_error(workdir):

@@ -8,6 +8,7 @@ from radialborn.forward import spectrum_of
 from radialborn.fourier import RadialSamples
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 from radialborn.reconstruct import (
+    EPS_FLOOR,
     DegenerateSamplesError,
     SolverParams,
     born_samples,
@@ -46,14 +47,14 @@ def test_samples_to_profile_clamps_conductivity():
     r = np.linspace(0.0, 2.0, 41)
     vals = np.linspace(-0.5, 1.5, 41)
     s = RadialSamples(r, vals)
-    p = samples_to_profile(s, ProfileKind.CONDUCTIVITY, 1.0, 8, eps_floor=1e-3)
-    assert min(p.values) >= 1e-3
+    p = samples_to_profile(s, ProfileKind.CONDUCTIVITY, 1.0, 8)
+    assert min(p.values) >= EPS_FLOOR
 
 
 def test_error_norms_known_case():
     r = np.linspace(0.0, 1.0, 1001)
     s = RadialSamples(r, r)
-    l2, linf = error_norms(s, lambda x: 0.0, (0.0, 1.0))
+    l2, linf = error_norms(s, np.zeros_like(r), (0.0, 1.0))
     assert l2 == pytest.approx(1 / math.sqrt(3), rel=1e-4)
     assert linf == pytest.approx(1.0)
 
