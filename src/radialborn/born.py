@@ -208,8 +208,9 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
 
     Modes "unit"/"finiteR"/"scattering" evaluate the k >= 1 series with the
     appropriate eigenvalue weights; "moment_form" evaluates the equivalent
-    index-shifted L_d sum with entries
-    (lambda_{k+1} - (k+1)) / (2 (k+1) (k + d/2)).  The xi = 0 node is the
+    index-shifted L_d sum with entries mu_{k+1} / (2 (k+1) (k + d/2)), where
+    mu_k = R^{2k+d-1} (lambda_k - k/R) is the unit-mode weight of the spectrum
+    on the ball of radius R (lambda_k - k when R = 1).  The xi = 0 node is the
     analytic k = 1 limit, never a division by xi^2.
     """
     if spec.kind is not ProfileKind.CONDUCTIVITY:
@@ -226,9 +227,9 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     if spec.kmax < 1:
         raise ValueError("need at least lambda_1")
     if mode == "moment_form":
+        mu = _eigenvalue_entries(spec, "unit", None, d, prec)
         with mp.workprec(prec + GUARD_BITS):
-            nu = [(mpf(spec.lambdas[k + 1]) - (k + 1)) / (2 * (k + 1) * (k + mpf(d) / 2))
-                  for k in range(spec.kmax)]
+            nu = [mu[k + 1] / (2 * (k + 1) * (k + mpf(d) / 2)) for k in range(spec.kmax)]
         return eval_series_L_grid(nu, xi_grid, d, prec, label="born_gamma_moment_form")
     # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
     # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}

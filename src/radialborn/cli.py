@@ -22,6 +22,7 @@ from .experiments import (
     EXPERIMENT_IDS,
     _fmt,
     _piecewise,
+    depth_error_rows,
     fourier_rows,
     read_spectrum_csv,
     run_experiment,
@@ -246,11 +247,8 @@ def cmd_reconstruct(args):
 def cmd_ensemble(args):
     curve = ensemble_depth_profile(args.seed, args.samples, scale=args.scale,
                                    params=ensemble_params(_params(args)))
-    out = Path(args.out)
-    rows = [(repr(float(r)), repr(float(e)))
-            for r, e in zip(curve.r_grid, curve.mean_abs_error)]
-    path = write_csv(out / f"depth_error_seed{args.seed}.csv",
-                     ("r", "mean_abs_error"), rows)
+    path = write_csv(Path(args.out) / f"depth_error_seed{args.seed}.csv",
+                     ("r", "mean_abs_error"), depth_error_rows(curve))
     print(path)
     return EXIT_OK
 

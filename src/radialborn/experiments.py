@@ -6,6 +6,7 @@ a manifest recording every parameter.  Numbers are written as decimal
 strings, never timestamps, so identical configs give byte-identical output.
 """
 
+import copy
 import csv
 import json
 from dataclasses import asdict, dataclass
@@ -36,9 +37,6 @@ from .reconstruct import (
     profile_on_grid,
 )
 
-EXPERIMENT_IDS = tuple(range(1, 13))
-
-
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig(SolverParams):
     """Resolved parameters for one experiment run: the solver's and the experiment's own."""
@@ -50,19 +48,12 @@ class ExperimentConfig(SolverParams):
     paper_scale: bool = False
 
 
-# Profiles whose deviation fills the whole unit ball force a tighter xi-grid:
-# the K-term series only tracks the closed-form transform up to roughly
-# xi ~ 2K/(3 alpha) for support radius alpha, so full-support experiments trade
-# grid extent for term count at desk scale.
-_FULL_SUPPORT = {2, 3, 4, 6, 7, 9, 11, 12}
-
-
 def experiment_config(exp_id, paper_scale=False, **overrides):
-    if exp_id not in EXPERIMENT_IDS:
+    if exp_id not in _CATALOGUE:
         raise ValueError(f"experiment id must be 1..12, got {exp_id}")
     base = asdict(SCALES["paper" if paper_scale else "desk"])
-    if not paper_scale and exp_id in _FULL_SUPPORT:
-        base.update(grid_n=256)
+    if not paper_scale and _CATALOGUE[exp_id].desk_grid_n:
+        base.update(grid_n=_CATALOGUE[exp_id].desk_grid_n)
     base.update(overrides)
     return ExperimentConfig(id=exp_id, paper_scale=paper_scale, **base)
 
@@ -97,13 +88,13 @@ def read_spectrum_csv(path, kind, radius, prec):
     """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
 
     Raises ValueError naming the line when k does not run 0, 1, 2, ... or when
-    shift differs from lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|).
+    shift differs from lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|),
+    and naming the file when it has no rows.
     """
     lambdas = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["k", "lambda", "shift"]:
+        if [h.strip() for h in next(reader, [])] != ["k", "lambda", "shift"]:
             raise ValueError(f"{path}: expected header k,lambda,shift")
         with mp.workprec(prec + GUARD_BITS):
             R = mpf(radius)
@@ -122,6 +113,8 @@ def read_spectrum_csv(path, kind, radius, prec):
                     raise ValueError(f"{path}, line {line}: shift {row[2]} differs from "
                                      f"lambda - k/R at {prec} bits")
             lambdas.append(lam)
+    if not lambdas:
+        raise ValueError(f"{path}: no spectrum rows; need at least k = 0")
     return DtnSpectrum(ProfileKind(kind), mpf(radius), lambdas, prec)
 
 
@@ -140,11 +133,28 @@ def fourier_rows(F, prec):
             for x, v in zip(F.xi_grid, F.values)]
 
 
+def depth_error_rows(curve):
+    return [(_fmt(r), _fmt(e)) for r, e in zip(curve.r_grid, curve.mean_abs_error)]
+
+
 def _truth_rows(profile, r_grid):
     return [(_fmt(r), _fmt(v)) for r, v in zip(r_grid, profile_on_grid(profile, r_grid))]
 
 
-# experiment profile catalogs -------------------------------------------------
+# the experiment catalogue ----------------------------------------------------
+
+@dataclass(frozen=True)
+class _Experiment:
+    profiles: dict                   # the named truth profiles
+    born: tuple = (("unit", None),)  # the (mode, R) Born bundles of each profile
+    iterate: bool = False            # the fixed-point iteration bundle of each profile
+    depth_scales: tuple = ()         # the depth-error ensemble: one curve per scale alpha
+    # Profiles whose deviation fills the whole unit ball force a tighter xi-grid
+    # at desk scale: the K-term series only tracks the closed-form transform up
+    # to roughly xi ~ 2K/(3 alpha) for support radius alpha, so these rows trade
+    # grid extent for term count.
+    desk_grid_n: int | None = None
+
 
 def _step_gamma(values, breaks=(0.0, 0.5, 1.0)):
     return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, breaks, values)
@@ -154,61 +164,50 @@ def _step_q(values, breaks):
     return PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, breaks, values)
 
 
-def _bump_gamma(amp):
+def _bump_gamma(amp, **support):
     return AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "bump",
-                           {"height": amp, "offset": 1.0})
+                           {"height": amp, **support, "offset": 1.0})
 
 
 def _bump_q(amp):
     return AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "bump", {"height": amp})
 
 
-def _inner_bump_gamma(amp, sup=1.0 / 3.0):
-    # deviation from 1 supported in B_sup, so gamma is exactly 1 on (sup, 1)
-    return AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "bump",
-                           {"height": amp, "support": sup, "offset": 1.0})
+_EXP3_GAMMA = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "exp3_profile", {})
 
+_CATALOGUE = {
+    1: _Experiment({"gamma_large": _step_gamma((2.0, 1.0)),
+                    "gamma_small": _step_gamma((1.2, 1.0))}),
+    # deviation from 1 supported in B_{1/3}, so gamma is exactly 1 on (1/3, 1)
+    2: _Experiment({f"gamma_{i}": _bump_gamma(a, support=1.0 / 3.0)
+                    for i, a in enumerate((0.2, 0.35, 0.5), start=1)}, desk_grid_n=256),
+    3: _Experiment({"gamma": _EXP3_GAMMA}, born=(("unit", None), ("scattering", None)),
+                   desk_grid_n=256),
+    4: _Experiment({"gamma_mild": _bump_gamma(0.3), "gamma_large": _bump_gamma(4.0),
+                    "gamma_degenerate": _bump_gamma(-0.995)}, desk_grid_n=256),
+    5: _Experiment({**{f"q_step_{a:g}": _step_q((a, a / 2, 0.0), (0.0, 0.3, 0.6, 1.0))
+                       for a in (2.0, 10.0, 40.0)},
+                    "q_annular": _step_q((0.0, 5.0, 0.0), (0.0, 0.3, 0.6, 1.0))}),
+    6: _Experiment({f"q_smooth_{a:g}": _bump_q(a) for a in (1.0, 5.0, 20.0)}, desk_grid_n=256),
+    7: _Experiment({}, born=(), depth_scales=(1.0, 2.0, 3.0), desk_grid_n=256),
+    8: _Experiment({"q": AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump",
+                                         {"height": 3.0, "inner": 0.4, "outer": 1.0})}),
+    9: _Experiment({"q": _bump_q(5.0)},
+                   born=(("unit", None), ("finiteR", 5.0), ("scattering", None)),
+                   desk_grid_n=256),
+    10: _Experiment({f"q_neg_{a:g}": _bump_q(-a) for a in (5.0, 15.0, 30.0)}),
+    11: _Experiment({"gamma_step": _step_gamma((2.0, 1.0)), "gamma_lipschitz": _EXP3_GAMMA,
+                     "gamma_smooth": _bump_gamma(0.3)}, born=(), iterate=True, desk_grid_n=256),
+    12: _Experiment({"q_step": _step_q((2.0, 0.0), (0.0, 0.5, 1.0)), "q_smooth": _bump_q(2.0)},
+                    born=(), iterate=True, desk_grid_n=256),
+}
 
-def _exp3_gamma():
-    return AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "exp3_profile", {})
+EXPERIMENT_IDS = tuple(_CATALOGUE)
 
 
 def experiment_profiles(exp_id):
-    """The named truth profiles of one experiment."""
-    if exp_id == 1:
-        return {"gamma_large": _step_gamma((2.0, 1.0)),
-                "gamma_small": _step_gamma((1.2, 1.0))}
-    if exp_id == 2:
-        return {f"gamma_{i}": _inner_bump_gamma(a)
-                for i, a in enumerate((0.2, 0.35, 0.5), start=1)}
-    if exp_id == 3:
-        return {"gamma": _exp3_gamma()}
-    if exp_id == 4:
-        return {"gamma_mild": _bump_gamma(0.3),
-                "gamma_large": _bump_gamma(4.0),
-                "gamma_degenerate": _bump_gamma(-0.995)}
-    if exp_id == 5:
-        steps = {f"q_step_{a:g}": _step_q((a, a / 2, 0.0), (0.0, 0.3, 0.6, 1.0))
-                 for a in (2.0, 10.0, 40.0)}
-        steps["q_annular"] = _step_q((0.0, 5.0, 0.0), (0.0, 0.3, 0.6, 1.0))
-        return steps
-    if exp_id == 6:
-        return {f"q_smooth_{a:g}": _bump_q(a) for a in (1.0, 5.0, 20.0)}
-    if exp_id == 8:
-        return {"q": AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump",
-                                     {"height": 3.0, "inner": 0.4, "outer": 1.0})}
-    if exp_id == 9:
-        return {"q": _bump_q(5.0)}
-    if exp_id == 10:
-        return {f"q_neg_{a:g}": _bump_q(-a) for a in (5.0, 15.0, 30.0)}
-    if exp_id == 11:
-        return {"gamma_step": _step_gamma((2.0, 1.0)),
-                "gamma_lipschitz": _exp3_gamma(),
-                "gamma_smooth": _bump_gamma(0.3)}
-    if exp_id == 12:
-        return {"q_step": _step_q((2.0, 0.0), (0.0, 0.5, 1.0)),
-                "q_smooth": _bump_q(2.0)}
-    return {}
+    """The named truth profiles of one experiment, a copy the caller may change."""
+    return copy.deepcopy(_CATALOGUE[exp_id].profiles) if exp_id in _CATALOGUE else {}
 
 
 def _piecewise(profile, pieces):
@@ -217,77 +216,57 @@ def _piecewise(profile, pieces):
     return project_midpoint(profile, pieces)
 
 
-def _spectrum(profile, cfg, cache_dir):
-    pw = _piecewise(profile, cfg.pieces)
-    return cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir), pw
-
-
-def _born_bundle(name, profile, cfg, cache_dir, out, mode="unit", R=None):
+def _born_bundle(name, profile, pw, spec, cfg, mode, R):
     """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs."""
-    spec, pw = _spectrum(profile, cfg, cache_dir)
     # born_samples repeats the transform Fb (ROADMAP item 5); the benchmark pins it
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
     Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec, subtract_background=True)
     tag = name if mode == "unit" else f"{name}_{mode}"
-    files = {
+    return {
         f"{tag}_truth.csv": (("r", "value"), _truth_rows(profile, recon.r_grid)),
         f"{tag}_born.csv": (("r", "value"), samples_rows(recon)),
         f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec)),
         f"{tag}_fourier_truth.csv": (("xi", "value"), fourier_rows(Ft, cfg.prec)),
     }
-    return {out / k: v for k, v in files.items()}
 
 
-def _iteration_bundle(name, profile, cfg, cache_dir, out):
-    spec, pw = _spectrum(profile, cfg, cache_dir)
+def _iteration_bundle(name, profile, spec, cfg):
     trace = iterate_born(profile.kind, spec, profile, n_iter=cfg.iterations, params=cfg)
-    files = {out / f"{name}_truth.csv":
+    files = {f"{name}_truth.csv":
              (("r", "value"), _truth_rows(profile, trace.iterates[0].r_grid))}
     for n, it in enumerate(trace.iterates):
-        files[out / f"{name}_iterate_{n}.csv"] = (("r", "value"), samples_rows(it))
+        files[f"{name}_iterate_{n}.csv"] = (("r", "value"), samples_rows(it))
     err = [(n, _fmt(np.log10(l2)), _fmt(np.log10(li)))
            for n, (l2, li) in enumerate(zip(trace.l2_errors, trace.linf_errors))]
-    files[out / f"{name}_errors_log10.csv"] = (("iteration", "log10_l2", "log10_linf"), err)
+    files[f"{name}_errors_log10.csv"] = (("iteration", "log10_l2", "log10_linf"), err)
     return files
 
 
 def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrides):
     """Run one experiment; returns the list of files written."""
     cfg = experiment_config(exp_id, paper_scale, **overrides)
+    row = _CATALOGUE[exp_id]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = {}
-    profiles = experiment_profiles(exp_id)
+    for name, p in row.profiles.items():
+        pw = _piecewise(p, cfg.pieces)
+        spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
+        for mode, R in row.born:
+            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R))
+        if row.iterate:
+            files.update(_iteration_bundle(name, p, spec, cfg))
+    for alpha in row.depth_scales:
+        curve = ensemble_depth_profile(cfg.seed, cfg.samples, alpha, ensemble_params(cfg))
+        files[f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"),
+                                                      depth_error_rows(curve))
 
-    if exp_id in (1, 2, 4, 5, 6, 8, 10):
-        for name, p in profiles.items():
-            files.update(_born_bundle(name, p, cfg, cache_dir, out))
-    elif exp_id == 3:
-        g = profiles["gamma"]
-        files.update(_born_bundle("gamma", g, cfg, cache_dir, out, mode="unit"))
-        files.update(_born_bundle("gamma", g, cfg, cache_dir, out, mode="scattering"))
-    elif exp_id == 9:
-        q = profiles["q"]
-        files.update(_born_bundle("q", q, cfg, cache_dir, out, mode="unit"))
-        files.update(_born_bundle("q", q, cfg, cache_dir, out, mode="finiteR", R=5.0))
-        files.update(_born_bundle("q", q, cfg, cache_dir, out, mode="scattering"))
-    elif exp_id == 7:
-        for alpha in (1.0, 2.0, 3.0):
-            curve = ensemble_depth_profile(cfg.seed, cfg.samples, scale=alpha,
-                                           params=ensemble_params(cfg))
-            rows = [(_fmt(r), _fmt(e))
-                    for r, e in zip(curve.r_grid, curve.mean_abs_error)]
-            files[out / f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"), rows)
-    elif exp_id in (11, 12):
-        for name, p in profiles.items():
-            files.update(_iteration_bundle(name, p, cfg, cache_dir, out))
-
-    written = [write_csv(path, header, rows) for path, (header, rows) in files.items()]
+    written = [write_csv(out / name, header, rows) for name, (header, rows) in files.items()]
     manifest = {
         "experiment": exp_id,
         "config": asdict(cfg),
-        "profiles": {k: _profile_summary(v) for k, v in profiles.items()},
+        "profiles": {k: _profile_summary(v) for k, v in row.profiles.items()},
         "files": sorted(p.name for p in written),
         "format_version": 1,
     }

@@ -65,6 +65,10 @@ class PiecewiseProfile:
         bp, vals = tuple(self.breakpoints), tuple(self.values)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
+        # x - x is 0 for every finite float or mpf and NaN otherwise, without
+        # the float conversion that would overflow on a large mpf
+        if any(x - x != 0 for x in (self.radius, *bp, *vals)):
+            raise ValueError("radius, breakpoints and values must be finite")
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if len(vals) != len(bp) - 1:

@@ -172,14 +172,19 @@ def test_conductivity_zero_frequency_limit():
 
 
 def test_conductivity_moment_form_equals_unit_mode():
-    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
-    spec = spectrum_of(g, 60, 256)
+    # the unit ball and a ball of radius 2.5, where moment form must use the
+    # spectrum's radius as unit mode does
+    specs = [spectrum_of(PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0),
+                                          (2.0, 1.0)), 60, 256),
+             spectrum_of(PiecewiseProfile(ProfileKind.CONDUCTIVITY, 2.5, (0.0, 0.7, 1.9, 2.5),
+                                          (3.0, 0.2, 1.0)), 40, 256)]
     xi = [0.0, 2.0, 5.0, 12.0]
-    a = born_conductivity_fourier(spec, xi, mode="unit", prec=256)
-    b = born_conductivity_fourier(spec, xi, mode="moment_form", prec=256)
-    with mp.workprec(300):
-        for va, vb in zip(a.values, b.values):
-            assert abs(mpf(va) - mpf(vb)) <= abs(mpf(va)) * mpf(2) ** -128
+    for spec in specs:
+        a = born_conductivity_fourier(spec, xi, mode="unit", prec=256)
+        b = born_conductivity_fourier(spec, xi, mode="moment_form", prec=256)
+        with mp.workprec(300):
+            for va, vb in zip(a.values, b.values):
+                assert abs(mpf(va) - mpf(vb)) <= abs(mpf(va)) * mpf(2) ** -128
 
 
 def test_potential_conductivity_index_shift_identity():

@@ -213,6 +213,15 @@ def test_exit_code_input_error(workdir):
     q = write(workdir / "q.txt", Q_ONE)
     assert main(["born", "--profile", q, "--mode", "moment-form", "--terms", "5",
                  "--precision", "128", "--grid", "32"]) == 2
+    nan = write(workdir / "nan.txt", GAMMA_STEP.replace("values 2 1", "values nan 1"))
+    assert main(["dtn", "--profile", nan, "--terms", "5", "--precision", "128"]) == 2
+    inf = write(workdir / "inf.txt", Q_ONE.replace("values 1", "values inf"))
+    assert main(["dtn", "--profile", inf, "--terms", "5", "--precision", "128"]) == 2
+    for text in ("k,lambda,shift\n", ""):
+        spec = write(workdir / "s.csv", text)
+        assert main(["born", "--spectrum", spec, "--kind", "potential",
+                     "--precision", "128", "--grid", "32", "--out", "run"]) == 2
+    assert not (workdir / "run").exists()
 
 
 def test_exit_code_solver_error(workdir):

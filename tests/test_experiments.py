@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from radialborn import experiments
 from radialborn.experiments import (
     EXPERIMENT_IDS,
     experiment_config,
@@ -55,14 +56,35 @@ def test_unknown_experiment_rejected():
         experiment_config(13)
 
 
-def test_manifest_records_config(tmp_path, cache_dir):
-    run_experiment(1, tmp_path, cache_dir=cache_dir, **SMALL)
+@pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
+def test_manifest_records_config(exp_id, tmp_path, cache_dir):
+    run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["experiment"] == exp_id
     assert manifest["config"]["terms"] == 40
     assert manifest["config"]["prec"] == 128
+    assert set(manifest["profiles"]) == set(experiment_profiles(exp_id))
     names = set(manifest["files"])
     assert names == {p.name for p in tmp_path.glob("*.csv")}
     assert names
+
+
+@pytest.mark.parametrize("exp_id, bundles", [(3, 2), (9, 3)])
+def test_each_profile_is_solved_once(exp_id, bundles, tmp_path, cache_dir, monkeypatch):
+    # one projection and one spectrum lookup per profile, however many modes it writes
+    calls = []
+
+    def record(f):
+        def counted(*args, **kwargs):
+            calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return counted
+
+    for name in ("cached_spectrum_of", "project_midpoint"):
+        monkeypatch.setattr(experiments, name, record(getattr(experiments, name)))
+    files = run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
+    assert sorted(calls) == ["cached_spectrum_of", "project_midpoint"]
+    assert len(files) == 4 * bundles + 1
 
 
 def test_rerun_is_byte_identical(tmp_path, cache_dir):
@@ -114,6 +136,16 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path):
         path = write_spectrum_csv(tmp_path / "s.csv", spec)
         back = read_spectrum_csv(path, spec.kind.value, spec.radius, spec.prec)
         assert [x._mpf_ for x in back.lambdas] == [x._mpf_ for x in spec.lambdas]
+
+
+def test_spectrum_csv_without_rows_is_rejected(tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("k,lambda,shift\n")
+    with pytest.raises(ValueError, match="empty.csv: no spectrum rows"):
+        read_spectrum_csv(empty, "potential", 1.0, 128)
+    empty.write_text("")
+    with pytest.raises(ValueError, match="expected header"):
+        read_spectrum_csv(empty, "potential", 1.0, 128)
 
 
 def test_spectrum_csv_rejects_bad_k_and_shift(tmp_path):

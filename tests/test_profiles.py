@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from mpmath import mpf
 
 from radialborn.profiles import (
     AnalyticProfile,
@@ -31,6 +32,22 @@ def test_invalid_breakpoints_rejected():
         PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 0.4), (2.0, 1.0))
     with pytest.raises(ValueError):
         PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.1, 0.5, 1.0), (2.0, 1.0))
+    nan, inf = float("nan"), float("inf")
+    for kind, radius, bp, vals in [
+            (ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (nan, 1.0)),
+            (ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (inf, 0.0)),
+            (ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (-inf, 0.0)),
+            (ProfileKind.POTENTIAL, 1.0, (0.0, nan, 1.0), (1.0, 0.0)),
+            (ProfileKind.POTENTIAL, inf, (0.0, 0.5, inf), (1.0, 0.0)),
+            (ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (mpf("inf"), 0.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseProfile(kind, radius, bp, vals)
+    for text in ("values nan 1", "values 2 inf"):
+        with pytest.raises(ProfileFormatError, match="finite"):
+            parse_profile(f"kind conductivity\nradius 1\nbreakpoints 0 0.5 1\n{text}\n")
+    # an mpf beyond float range is finite
+    huge = mpf(2) ** 2000
+    assert PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 1.0), (huge,)).values == (huge,)
 
 
 def test_negative_conductivity_rejected():
