@@ -22,7 +22,6 @@ from .forward import (
 )
 from .born import (
     FourierSamples,
-    SeriesDenominatorError,
     born_conductivity_fourier,
     born_potential_fourier,
     eval_series_L,

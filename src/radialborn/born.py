@@ -5,10 +5,13 @@ The central object is the series operator
     L_d(mu; xi) = 2 pi^{d/2} sum_k (-1)^k / (k! Gamma(k+d/2)) (xi/2)^{2k} mu_k
 
 which maps a coefficient sequence to a radial function of the frequency.
-Feeding eigenvalue shifts lambda_k - k produces the Fourier transform of the
-potential Born approximation; moments sigma_k[f] reproduce the Fourier
-transform of f itself; conductivity variants divide by |xi|^2 via an index
-shift.  The products a_k = c_k mu_k are formed in big floats at
+Moments sigma_k[f] reproduce the Fourier transform of f itself.  The Born
+weights are the scaled shifts mu_k = R^{2k+d-1} (lambda_k^R - k/R) of the one
+radius map ``forward.scaled_shifts``, each mode a target radius R: the
+spectrum's own (unit, moment_form), the given R (finiteR) or infinity
+(scattering); a zero denominator raises ``TransferDenominatorError``.  Fed
+these, L_d gives the potential Born approximation, and the conductivity
+variants divide by |xi|^2 via an index shift.  The products a_k = c_k mu_k are formed in big floats at
 prec + GUARD_BITS bits.  One kernel, ``_series_sum``, then sums the
 alternating terms a_k (xi/2)^{2k} at each node by a truncated Horner pass in
 Python integers: it starts at the highest term that can still reach the last
@@ -25,21 +28,9 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
+from .forward import scaled_shifts
 from .highprec import GUARD_BITS, check_precision, to_prec
 from .profiles import PiecewiseProfile, ProfileKind
-
-POTENTIAL_MODES = ("unit", "finiteR", "scattering")
-CONDUCTIVITY_MODES = ("unit", "finiteR", "scattering", "moment_form")
-
-
-class SeriesDenominatorError(ArithmeticError):
-    """A nonlinear eigenvalue weight had a vanishing denominator."""
-
-    def __init__(self, k, mode):
-        self.k = k
-        self.mode = mode
-        super().__init__(f"vanishing denominator at degree k = {k} in mode {mode!r}")
-
 
 @dataclass(frozen=True)
 class FourierSamples:
@@ -160,44 +151,25 @@ def eval_series_L_grid(mu, xi_grid, d=3, prec=1024, label=""):
 
 
 def _eigenvalue_entries(spec, mode, R, d, prec):
-    # mu_k of the L_d series; for conductivities, nu_k of the k >= 1 sum
-    with mp.workprec(prec + GUARD_BITS):
-        Rspec = mpf(spec.radius)
-        if mode == "unit":
-            # generalized unit formula: mu_k = R^{2k+d-1} (lambda_k^R - k/R);
-            # reduces to lambda_k - k when the spectrum lives on the unit ball
-            return [Rspec ** (2 * k + d - 1) * (lam - mpf(k) / Rspec)
-                    for k, lam in enumerate(spec.lambdas)]
-        if float(spec.radius) != 1.0:
-            raise ValueError(f"mode {mode!r} requires the unit-ball spectrum")
-        if mode == "finiteR" and mpf(R) == 1:
-            # the weight collapses algebraically to lambda_k - k; computing it
-            # through the quotient would only add rounding noise
-            return [lam - k for k, lam in enumerate(spec.lambdas)]
-        out = []
-        for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + d - 2
-            den = lam + k + d - 2
-            if mode == "finiteR":
-                den = den - mpf(R) ** (-m) * (lam - k)
-            if den == 0:
-                raise SeriesDenominatorError(k, mode)
-            out.append((lam - k) * m / den)
-        return out
+    # mu_k of the L_d series: each mode is a target radius of the one radius map
+    targets = {"unit": spec.radius, "finiteR": R, "scattering": mpmath.inf}
+    if spec.kind is ProfileKind.CONDUCTIVITY:
+        targets["moment_form"] = spec.radius
+    if mode not in targets:
+        raise ValueError(f"unknown mode {mode!r}")
+    if targets[mode] is None:
+        raise ValueError("finiteR mode needs a target radius R")
+    return scaled_shifts(spec, targets[mode], d, prec)
 
 
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
     """Fourier transform of the potential Born approximation on a xi-grid.
 
-    Modes: "unit" (the spectrum's own ball), "finiteR" (target radius R from
-    the unit-ball spectrum), "scattering" (R -> infinity limit).
+    Each mode is a target radius of ``forward.scaled_shifts``: "unit" the
+    spectrum's own ball, "finiteR" the radius R, "scattering" R -> infinity.
     """
     if spec.kind is not ProfileKind.POTENTIAL:
         raise ValueError("born_potential_fourier requires a potential spectrum")
-    if mode not in POTENTIAL_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "finiteR" and R is None:
-        raise ValueError("finiteR mode needs a target radius R")
     prec = check_precision(prec)
     mu = _eigenvalue_entries(spec, mode, R, d, prec)
     return eval_series_L_grid(mu, xi_grid, d, prec, label=f"born_q_{mode}")
@@ -207,19 +179,15 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     """Fourier transform of gamma_exp - 1 on a xi-grid.
 
     Modes "unit"/"finiteR"/"scattering" evaluate the k >= 1 series with the
-    appropriate eigenvalue weights; "moment_form" evaluates the equivalent
-    index-shifted L_d sum with entries mu_{k+1} / (2 (k+1) (k + d/2)), where
-    mu_k = R^{2k+d-1} (lambda_k - k/R) is the unit-mode weight of the spectrum
-    on the ball of radius R (lambda_k - k when R = 1).  The xi = 0 node is the
-    analytic k = 1 limit, never a division by xi^2.
+    weights of ``forward.scaled_shifts`` at their target radius, as for
+    potentials; "moment_form" evaluates the equivalent index-shifted L_d sum
+    with entries mu_{k+1} / (2 (k+1) (k + d/2)) of the unit-mode weights.  The
+    xi = 0 node is the analytic k = 1 limit, never a division by xi^2.
     """
     if spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("born_conductivity_fourier requires a conductivity spectrum")
-    if mode not in CONDUCTIVITY_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "finiteR" and R is None:
-        raise ValueError("finiteR mode needs a target radius R")
     prec = check_precision(prec)
+    mu = _eigenvalue_entries(spec, mode, R, d, prec)
     with mp.workprec(prec + GUARD_BITS):
         lam0 = mpf(spec.lambdas[0])
         if abs(lam0) > mpmath.ldexp(mpf(1), -prec // 2):
@@ -227,13 +195,12 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     if spec.kmax < 1:
         raise ValueError("need at least lambda_1")
     if mode == "moment_form":
-        mu = _eigenvalue_entries(spec, "unit", None, d, prec)
         with mp.workprec(prec + GUARD_BITS):
             nu = [mu[k + 1] / (2 * (k + 1) * (k + mpf(d) / 2)) for k in range(spec.kmax)]
         return eval_series_L_grid(nu, xi_grid, d, prec, label="born_gamma_moment_form")
     # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
     # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}
-    terms = _series_terms(_eigenvalue_entries(spec, mode, R, d, prec), d, prec)
+    terms = _series_terms(mu, d, prec)
     with mp.workprec(prec + GUARD_BITS):
         terms = [-t / 2 for t in terms[1:]]
     vals = _series_sum(terms, xi_grid, prec)
@@ -269,17 +236,3 @@ def moments_from_samples(s, kmax, d=3):
     r = np.asarray(s.r_grid, dtype=float)
     v = np.asarray(s.values, dtype=float)
     return [float(np.trapezoid(v * r ** (2 * k + d - 1), r)) for k in range(kmax + 1)]
-
-
-def eigenvalue_moment_residual(spec, q, kmax=None, d=3):
-    """lambda_k - k - sigma_k[q] on the unit ball, k = 0..kmax."""
-    if spec.kind is not ProfileKind.POTENTIAL:
-        raise ValueError("the residual compares a potential spectrum with its moments")
-    if float(spec.radius) != 1.0:
-        raise ValueError("residual is defined on the unit ball")
-    if kmax is None:
-        kmax = spec.kmax
-    sigma = moment_sequence_exact(q, kmax, d, spec.prec)
-    with mp.workprec(spec.prec + GUARD_BITS):
-        return [to_prec(mpf(spec.lambdas[k]) - k - sigma[k], spec.prec)
-                for k in range(kmax + 1)]

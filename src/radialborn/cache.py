@@ -21,7 +21,7 @@ from mpmath.libmp import from_float, from_int
 
 from .forward import DtnSpectrum
 from .highprec import GUARD_BITS, check_precision, to_prec
-from .profiles import PiecewiseProfile, ProfileKind
+from .profiles import PiecewiseProfile
 
 CACHE_DIR_ENV = "RADIALBORN_CACHE_DIR"
 FORMAT_VERSION = 2
@@ -98,7 +98,8 @@ def store_spectrum(spec, profile, cache_dir=None):
 
 
 def load_spectrum(profile, kmax, prec, cache_dir=None):
-    """Cached spectrum for this exact problem, or None on miss / corruption."""
+    """Cached spectrum for this exact problem, or None on a miss, a corrupt entry or
+    one whose version, kind, kmax, prec or lambda count does not fit the request."""
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _entry_path(cache_dir, spectrum_key(profile, kmax, prec))
     try:
@@ -107,15 +108,15 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
     except (OSError, json.JSONDecodeError):
         return None
     try:
-        if entry["version"] != FORMAT_VERSION or entry["kmax"] != kmax or entry["prec"] != prec:
+        if (entry["version"], entry["kind"], entry["kmax"], entry["prec"], len(entry["lambdas"])) \
+                != (FORMAT_VERSION, profile.kind.value, kmax, prec, kmax + 1):
             return None
-        kind = ProfileKind(entry["kind"])
         with mp.workprec(prec + GUARD_BITS):
             lambdas = tuple(to_prec(mpf(s), prec) for s in entry["lambdas"])
             radius = to_prec(mpf(entry["radius"]), prec)
     except (KeyError, ValueError, TypeError):
         return None
-    return DtnSpectrum(kind, radius, lambdas, prec)
+    return DtnSpectrum(profile.kind, radius, lambdas, prec)
 
 
 def cached_spectrum_of(profile, kmax, prec, cache_dir=None, solver=None):

@@ -166,7 +166,7 @@ def _spectrum_from_args(args, params, mode):
         try:
             return read_spectrum_csv(args.spectrum, args.kind, radius, params.prec)
         except (OSError, ValueError) as e:
-            raise InputError(f"{args.spectrum}: {e}")
+            raise InputError(str(e))  # every message names the file
     if not args.profile:
         raise InputError("born needs --profile or --spectrum")
     profile = _piecewise(_load_profile(args.profile), params.pieces)

@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from .cache import cached_spectrum_of, decimal_digits
 from .forward import DtnSpectrum
 from .fourier import forward_radial_ft, xi_node_bits
-from .highprec import GUARD_BITS
+from .highprec import GUARD_BITS, to_prec
 from .profiles import (
     AnalyticProfile,
     PiecewiseProfile,
@@ -87,9 +87,9 @@ def write_spectrum_csv(path, spec):
 def read_spectrum_csv(path, kind, radius, prec):
     """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
 
-    Raises ValueError naming the line when k does not run 0, 1, 2, ... or when
-    shift differs from lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|),
-    and naming the file when it has no rows.
+    Raises ValueError naming the file (and the line) on a bad header, an unparsable
+    number, k not running 0, 1, 2, ..., a shift off lambda - k/R by more than
+    2^(2-prec) max(|lambda|, |shift|), or no rows.
     """
     lambdas = []
     with open(path, newline="") as fh:
@@ -104,10 +104,11 @@ def read_spectrum_csv(path, kind, radius, prec):
             if len(row) != 3 or row[0].strip() != str(len(lambdas)):
                 raise ValueError(f"{path}, line {line}: expected k = {len(lambdas)} "
                                  f"and three columns, got {row!r}")
-            with mp.workprec(prec):
-                lam = mpf(row[1])
+            try:
+                lam, shift = to_prec(row[1], prec), to_prec(row[2], prec + GUARD_BITS)
+            except ValueError as e:
+                raise ValueError(f"{path}, line {line}: {e}") from None
             with mp.workprec(prec + GUARD_BITS):
-                shift = mpf(row[2])
                 tol = mpmath.ldexp(max(abs(lam), abs(shift)), 2 - prec)
                 if abs(shift - (lam - len(lambdas) / R)) > tol:
                     raise ValueError(f"{path}, line {line}: shift {row[2]} differs from "

@@ -84,7 +84,7 @@ class DirichletCollisionError(ArithmeticError):
 
 
 class TransferDenominatorError(ArithmeticError):
-    """The radius-transfer denominator vanished at some degree."""
+    """The radius-map denominator a lambda_k + k + d - 2 - (a/R)^m a s_k vanished."""
 
     def __init__(self, k):
         self.k = k
@@ -258,52 +258,57 @@ def spectrum_of(profile, kmax, prec):
     return conductivity_spectrum(profile, kmax, prec)
 
 
-def transfer_radius(spec, R):
-    """Map a unit-ball potential spectrum to the ball of radius R >= 1.
+def scaled_shifts(spec, R, d, prec):
+    """mu_k(R) = R^{2k+d-1} (lambda_k^R - k/R) of the spectrum moved to radius R, k = 0..K.
 
-    Valid when the underlying potential is supported in the unit ball:
+    Outside the support the solution is A r^k + B r^{-(k+d-2)} for both kinds,
+    so with a = spec.radius, m = 2k + d - 2 and s_k = lambda_k - k/a,
 
-        lambda_k^R - k/R =
-            R^{-(2k+2)} (lambda_k - k) (2k+1)
-            / (lambda_k + k + 1 - R^{-(2k+1)} (lambda_k - k))
+        mu_k(R) = a^{m+1} s_k m / (a lambda_k + k + d - 2 - (a/R)^m a s_k).
+
+    R = a gives a^{m+1} s_k exactly and R = inf the scattering limit.  Valid
+    when the coefficient is background outside the ball of radius min(a, R).
+    Computed at prec + GUARD_BITS bits; a zero denominator raises
+    TransferDenominatorError.
     """
-    if spec.kind is not ProfileKind.POTENTIAL:
-        raise ValueError("radius transfer is defined for potential spectra")
-    if float(spec.radius) != 1.0:
-        raise ValueError("transfer_radius expects the unit-ball spectrum")
-    if R < 1:
-        raise ValueError("target radius must be >= 1")
-    prec = spec.prec
     with mp.workprec(prec + GUARD_BITS):
-        R = mpf(R)
+        a, R = mpf(spec.radius), mpf(R)
+        unit, far = a == 1, mpmath.isinf(R)  # skip the powers of a and of R
         out = []
         for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + 1
-            den = lam + k + 1 - R**(-m) * (lam - k)
+            m = 2 * k + d - 2
+            s = lam - k if unit else lam - mpf(k) / a
+            if R == a:
+                out.append(s if unit else a ** (m + 1) * s)
+                continue
+            den = (lam if unit else a * lam) + k + d - 2
+            if not far:
+                den -= (R ** -m if unit else (a / R) ** m * a) * s
             if den == 0:
                 raise TransferDenominatorError(k)
-            shift = R**(-(m + 1)) * (lam - k) * m / den
-            out.append(to_prec(mpf(k) / R + shift, prec))
-    return DtnSpectrum(ProfileKind.POTENTIAL, float(R), out, prec)
+            out.append(s * m / den if unit else a ** (m + 1) * s * m / den)
+    return out
+
+
+def transfer_radius(spec, R):
+    """Move a spectrum to the ball of radius R: lambda_k^R = k/R + R^{-(2k+2)} mu_k(R).
+
+    Valid when the coefficient is background outside the ball of radius
+    min(spec.radius, R); see :func:`scaled_shifts`.
+    """
+    if not 0 < R < mpmath.inf:
+        raise ValueError("target radius must be positive and finite")
+    prec = spec.prec
+    mu = scaled_shifts(spec, R, 3, prec)
+    with mp.workprec(prec + GUARD_BITS):
+        R = mpf(R)
+        out = [to_prec(mpf(k) / R + R ** -(2 * k + 2) * v, prec) for k, v in enumerate(mu)]
+    return DtnSpectrum(spec.kind, float(R), out, prec)
 
 
 def untransfer_radius(spec):
     """Invert :func:`transfer_radius`: recover the unit-ball spectrum from radius R."""
-    if spec.kind is not ProfileKind.POTENTIAL:
-        raise ValueError("radius transfer is defined for potential spectra")
-    prec = spec.prec
-    with mp.workprec(prec + GUARD_BITS):
-        R = mpf(spec.radius)
-        out = []
-        for k, lamR in enumerate(spec.lambdas):
-            m = 2 * k + 1
-            s = lamR - mpf(k) / R
-            den = R**(-(m + 1)) * m - s * (1 - R**(-m))
-            if den == 0:
-                raise TransferDenominatorError(k)
-            shift = s * m / den
-            out.append(to_prec(k + shift, prec))
-    return DtnSpectrum(ProfileKind.POTENTIAL, 1.0, out, prec)
+    return transfer_radius(spec, 1.0)
 
 
 def ode_log_derivative_oracle(q, k, R=None, step=1e-4):

@@ -16,14 +16,13 @@ from mpmath import mp, mpf
 from radialborn.born import (
     born_conductivity_fourier,
     born_potential_fourier,
-    eigenvalue_moment_residual,
     eval_series_L,
     eval_series_L_grid,
     moment_sequence_exact,
     moments_from_samples,
     series_coefficients,
 )
-from radialborn.forward import spectrum_of
+from radialborn.forward import DtnSpectrum, TransferDenominatorError, spectrum_of
 from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
@@ -161,6 +160,32 @@ def test_potential_unit_and_finiteR1_agree_bitwise():
     assert a.values == b.values
 
 
+def test_finite_radius_modes_from_any_radius():
+    # a radius-2.5 conductivity supported in B_1.9: finiteR at its own radius is
+    # unit mode bit for bit, and finiteR at R = 4 matches unit mode of the
+    # radius-4 solve
+    def solve(R):
+        return spectrum_of(PiecewiseProfile(ProfileKind.CONDUCTIVITY, R, (0.0, 0.7, 1.9, R),
+                                            (3.0, 0.2, 1.0)), 40, 256)
+    xi = [0.0, 0.5, 2.0]
+    spec = solve(2.5)
+    unit = born_conductivity_fourier(spec, xi, mode="unit", prec=256)
+    assert born_conductivity_fourier(spec, xi, mode="finiteR", R=2.5, prec=256).values == unit.values
+    far = born_conductivity_fourier(spec, xi, mode="finiteR", R=4.0, prec=256)
+    direct = born_conductivity_fourier(solve(4.0), xi, mode="unit", prec=256)
+    with mp.workprec(300):
+        for a, b in zip(far.values, direct.values):
+            assert abs(a - b) <= abs(b) * mpf(2) ** -200
+
+
+def test_zero_scattering_denominator_raises_with_its_degree():
+    # lambda_0 = -1 on the unit ball: lambda_0 + 0 + 1 = 0 in the scattering weight
+    spec = DtnSpectrum(ProfileKind.POTENTIAL, 1.0, (mpf(-1), mpf(1)), 128)
+    with pytest.raises(TransferDenominatorError) as exc:
+        born_potential_fourier(spec, [0.0, 1.0], mode="scattering", prec=128)
+    assert exc.value.k == 0
+
+
 def test_conductivity_zero_frequency_limit():
     # xi = 0 value is the k = 1 term: (4 pi / 3) (lambda_1 - 1) for d = 3
     g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
@@ -222,6 +247,13 @@ def test_lambda0_warning_for_nonzero_boundary():
                       (mpf("0.2"), mpf("1.1")), 128)
     with pytest.warns(UserWarning, match="lambda_0"):
         born_conductivity_fourier(bad, [0.0], mode="unit", prec=128)
+
+
+def eigenvalue_moment_residual(spec, q):
+    """lambda_k - k - sigma_k[q] on the unit ball, k = 0..K."""
+    sigma = moment_sequence_exact(q, spec.kmax, 3, spec.prec)
+    with mp.workprec(spec.prec + GUARD_BITS):
+        return [to_prec(mpf(lam) - k - s, spec.prec) for k, (lam, s) in enumerate(zip(spec.lambdas, sigma))]
 
 
 def test_residual_quadratic_scaling():

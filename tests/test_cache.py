@@ -78,6 +78,19 @@ def test_miss_and_corruption_return_none(tmp_path):
     assert load_spectrum(gamma(), 10, 256, cache_dir=tmp_path) is None
 
 
+def test_entry_that_does_not_fit_the_request_is_a_miss(tmp_path):
+    # an entry holding 3 potential lambdas under the key of a K = 10 conductivity
+    path = store_spectrum(spectrum_of(gamma(), 10, 256), gamma(), cache_dir=tmp_path)
+    good = json.loads(path.read_text())
+    for edit in ({"kind": "potential"}, {"lambdas": good["lambdas"][:3]}):
+        path.write_text(json.dumps({**good, **edit}))
+        assert load_spectrum(gamma(), 10, 256, cache_dir=tmp_path) is None
+    path.write_text(json.dumps({**good, "kind": "potential", "lambdas": good["lambdas"][:3]}))
+    spec = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path)
+    assert spec.kind is ProfileKind.CONDUCTIVITY and spec.kmax == 10
+    assert json.loads(path.read_text()) == good
+
+
 def test_cached_spectrum_of_hits_without_recompute(tmp_path):
     calls = []
 

@@ -224,6 +224,17 @@ def test_exit_code_input_error(workdir):
     assert not (workdir / "run").exists()
 
 
+def test_spectrum_csv_errors_name_the_file_once(workdir, capsys):
+    empty = write(workdir / "empty.csv", "k,lambda,shift\n")
+    bad = write(workdir / "bad.csv", "k,lambda,shift\n0,0.5,0.5\n1,1.2x,0.2\n")
+    for path, where, what in ((empty, f"{empty}: ", "no spectrum rows"),
+                              (bad, f"{bad}, line 3: ", "1.2x")):
+        assert main(["born", "--spectrum", path, "--kind", "potential",
+                     "--precision", "128", "--grid", "32", "--out", "run"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and what in err and err.count(path) == 1
+
+
 def test_exit_code_solver_error(workdir):
     import mpmath
     from mpmath import mp

@@ -4,6 +4,8 @@ from mpmath import mp, mpf
 
 from radialborn.forward import (
     DirichletCollisionError,
+    DtnSpectrum,
+    TransferDenominatorError,
     ode_log_derivative_oracle,
     potential_spectrum,
     spectrum_of,
@@ -96,6 +98,29 @@ def test_transfer_round_trip():
             # representation error by R^(2k+1)
             cond = mpf(3) ** (2 * k + 1)
             assert abs(a - b) <= (abs(a) + 1) * cond * mpf(2) ** -250
+
+
+def test_transfer_works_from_any_radius():
+    # inward from a directly solved radius-2 spectrum, and between two radii > 1,
+    # for a potential and a conductivity supported in B_0.9
+    for kind, vals in ((ProfileKind.POTENTIAL, (3.0, 0.0)), (ProfileKind.CONDUCTIVITY, (2.5, 1.0))):
+        solve = {R: spectrum_of(PiecewiseProfile(kind, R, (0.0, 0.9, R), vals), 20, 256)
+                 for R in (1.0, 2.0, 3.0)}
+        for a, R in ((2.0, 1.0), (2.0, 3.0)):
+            moved = transfer_radius(solve[a], R)
+            assert moved.kind is kind and moved.radius == R
+            with mp.workprec(300):
+                for k, (x, y) in enumerate(zip(moved.lambdas, solve[R].lambdas)):
+                    cond = max(a / R, 1.0) ** (2 * k + 1)  # inward amplifies the shift's error
+                    assert abs(x - y) <= (abs(y) + 1) * cond * mpf(2) ** -240, (kind, a, R, k)
+
+
+def test_zero_transfer_denominator_raises_with_its_degree():
+    # lambda_0 = -2 on the unit ball: lambda_0 + 1 - 2^-1 (lambda_0 - 0) = 0 at R = 2
+    spec = DtnSpectrum(ProfileKind.POTENTIAL, 1.0, (mpf(-2), mpf(1)), 128)
+    with pytest.raises(TransferDenominatorError) as exc:
+        transfer_radius(spec, 2.0)
+    assert exc.value.k == 0
 
 
 def test_conductivity_lambda0_always_zero():
