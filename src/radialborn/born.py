@@ -38,7 +38,6 @@ class FourierSamples:
 
     xi_grid: tuple
     values: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "xi_grid", tuple(self.xi_grid))
@@ -143,11 +142,11 @@ def eval_series_L(mu, xi, d=3, prec=1024):
     return eval_series_L_grid(mu, [xi], d, prec).values[0]
 
 
-def eval_series_L_grid(mu, xi_grid, d=3, prec=1024, label=""):
+def eval_series_L_grid(mu, xi_grid, d=3, prec=1024):
     """L_d(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
     vals = _series_sum(_series_terms(mu, d, prec), xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals), label)
+    return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
 def _eigenvalue_entries(spec, mode, R, d, prec):
@@ -172,7 +171,7 @@ def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
         raise ValueError("born_potential_fourier requires a potential spectrum")
     prec = check_precision(prec)
     mu = _eigenvalue_entries(spec, mode, R, d, prec)
-    return eval_series_L_grid(mu, xi_grid, d, prec, label=f"born_q_{mode}")
+    return eval_series_L_grid(mu, xi_grid, d, prec)
 
 
 def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
@@ -197,14 +196,14 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     if mode == "moment_form":
         with mp.workprec(prec + GUARD_BITS):
             nu = [mu[k + 1] / (2 * (k + 1) * (k + mpf(d) / 2)) for k in range(spec.kmax)]
-        return eval_series_L_grid(nu, xi_grid, d, prec, label="born_gamma_moment_form")
+        return eval_series_L_grid(nu, xi_grid, d, prec)
     # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
     # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}
     terms = _series_terms(mu, d, prec)
     with mp.workprec(prec + GUARD_BITS):
         terms = [-t / 2 for t in terms[1:]]
     vals = _series_sum(terms, xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals), label=f"born_gamma_{mode}")
+    return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
 def moment_sequence_exact(f, kmax, d=3, prec=256):

@@ -16,6 +16,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_float, from_int
 
@@ -98,8 +99,9 @@ def store_spectrum(spec, profile, cache_dir=None):
 
 
 def load_spectrum(profile, kmax, prec, cache_dir=None):
-    """Cached spectrum for this exact problem, or None on a miss, a corrupt entry or
-    one whose version, kind, kmax, prec or lambda count does not fit the request."""
+    """Cached spectrum for this exact problem, or None on a miss, a corrupt entry, one
+    holding a non-finite number, or one whose version, kind, kmax, prec or lambda
+    count does not fit the request."""
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = _entry_path(cache_dir, spectrum_key(profile, kmax, prec))
     try:
@@ -115,6 +117,8 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
             lambdas = tuple(to_prec(mpf(s), prec) for s in entry["lambdas"])
             radius = to_prec(mpf(entry["radius"]), prec)
     except (KeyError, ValueError, TypeError):
+        return None
+    if not all(mpmath.isfinite(x) for x in (radius, *lambdas)):
         return None
     return DtnSpectrum(profile.kind, radius, lambdas, prec)
 

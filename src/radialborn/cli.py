@@ -207,7 +207,7 @@ def cmd_invert_fourier(args):
     except (OSError, ValueError, StopIteration) as e:
         raise InputError(f"{args.input}: {e}")
     F = FourierSamples(xi, tuple(v for _, v in rows))
-    s = inverse_radial_ft(F, label="inverse")
+    s = inverse_radial_ft(F)
     out = Path(args.out)
     path = write_csv(out / "inverse.csv", ("r", "value"), samples_rows(s))
     print(path)

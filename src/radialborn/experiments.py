@@ -88,8 +88,8 @@ def read_spectrum_csv(path, kind, radius, prec):
     """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
 
     Raises ValueError naming the file (and the line) on a bad header, an unparsable
-    number, k not running 0, 1, 2, ..., a shift off lambda - k/R by more than
-    2^(2-prec) max(|lambda|, |shift|), or no rows.
+    or non-finite number, k not running 0, 1, 2, ..., a shift off lambda - k/R by
+    more than 2^(2-prec) max(|lambda|, |shift|), or no rows.
     """
     lambdas = []
     with open(path, newline="") as fh:
@@ -108,6 +108,9 @@ def read_spectrum_csv(path, kind, radius, prec):
                 lam, shift = to_prec(row[1], prec), to_prec(row[2], prec + GUARD_BITS)
             except ValueError as e:
                 raise ValueError(f"{path}, line {line}: {e}") from None
+            if not (mpmath.isfinite(lam) and mpmath.isfinite(shift)):
+                raise ValueError(f"{path}, line {line}: lambda and shift must be finite, "
+                                 f"got {row[1]!r} and {row[2]!r}")
             with mp.workprec(prec + GUARD_BITS):
                 tol = mpmath.ldexp(max(abs(lam), abs(shift)), 2 - prec)
                 if abs(shift - (lam - len(lambdas) / R)) > tol:

@@ -1,60 +1,42 @@
 """Dirichlet-to-Neumann spectra of radial piecewise-constant coefficients.
 
-The radial equation for spherical-harmonic degree k (d = 3) is solved exactly
-piece by piece.  For a potential, the substitution w = r u turns
+One engine solves both kinds.  For degree k (d = 3) the radial equation on a
+piece (a, b] is (r^2 gamma_j u')' = k(k+1) gamma_j u for a conductivity and
+(r^2 u')' = (c r^2 + k(k+1)) u for a potential, and u and r gamma u'
+(gamma = 1 for a potential) are continuous across interfaces.  Per degree the
+state is a projective pair of Python ints (U, V) proportional to
+(u, r gamma u').  A piece carries it by v_b = Phi_b adj(Phi_a) v_a, where the
+columns of Phi_r are the two fundamental solutions as (u, r gamma u') at r;
+the innermost piece keeps its regular solution alone.
 
-    -(r^2 u')' / r^2 + (q0 + k(k+1)/r^2) u = 0
+A flat piece is every conductivity piece, and a potential piece with c = 0
+taken as gamma_j = 1.  Its solutions r^k and r^{-(k+1)}, scaled, give
+Phi_a = [[1, 1], [g k, -g(k+1)]] and Phi_b = [[1, t], [g k, -g(k+1) t]] with
+g = gamma_j and t = (a/b)^{2k+1}, so with B = g k U - V and A = g(k+1) U + V
 
-into w'' = (q0 + k(k+1)/r^2) w, whose fundamental solutions on a piece with
-constant value c are
+    U <- A + t B,    V <- g (k A - (k+1) t B).
 
-    c > 0:  r i_k(s r),  r kk_k(s r)      with s = sqrt(c)
-    c < 0:  r j_k(s r),  r y_k(s r)       with s = sqrt(-c)
-    c = 0:  r^{k+1},     r^{-k}
+gamma_j = G / 2^gn enters exactly and t in F-bit fixed point,
+F = prec + GUARD_BITS + bit_length(max(m, K+1)).  B = 0 means u is the pure
+r^k solution, which crosses unchanged: the pair is reset exactly to
+(1, gamma_j k), so lambda_0 = 0 and a flat gamma gives lambda_k = gamma k/R
+correctly rounded.
 
-The regular branch is selected on the innermost piece.  For each degree k
-the state is a projective pair of Python ints (P, Q) proportional to
-(w, r w'), which is continuous across interfaces.  On a Bessel piece, with
-f the regular or singular spherical function at x = s r, a column of the
-fundamental matrix is r (f_k, g_k), g_k = (1+k) f_k +- x f_{k+1} = f_k + x f_k'.
-Every ladder value is read once as an exact mantissa and exponent, so f_k
-and g_k are exact ints sharing one exponent per column; the common factor r
-and the column exponents drop out of v_b = Phi_b adj(Phi_a) v_a up to one
-left shift that aligns the two columns, which leaves eight exact integer
-products per degree.  A flat piece (c = 0) uses Phi_a = [[1, 1], [k+1, -k]]
-and Phi_b = [[1, t], [k+1, -k t]] with t = (a/b)^{2k+1} in F-bit fixed
-point, F = prec + GUARD_BITS + bit_length(max(m, K+1)).  After each piece
-one shift brings max(|P|, |Q|) back to F bits, the only rounding inside the
-loop, and lambda_k = w'(R)/w(R) - 1/R = (Q - P)/(P R) is rounded to prec
-once.  The per-piece Bessel ladders are evaluated for all k at once (seeded
-at the top order, recurred downward for the regular family; upward from
-closed forms for the singular family), so a potential spectrum costs
-O(m K) big-float operations in the ladders plus O(m K) integer products.
+A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
+solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x, and
+r u' = x f_k' = k f_k +- x f_{k+1}.  Every ladder value is read once as an
+exact mantissa and exponent, so a column (f_k, x f_k') is a pair of exact
+ints sharing one exponent; the exponents drop out of Phi_b adj(Phi_a) up to
+one left shift that aligns the two columns, which leaves eight exact integer
+products per degree.  The ladders of a piece serve all k at once.
 
-Conductivities carry, for each degree k, only the log derivative
-eta_k(r) = r gamma u'/u, which is continuous across interfaces because u and
-gamma u' are (the Riccati form of layer stripping).  On a piece (a, b] with
-value gamma_j the solutions are u = A r^k + B r^{-(k+1)}; with
-rho = (B/A) r^{-(2k+1)} and e = eta/gamma_j,
-
-    rho = (k - e) / (e + k + 1),      e = (k - (k+1) rho) / (1 + rho),
-
-and crossing the piece multiplies rho by (a/b)^{2k+1}.  Writing
-sigma = 1 - (a/b)^{2k+1} and e = c/w, the step is the Moebius map
-
-    eta(b) = gamma_j ((2k+1) c + (k+1) p sigma) / ((2k+1) w - p sigma),
-    p = k w - c,
-
-whose two terms never cancel.  eta_k is held as a projective pair (N, D) of
-Python ints: gamma_j enters as its exact mantissa and exponent,
-(a/b)^{2k+1} as an F-bit fixed-point number with
-F = prec + GUARD_BITS + bit_length(max(m, K+1)), and after each step one
-right shift brings D back to F bits, the only rounding inside the loop.
-lambda_k = eta_k(R)/R is rounded to prec once, at the end.  Two cases stay
-exact: eta_0 = 0 (so lambda_0 = 0), and a piece with e = k (p = 0, flat
-gamma) resets the pair to gamma_j k without rounding, so a flat gamma gives
-lambda_k = gamma k/R correctly rounded.  A spectrum costs O(m K) integer
-multiplications and no big-float operation inside the loop.
+After each piece one shift brings U back to F bits (V when U = 0), the only
+rounding inside the loop; unlike max(|U|, |V|), this keeps F bits of U however
+large a conductivity contrast makes V / U.  lambda_k = V / (U R) is rounded to
+prec once, at the end.  A spectrum costs O(m K) integer products, plus
+O(m K) big-float operations in the ladders of its Bessel pieces.  Only a
+potential can put a Dirichlet eigenvalue at 0, where u(R) vanishes; its
+spectrum raises DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
 """
 
 from dataclasses import dataclass
@@ -76,7 +58,7 @@ from .profiles import ProfileKind
 
 
 class DirichletCollisionError(ArithmeticError):
-    """w(R) underflowed relative to w'(R): 0 is a Dirichlet eigenvalue of -Delta + q."""
+    """R u(R) underflowed relative to u(R) + R u'(R): 0 is a Dirichlet eigenvalue of -Delta + q."""
 
     def __init__(self, k):
         self.k = k
@@ -109,10 +91,10 @@ class DtnSpectrum:
 
 
 def _bessel_columns(ladder, x, sgn, kmax):
-    """Exact ints (f, g, e) with (f_k(x), g_k(x)) = (f, g) 2^e, k = 0..kmax.
+    """Exact ints (f, v, e) with (f_k(x), x f_k'(x)) = (f, v) 2^e, k = 0..kmax.
 
-    g_k = (1+k) f_k + sgn x f_{k+1} = f_k + x f_k'(x), so r (f_k, g_k) at
-    x = s r is (w, r w') for w = r f_k(s r).
+    x f_k' = k f_k + sgn x f_{k+1}, so (f_k, x f_k') at x = s r is (u, r u')
+    for u = f_k(s r).
     """
     _, xm, xe, _ = x._mpf_
     vals = [(-m if sign else m, e) for sign, m, e, _ in (v._mpf_ for v in ladder(kmax, x))]
@@ -123,78 +105,14 @@ def _bessel_columns(ladder, x, sgn, kmax):
         he += xe
         e = min(fe, he)
         f = fm << fe - e
-        cols.append((f, (k + 1) * f + (sgn * xm * hm << he - e), e))
+        cols.append((f, k * f + (sgn * xm * hm << he - e), e))
     return cols
 
 
-def _to_bits(P, Q, bits):
-    # one shift brings max(|P|, |Q|) to `bits` bits
-    s = max(P.bit_length(), Q.bit_length()) - bits
-    return (P >> s, Q >> s) if s >= 0 else (P << -s, Q << -s)
-
-
-def potential_spectrum(q, kmax, prec):
-    """DtN eigenvalues of -Delta + q on the ball of radius q.radius, k = 0..kmax."""
-    if q.kind is not ProfileKind.POTENTIAL:
-        raise ValueError("potential_spectrum requires a potential profile")
-    prec = check_precision(prec)
-    F = prec + GUARD_BITS + max(q.piece_count, kmax + 1).bit_length()
-    ks = range(kmax + 1)
-    dy = [_dyadic(x, F) for x in q.breakpoints]
-    with mp.workprec(prec + GUARD_BITS):
-        bp = [mpf(x) for x in q.breakpoints]
-        for j, value in enumerate(q.values):
-            a, b, c = bp[j], bp[j + 1], mpf(value)
-            if c == 0 and j == 0:
-                # innermost piece: w = r^{k+1}
-                state = [_to_bits(1, k + 1, F) for k in ks]
-            elif c == 0:
-                # columns r^{k+1}, r^{-k}, scaled to [[1, 1], [k+1, -k]] at a
-                t = _fixed_ratio(dy[j], dy[j + 1], F)
-                t2 = t * t >> F
-                tk = t  # (a/b)^{2k+1}
-                for k in ks:
-                    P, Q = state[k]
-                    A, B = k * P + Q, (k + 1) * P - Q
-                    x = tk * B
-                    state[k] = _to_bits((A << F) + x, ((k + 1) * A << F) - k * x, F)
-                    tk = tk * t2 >> F
-            else:
-                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if c > 0
-                                  else (sph_j_ladder, sph_y_ladder, -1))
-                s = mpmath.sqrt(abs(c))
-                xa, xb = s * a, s * b
-                reg_b = _bessel_columns(reg, xb, sgn, kmax)
-                if j == 0:
-                    # innermost piece: regular branch only
-                    state = [_to_bits(f, g, F) for f, g, _ in reg_b]
-                    continue
-                cols = zip(_bessel_columns(reg, xa, sgn, kmax), _bessel_columns(sing, xa, -1, kmax),
-                           reg_b, _bessel_columns(sing, xb, -1, kmax))
-                for k, ends in enumerate(cols):
-                    (f1a, g1a, e1a), (f2a, g2a, e2a), (f1b, g1b, e1b), (f2b, g2b, e2b) = ends
-                    # v_b = Phi_b adj(Phi_a) v_a: A carries 2^e2a and B 2^e1a, so
-                    # one left shift puts f1b A and f2b B on one exponent
-                    P, Q = state[k]
-                    A, B = g2a * P - f2a * Q, f1a * Q - g1a * P
-                    d = e1b + e2a - e2b - e1a
-                    if d > 0:
-                        A <<= d
-                    else:
-                        B <<= -d
-                    state[k] = _to_bits(f1b * A + f2b * B, g1b * A + g2b * B, F)
-
-    # (P, Q) is proportional to (w, R w'), R = rm 2^re; a collision is
-    # |w| < 2^(-prec//2) |w'|, that is |P| rm 2^z < |Q|
-    rm, re = dy[-1]
-    z = re - (-prec // 2)
-    lambdas = []
-    for k, (P, Q) in enumerate(state):
-        if abs(P) * rm << max(z, 0) < abs(Q) << max(-z, 0):
-            raise DirichletCollisionError(k)
-        lambdas.append(mp.make_mpf(mpf_div(from_man_exp(Q - P, -re), from_int(P * rm),
-                                           prec, round_nearest)))
-    return DtnSpectrum(ProfileKind.POTENTIAL, q.radius, lambdas, prec)
+def _to_bits(U, V, bits):
+    # one shift brings U to `bits` bits (V when U = 0)
+    s = (U or V).bit_length() - bits
+    return (U >> s, V >> s) if s >= 0 else (U << -s, V << -s)
 
 
 def _dyadic(x, bits):
@@ -211,45 +129,93 @@ def _fixed_ratio(a, b, bits):
     return (am << s) // bm if s >= 0 else am // (bm << -s)
 
 
+def _spectrum(p, kmax, prec):
+    """lambda_0..lambda_kmax of either kind by the one transfer described above."""
+    prec = check_precision(prec)
+    potential = p.kind is ProfileKind.POTENTIAL
+    F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
+    ks = range(kmax + 1)
+    dy = [_dyadic(x, F) for x in p.breakpoints]
+    with mp.workprec(prec + GUARD_BITS):
+        for j, value in enumerate(p.values):
+            if potential and value != 0:
+                a, b, c = mpf(p.breakpoints[j]), mpf(p.breakpoints[j + 1]), mpf(value)
+                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if c > 0
+                                  else (sph_j_ladder, sph_y_ladder, -1))
+                s = mpmath.sqrt(abs(c))
+                xa, xb = s * a, s * b
+                reg_b = _bessel_columns(reg, xb, sgn, kmax)
+                if j == 0:
+                    # innermost piece: the regular solution
+                    state = [_to_bits(f, v, F) for f, v, _ in reg_b]
+                    continue
+                cols = zip(_bessel_columns(reg, xa, sgn, kmax), _bessel_columns(sing, xa, -1, kmax),
+                           reg_b, _bessel_columns(sing, xb, -1, kmax))
+                for k, ends in enumerate(cols):
+                    (f1a, v1a, e1a), (f2a, v2a, e2a), (f1b, v1b, e1b), (f2b, v2b, e2b) = ends
+                    # adj(Phi_a) v_a: A carries 2^e2a and B 2^e1a, so one left
+                    # shift puts f1b A and f2b B on one exponent
+                    U, V = state[k]
+                    A, B = v2a * U - f2a * V, f1a * V - v1a * U
+                    d = e1b + e2a - e2b - e1a
+                    if d > 0:
+                        A <<= d
+                    else:
+                        B <<= -d
+                    state[k] = _to_bits(f1b * A + f2b * B, v1b * A + v2b * B, F)
+                continue
+            # flat piece: gamma_j = G / 2^gn, and 1 for a potential
+            gm, ge = _dyadic(1 if potential else value, F)
+            G, gn = gm << max(ge, 0), max(-ge, 0)
+            if j == 0:
+                # innermost piece: u = r^k
+                state = [(1 << gn, k * G) for k in ks]
+                continue
+            t = _fixed_ratio(dy[j], dy[j + 1], F)
+            t2 = t * t >> F
+            tk = t  # (a/b)^{2k+1}
+            for k in ks:
+                U, V = state[k]
+                u, v = U * G, V << gn  # B and A below carry 2^gn
+                ku = k * u
+                B = ku - v
+                if B:
+                    A = ku + u + v
+                    x = tk * B
+                    U, V = (A << F) + x << gn, ((k * A << F) - (k + 1) * x) * G
+                    # _to_bits inlined: a call costs about 3 % of this loop
+                    s = (U or V).bit_length() - F
+                    state[k] = (U >> s, V >> s) if s >= 0 else (U << -s, V << -s)
+                else:
+                    # the pure r^k solution crosses unchanged
+                    state[k] = (1 << gn, k * G)
+                tk = tk * t2 >> F
+
+    # (U, V) is proportional to (u, R gamma u'), R = rm 2^re
+    rm, re = dy[-1]
+    if potential:
+        # a collision is |R u| < 2^(-prec//2) |u + R u'|, that is |U| rm 2^z < |U + V|
+        z = re - (-prec // 2)
+        for k, (U, V) in enumerate(state):
+            if abs(U) * rm << max(z, 0) < abs(U + V) << max(-z, 0):
+                raise DirichletCollisionError(k)
+    lambdas = [mp.make_mpf(mpf_div(from_man_exp(V, -re), from_int(U * rm), prec, round_nearest))
+               for U, V in state]
+    return DtnSpectrum(p.kind, p.radius, lambdas, prec)
+
+
+def potential_spectrum(q, kmax, prec):
+    """DtN eigenvalues of -Delta + q on the ball of radius q.radius, k = 0..kmax."""
+    if q.kind is not ProfileKind.POTENTIAL:
+        raise ValueError("potential_spectrum requires a potential profile")
+    return _spectrum(q, kmax, prec)
+
+
 def conductivity_spectrum(g, kmax, prec):
     """DtN eigenvalues of div(gamma grad .) on the ball, k = 0..kmax."""
     if g.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("conductivity_spectrum requires a conductivity profile")
-    prec = check_precision(prec)
-    F = prec + GUARD_BITS + max(g.piece_count, kmax + 1).bit_length()
-    bp = [_dyadic(x, F) for x in g.breakpoints]
-    one = 1 << F
-    for j, value in enumerate(g.values):
-        gm, ge = _dyadic(value, F)
-        G, gn = gm << max(ge, 0), max(-ge, 0)  # gamma_j = G / 2^gn
-        if j == 0:
-            # innermost piece: u = r^k, eta = gamma_0 k
-            N = [k * G for k in range(kmax + 1)]
-            D = [1 << gn] * (kmax + 1)
-            continue
-        t = _fixed_ratio(bp[j], bp[j + 1], F)
-        t2 = t * t >> F
-        tk = t  # (a/b)^{2k+1}
-        for k in range(kmax + 1):
-            w = D[k] * G
-            c = N[k] << gn  # e = eta / gamma_j = c / w
-            p = k * w - c  # rho = p / ((k+1) w + c)
-            if p:
-                x = p * (one - tk)
-                N[k] = (((2 * k + 1) * c << F) + (k + 1) * x) * G
-                d = ((2 * k + 1) * w << F) - x << gn
-                s = d.bit_length() - F  # >= 1: d > 2^F
-                N[k] >>= s
-                D[k] = d >> s
-            else:
-                # e = k: the pure r^k solution crosses unchanged
-                N[k], D[k] = k * G, 1 << gn
-            tk = tk * t2 >> F
-
-    rm, re = bp[-1]
-    lambdas = [mp.make_mpf(mpf_div(from_man_exp(n, -re), from_int(d * rm), prec, round_nearest))
-               for n, d in zip(N, D)]
-    return DtnSpectrum(ProfileKind.CONDUCTIVITY, g.radius, lambdas, prec)
+    return _spectrum(g, kmax, prec)
 
 
 def spectrum_of(profile, kmax, prec):

@@ -40,7 +40,6 @@ class RadialSamples:
 
     r_grid: np.ndarray
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "r_grid", np.asarray(self.r_grid, dtype=float))
@@ -50,7 +49,7 @@ class RadialSamples:
 
     def restrict(self, a, b):
         mask = (self.r_grid >= a) & (self.r_grid <= b)
-        return RadialSamples(self.r_grid[mask], self.values[mask], self.label)
+        return RadialSamples(self.r_grid[mask], self.values[mask])
 
 
 def xi_node_bits(n):
@@ -168,10 +167,10 @@ def forward_radial_ft(f, xi_grid, prec=256, subtract_background=False):
                         work, round_nearest)
             xi = mp.make_mpf(from_man_exp(Nj, e))
             vals.append(to_prec(pi4 * mp.make_mpf(t) / xi**3, prec))
-    return FourierSamples(tuple(xi_grid), tuple(vals), label="forward_ft")
+    return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
-def inverse_radial_ft(F, label=""):
+def inverse_radial_ft(F):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
     Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
@@ -200,4 +199,4 @@ def inverse_radial_ft(F, label=""):
     sine_sums = -0.5 * np.fft.rfft(odd)[1:n].imag
     out[1:-1] = h_xi / (2 * np.pi**2 * r[1:-1]) * sine_sums
     out[-1] = 0.0
-    return RadialSamples(r, out, label=label or F.label)
+    return RadialSamples(r, out)

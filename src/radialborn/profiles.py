@@ -114,7 +114,11 @@ class AnalyticProfile:
         fn = _ANALYTIC_BUILTINS.get(self.name)
         if fn is None:
             raise ValueError(f"unknown analytic descriptor {self.name!r}")
-        return fn(float(r), float(self.radius), self.params)
+        try:
+            return fn(float(r), float(self.radius), self.params)
+        except KeyError as e:
+            raise ValueError(f"analytic descriptor {self.name!r} needs parameter "
+                             f"{e.args[0]}") from None
 
 
 def _eval_constant(r, R, p):

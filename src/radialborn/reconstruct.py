@@ -103,9 +103,9 @@ def born_fourier(spec, params=None, mode="unit", R=None):
 def born_inverse(F, kind):
     """Radial samples of a Born transform of ``kind``, background added."""
     if kind is ProfileKind.POTENTIAL:
-        return inverse_radial_ft(F, label="born_q")
-    out = inverse_radial_ft(F, label="born_gamma")
-    return RadialSamples(out.r_grid, out.values + kind.background, out.label)
+        return inverse_radial_ft(F)
+    out = inverse_radial_ft(F)
+    return RadialSamples(out.r_grid, out.values + kind.background)
 
 
 def born_samples(spec, params=None, mode="unit", R=None):
@@ -174,8 +174,7 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
         prof = samples_to_profile(current, kind, radius, params.pieces)
         spec_n = spectrum_of(prof, params.terms, params.prec)
         born_n = born_samples(spec_n, params)
-        nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values,
-                            label="iterate")
+        nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values)
         iterates.append(nxt)
         l2, linf = error_norms(nxt, ref_vals, (0.0, radius))
         l2s.append(l2)

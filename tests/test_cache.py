@@ -82,7 +82,10 @@ def test_entry_that_does_not_fit_the_request_is_a_miss(tmp_path):
     # an entry holding 3 potential lambdas under the key of a K = 10 conductivity
     path = store_spectrum(spectrum_of(gamma(), 10, 256), gamma(), cache_dir=tmp_path)
     good = json.loads(path.read_text())
-    for edit in ({"kind": "potential"}, {"lambdas": good["lambdas"][:3]}):
+    # a non-finite lambda or radius would pass every field check
+    for edit in ({"kind": "potential"}, {"lambdas": good["lambdas"][:3]},
+                 {"lambdas": good["lambdas"][:4] + ["nan"] + good["lambdas"][5:]},
+                 {"lambdas": good["lambdas"][:10] + ["-inf"]}, {"radius": "inf"}):
         path.write_text(json.dumps({**good, **edit}))
         assert load_spectrum(gamma(), 10, 256, cache_dir=tmp_path) is None
     path.write_text(json.dumps({**good, "kind": "potential", "lambdas": good["lambdas"][:3]}))

@@ -217,7 +217,10 @@ def test_exit_code_input_error(workdir):
     assert main(["dtn", "--profile", nan, "--terms", "5", "--precision", "128"]) == 2
     inf = write(workdir / "inf.txt", Q_ONE.replace("values 1", "values inf"))
     assert main(["dtn", "--profile", inf, "--terms", "5", "--precision", "128"]) == 2
-    for text in ("k,lambda,shift\n", ""):
+    step = write(workdir / "step.txt", "kind potential\nradius 1\nanalytic step2 v1=2\n")
+    assert main(["dtn", "--profile", step, "--terms", "5", "--precision", "128"]) == 2
+    for text in ("k,lambda,shift\n", "", "k,lambda,shift\n0,nan,nan\n",
+                 "k,lambda,shift\n0,0.5,0.5\n1,inf,inf\n"):
         spec = write(workdir / "s.csv", text)
         assert main(["born", "--spectrum", spec, "--kind", "potential",
                      "--precision", "128", "--grid", "32", "--out", "run"]) == 2
@@ -227,8 +230,10 @@ def test_exit_code_input_error(workdir):
 def test_spectrum_csv_errors_name_the_file_once(workdir, capsys):
     empty = write(workdir / "empty.csv", "k,lambda,shift\n")
     bad = write(workdir / "bad.csv", "k,lambda,shift\n0,0.5,0.5\n1,1.2x,0.2\n")
+    nan = write(workdir / "nan.csv", "k,lambda,shift\n0,0.5,0.5\n1,nan,nan\n")
     for path, where, what in ((empty, f"{empty}: ", "no spectrum rows"),
-                              (bad, f"{bad}, line 3: ", "1.2x")):
+                              (bad, f"{bad}, line 3: ", "1.2x"),
+                              (nan, f"{nan}, line 3: ", "must be finite")):
         assert main(["born", "--spectrum", path, "--kind", "potential",
                      "--precision", "128", "--grid", "32", "--out", "run"]) == 2
         err = capsys.readouterr().err

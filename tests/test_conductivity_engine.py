@@ -1,4 +1,4 @@
-"""The fixed-point Riccati conductivity engine against an mpf transfer loop.
+"""The forward engine on conductivities against an mpf transfer loop.
 
 ``mpf_conductivity_spectrum`` is the reference: per piece and degree it solves
 for (A, B) in u = A r^k + B r^{-(k+1)} from (u, gamma u') in big floats at
@@ -9,13 +9,14 @@ arithmetic, so agreement between the two checks both.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from radialborn.forward import conductivity_spectrum
 from radialborn.highprec import GUARD_BITS, check_precision, to_prec
-from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 from test_potential_engine import _renormalize
 
 KS = (0, 1, 20, 150)
@@ -116,3 +117,68 @@ def test_flat_conductivity_is_exact(value):
         with mp.workprec(256):
             for k, lam in enumerate(spec.lambdas):
                 assert lam == mp.fdiv(mp.fmul(c, k, exact=True), R)
+
+
+def _exact_lambdas(breaks, values, kmax):
+    """lambda_k as exact fractions for dyadic breakpoints and values: u and gamma u'
+    continuous, u = A r^k + B r^{-(k+1)} on each piece."""
+    out = []
+    for k in range(kmax + 1):
+        A, B = Fraction(1), Fraction(0)
+        for j in range(1, len(values)):
+            r, g0, g1 = Fraction(breaks[j]), Fraction(values[j - 1]), Fraction(values[j])
+            u = A * r ** k + B * r ** -(k + 1)
+            flux = g0 * (k * A * r ** k - (k + 1) * B * r ** -(k + 1))  # r gamma u'
+            # A' r^k + B' r^-(k+1) = u and g1 (k A' r^k - (k+1) B' r^-(k+1)) = flux
+            A = ((k + 1) * u + flux / g1) / ((2 * k + 1) * r ** k)
+            B = (k * u - flux / g1) * r ** (k + 1) / (2 * k + 1)
+        R, g = Fraction(breaks[-1]), Fraction(values[-1])
+        out.append(g * (k * A * R ** k - (k + 1) * B * R ** -(k + 1))
+                   / (R * (A * R ** k + B * R ** -(k + 1))))
+    return out
+
+
+@pytest.mark.parametrize("breaks, values", [((0.0, 0.5, 1.0), (1.0, 2.0 ** 40)),
+                                            ((0.0, 0.25, 0.75, 1.0), (2.0 ** -30, 3.0, 0.5)),
+                                            ((0.0, 0.5, 1.0), (2.0 ** 100, 1.0))])
+def test_dyadic_contrasts_round_the_exact_value_once(breaks, values):
+    # t = (a/b)^{2k+1} and every gamma_j are exact here, so nothing but the
+    # final division may round
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, breaks, values)
+    ours = conductivity_spectrum(g, 5, 64).lambdas
+    with mp.workprec(64):
+        assert list(ours) == [mp.fdiv(x.numerator, x.denominator)
+                              for x in _exact_lambdas(breaks, values, 5)]
+
+
+@pytest.mark.parametrize("exponent", (40, 100))
+def test_high_contrast_keeps_every_bit(exponent):
+    # V / U reaches about k 2^exponent; the state keeps F bits of U regardless
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.3, 0.7, 1.0),
+                         (1.0, 2.0 ** exponent, 3.0))
+    g_outer = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.3, 1.0),
+                               (1.0, 1.7 * 2.0 ** exponent))
+    for profile in (g, g_outer):
+        ours = conductivity_spectrum(profile, 150, 64).lambdas
+        ref = mpf_conductivity_spectrum(profile, 150, 64)
+        with mp.workprec(128):
+            for k, (a, b) in enumerate(zip(ours, ref)):
+                assert abs(a - b) <= max(abs(b), 1) * mpf(2) ** -62, (exponent, k, a, b)
+
+
+def _benchmark_shapes(rng):
+    """The conductivity shapes of the forward benchmark: (profile, prec) at K = 150."""
+    kind = ProfileKind.CONDUCTIVITY
+    r1 = rng.uniform(0.3, 0.7)
+    step = PiecewiseProfile(kind, 1.0, (0.0, r1, 1.0), (rng.uniform(0.3, 3.0), 1.0))
+    c = [rng.uniform(-0.25, 0.25) / j for j in range(1, 5)]
+    smooth = AnalyticProfile(kind, 1.0, "cosine_series", {"c": c, "offset": 1.0})
+    return [(step, 512), (project_midpoint(smooth, 120), 256)]
+
+
+@pytest.mark.parametrize("seed", (1, 101))
+def test_benchmark_shapes_are_bit_identical_to_the_mpf_transfer(seed):
+    for g, prec in _benchmark_shapes(random.Random(seed)):
+        ours = conductivity_spectrum(g, 150, prec).lambdas
+        ref = mpf_conductivity_spectrum(g, 150, prec)
+        assert [x._mpf_ for x in ours] == [x._mpf_ for x in ref], g.piece_count

@@ -1,4 +1,4 @@
-"""The integer projective potential engine against an mpf transfer loop.
+"""The forward engine on potentials against an mpf transfer loop.
 
 ``mpf_potential_spectrum`` is the reference: per piece and degree it solves
 for the coefficients of the two fundamental solutions from (w, w') in big

@@ -19,6 +19,12 @@ def step_gamma():
     return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
 
 
+def test_missing_analytic_parameter_is_a_value_error():
+    p = AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "step2", {"v1": 2.0})
+    with pytest.raises(ValueError, match="'step2' needs parameter r1"):
+        p(0.3)
+
+
 def test_piecewise_evaluation_right_closed():
     p = step_gamma()
     assert p(0.0) == 2.0
