@@ -11,14 +11,20 @@ radius map ``forward.scaled_shifts``, each mode a target radius R: the
 spectrum's own (unit, moment_form), the given R (finiteR) or infinity
 (scattering); a zero denominator raises ``TransferDenominatorError``.  Fed
 these, L_d gives the potential Born approximation, and the conductivity
-variants divide by |xi|^2 via an index shift.  The products a_k = c_k mu_k are formed in big floats at
-prec + GUARD_BITS bits.  One kernel, ``_series_sum``, then sums the
-alternating terms a_k (xi/2)^{2k} at each node by a truncated Horner pass in
-Python integers: it starts at the highest term that can still reach the last
-kept bit and rounds each value to prec once.  Non-finite entries or
-frequencies raise ``ValueError``.
+variants divide by |xi|^2 via an index shift.  The coefficients c_k are
+computed once per (K, d, precision), and the products a_k = c_k mu_k are
+formed in big floats at prec + GUARD_BITS bits.  One kernel, ``_series_sum``,
+then sums the alternating terms a_k (xi/2)^{2k} by a truncated Horner pass in
+Python integers.  It reads the nodes as integers on one exponent, so that
+(xi_n/2)^2 = J_n Y0 with J_n = n^2 on ``default_xi_grid``, folds Y0^k into the
+terms once, and makes each Horner step one small-integer product, one shift
+and one add.  Each pass starts at the highest term that can still reach the
+last kept bit, and each value is rounded to prec once; the error before that
+rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
+Non-finite entries or frequencies raise ``ValueError``.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,15 +52,19 @@ class FourierSamples:
             raise ValueError("grid/value length mismatch")
 
 
+@functools.lru_cache(maxsize=16)
 def series_coefficients(kmax, d, prec):
-    """c_k = 2 pi^{d/2} (-1)^k / (k! Gamma(k + d/2)), k = 0..kmax."""
+    """c_k = 2 pi^{d/2} (-1)^k / (k! Gamma(k + d/2)), k = 0..kmax, as a tuple.
+
+    Computed once per (kmax, d, prec).
+    """
     with mp.workprec(check_precision(prec) + GUARD_BITS):
         c = 2 * mpmath.pi ** (mpf(d) / 2) / mpmath.gamma(mpf(d) / 2)
         out = [c]
         for k in range(kmax):
             c = -c / ((k + 1) * (k + mpf(d) / 2))
             out.append(c)
-        return out
+        return tuple(out)
 
 
 def _series_terms(mu, d, prec):
@@ -73,67 +83,107 @@ def _finite_dyadic(x, what):
     return (-man if sign else man), exp
 
 
+def _one_exponent(xi_grid):
+    """(e, [(m_n, z_n)]) with xi_n = m_n 2^(e + z_n) exactly and z_n >= 0.
+
+    e is the least exponent of a nonzero node, so N_n = m_n 2^z_n are the nodes
+    as integers on one exponent; forming them is left to the caller, since
+    nodes far apart in scale make them long.  A zero node reads (0, 0).
+    Non-finite nodes raise ``ValueError``.
+    """
+    X = [_finite_dyadic(x, "frequency") for x in xi_grid]
+    e = min((xe for xm, xe in X if xm), default=0)
+    return e, [(xm, xe - e if xm else 0) for xm, xe in X]
+
+
 def _series_sum(a, xi_grid, prec):
     """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
 
-    A truncated Horner pass in Python integers.  y = ym 2^ye is read exactly
-    (ym is cut to F bits only if longer), F = prec + GUARD_BITS + 8 +
-    bit_length(K).  With c = ceil(log2 y) and L = floor(log2 max_k |t_k|) - F - 1,
-    t_k = a_k y^k, the partial sum sum_{j>=k} a_j y^(j-k) is an integer S with
-    LSB 2^(L - kc), and one step is S <- (S ym >> (c - ye)) + (a_k aligned by
-    one shift).  Each shift truncates by less than 2^(L - kc), which y^k <= 2^(kc)
-    carries into the sum as less than 2^L.  The pass starts at the highest k
-    whose bound 2^top_k y^k (|a_k| < 2^top_k) reaches 2^L, so every dropped term
-    is below 2^L as well.  The error before rounding is < 3 (K + 1) 2^L <
-    2^-(prec + GUARD_BITS + 5) sum|t_k|.  log2 y, the largest term, the cut-off
-    and the alignment shifts are estimated for all nodes at once in numpy.
+    A truncated Horner pass in Python integers, F = prec + GUARD_BITS + 8 +
+    bit_length(K).  The nonzero nodes are read as integers on one exponent,
+    |xi_n| = N_n 2^e with N_n = m_n 2^z_n (``_one_exponent``), and with g the gcd
+    of the mantissas m_n (gcd(N_n) for odd mantissas), y_n = J_n Y0 with
+    J_n = (N_n / g)^2 and Y0 = g^2 2^(2e - 2).  J_n = Jm 2^js is exact (js = 0)
+    while N_n / g has at most F/2 bits, so J_n = n^2 on ``default_xi_grid``;
+    otherwise Jm is (m_n / g)^2 cut to F bits and js keeps 2 z_n plus the cut.
+    Y0 is folded into the terms once per call, b_k = a_k Y0^k to within
+    2^-(F + bit_length(K) + 2) relative, so each node sums t_k = b_k J_n^k.
+
+    With s = ceil(log2 Jm), c = s + js and L the last kept bit, the partial sum
+    sum_{j>=k} b_j J^(j-k) is an integer S with LSB 2^(L - kc), and one step is
+    S <- (S Jm >> s) + b_k aligned: one small-integer product, one shift and one
+    add.  Each step truncates twice by less than 2^(L - kc), which J^k <= 2^(kc)
+    carries into the sum as less than 2^L.  Per node, L_n = floor(log2 max_k
+    2^top_k J^k) - F - 1 (|b_k| < 2^top_k), and every term past the highest k
+    whose bound reaches 2^(L_n) is dropped; both are estimated for all nodes at
+    once in numpy.  The nodes that share (s, js) share one schedule: the least
+    of their L_n, the highest of their start indices, and the b_k aligned once.
+    The error before rounding is < 3 (K + 1) 2^(L_n) from the pass, plus the
+    fold and the cut of J, < 2^-(prec + GUARD_BITS + 5) sum|t_k| in all.  The
+    bits of a node's value below that bound may depend on the other nodes of
+    the call, through g, e and its group's schedule, but never on their order.
     """
-    bits = prec + GUARD_BITS + 8 + (len(a) - 1).bit_length()
+    K = len(a) - 1
+    bits = prec + GUARD_BITS + 8 + K.bit_length()
     with mp.workprec(prec + GUARD_BITS):
         A = [_finite_dyadic(t, "series term") for t in a]
-        X = [_finite_dyadic(xi, "frequency") for xi in xi_grid]
+        e, X = _one_exponent(xi_grid)
     # xi = 0 (and an all-zero or empty series) leaves a_0 alone
     out = [mp.make_mpf(from_man_exp(*(A[0] if A else (0, 0)), prec, round_nearest))] * len(X)
     nodes = [n for n, (xm, _) in enumerate(X) if xm]
     if not (nodes and any(am for am, _ in A)):
         return out
-    Y = []
+    g = math.gcd(*(xm for xm, _ in X))
+    # Y0^k = pm 2^(pe + k (2e - 2)) with pm cut to Q bits after each product
+    P = bits + K.bit_length() + 4
+    Q = P + K.bit_length() + 1
+    B, pm, pe = [], 1, 0
+    for k, (am, ae) in enumerate(A):
+        if k:
+            pm *= g * g
+            cut = max(pm.bit_length() - Q, 0)
+            pm, pe = pm >> cut, pe + cut
+        b = am * pm
+        cut = max(b.bit_length() - P, 0)
+        B.append((b >> cut, ae + pe + k * (2 * e - 2) + cut))
+    J = []
     for n in nodes:
-        xm, xe = X[n]
-        ym = xm * xm
-        s = max(ym.bit_length() - bits, 0)
-        Y.append((ym >> s, 2 * xe - 2 + s))  # (xi/2)^2, exact unless over F bits
-    k = np.arange(len(A))
-    nz = np.array([am != 0 for am, _ in A])
-    ae = np.array([e for _, e in A], dtype=np.int64)
-    top = np.where(nz, [am.bit_length() for am, _ in A] + ae, -np.inf)  # |a_k| < 2^top_k
-    sh = np.array([(ym - 1).bit_length() for ym, _ in Y], dtype=np.int64)
-    c = sh + [ye for _, ye in Y]  # ceil(log2 y)
-    ly = np.array([math.log2(ym) + ye for ym, ye in Y])
-    # keeps the float64 estimates within a bit and the int64 shifts from wrapping
-    if max(np.abs(top[nz]).max(), np.abs(ly).max() * len(A)) >= 2.0 ** 50:
+        xm, z = X[n]
+        q = abs(xm) // g
+        if 2 * (q.bit_length() + z) <= bits:
+            J.append(((q << z) ** 2, 0))
+        else:
+            q *= q
+            cut = max(q.bit_length() - bits, 0)
+            J.append((q >> cut, 2 * z + cut))
+    ks = np.arange(len(B))
+    nz = np.array([bm != 0 for bm, _ in B])
+    top = np.where(nz, [float(abs(bm).bit_length() + be) for bm, be in B], -np.inf)
+    lj = np.array([math.log2(jm) + js for jm, js in J])
+    # keeps the float64 estimates within a bit and the shifts bounded
+    if max(np.abs(top[nz]).max(), lj.max() * len(B)) >= 2.0 ** 50:
         raise ValueError("series term or frequency out of range: |log2| >= 2^50")
-    est = np.outer(ly, k)
-    est += top  # log2 of the bound 2^top_k y^k
+    est = np.outer(lj, ks)
+    est += top  # log2 of the bound 2^top_k J^k
     L = np.floor(est.max(axis=1)).astype(np.int64) - bits - 1
     # highest k whose bound reaches 2^L
-    kt = len(A) - 1 - np.argmax((est >= L[:, None])[:, ::-1], axis=1)
-    del est  # one nodes x terms table at a time
-    # right shift that puts a_k on the LSB 2^(L - kc); a common left shift G
-    # of every a_k, once per call, keeps the used ones non-negative
-    d = np.outer(-c, k)
-    d += L[:, None]
-    d -= ae
-    G = -int(d.min(where=nz & (k <= kt[:, None]), initial=0))
-    d += G
-    np.maximum(d, 0, out=d)  # zero terms: any shift will do
-    Arev = [am << G for am, _ in reversed(A)]
-    first = (len(A) - 1 - kt).tolist()
-    for n, (ym, _), s, T, j, D in zip(nodes, Y, sh.tolist(), L.tolist(), first, d[:, ::-1]):
-        S = 0
-        for am, dk in zip(Arev[j:], D[j:].tolist()):
-            S = (S * ym >> s) + (am >> dk)
-        out[n] = mp.make_mpf(from_man_exp(S, T, prec, round_nearest))
+    kt = K - np.argmax((est >= L[:, None])[:, ::-1], axis=1)
+    del est
+    groups = {}
+    for i, (jm, js) in enumerate(J):
+        groups.setdefault(((jm - 1).bit_length(), js), []).append(i)
+    for (s, js), members in groups.items():
+        T, first = int(L[members].min()), int(kt[members].max())
+        aligned = []  # b_k on the LSB 2^(T - kc), k = first..0
+        for k in range(first, -1, -1):
+            bm, be = B[k]
+            d = T - k * (s + js) - be
+            aligned.append(bm >> d if d >= 0 else bm << -d)
+        for i in members:
+            jm, S = J[i][0], 0
+            for b in aligned:
+                S = (S * jm >> s) + b
+            out[nodes[i]] = mp.make_mpf(from_man_exp(S, T, prec, round_nearest))
     return out
 
 

@@ -148,7 +148,7 @@ def cmd_dtn(args):
     if args.radius is not None and float(args.radius) != float(profile.radius):
         profile = PiecewiseProfile(profile.kind, args.radius,
                                    tuple(b * args.radius / float(profile.radius)
-                                         for b in profile.breakpoints),
+                                         for b in profile.breakpoints[:-1]) + (args.radius,),
                                    profile.values)
     spec = cached_spectrum_of(profile, params.terms, params.prec)
     out = Path(args.out)

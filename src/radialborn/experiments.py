@@ -222,7 +222,7 @@ def _piecewise(profile, pieces):
 
 def _born_bundle(name, profile, pw, spec, cfg, mode, R):
     """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs."""
-    # born_samples repeats the transform Fb (ROADMAP item 5); the benchmark pins it
+    # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
     Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec, subtract_background=True)

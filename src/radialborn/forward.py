@@ -32,11 +32,14 @@ products per degree.  The ladders of a piece serve all k at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop; unlike max(|U|, |V|), this keeps F bits of U however
-large a conductivity contrast makes V / U.  lambda_k = V / (U R) is rounded to
-prec once, at the end.  A spectrum costs O(m K) integer products, plus
-O(m K) big-float operations in the ladders of its Bessel pieces.  Only a
-potential can put a Dirichlet eigenvalue at 0, where u(R) vanishes; its
-spectrum raises DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
+large a conductivity contrast makes V / U.  lambda is homogeneous of degree
+one in gamma, so a conductivity is solved for gamma / 2^se, whose outermost
+value lies in [1, 2), and V keeps its F bits however far gamma lies below 1.
+lambda_k = 2^se V / (U R) is rounded to prec once, at the end.  A spectrum
+costs O(m K) integer products, plus O(m K) big-float operations in the
+ladders of its Bessel pieces.  Only a potential can put a Dirichlet
+eigenvalue at 0, where u(R) vanishes; its spectrum raises
+DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
 """
 
 from dataclasses import dataclass
@@ -136,6 +139,10 @@ def _spectrum(p, kmax, prec):
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
     ks = range(kmax + 1)
     dy = [_dyadic(x, F) for x in p.breakpoints]
+    # lambda is homogeneous of degree one in gamma: solve for gamma / 2^se, whose
+    # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
+    gm, ge = (1, 0) if potential else _dyadic(p.values[-1], F)
+    se = ge + gm.bit_length() - 1
     with mp.workprec(prec + GUARD_BITS):
         for j, value in enumerate(p.values):
             if potential and value != 0:
@@ -164,8 +171,9 @@ def _spectrum(p, kmax, prec):
                         B <<= -d
                     state[k] = _to_bits(f1b * A + f2b * B, v1b * A + v2b * B, F)
                 continue
-            # flat piece: gamma_j = G / 2^gn, and 1 for a potential
+            # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
             gm, ge = _dyadic(1 if potential else value, F)
+            ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
             if j == 0:
                 # innermost piece: u = r^k
@@ -199,7 +207,7 @@ def _spectrum(p, kmax, prec):
         for k, (U, V) in enumerate(state):
             if abs(U) * rm << max(z, 0) < abs(U + V) << max(-z, 0):
                 raise DirichletCollisionError(k)
-    lambdas = [mp.make_mpf(mpf_div(from_man_exp(V, -re), from_int(U * rm), prec, round_nearest))
+    lambdas = [mp.make_mpf(mpf_div(from_man_exp(V, se - re), from_int(U * rm), prec, round_nearest))
                for U, V in state]
     return DtnSpectrum(p.kind, p.radius, lambdas, prec)
 

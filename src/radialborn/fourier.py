@@ -25,7 +25,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_mul, mpf_sub, round_nearest, to_fixed
 
-from .born import FourierSamples, _finite_dyadic
+from .born import FourierSamples, _one_exponent
 from .highprec import GUARD_BITS, check_precision, to_prec
 from .profiles import PiecewiseProfile
 
@@ -73,9 +73,8 @@ def default_xi_grid(n, L):
 
 def _arithmetic_grid(xi_grid):
     """Integers (N, H, e) with xi_j = (N + j H) 2^e exactly, or GridMismatchError."""
-    X = [_finite_dyadic(x, "frequency") for x in xi_grid]
-    e = min((xe for xm, xe in X if xm), default=0)
-    N = [xm << (xe - e) for xm, xe in X]
+    e, X = _one_exponent(xi_grid)
+    N = [xm << z for xm, z in X]
     H = N[1] - N[0] if len(N) > 1 else 0
     if any(x != N[0] + j * H for j, x in enumerate(N)):
         raise GridMismatchError("xi-grid is not exactly arithmetic, xi_j = xi_0 + j h")

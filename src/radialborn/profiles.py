@@ -189,7 +189,7 @@ def project_midpoint(profile, m):
         raise ValueError("piece count must be >= 1")
     R = float(profile.radius)
     h = R / m
-    breakpoints = tuple(j * h for j in range(m + 1))
+    breakpoints = tuple(j * h for j in range(m)) + (R,)
     values = tuple(profile((j + 0.5) * h) for j in range(m))
     return PiecewiseProfile(profile.kind, R, breakpoints, values)
 

@@ -128,7 +128,7 @@ def samples_to_profile(s, kind, radius, pieces):
     vals = np.interp(mids, s.r_grid, s.values)
     if kind is ProfileKind.CONDUCTIVITY:
         vals = np.maximum(vals, EPS_FLOOR)
-    bps = tuple(j * h for j in range(pieces + 1))
+    bps = tuple(j * h for j in range(pieces)) + (radius,)
     return PiecewiseProfile(kind, radius, bps, tuple(float(v) for v in vals))
 
 

@@ -91,6 +91,13 @@ def _growing_mu(rng, K):
                 * mpmath.gamma(k + mpf(1.5)) / mpf(4000) ** k for k in range(K + 1)]
 
 
+def _two_step_grid():
+    """j h, j = 0..512, and j 3h/2, j = 1..341, h = pi/10, exact and sorted."""
+    h = default_xi_grid(1, 10.0)[1]
+    with mp.workprec(80):
+        return sorted(set(default_xi_grid(512, 10.0)) | {j * 3 * h / 2 for j in range(1, 342)})
+
+
 def _half_ulp(v, prec):
     sign, man, exp, bc = v._mpf_
     return mpmath.ldexp(mpf(1), exp + bc - prec - 1) if man else mpf(0)
@@ -298,7 +305,10 @@ def test_series_kernel_and_oracle_within_the_bound(K, prec):
             grids = (floats, wide)
         else:
             mu = _growing_mu(rng, K)
-            grids = (default_xi_grid(512, 10.0),)
+            grid = default_xi_grid(512, 10.0)
+            # a slice (no node 1), the negated grid, and the union of steps h and
+            # 3h/2, whose nodes' gcd h/2 is below both steps
+            grids = (grid, grid[100:], [-x for x in grid], _two_step_grid())
         for grid in grids:
             got = eval_series_L_grid(mu, grid, prec=prec).values
             oracle = mpf_series_L_grid(mu, grid, prec=prec)
@@ -307,6 +317,18 @@ def test_series_kernel_and_oracle_within_the_bound(K, prec):
                     tol = mpmath.ldexp(abs_sum, K.bit_length() + 2 - prec - GUARD_BITS)
                     assert abs(g - ref) <= tol + _half_ulp(g, prec), (trial, xi)
                     assert abs(o - ref) <= tol + _half_ulp(o, prec), (trial, xi)
+
+
+def test_series_values_do_not_depend_on_node_order():
+    # the moments of 1_{B_0.7} cancel by up to 2^80 near xi = 80, so the bits a
+    # node's schedule leaves survive the rounding to prec
+    mu = moment_sequence_exact(indicator(0.7), 150, prec=256)
+    grid = list(default_xi_grid(256, 10.0))
+    shuffled = grid[:]
+    random.Random(7).shuffle(shuffled)
+    ordered = dict(zip(grid, eval_series_L_grid(mu, grid, prec=256).values))
+    for xi, v in zip(shuffled, eval_series_L_grid(mu, shuffled, prec=256).values):
+        assert v._mpf_ == ordered[xi]._mpf_, xi
 
 
 def test_series_at_zero_is_the_rounded_first_term():

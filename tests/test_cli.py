@@ -52,6 +52,14 @@ def test_dtn_constant_potential_value(workdir):
     assert float(rows[0][1]) == pytest.approx(0.3130352855, abs=1e-10)
 
 
+def test_dtn_radius_rescales_to_the_exact_radius(workdir):
+    # 3 * 0.7 / 3 is 0.6999999999999998: the last breakpoint must be the radius itself
+    prof = write(workdir / "g.txt", "kind conductivity\nradius 3\nbreakpoints 0 1 3\nvalues 2 1\n")
+    assert main(["dtn", "--profile", prof, "--radius", "0.7", "--terms", "3",
+                 "--precision", "128", "--out", "run"]) == 0
+    assert len(read_rows(workdir / "run" / "spectrum.csv")) == 4
+
+
 def test_dtn_repeat_hits_cache(workdir):
     prof = write(workdir / "g.txt", GAMMA_STEP)
     assert main(["dtn", "--profile", prof, "--terms", "8", "--precision", "128",

@@ -166,6 +166,20 @@ def test_high_contrast_keeps_every_bit(exponent):
                 assert abs(a - b) <= max(abs(b), 1) * mpf(2) ** -62, (exponent, k, a, b)
 
 
+@pytest.mark.parametrize("values, breaks, kmax", [
+    *[((3 * mpf(2) ** -e, mpf(2) ** -e), (0.0, 0.3, 1.0), 20) for e in (20, 40, 80)],
+    *[((1, mpf(2) ** e), (0.0, 0.5, 1.0), 150) for e in (40, 60, 100)],
+], ids=("low20", "low40", "low80", "high40", "high60", "high100"))
+def test_scale_of_gamma_costs_no_bits(values, breaks, kmax):
+    # lambda is homogeneous in gamma, so gamma far below or above 1 keeps prec - 2 bits
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, breaks, values)
+    ours = conductivity_spectrum(g, kmax, 64).lambdas
+    ref = conductivity_spectrum(g, kmax, 1024).lambdas
+    with mp.workprec(1024):
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert abs(a - b) <= abs(b) * mpf(2) ** -62, (k, a, b)
+
+
 def _benchmark_shapes(rng):
     """The conductivity shapes of the forward benchmark: (profile, prec) at K = 150."""
     kind = ProfileKind.CONDUCTIVITY

@@ -171,7 +171,8 @@ def _random_profile(rng, m, R, kind):
 
 def test_rotation_kernel_matches_the_per_piece_closed_form():
     # seeded: 1 to 2000 pieces, prec 64/256/512, R 1 and 2.5, both kinds, and
-    # grids from 0, offset starts, a single node and [0, pi]
+    # grids from 0, offset starts, a single node, [0, pi] and [0, 2, 4] (nonzero
+    # nodes of positive binary exponent)
     rng = random.Random(6)
     cases = 0
     for m in (1, 2, 7, 40, 300, 2000):
@@ -180,15 +181,17 @@ def test_rotation_kernel_matches_the_per_piece_closed_form():
             kind = rng.choice((ProfileKind.POTENTIAL, ProfileKind.CONDUCTIVITY))
             f = _random_profile(rng, m, R, kind)
             n = max(3, min(32, 6000 // m))
-            shape = cases % 4
+            shape = cases % 5
             if shape == 0:
                 xi = default_xi_grid(n, 10.0 * R)
             elif shape == 1:
                 xi = default_xi_grid(n + 5, 10.0 * R)[rng.randrange(1, 6):]
             elif shape == 2:
                 xi = (rng.uniform(0.01, 60.0),)
-            else:
+            elif shape == 3:
                 xi = (0.0, math.pi)
+            else:
+                xi = (0.0, 2.0, 4.0)
             bg = kind.background
             F = forward_radial_ft(f, xi, prec=prec, subtract_background=True)
             ref = per_piece_forward_ft(f, [x for x in xi if x != 0], prec + 64, bg=bg)

@@ -51,6 +51,16 @@ def test_samples_to_profile_clamps_conductivity():
     assert min(p.values) >= EPS_FLOOR
 
 
+@pytest.mark.parametrize("m", (49, 98, 103))
+def test_equal_pieces_end_exactly_at_the_radius(m):
+    # m * (1 / m) is 0.9999999999999999 for these m; the interior breakpoints stay j * (R / m)
+    assert m * (1.0 / m) != 1.0
+    g = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "exp3_profile", {})
+    s = RadialSamples(np.linspace(0.0, 2.0, 41), np.linspace(2.0, 1.0, 41))
+    for p in (project_midpoint(g, m), samples_to_profile(s, ProfileKind.CONDUCTIVITY, 1.0, m)):
+        assert p.breakpoints == tuple(j * (1.0 / m) for j in range(m)) + (1.0,)
+
+
 def test_error_norms_known_case():
     r = np.linspace(0.0, 1.0, 1001)
     s = RadialSamples(r, r)
