@@ -2,25 +2,21 @@
 
 The central object is the series operator
 
-    L_d(mu; xi) = 2 pi^{d/2} sum_k (-1)^k / (k! Gamma(k+d/2)) (xi/2)^{2k} mu_k
+    L(mu; xi) = 4 pi sum_k (-1)^k xi^{2k} mu_k / (2k+1)!
 
-which maps a coefficient sequence to a radial function of the frequency.
-Moments sigma_k[f] reproduce the Fourier transform of f itself.  The Born
-weights are the scaled shifts mu_k = R^{2k+d-1} (lambda_k^R - k/R) of the one
+For the moments sigma_k[f] = int r^{2k+2} f dr it is the Taylor series of the
+3-D transform 4 pi int r^2 f(r) j_0(xi r) dr, j_0(z) = sin z / z.  The Born
+weights are the scaled shifts mu_k = R^{2k+2} (lambda_k^R - k/R) of the one
 radius map ``forward.scaled_shifts``, each mode a target radius R: the
 spectrum's own (unit, moment_form), the given R (finiteR) or infinity
 (scattering); a zero denominator raises ``TransferDenominatorError``.  Fed
-these, L_d gives the potential Born approximation, and the conductivity
-variants divide by |xi|^2 via an index shift.  The coefficients c_k are
-computed once per (K, d, precision), and the products a_k = c_k mu_k are
-formed in big floats at prec + GUARD_BITS bits.  One kernel, ``_series_sum``,
-then sums the alternating terms a_k (xi/2)^{2k} by a truncated Horner pass in
-Python integers.  It reads the nodes as integers on one exponent, so that
-(xi_n/2)^2 = J_n Y0 with J_n = n^2 on ``default_xi_grid``, folds Y0^k into the
-terms once, and makes each Horner step one small-integer product, one shift
-and one add.  Each pass starts at the highest term that can still reach the
-last kept bit, and each value is rounded to prec once; the error before that
-rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
+these, L gives the potential Born approximation, and the conductivity
+variants divide by |xi|^2 via an index shift.  The products a_k = c_k mu_k with
+the coefficients c_k of (xi/2)^{2k} are formed in big floats at
+prec + GUARD_BITS bits.  One kernel, ``_series_sum``, sums the terms
+a_k (xi/2)^{2k} by a truncated Horner pass in Python integers, one
+small-integer product per step, and rounds each value to prec once; the error
+before that rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
 Non-finite entries or frequencies raise ``ValueError``.
 """
 
@@ -53,25 +49,25 @@ class FourierSamples:
 
 
 @functools.lru_cache(maxsize=16)
-def series_coefficients(kmax, d, prec):
-    """c_k = 2 pi^{d/2} (-1)^k / (k! Gamma(k + d/2)), k = 0..kmax, as a tuple.
+def series_coefficients(kmax, prec):
+    """c_k = 4 pi (-1)^k 4^k / (2k+1)!, k = 0..kmax, as a tuple; once per (kmax, prec).
 
-    Computed once per (kmax, d, prec).
+    c_0 = 4 pi and c_{k+1} = -4 c_k / ((2k+2)(2k+3)), each rounded once.
     """
     with mp.workprec(check_precision(prec) + GUARD_BITS):
-        c = 2 * mpmath.pi ** (mpf(d) / 2) / mpmath.gamma(mpf(d) / 2)
+        c = 4 * mpmath.pi
         out = [c]
         for k in range(kmax):
-            c = -c / ((k + 1) * (k + mpf(d) / 2))
+            c = -4 * c / ((2 * k + 2) * (2 * k + 3))
             out.append(c)
         return tuple(out)
 
 
-def _series_terms(mu, d, prec):
+def _series_terms(mu, prec):
     # a_k = c_k mu_k, each rounded to prec + GUARD_BITS bits
     work = prec + GUARD_BITS
     with mp.workprec(work):
-        return [c * mpf(m) for c, m in zip(series_coefficients(len(mu) - 1, d, work), mu)]
+        return [c * mpf(m) for c, m in zip(series_coefficients(len(mu) - 1, work), mu)]
 
 
 def _finite_dyadic(x, what):
@@ -187,20 +183,20 @@ def _series_sum(a, xi_grid, prec):
     return out
 
 
-def eval_series_L(mu, xi, d=3, prec=1024):
-    """Evaluate L_d(mu; xi); truncation is the sequence length."""
-    return eval_series_L_grid(mu, [xi], d, prec).values[0]
+def eval_series_L(mu, xi, prec=1024):
+    """Evaluate L(mu; xi); truncation is the sequence length."""
+    return eval_series_L_grid(mu, [xi], prec).values[0]
 
 
-def eval_series_L_grid(mu, xi_grid, d=3, prec=1024):
-    """L_d(mu; .) on a grid; one coefficient precomputation for all nodes."""
+def eval_series_L_grid(mu, xi_grid, prec=1024):
+    """L(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
-    vals = _series_sum(_series_terms(mu, d, prec), xi_grid, prec)
+    vals = _series_sum(_series_terms(mu, prec), xi_grid, prec)
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
-def _eigenvalue_entries(spec, mode, R, d, prec):
-    # mu_k of the L_d series: each mode is a target radius of the one radius map
+def _eigenvalue_entries(spec, mode, R, prec):
+    # mu_k of the L series: each mode is a target radius of the one radius map
     targets = {"unit": spec.radius, "finiteR": R, "scattering": mpmath.inf}
     if spec.kind is ProfileKind.CONDUCTIVITY:
         targets["moment_form"] = spec.radius
@@ -208,7 +204,7 @@ def _eigenvalue_entries(spec, mode, R, d, prec):
         raise ValueError(f"unknown mode {mode!r}")
     if targets[mode] is None:
         raise ValueError("finiteR mode needs a target radius R")
-    return scaled_shifts(spec, targets[mode], d, prec)
+    return scaled_shifts(spec, targets[mode], prec)
 
 
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
@@ -216,12 +212,15 @@ def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
 
     Each mode is a target radius of ``forward.scaled_shifts``: "unit" the
     spectrum's own ball, "finiteR" the radius R, "scattering" R -> infinity.
+    The spectra are 3-D: any d but 3 raises ``ValueError``.
     """
+    if d != 3:
+        raise ValueError(f"only d = 3 is supported, got d = {d!r}")
     if spec.kind is not ProfileKind.POTENTIAL:
         raise ValueError("born_potential_fourier requires a potential spectrum")
     prec = check_precision(prec)
-    mu = _eigenvalue_entries(spec, mode, R, d, prec)
-    return eval_series_L_grid(mu, xi_grid, d, prec)
+    mu = _eigenvalue_entries(spec, mode, R, prec)
+    return eval_series_L_grid(mu, xi_grid, prec)
 
 
 def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
@@ -229,14 +228,17 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
 
     Modes "unit"/"finiteR"/"scattering" evaluate the k >= 1 series with the
     weights of ``forward.scaled_shifts`` at their target radius, as for
-    potentials; "moment_form" evaluates the equivalent index-shifted L_d sum
-    with entries mu_{k+1} / (2 (k+1) (k + d/2)) of the unit-mode weights.  The
-    xi = 0 node is the analytic k = 1 limit, never a division by xi^2.
+    potentials; "moment_form" evaluates the equivalent index-shifted L sum
+    with entries mu_{k+1} / ((k+1) (2k+3)) of the unit-mode weights.  The
+    xi = 0 node is the analytic k = 1 limit, never a division by xi^2.  Any d
+    but 3 raises ``ValueError``.
     """
+    if d != 3:
+        raise ValueError(f"only d = 3 is supported, got d = {d!r}")
     if spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("born_conductivity_fourier requires a conductivity spectrum")
     prec = check_precision(prec)
-    mu = _eigenvalue_entries(spec, mode, R, d, prec)
+    mu = _eigenvalue_entries(spec, mode, R, prec)
     with mp.workprec(prec + GUARD_BITS):
         lam0 = mpf(spec.lambdas[0])
         if abs(lam0) > mpmath.ldexp(mpf(1), -prec // 2):
@@ -245,43 +247,34 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
         raise ValueError("need at least lambda_1")
     if mode == "moment_form":
         with mp.workprec(prec + GUARD_BITS):
-            nu = [mu[k + 1] / (2 * (k + 1) * (k + mpf(d) / 2)) for k in range(spec.kmax)]
-        return eval_series_L_grid(nu, xi_grid, d, prec)
-    # -pi^{d/2} sum_{k>=1} (-1)^k/(k! Gamma(k+d/2)) (xi/2)^{2k-2} nu_k
-    # = sum_{k>=1} (-c_k nu_k / 2) (xi/2)^{2(k-1)}
-    terms = _series_terms(mu, d, prec)
+            nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spec.kmax)]
+        return eval_series_L_grid(nu, xi_grid, prec)
+    # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)}
+    terms = _series_terms(mu, prec)
     with mp.workprec(prec + GUARD_BITS):
         terms = [-t / 2 for t in terms[1:]]
     vals = _series_sum(terms, xi_grid, prec)
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
-def moment_sequence_exact(f, kmax, d=3, prec=256):
+def moment_sequence_exact(f, kmax, prec=256):
     """sigma_k of the profile's deviation from background, by exact integration.
 
-    sigma_k = sum_j (v_j - bg) (r_j^{2k+d} - r_{j-1}^{2k+d}) / (2k+d), where
+    sigma_k = sum_j (v_j - bg) (r_j^{2k+3} - r_{j-1}^{2k+3}) / (2k+3), where
     bg is 1 for conductivities and 0 for potentials.
     """
     if not isinstance(f, PiecewiseProfile):
         raise TypeError("moment_sequence_exact needs a piecewise-constant profile")
     prec = check_precision(prec)
-    bg = f.kind.background
     with mp.workprec(prec + GUARD_BITS):
         bp = [mpf(x) for x in f.breakpoints]
-        dev = [mpf(v) - bg for v in f.values]
-        out = []
-        for k in range(kmax + 1):
-            e = 2 * k + d
-            s = mpf(0)
-            for j, v in enumerate(dev):
-                if v != 0:
-                    s += v * (bp[j + 1] ** e - bp[j] ** e)
-            out.append(to_prec(s / e, prec))
-    return out
+        dev = [(mpf(v) - f.kind.background, a, b) for v, a, b in zip(f.values, bp, bp[1:])]
+        return [to_prec(sum(v * (b ** e - a ** e) for v, a, b in dev if v) / e, prec)
+                for e in range(3, 2 * kmax + 4, 2)]
 
 
-def moments_from_samples(s, kmax, d=3):
-    """Trapezoidal moments of sampled radial data (double precision)."""
+def moments_from_samples(s, kmax):
+    """Trapezoidal moments int r^{2k+2} v dr of sampled radial data (double precision)."""
     r = np.asarray(s.r_grid, dtype=float)
     v = np.asarray(s.values, dtype=float)
-    return [float(np.trapezoid(v * r ** (2 * k + d - 1), r)) for k in range(kmax + 1)]
+    return [float(np.trapezoid(v * r ** (2 * k + 2), r)) for k in range(kmax + 1)]

@@ -2,8 +2,8 @@
 
 Spectra are expensive at high precision, so every solve can be memoized under
 a sha256 key of the exact binary value of every profile input (kind, radius,
-breakpoints and values or analytic parameters), the term count and the
-precision.
+breakpoints and values), the term count and the precision.  Only a
+piecewise-constant profile has a key: an analytic one names no projection.
 Values are stored as decimal strings with enough digits to round-trip the
 binary precision; writes go through a temporary file and an atomic rename so
 a killed process never leaves a torn entry.
@@ -53,14 +53,12 @@ def _exact(x):
 
 
 def spectrum_key(profile, kmax, prec):
-    """sha256 content key; stable across processes and paths."""
-    fields = [f"v{FORMAT_VERSION}", profile.kind.value, _exact(profile.radius)]
-    if isinstance(profile, PiecewiseProfile):
-        fields += ["piecewise", _exact(profile.breakpoints), _exact(profile.values)]
-    else:
-        fields += [f"analytic {profile.name}"]
-        fields += [f"{k}={_exact(v)}" for k, v in sorted(profile.params.items())]
-    fields += [str(kmax), str(check_precision(prec))]
+    """sha256 content key of a piecewise-constant profile, stable across processes and paths."""
+    if not isinstance(profile, PiecewiseProfile):
+        raise TypeError("spectrum_key needs a piecewise-constant profile")
+    fields = [f"v{FORMAT_VERSION}", profile.kind.value, _exact(profile.radius), "piecewise",
+              _exact(profile.breakpoints), _exact(profile.values), str(kmax),
+              str(check_precision(prec))]
     return hashlib.sha256("\n".join(fields).encode("utf-8")).hexdigest()
 
 

@@ -153,10 +153,11 @@ class _Experiment:
     born: tuple = (("unit", None),)  # the (mode, R) Born bundles of each profile
     iterate: bool = False            # the fixed-point iteration bundle of each profile
     depth_scales: tuple = ()         # the depth-error ensemble: one curve per scale alpha
-    # Profiles whose deviation fills the whole unit ball force a tighter xi-grid
-    # at desk scale: the K-term series only tracks the closed-form transform up
-    # to roughly xi ~ 2K/(3 alpha) for support radius alpha, so these rows trade
-    # grid extent for term count.
+    # Rows 2, 3, 4, 6, 7, 9, 11 and 12 use a shorter xi-grid at desk scale: the
+    # K-term series only tracks the closed-form transform up to roughly
+    # xi ~ 2K/(3 alpha) for support radius alpha, so they trade grid extent for
+    # term count.  The list is kept by hand, not derived from the profiles,
+    # until the series reports the band it resolves (ROADMAP item 2).
     desk_grid_n: int | None = None
 
 
@@ -225,7 +226,7 @@ def _born_bundle(name, profile, pw, spec, cfg, mode, R):
     # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
-    Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec, subtract_background=True)
+    Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
     tag = name if mode == "unit" else f"{name}_{mode}"
     return {
         f"{tag}_truth.csv": (("r", "value"), _truth_rows(profile, recon.r_grid)),

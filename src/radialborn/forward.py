@@ -1,6 +1,6 @@
 """Dirichlet-to-Neumann spectra of radial piecewise-constant coefficients.
 
-One engine solves both kinds.  For degree k (d = 3) the radial equation on a
+One engine solves both kinds.  For degree k the radial equation on a
 piece (a, b] is (r^2 gamma_j u')' = k(k+1) gamma_j u for a conductivity and
 (r^2 u')' = (c r^2 + k(k+1)) u for a potential, and u and r gamma u'
 (gamma = 1 for a potential) are continuous across interfaces.  Per degree the
@@ -57,7 +57,9 @@ from .highprec import (
     sph_y_ladder,
     to_prec,
 )
-from .profiles import ProfileKind
+from .profiles import PiecewiseProfile, ProfileKind
+
+ODE_STEP = 1e-4  # the largest Taylor step of ode_log_derivative_oracle
 
 
 class DirichletCollisionError(ArithmeticError):
@@ -69,7 +71,7 @@ class DirichletCollisionError(ArithmeticError):
 
 
 class TransferDenominatorError(ArithmeticError):
-    """The radius-map denominator a lambda_k + k + d - 2 - (a/R)^m a s_k vanished."""
+    """The radius-map denominator a lambda_k + k + 1 - (a/R)^{2k+1} a s_k vanished."""
 
     def __init__(self, k):
         self.k = k
@@ -134,6 +136,8 @@ def _fixed_ratio(a, b, bits):
 
 def _spectrum(p, kmax, prec):
     """lambda_0..lambda_kmax of either kind by the one transfer described above."""
+    if not isinstance(p, PiecewiseProfile):
+        raise TypeError("the forward engine needs a PiecewiseProfile; use project_midpoint")
     prec = check_precision(prec)
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
@@ -232,13 +236,13 @@ def spectrum_of(profile, kmax, prec):
     return conductivity_spectrum(profile, kmax, prec)
 
 
-def scaled_shifts(spec, R, d, prec):
-    """mu_k(R) = R^{2k+d-1} (lambda_k^R - k/R) of the spectrum moved to radius R, k = 0..K.
+def scaled_shifts(spec, R, prec):
+    """mu_k(R) = R^{2k+2} (lambda_k^R - k/R) of the spectrum moved to radius R, k = 0..K.
 
-    Outside the support the solution is A r^k + B r^{-(k+d-2)} for both kinds,
-    so with a = spec.radius, m = 2k + d - 2 and s_k = lambda_k - k/a,
+    Outside the support the solution is A r^k + B r^{-(k+1)} for both kinds,
+    so with a = spec.radius, m = 2k + 1 and s_k = lambda_k - k/a,
 
-        mu_k(R) = a^{m+1} s_k m / (a lambda_k + k + d - 2 - (a/R)^m a s_k).
+        mu_k(R) = a^{m+1} s_k m / (a lambda_k + k + 1 - (a/R)^m a s_k).
 
     R = a gives a^{m+1} s_k exactly and R = inf the scattering limit.  Valid
     when the coefficient is background outside the ball of radius min(a, R).
@@ -250,12 +254,12 @@ def scaled_shifts(spec, R, d, prec):
         unit, far = a == 1, mpmath.isinf(R)  # skip the powers of a and of R
         out = []
         for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + d - 2
+            m = 2 * k + 1
             s = lam - k if unit else lam - mpf(k) / a
             if R == a:
                 out.append(s if unit else a ** (m + 1) * s)
                 continue
-            den = (lam if unit else a * lam) + k + d - 2
+            den = (lam if unit else a * lam) + k + 1
             if not far:
                 den -= (R ** -m if unit else (a / R) ** m * a) * s
             if den == 0:
@@ -273,7 +277,7 @@ def transfer_radius(spec, R):
     if not 0 < R < mpmath.inf:
         raise ValueError("target radius must be positive and finite")
     prec = spec.prec
-    mu = scaled_shifts(spec, R, 3, prec)
+    mu = scaled_shifts(spec, R, prec)
     with mp.workprec(prec + GUARD_BITS):
         R = mpf(R)
         out = [to_prec(mpf(k) / R + R ** -(2 * k + 2) * v, prec) for k, v in enumerate(mu)]
@@ -285,18 +289,19 @@ def untransfer_radius(spec):
     return transfer_radius(spec, 1.0)
 
 
-def ode_log_derivative_oracle(q, k, R=None, step=1e-4):
+def ode_log_derivative_oracle(q, k):
     """Second-opinion value of lambda_k[q] by direct ODE integration.
 
     Integrates w'' = (q0(r) + k(k+1)/r^2) w outward from a truncated
-    Frobenius start at r0 = 1e-3 with a fixed-step 4th-order Taylor method,
-    renormalizing each step, and returns w'(R)/w(R) - 1/R as a float.
+    Frobenius start at r0 = 1e-3 with a fixed-step 4th-order Taylor method
+    (steps of at most ``ODE_STEP``), renormalizing each step, and returns
+    w'(R)/w(R) - 1/R at R = q.radius as a float.
     Independent of the Bessel transfer path; accuracy ~1e-8, double
     precision on purpose.
     """
     if q.kind is not ProfileKind.POTENTIAL:
         raise ValueError("the ODE oracle integrates the potential equation")
-    R = float(q.radius) if R is None else float(R)
+    R = float(q.radius)
     bp = [float(x) for x in q.breakpoints]
     vals = [float(v) for v in q.values]
     kk1 = k * (k + 1.0)
@@ -319,10 +324,10 @@ def ode_log_derivative_oracle(q, k, R=None, step=1e-4):
 
     r = r0
     for j, c in enumerate(vals):
-        b = min(bp[j + 1], R)
+        b = bp[j + 1]
         if b <= r:
             continue
-        n = max(1, int(-(-(b - r) // step)))  # ceil
+        n = max(1, int(-(-(b - r) // ODE_STEP)))  # ceil
         h = (b - r) / n
         for _ in range(n):
             p = c + kk1 / (r * r)
@@ -339,8 +344,6 @@ def ode_log_derivative_oracle(q, k, R=None, step=1e-4):
             wp /= norm
             r += h
         r = b
-        if r >= R:
-            break
     if w == 0.0:
         raise DirichletCollisionError(k)
     return wp / w - 1.0 / R

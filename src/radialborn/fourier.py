@@ -89,20 +89,19 @@ def _fixed_cos_sin(t, F):
     return to_fixed(c, F), to_fixed(s, F)
 
 
-def forward_radial_ft(f, xi_grid, prec=256, subtract_background=False):
-    """Closed-form radial Fourier transform of a piecewise-constant profile.
+def forward_radial_ft(f, xi_grid, prec=256):
+    """Closed-form radial Fourier transform of a profile's deviation from background.
 
     ``xi_grid`` must be exactly arithmetic, xi_j = xi_0 + j h for j = 0..n-1,
     checked in exact arithmetic: ``default_xi_grid``, any slice of it or a
     single node.  Any other grid raises ``GridMismatchError``.  The xi = 0 node
-    is the volume integral 4 pi \\int r^2 f0 dr.  With ``subtract_background``
-    the transform of f - bg (restricted to the ball) is computed instead, which
-    is the natural input for conductivities.
+    is the volume integral 4 pi \\int r^2 f0 dr, with f0 = f - 1 (conductivity)
+    or f (potential) on the ball and 0 outside.
 
     With G(r) = sin(xi r)/xi^2 - r cos(xi r)/xi, a piece contributes its value
-    times G(b) - G(a), so F(xi) = 4 pi (S1 - xi S2) / xi^3 with
+    of f0 times G(b) - G(a), so F(xi) = 4 pi (S1 - xi S2) / xi^3 with
     S1 = sum_i w_i sin(xi r_i) and S2 = sum_i w_i r_i cos(xi r_i) over the m
-    breakpoints r_i > 0 with a nonzero jump w_i = v_{i-1} - v_i (v_{-1} = 0
+    breakpoints r_i > 0 with a nonzero jump w_i = v_{i-1} - v_i of f0 (v_{-1} = 0
     and 0 past the last piece; G(0) = 0).  In F-bit fixed point,
     F = prec + GUARD_BITS + bit_length(n) + bit_length(m) + 8, each breakpoint
     carries u_i = w_i e^{i xi_j r_i}, started from two ``cos_sin`` calls at
@@ -118,12 +117,11 @@ def forward_radial_ft(f, xi_grid, prec=256, subtract_background=False):
     if not isinstance(f, PiecewiseProfile):
         raise TypeError("forward_radial_ft needs a piecewise-constant profile")
     prec = check_precision(prec)
-    bg = f.kind.background if subtract_background else 0.0
     work = prec + GUARD_BITS
     with mp.workprec(work):
         N0, H, e = _arithmetic_grid(xi_grid)
         bp = [mpf(x) for x in f.breakpoints]
-        dev = [mpf(v) - bg for v in f.values]
+        dev = [mpf(v) - f.kind.background for v in f.values]
         pieces = [(j, v) for j, v in enumerate(dev) if v != 0]
         jumps = []  # raw (r_i, w_i), w_i = v_{i-1} - v_i exact
         for r, a, b in zip(bp, [mpf(0), *dev], [*dev, mpf(0)]):

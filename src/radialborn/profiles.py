@@ -30,6 +30,10 @@ from enum import Enum
 import mpmath
 from mpmath import mp, mpf
 
+BOUNDARY_TOL = 1e-9  # a value this close to the background counts as background
+SERIAL_DIGITS = 25   # significant digits of an mpf in the text format; floats use repr
+PARSE_PREC = 64      # bits at which the text format's decimals are read
+
 
 class ProfileKind(Enum):
     POTENTIAL = "potential"
@@ -202,19 +206,19 @@ class ProfileReport:
     support_radius: float
 
 
-def validate_profile(p, boundary_tol=1e-9):
+def validate_profile(p):
     """Diagnostics: positivity, boundary value vs background, support radius.
 
     The support radius is the largest breakpoint below which the profile
-    differs from its background (1 for conductivities, 0 for potentials).
+    differs from its background (1 or 0) by more than ``BOUNDARY_TOL``.
     """
     bg = p.kind.background
     positivity_ok = p.kind is not ProfileKind.CONDUCTIVITY or all(v > 0 for v in p.values)
     boundary_value = float(p.values[-1])
-    boundary_ok = abs(boundary_value - bg) <= boundary_tol
+    boundary_ok = abs(boundary_value - bg) <= BOUNDARY_TOL
     alpha = 0.0
     for j in range(p.piece_count - 1, -1, -1):
-        if abs(float(p.values[j]) - bg) > boundary_tol:
+        if abs(float(p.values[j]) - bg) > BOUNDARY_TOL:
             alpha = float(p.breakpoints[j + 1])
             break
     return ProfileReport(positivity_ok, boundary_value, boundary_ok, alpha)
@@ -222,40 +226,40 @@ def validate_profile(p, boundary_tol=1e-9):
 
 # -- text serialization ------------------------------------------------------
 
-def _fmt(x, digits):
+def _fmt(x):
     if isinstance(x, mpf):
-        return mpmath.nstr(x, digits, strip_zeros=True)
+        return mpmath.nstr(x, SERIAL_DIGITS, strip_zeros=True)
     return repr(float(x))
 
 
-def serialize_profile(p, digits=25):
-    lines = [f"kind {p.kind.value}", f"radius {_fmt(p.radius, digits)}"]
+def serialize_profile(p):
+    lines = [f"kind {p.kind.value}", f"radius {_fmt(p.radius)}"]
     if isinstance(p, PiecewiseProfile):
-        lines.append("breakpoints " + " ".join(_fmt(b, digits) for b in p.breakpoints))
-        lines.append("values " + " ".join(_fmt(v, digits) for v in p.values))
+        lines.append("breakpoints " + " ".join(_fmt(b) for b in p.breakpoints))
+        lines.append("values " + " ".join(_fmt(v) for v in p.values))
     else:
         parts = [p.name]
         for key, val in p.params.items():
             if isinstance(val, (list, tuple)):
-                parts.append(f"{key}=[{','.join(_fmt(v, digits) for v in val)}]")
+                parts.append(f"{key}=[{','.join(_fmt(v) for v in val)}]")
             else:
-                parts.append(f"{key}={_fmt(val, digits)}")
+                parts.append(f"{key}={_fmt(val)}")
         lines.append("analytic " + " ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def _parse_decimal(tok, prec, lineno):
+def _parse_decimal(tok, lineno):
     try:
-        with mp.workprec(prec):
+        with mp.workprec(PARSE_PREC):
             return +mpf(tok)
     except ValueError:
         raise ProfileFormatError(f"bad decimal {tok!r}", lineno) from None
 
 
-def parse_profile(text, prec=64):
+def parse_profile(text):
     """Parse the profile text format into a profile object.
 
-    Decimals are read at ``prec`` bits.  Errors carry the line number.
+    Decimals are read at ``PARSE_PREC`` bits.  Errors carry the line number.
     """
     kind = radius = None
     breakpoints = values = analytic = None
@@ -271,11 +275,11 @@ def parse_profile(text, prec=64):
             except ValueError:
                 raise ProfileFormatError(f"unknown kind {rest!r}", lineno) from None
         elif word == "radius":
-            radius = _parse_decimal(rest, prec, lineno)
+            radius = _parse_decimal(rest, lineno)
         elif word == "breakpoints":
-            breakpoints = [_parse_decimal(t, prec, lineno) for t in rest.split()]
+            breakpoints = [_parse_decimal(t, lineno) for t in rest.split()]
         elif word == "values":
-            values = [_parse_decimal(t, prec, lineno) for t in rest.split()]
+            values = [_parse_decimal(t, lineno) for t in rest.split()]
         elif word == "analytic":
             analytic = (rest, lineno)
         else:
@@ -298,9 +302,9 @@ def parse_profile(text, prec=64):
                 if not val.endswith("]"):
                     raise ProfileFormatError(f"unterminated list in {tok!r}", lineno)
                 items = [v for v in val[1:-1].split(",") if v]
-                params[key] = [float(_parse_decimal(v, prec, lineno)) for v in items]
+                params[key] = [float(_parse_decimal(v, lineno)) for v in items]
             else:
-                params[key] = float(_parse_decimal(val, prec, lineno))
+                params[key] = float(_parse_decimal(val, lineno))
         return AnalyticProfile(kind, radius, name, params)
     if breakpoints is None or values is None:
         raise ProfileFormatError("need breakpoints+values or an analytic line")

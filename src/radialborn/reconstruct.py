@@ -245,7 +245,7 @@ def support_radius_estimate(s, background):
     return float(s.r_grid[dev > 0.01 * peak].max())
 
 
-def growth_slope(mu, xi_window, d=3, prec=256):
+def growth_slope(mu, xi_window, prec=256):
     """Least-squares slope of log sum_k |term_k(xi)| at 40 points of a xi window.
 
     The empirical exponential type of the series with entries mu; for
@@ -258,7 +258,7 @@ def growth_slope(mu, xi_window, d=3, prec=256):
     prec = check_precision(prec)
     xs = np.linspace(a, b, 40)
     with mp.workprec(prec + GUARD_BITS):
-        terms = [abs(t) for t in _series_terms(mu, d, prec)]
+        terms = [abs(t) for t in _series_terms(mu, prec)]
         # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
         logs = []
         for xi, s in zip(xs, _series_sum(terms, xs, prec)):

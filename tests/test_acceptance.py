@@ -17,7 +17,6 @@ from radialborn.born import (
     born_potential_fourier,
     eval_series_L_grid,
     moment_sequence_exact,
-    series_coefficients,
 )
 from radialborn.forward import (
     ode_log_derivative_oracle,
@@ -112,7 +111,7 @@ def test_criterion_04_decay_slope(half_ball_spectrum_512):
 
 def test_criterion_05_moment_envelope(half_ball_spectrum_512):
     sp = half_ball_spectrum_512
-    sigma = moment_sequence_exact(half_ball_potential(), 60, 3, 512)
+    sigma = moment_sequence_exact(half_ball_potential(), 60, 512)
     with mp.workprec(576):
         ratios = [abs(sp.lambdas[k] - k - sigma[k])
                   / (mpf(0.5) ** (2 * k) / (2 * k + 1) ** 3)
@@ -277,7 +276,9 @@ def test_criterion_14_linearization_recovery():
         delta = [mpf(1) / (k * k + 1) for k in range(kmax + 1)]
         eps = mpf(2) ** -100
         xi = mpf(3)
-        coeffs = series_coefficients(kmax, 3, prec + 64)
+        # 2 pi^{d/2} (-1)^k / (k! Gamma(k + d/2)) at d = 3, independent of the package
+        coeffs = [2 * mpmath.pi ** mpf(1.5) * (-1) ** k
+                  / (mpmath.factorial(k) * mpmath.gamma(k + mpf(1.5))) for k in range(kmax + 1)]
 
         def series_at(lams):
             x2 = (xi / 2) ** 2

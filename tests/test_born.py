@@ -2,7 +2,8 @@
 
 ``mpf_series_L_grid`` is the reference evaluator: the term-by-term big-float
 loop (c_k times (xi/2)^{2k} times mu_k at prec + 32 bits) that the fixed-point
-series kernel replaced.
+series kernel replaced.  Its coefficients come from the general-dimension
+formula ``gamma_coefficients`` at d = 3, not from the code under test.
 """
 
 import math
@@ -30,10 +31,16 @@ from radialborn.profiles import PiecewiseProfile, ProfileKind
 import numpy as np
 
 
-def mpf_series_L_grid(mu, xi_grid, d=3, prec=1024):
+def gamma_coefficients(kmax, d):
+    """2 pi^{d/2} (-1)^k / (k! Gamma(k + d/2)), k = 0..kmax, at the working precision."""
+    return [2 * mpmath.pi ** (mpf(d) / 2) * (-1) ** k
+            / (mpmath.factorial(k) * mpmath.gamma(k + mpf(d) / 2)) for k in range(kmax + 1)]
+
+
+def mpf_series_L_grid(mu, xi_grid, prec=1024):
     """sum_k c_k (xi/2)^{2k} mu_k term by term in big floats at prec + GUARD_BITS."""
     with mp.workprec(prec + GUARD_BITS):
-        coeffs = series_coefficients(len(mu) - 1, d, prec + GUARD_BITS)
+        coeffs = gamma_coefficients(len(mu) - 1, 3)
         mu = [mpf(m) for m in mu]
         out = []
         for xi in xi_grid:
@@ -46,11 +53,10 @@ def mpf_series_L_grid(mu, xi_grid, d=3, prec=1024):
     return out
 
 
-def reference_series(mu, xi_grid, d, prec):
+def reference_series(mu, xi_grid, prec):
     """(sum_k t_k, sum_k |t_k|) per node, t_k = c_k (xi/2)^{2k} mu_k, at prec + 256 bits."""
     with mp.workprec(prec + 256):
-        ct = [2 * mpmath.pi ** (mpf(d) / 2) * (-1) ** k * mpf(m)
-              / (mpmath.factorial(k) * mpmath.gamma(k + mpf(d) / 2)) for k, m in enumerate(mu)]
+        ct = [c * mpf(m) for c, m in zip(gamma_coefficients(len(mu) - 1, 3), mu)]
         out = []
         for xi in xi_grid:
             x2 = (mpf(xi) / 2) ** 2
@@ -112,11 +118,17 @@ def indicator(alpha, kind=ProfileKind.POTENTIAL, value=1.0):
 
 def test_series_coefficients_match_direct_formula():
     with mp.workprec(300):
-        coeffs = series_coefficients(40, 3, 256)
+        coeffs = series_coefficients(40, 256)
+        ref = gamma_coefficients(40, 3)
         for k in (0, 1, 7, 25, 40):
-            ref = (2 * mpmath.pi ** mpf("1.5") * (-1) ** k
-                   / (mpmath.factorial(k) * mpmath.gamma(k + mpf("1.5"))))
-            assert abs(coeffs[k] - ref) <= abs(ref) * mpf(2) ** -245
+            assert abs(coeffs[k] - ref[k]) <= abs(ref[k]) * mpf(2) ** -245
+    # every entry within 2^-(P + GUARD_BITS - 4) of 4 pi (-1)^k 4^k / (2k+1)! at 2P bits
+    for P in (256, 512):
+        coeffs = series_coefficients(150, P)
+        with mp.workprec(2 * P):
+            for k, c in enumerate(coeffs):
+                ref = 4 * mpmath.pi * (-4) ** k / mpmath.factorial(2 * k + 1)
+                assert abs(c - ref) <= abs(ref) * mpf(2) ** -(P + GUARD_BITS - 4), (P, k)
 
 
 def test_series_on_indicator_moments_matches_transform():
@@ -258,7 +270,7 @@ def test_lambda0_warning_for_nonzero_boundary():
 
 def eigenvalue_moment_residual(spec, q):
     """lambda_k - k - sigma_k[q] on the unit ball, k = 0..K."""
-    sigma = moment_sequence_exact(q, spec.kmax, 3, spec.prec)
+    sigma = moment_sequence_exact(q, spec.kmax, spec.prec)
     with mp.workprec(spec.prec + GUARD_BITS):
         return [to_prec(mpf(lam) - k - s, spec.prec) for k, (lam, s) in enumerate(zip(spec.lambdas, sigma))]
 
@@ -287,6 +299,11 @@ def test_mode_validation():
     gspec = spectrum_of(g, 5, 128)
     with pytest.raises(ValueError):
         born_potential_fourier(gspec, [0.0], prec=128)
+    # the forward engine solves 3-D spectra only
+    with pytest.raises(ValueError, match="d = 3"):
+        born_potential_fourier(spec, [0.0], d=2, prec=128)
+    with pytest.raises(ValueError, match="d = 3"):
+        born_conductivity_fourier(gspec, [0.0], d=2, prec=128)
 
 
 @pytest.mark.parametrize("K", (0, 1, 20, 150))
@@ -312,7 +329,7 @@ def test_series_kernel_and_oracle_within_the_bound(K, prec):
         for grid in grids:
             got = eval_series_L_grid(mu, grid, prec=prec).values
             oracle = mpf_series_L_grid(mu, grid, prec=prec)
-            for xi, g, o, (ref, abs_sum) in zip(grid, got, oracle, reference_series(mu, grid, 3, prec)):
+            for xi, g, o, (ref, abs_sum) in zip(grid, got, oracle, reference_series(mu, grid, prec)):
                 with mp.workprec(prec + 256):
                     tol = mpmath.ldexp(abs_sum, K.bit_length() + 2 - prec - GUARD_BITS)
                     assert abs(g - ref) <= tol + _half_ulp(g, prec), (trial, xi)
@@ -334,7 +351,7 @@ def test_series_values_do_not_depend_on_node_order():
 def test_series_at_zero_is_the_rounded_first_term():
     mu = [mpf(1) / 3, mpf(-7), mpf(2) ** 900]
     with mp.workprec(256 + GUARD_BITS):
-        first = series_coefficients(2, 3, 256 + GUARD_BITS)[0] * mu[0]
+        first = series_coefficients(2, 256 + GUARD_BITS)[0] * mu[0]
     assert eval_series_L(mu, 0.0, prec=256) == to_prec(first, 256)
     assert eval_series_L_grid([0, 0], [0.0, 5.0], prec=128).values == (0, 0)
 

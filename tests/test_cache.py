@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from mpmath import mp, mpf
 
 from radialborn.cache import (
@@ -60,12 +61,20 @@ def test_key_is_the_same_for_equal_values_of_any_type():
         as_mpf = PiecewiseProfile(ProfileKind.CONDUCTIVITY, mpf(1), (0, mpf("0.5"), 1),
                                   (mpf(2), 1))
     assert spectrum_key(as_mpf, 10, 256) == spectrum_key(gamma(), 10, 256)
+
+
+def test_analytic_profiles_have_no_key(tmp_path):
+    # an analytic profile is solved through a projection whose piece count its
+    # parameters do not name, so a key of them would serve one spectrum for all
     analytic = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "step2",
                                {"r1": 0.5, "v1": 2.0, "v2": 1.0})
-    reordered = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "step2",
-                                {"v2": 1.0, "v1": 2.0, "r1": 0.5})
-    assert spectrum_key(analytic, 10, 256) == spectrum_key(reordered, 10, 256)
-    assert spectrum_key(analytic, 10, 256) != spectrum_key(gamma(), 10, 256)
+    with pytest.raises(TypeError):
+        spectrum_key(analytic, 10, 256)
+    with pytest.raises(TypeError):
+        store_spectrum(spectrum_of(gamma(), 10, 256), analytic, cache_dir=tmp_path)
+    with pytest.raises(TypeError):
+        cached_spectrum_of(analytic, 10, 256, cache_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_miss_and_corruption_return_none(tmp_path):

@@ -12,7 +12,7 @@ from radialborn.forward import (
     transfer_radius,
     untransfer_radius,
 )
-from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind
 
 
 def const_q(value, radius=1.0):
@@ -23,6 +23,13 @@ def test_free_potential_eigenvalues_exact():
     spec = potential_spectrum(const_q(0.0), 30, 128)
     for k, lam in enumerate(spec.lambdas):
         assert lam == k
+
+
+def test_analytic_profile_is_a_type_error():
+    # the engine reads breakpoints: an analytic profile must be projected first
+    for kind in ProfileKind:
+        with pytest.raises(TypeError, match="project_midpoint"):
+            spectrum_of(AnalyticProfile(kind, 1.0, "bump", {"height": 1.0}), 5, 128)
 
 
 def test_unit_conductivity_eigenvalues():

@@ -66,7 +66,7 @@ def test_forward_known_value():
 
 def test_forward_background_subtraction():
     g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
-    F = forward_radial_ft(g, [0.0], prec=128, subtract_background=True)
+    F = forward_radial_ft(g, [0.0], prec=128)
     assert float(F.values[0]) == pytest.approx(4 * math.pi / 3 * 0.125, rel=1e-15)
 
 
@@ -76,7 +76,7 @@ def test_forward_shares_breakpoints_without_changing_a_bit():
     values = [1.0 if rng.random() < 0.3 else rng.uniform(0.5, 3) for _ in range(40)]
     g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 2.0, (0.0, *bps, 2.0), tuple(values))
     xi = default_xi_grid(32, 20.0)[1:]
-    F = forward_radial_ft(g, xi, prec=256, subtract_background=True)
+    F = forward_radial_ft(g, xi, prec=256)
     assert list(F.values) == per_piece_forward_ft(g, xi, 256, bg=1.0)
 
 
@@ -193,7 +193,7 @@ def test_rotation_kernel_matches_the_per_piece_closed_form():
             else:
                 xi = (0.0, 2.0, 4.0)
             bg = kind.background
-            F = forward_radial_ft(f, xi, prec=prec, subtract_background=True)
+            F = forward_radial_ft(f, xi, prec=prec)
             ref = per_piece_forward_ft(f, [x for x in xi if x != 0], prec + 64, bg=bg)
             with mp.workprec(prec + 64):
                 if xi[0] == 0:  # the volume integral, the closed form's limit
