@@ -8,7 +8,6 @@ from .profiles import (
     parse_profile,
     project_midpoint,
     serialize_profile,
-    validate_profile,
 )
 from .forward import (
     DirichletCollisionError,
@@ -27,7 +26,6 @@ from .born import (
     eval_series_L,
     eval_series_L_grid,
     moment_sequence_exact,
-    moments_from_samples,
     series_coefficients,
 )
 from .fourier import (
@@ -44,7 +42,6 @@ from .reconstruct import (
     born_samples,
     ensemble_depth_profile,
     error_norms,
-    growth_slope,
     iterate_born,
     support_radius_estimate,
 )

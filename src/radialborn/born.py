@@ -7,11 +7,12 @@ The central object is the series operator
 For the moments sigma_k[f] = int r^{2k+2} f dr it is the Taylor series of the
 3-D transform 4 pi int r^2 f(r) j_0(xi r) dr, j_0(z) = sin z / z.  The Born
 weights are the scaled shifts mu_k = R^{2k+2} (lambda_k^R - k/R) of the one
-radius map ``forward.scaled_shifts``, each mode a target radius R: the
-spectrum's own (unit, moment_form), the given R (finiteR) or infinity
-(scattering); a zero denominator raises ``TransferDenominatorError``.  Fed
-these, L gives the potential Born approximation, and the conductivity
-variants divide by |xi|^2 via an index shift.  The products a_k = c_k mu_k with
+radius map ``forward.scaled_shifts``, each mode one target radius R
+(``target_radius``): the spectrum's own (unit), the given R (finiteR) or
+infinity (scattering); a zero denominator raises ``TransferDenominatorError``.
+Fed these, L gives the potential Born approximation, and the conductivity
+transform divides by |xi|^2 via an index shift; that series is also the
+conductivity moment form.  The products a_k = c_k mu_k with
 the coefficients c_k of (xi/2)^{2k} are formed in big floats at
 prec + GUARD_BITS bits.  One kernel, ``_series_sum``, sums the terms
 a_k (xi/2)^{2k} by a truncated Horner pass in Python integers, one
@@ -31,7 +32,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .forward import scaled_shifts
-from .highprec import GUARD_BITS, check_precision, to_prec
+from .highprec import GUARD_BITS, check_precision, finite_dyadic, one_exponent, to_prec
 from .profiles import PiecewiseProfile, ProfileKind
 
 @dataclass(frozen=True)
@@ -70,34 +71,12 @@ def _series_terms(mu, prec):
         return [c * mpf(m) for c, m in zip(series_coefficients(len(mu) - 1, work), mu)]
 
 
-def _finite_dyadic(x, what):
-    # exact (man, exp) of a float or mpf, man signed; other types are read at
-    # the current working precision
-    sign, man, exp, _ = x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_
-    if not man and exp:
-        raise ValueError(f"non-finite {what}: {x!r}")
-    return (-man if sign else man), exp
-
-
-def _one_exponent(xi_grid):
-    """(e, [(m_n, z_n)]) with xi_n = m_n 2^(e + z_n) exactly and z_n >= 0.
-
-    e is the least exponent of a nonzero node, so N_n = m_n 2^z_n are the nodes
-    as integers on one exponent; forming them is left to the caller, since
-    nodes far apart in scale make them long.  A zero node reads (0, 0).
-    Non-finite nodes raise ``ValueError``.
-    """
-    X = [_finite_dyadic(x, "frequency") for x in xi_grid]
-    e = min((xe for xm, xe in X if xm), default=0)
-    return e, [(xm, xe - e if xm else 0) for xm, xe in X]
-
-
 def _series_sum(a, xi_grid, prec):
     """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
 
     A truncated Horner pass in Python integers, F = prec + GUARD_BITS + 8 +
     bit_length(K).  The nonzero nodes are read as integers on one exponent,
-    |xi_n| = N_n 2^e with N_n = m_n 2^z_n (``_one_exponent``), and with g the gcd
+    |xi_n| = N_n 2^e with N_n = m_n 2^z_n (``highprec.one_exponent``), and with g the gcd
     of the mantissas m_n (gcd(N_n) for odd mantissas), y_n = J_n Y0 with
     J_n = (N_n / g)^2 and Y0 = g^2 2^(2e - 2).  J_n = Jm 2^js is exact (js = 0)
     while N_n / g has at most F/2 bits, so J_n = n^2 on ``default_xi_grid``;
@@ -122,8 +101,8 @@ def _series_sum(a, xi_grid, prec):
     K = len(a) - 1
     bits = prec + GUARD_BITS + 8 + K.bit_length()
     with mp.workprec(prec + GUARD_BITS):
-        A = [_finite_dyadic(t, "series term") for t in a]
-        e, X = _one_exponent(xi_grid)
+        A = [finite_dyadic(t, "series term") for t in a]
+        e, X = one_exponent(xi_grid)
     # xi = 0 (and an all-zero or empty series) leaves a_0 alone
     out = [mp.make_mpf(from_man_exp(*(A[0] if A else (0, 0)), prec, round_nearest))] * len(X)
     nodes = [n for n, (xm, _) in enumerate(X) if xm]
@@ -195,66 +174,61 @@ def eval_series_L_grid(mu, xi_grid, prec=1024):
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
-def _eigenvalue_entries(spec, mode, R, prec):
-    # mu_k of the L series: each mode is a target radius of the one radius map
-    targets = {"unit": spec.radius, "finiteR": R, "scattering": mpmath.inf}
-    if spec.kind is ProfileKind.CONDUCTIVITY:
-        targets["moment_form"] = spec.radius
+def target_radius(spec, mode, R):
+    """The radius at which a Born mode reads the spectrum through ``scaled_shifts``.
+
+    "unit" the spectrum's own, as "moment_form" on a conductivity, whose series
+    is the unit one; "finiteR" the given R; "scattering" ``mpmath.inf``.
+    """
+    if mode == "moment_form" and spec.kind is not ProfileKind.CONDUCTIVITY:
+        raise ValueError("moment_form mode applies to conductivity spectra")
+    if mode == "finiteR" and R is None:
+        raise ValueError("finiteR mode needs a target radius R")
+    targets = {"unit": spec.radius, "moment_form": spec.radius, "finiteR": R,
+               "scattering": mpmath.inf}
     if mode not in targets:
         raise ValueError(f"unknown mode {mode!r}")
-    if targets[mode] is None:
-        raise ValueError("finiteR mode needs a target radius R")
-    return scaled_shifts(spec, targets[mode], prec)
+    return targets[mode]
+
+
+def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
+    if d != 3:
+        raise ValueError(f"only d = 3 is supported, got d = {d!r}")
+    if spec.kind is not kind:
+        raise ValueError(f"born_{kind.value}_fourier requires a {kind.value} spectrum")
+    prec = check_precision(prec)
+    terms = _series_terms(scaled_shifts(spec, target_radius(spec, mode, R), prec), prec)
+    if kind is ProfileKind.CONDUCTIVITY:
+        if spec.kmax < 1:
+            raise ValueError("need at least lambda_1")
+        with mp.workprec(prec + GUARD_BITS):
+            if abs(mpf(spec.lambdas[0])) > mpmath.ldexp(mpf(1), -prec // 2):
+                warnings.warn("conductivity spectrum has lambda_0 != 0", stacklevel=3)
+            # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)}
+            terms = [-t / 2 for t in terms[1:]]
+    return FourierSamples(tuple(xi_grid), tuple(_series_sum(terms, xi_grid, prec)))
 
 
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
     """Fourier transform of the potential Born approximation on a xi-grid.
 
-    Each mode is a target radius of ``forward.scaled_shifts``: "unit" the
-    spectrum's own ball, "finiteR" the radius R, "scattering" R -> infinity.
-    The spectra are 3-D: any d but 3 raises ``ValueError``.
+    L(mu; xi) with the weights mu of ``scaled_shifts`` at the mode's
+    ``target_radius``.  The spectra are 3-D: any d but 3 raises ``ValueError``.
     """
-    if d != 3:
-        raise ValueError(f"only d = 3 is supported, got d = {d!r}")
-    if spec.kind is not ProfileKind.POTENTIAL:
-        raise ValueError("born_potential_fourier requires a potential spectrum")
-    prec = check_precision(prec)
-    mu = _eigenvalue_entries(spec, mode, R, prec)
-    return eval_series_L_grid(mu, xi_grid, prec)
+    return _born_fourier(ProfileKind.POTENTIAL, spec, xi_grid, mode, R, d, prec)
 
 
 def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
     """Fourier transform of gamma_exp - 1 on a xi-grid.
 
-    Modes "unit"/"finiteR"/"scattering" evaluate the k >= 1 series with the
-    weights of ``forward.scaled_shifts`` at their target radius, as for
-    potentials; "moment_form" evaluates the equivalent index-shifted L sum
-    with entries mu_{k+1} / ((k+1) (2k+3)) of the unit-mode weights.  The
-    xi = 0 node is the analytic k = 1 limit, never a division by xi^2.  Any d
-    but 3 raises ``ValueError``.
+    The k >= 1 series -2 (L(mu; xi) - 4 pi mu_0) / xi^2 with the weights mu of
+    ``scaled_shifts`` at the mode's ``target_radius``.  "moment_form" is this
+    unit series: its Hausdorff entries nu_k = mu_{k+1} / ((k+1)(2k+3)) give
+    c_k nu_k = -c_{k+1} mu_{k+1} / 2 term by term.  The xi = 0 node is the
+    analytic k = 1 limit, never a division by xi^2.  Any d but 3 raises
+    ``ValueError``.
     """
-    if d != 3:
-        raise ValueError(f"only d = 3 is supported, got d = {d!r}")
-    if spec.kind is not ProfileKind.CONDUCTIVITY:
-        raise ValueError("born_conductivity_fourier requires a conductivity spectrum")
-    prec = check_precision(prec)
-    mu = _eigenvalue_entries(spec, mode, R, prec)
-    with mp.workprec(prec + GUARD_BITS):
-        lam0 = mpf(spec.lambdas[0])
-        if abs(lam0) > mpmath.ldexp(mpf(1), -prec // 2):
-            warnings.warn("conductivity spectrum has lambda_0 != 0", stacklevel=2)
-    if spec.kmax < 1:
-        raise ValueError("need at least lambda_1")
-    if mode == "moment_form":
-        with mp.workprec(prec + GUARD_BITS):
-            nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spec.kmax)]
-        return eval_series_L_grid(nu, xi_grid, prec)
-    # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)}
-    terms = _series_terms(mu, prec)
-    with mp.workprec(prec + GUARD_BITS):
-        terms = [-t / 2 for t in terms[1:]]
-    vals = _series_sum(terms, xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals))
+    return _born_fourier(ProfileKind.CONDUCTIVITY, spec, xi_grid, mode, R, d, prec)
 
 
 def moment_sequence_exact(f, kmax, prec=256):
@@ -271,10 +245,3 @@ def moment_sequence_exact(f, kmax, prec=256):
         dev = [(mpf(v) - f.kind.background, a, b) for v, a, b in zip(f.values, bp, bp[1:])]
         return [to_prec(sum(v * (b ** e - a ** e) for v, a, b in dev if v) / e, prec)
                 for e in range(3, 2 * kmax + 4, 2)]
-
-
-def moments_from_samples(s, kmax):
-    """Trapezoidal moments int r^{2k+2} v dr of sampled radial data (double precision)."""
-    r = np.asarray(s.r_grid, dtype=float)
-    v = np.asarray(s.values, dtype=float)
-    return [float(np.trapezoid(v * r ** (2 * k + 2), r)) for k in range(kmax + 1)]

@@ -20,7 +20,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_float, from_int
 
-from .forward import DtnSpectrum
+from .forward import DtnSpectrum, spectrum_of
 from .highprec import GUARD_BITS, check_precision, to_prec
 from .profiles import PiecewiseProfile
 
@@ -121,13 +121,11 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
     return DtnSpectrum(profile.kind, radius, lambdas, prec)
 
 
-def cached_spectrum_of(profile, kmax, prec, cache_dir=None, solver=None):
+def cached_spectrum_of(profile, kmax, prec, cache_dir=None):
     """Cache-through solve: load on hit, otherwise solve and store."""
     hit = load_spectrum(profile, kmax, prec, cache_dir)
     if hit is not None:
         return hit
-    if solver is None:
-        from .forward import spectrum_of as solver
-    spec = solver(profile, kmax, prec)
+    spec = spectrum_of(profile, kmax, prec)
     store_spectrum(spec, profile, cache_dir)
     return spec

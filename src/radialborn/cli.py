@@ -31,7 +31,7 @@ from .experiments import (
     write_spectrum_csv,
 )
 from .fourier import inverse_radial_ft, xi_node_bits
-from .profiles import PiecewiseProfile, ProfileFormatError, ProfileKind, parse_profile
+from .profiles import PiecewiseProfile, ProfileFormatError, parse_profile
 from .reconstruct import (
     SCALES,
     born_fourier,
@@ -178,8 +178,6 @@ def cmd_born(args):
     mode = args.mode.replace("-", "_")
     R = args.radius if mode == "finiteR" else None
     spec = _spectrum_from_args(args, params, mode)
-    if spec.kind is ProfileKind.POTENTIAL and mode == "moment_form":
-        raise InputError("moment-form mode applies to conductivity spectra")
     if args.xi_max is not None:
         rho = grid_radius(spec, mode, R)
         params = replace(params, length_factor=np.pi * params.grid_n / (args.xi_max * rho))

@@ -299,6 +299,8 @@ def ode_log_derivative_oracle(q, k):
     Independent of the Bessel transfer path; accuracy ~1e-8, double
     precision on purpose.
     """
+    if not isinstance(q, PiecewiseProfile):
+        raise TypeError("the ODE oracle needs a PiecewiseProfile; use project_midpoint")
     if q.kind is not ProfileKind.POTENTIAL:
         raise ValueError("the ODE oracle integrates the potential equation")
     R = float(q.radius)

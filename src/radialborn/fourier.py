@@ -25,8 +25,8 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_mul, mpf_sub, round_nearest, to_fixed
 
-from .born import FourierSamples, _one_exponent
-from .highprec import GUARD_BITS, check_precision, to_prec
+from .born import FourierSamples
+from .highprec import GUARD_BITS, check_precision, one_exponent, to_prec
 from .profiles import PiecewiseProfile
 
 
@@ -73,7 +73,7 @@ def default_xi_grid(n, L):
 
 def _arithmetic_grid(xi_grid):
     """Integers (N, H, e) with xi_j = (N + j H) 2^e exactly, or GridMismatchError."""
-    e, X = _one_exponent(xi_grid)
+    e, X = one_exponent(xi_grid)
     N = [xm << z for xm, z in X]
     H = N[1] - N[0] if len(N) > 1 else 0
     if any(x != N[0] + j * H for j, x in enumerate(N)):

@@ -1,4 +1,5 @@
-"""Arbitrary-precision building blocks: precision checks and spherical Bessel ladders.
+"""Arbitrary-precision building blocks: precision checks, exact dyadic reads and
+spherical Bessel ladders.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
 mantissa precision and round results with :func:`to_prec`; the ladders run at
@@ -35,6 +36,28 @@ def to_prec(x, prec):
     """Round ``x`` to ``prec`` bits."""
     with mp.workprec(prec):
         return +mpf(x)
+
+
+def finite_dyadic(x, what):
+    """Exact signed (man, exp) of a float or mpf; other types are read at the
+    current working precision.  A non-finite x raises ``ValueError`` naming ``what``."""
+    sign, man, exp, _ = x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_
+    if not man and exp:
+        raise ValueError(f"non-finite {what}: {x!r}")
+    return (-man if sign else man), exp
+
+
+def one_exponent(xi_grid):
+    """(e, [(m_n, z_n)]) with xi_n = m_n 2^(e + z_n) exactly and z_n >= 0.
+
+    e is the least exponent of a nonzero node, so N_n = m_n 2^z_n are the nodes
+    as integers on one exponent; forming them is left to the caller, since
+    nodes far apart in scale make them long.  A zero node reads (0, 0).
+    Non-finite nodes raise ``ValueError``.
+    """
+    X = [finite_dyadic(x, "frequency") for x in xi_grid]
+    e = min((xe for xm, xe in X if xm), default=0)
+    return e, [(xm, xe - e if xm else 0) for xm, xe in X]
 
 
 def _sph_from_cyl(kind, k, x):

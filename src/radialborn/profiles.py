@@ -30,7 +30,6 @@ from enum import Enum
 import mpmath
 from mpmath import mp, mpf
 
-BOUNDARY_TOL = 1e-9  # a value this close to the background counts as background
 SERIAL_DIGITS = 25   # significant digits of an mpf in the text format; floats use repr
 PARSE_PREC = 64      # bits at which the text format's decimals are read
 
@@ -196,32 +195,6 @@ def project_midpoint(profile, m):
     breakpoints = tuple(j * h for j in range(m)) + (R,)
     values = tuple(profile((j + 0.5) * h) for j in range(m))
     return PiecewiseProfile(profile.kind, R, breakpoints, values)
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    positivity_ok: bool
-    boundary_value: float
-    boundary_ok: bool
-    support_radius: float
-
-
-def validate_profile(p):
-    """Diagnostics: positivity, boundary value vs background, support radius.
-
-    The support radius is the largest breakpoint below which the profile
-    differs from its background (1 or 0) by more than ``BOUNDARY_TOL``.
-    """
-    bg = p.kind.background
-    positivity_ok = p.kind is not ProfileKind.CONDUCTIVITY or all(v > 0 for v in p.values)
-    boundary_value = float(p.values[-1])
-    boundary_ok = abs(boundary_value - bg) <= BOUNDARY_TOL
-    alpha = 0.0
-    for j in range(p.piece_count - 1, -1, -1):
-        if abs(float(p.values[j]) - bg) > BOUNDARY_TOL:
-            alpha = float(p.breakpoints[j + 1])
-            break
-    return ProfileReport(positivity_ok, boundary_value, boundary_ok, alpha)
 
 
 # -- text serialization ------------------------------------------------------

@@ -7,26 +7,17 @@ the fixed-point refinement
     x^0     = Born(data),
     x^{n+1} = Born(data) + x^n - Born(forward(x^n)),
 
-the ensemble depth-error statistic, the support-radius estimate and the
-growth-rate fit used as the numerical stand-in for the support theory.
+the ensemble depth-error statistic and the support-radius estimate.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import mpmath
-from mpmath import mp
 
-from .born import (
-    _series_sum,
-    _series_terms,
-    born_conductivity_fourier,
-    born_potential_fourier,
-)
+from .born import born_conductivity_fourier, born_potential_fourier, target_radius
 from .forward import spectrum_of
 from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
-from .highprec import GUARD_BITS, check_precision
 from .profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
 EPS_FLOOR = 1e-3  # conductivity clamp before forward solves
@@ -79,11 +70,10 @@ class DepthErrorCurve:
     failed: int = 0
 
 
-def grid_radius(spec, mode="unit", R=None):
-    """The radius rho of ``born_fourier``'s xi-grid."""
-    if mode == "finiteR" and R is not None:
-        return R
-    return 1.0 if mode == "scattering" else float(spec.radius)
+def grid_radius(spec, mode, R):
+    """The radius rho of ``born_fourier``'s xi-grid: the mode's target radius, 1 at infinity."""
+    rho = float(target_radius(spec, mode, R))
+    return 1.0 if math.isinf(rho) else rho
 
 
 def born_fourier(spec, params=None, mode="unit", R=None):
@@ -243,27 +233,3 @@ def support_radius_estimate(s, background):
     if peak == 0.0:
         raise DegenerateSamplesError("samples identically equal the background")
     return float(s.r_grid[dev > 0.01 * peak].max())
-
-
-def growth_slope(mu, xi_window, prec=256):
-    """Least-squares slope of log sum_k |term_k(xi)| at 40 points of a xi window.
-
-    The empirical exponential type of the series with entries mu; for
-    moment sequences of a function supported in B_alpha the slope
-    approaches alpha.
-    """
-    a, b = xi_window
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    prec = check_precision(prec)
-    xs = np.linspace(a, b, 40)
-    with mp.workprec(prec + GUARD_BITS):
-        terms = [abs(t) for t in _series_terms(mu, prec)]
-        # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
-        logs = []
-        for xi, s in zip(xs, _series_sum(terms, xs, prec)):
-            if not s:
-                raise ValueError(f"the series of |term_k| sums to 0 at xi = {xi}")
-            logs.append(float(mpmath.log(s)))
-    slope, _ = np.polyfit(xs, np.asarray(logs), 1)
-    return float(slope)

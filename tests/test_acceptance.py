@@ -20,10 +20,12 @@ from radialborn.born import (
 )
 from radialborn.forward import (
     ode_log_derivative_oracle,
+    scaled_shifts,
     spectrum_of,
     transfer_radius,
 )
 from radialborn.fourier import default_xi_grid, forward_radial_ft, inverse_radial_ft
+from radialborn.highprec import GUARD_BITS
 from radialborn.profiles import (
     AnalyticProfile,
     PiecewiseProfile,
@@ -147,7 +149,11 @@ def test_criterion_07_algebraic_equivalences():
         at_one = fn(sp, grid, mode="finiteR", R=1.0, prec=256)
         bitwise = bitwise and all(a == b for a, b in zip(unit.values, at_one.values))
     unit = born_conductivity_fourier(spg, grid, mode="unit", prec=256)
-    moment = born_conductivity_fourier(spg, grid, mode="moment_form", prec=256)
+    # the moment-form sum L(nu), nu_k = mu_{k+1} / ((k+1)(2k+3)), built here
+    mu = scaled_shifts(spg, spg.radius, 256)
+    with mp.workprec(256 + GUARD_BITS):
+        nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spg.kmax)]
+    moment = eval_series_L_grid(nu, grid, 256)
     with mp.workprec(320):
         worst = max(abs(a - b) / (abs(b) if b else 1)
                     for a, b in zip(moment.values, unit.values))

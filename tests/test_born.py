@@ -20,10 +20,10 @@ from radialborn.born import (
     eval_series_L,
     eval_series_L_grid,
     moment_sequence_exact,
-    moments_from_samples,
     series_coefficients,
+    target_radius,
 )
-from radialborn.forward import DtnSpectrum, TransferDenominatorError, spectrum_of
+from radialborn.forward import DtnSpectrum, TransferDenominatorError, scaled_shifts, spectrum_of
 from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
@@ -158,6 +158,13 @@ def test_moment_sequence_subtracts_background():
             assert abs(sigma[k] - ref) < mpf(10) ** -30
 
 
+def moments_from_samples(s, kmax):
+    """Trapezoidal moments int r^{2k+2} v dr of sampled radial data (double precision)."""
+    r = np.asarray(s.r_grid, dtype=float)
+    v = np.asarray(s.values, dtype=float)
+    return [float(np.trapezoid(v * r ** (2 * k + 2), r)) for k in range(kmax + 1)]
+
+
 def test_moments_from_samples_agrees_with_exact():
     q = indicator(0.5)
     r = np.linspace(0.0, 1.0, 4001)
@@ -215,9 +222,17 @@ def test_conductivity_zero_frequency_limit():
         assert abs(mpf(F.values[0]) - ref) <= abs(ref) * mpf(2) ** -245
 
 
+def moment_form_series(spec, xi_grid, prec):
+    """L(nu; xi) with the Hausdorff entries nu_k = mu_{k+1} / ((k+1)(2k+3)) of the unit weights."""
+    mu = scaled_shifts(spec, spec.radius, prec)
+    with mp.workprec(prec + GUARD_BITS):
+        nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spec.kmax)]
+    return eval_series_L_grid(nu, xi_grid, prec)
+
+
 def test_conductivity_moment_form_equals_unit_mode():
     # the unit ball and a ball of radius 2.5, where moment form must use the
-    # spectrum's radius as unit mode does
+    # spectrum's radius as unit mode does; the moment-form sum is built here
     specs = [spectrum_of(PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0),
                                           (2.0, 1.0)), 60, 256),
              spectrum_of(PiecewiseProfile(ProfileKind.CONDUCTIVITY, 2.5, (0.0, 0.7, 1.9, 2.5),
@@ -226,9 +241,26 @@ def test_conductivity_moment_form_equals_unit_mode():
     for spec in specs:
         a = born_conductivity_fourier(spec, xi, mode="unit", prec=256)
         b = born_conductivity_fourier(spec, xi, mode="moment_form", prec=256)
+        assert a.values == b.values
         with mp.workprec(300):
-            for va, vb in zip(a.values, b.values):
-                assert abs(mpf(va) - mpf(vb)) <= abs(mpf(va)) * mpf(2) ** -128
+            for va, vm in zip(a.values, moment_form_series(spec, xi, 256).values):
+                assert abs(mpf(va) - mpf(vm)) <= abs(mpf(va)) * mpf(2) ** -128
+
+
+def test_target_radius_per_mode():
+    g = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(2), (mpf(0), mpf(1)), 128)
+    q = DtnSpectrum(ProfileKind.POTENTIAL, mpf(2), (mpf(0), mpf(1)), 128)
+    for spec in (g, q):
+        assert target_radius(spec, "unit", None) == 2
+        assert target_radius(spec, "finiteR", 3.5) == 3.5
+        assert target_radius(spec, "scattering", None) == mpmath.inf
+        with pytest.raises(ValueError, match="needs a target radius R"):
+            target_radius(spec, "finiteR", None)
+        with pytest.raises(ValueError, match="unknown mode"):
+            target_radius(spec, "Unit", None)
+    assert target_radius(g, "moment_form", None) == 2
+    with pytest.raises(ValueError, match="moment_form mode applies to conductivity spectra"):
+        target_radius(q, "moment_form", None)
 
 
 def test_potential_conductivity_index_shift_identity():

@@ -103,15 +103,16 @@ def test_entry_that_does_not_fit_the_request_is_a_miss(tmp_path):
     assert json.loads(path.read_text()) == good
 
 
-def test_cached_spectrum_of_hits_without_recompute(tmp_path):
+def test_cached_spectrum_of_hits_without_recompute(tmp_path, monkeypatch):
     calls = []
 
     def counting_solver(profile, kmax, prec):
         calls.append(1)
         return spectrum_of(profile, kmax, prec)
 
-    a = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path, solver=counting_solver)
-    b = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path, solver=counting_solver)
+    monkeypatch.setattr("radialborn.cache.spectrum_of", counting_solver)
+    a = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path)
+    b = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path)
     assert len(calls) == 1
     assert [float(x) for x in a.lambdas] == [float(x) for x in b.lambdas]
 

@@ -39,9 +39,11 @@ def test_catalog_covers_all_ids():
             assert experiment_profiles(exp_id)
 
 
-def test_full_support_experiments_use_tighter_grid():
-    assert experiment_config(5).grid_n == 512
-    assert experiment_config(2).grid_n == 256
+def test_desk_grid_rows_use_the_coarser_grid():
+    # the hand-kept desk_grid_n column of the catalogue, row by row
+    coarse = {2, 3, 4, 6, 7, 9, 11, 12}
+    for exp_id in range(1, 13):
+        assert experiment_config(exp_id).grid_n == (256 if exp_id in coarse else 512), exp_id
 
 
 def test_paper_scale_overrides():

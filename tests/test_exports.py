@@ -1,0 +1,38 @@
+"""Every name the package exports has a caller outside the tests.
+
+A use is a load of the name or of an attribute of that name, or a string
+constant equal to it (the benchmark's tracer looks functions up by name), in
+the package's own modules, the demos or the benchmark.  Imports and the
+definition itself do not count, so code that only tests call fails here.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "radialborn"
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def used_names(path):
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
+    used = set().union(*(used_names(p) for p in sources))
+    assert [n for n in exported_names() if n not in used] == []

@@ -26,10 +26,14 @@ def test_free_potential_eigenvalues_exact():
 
 
 def test_analytic_profile_is_a_type_error():
-    # the engine reads breakpoints: an analytic profile must be projected first
+    # the engine and the ODE oracle read breakpoints: an analytic profile must
+    # be projected first
     for kind in ProfileKind:
         with pytest.raises(TypeError, match="project_midpoint"):
             spectrum_of(AnalyticProfile(kind, 1.0, "bump", {"height": 1.0}), 5, 128)
+    with pytest.raises(TypeError, match="project_midpoint"):
+        ode_log_derivative_oracle(AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "bump",
+                                                  {"height": 1.0}), 1)
 
 
 def test_unit_conductivity_eigenvalues():

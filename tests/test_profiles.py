@@ -11,7 +11,6 @@ from radialborn.profiles import (
     parse_profile,
     project_midpoint,
     serialize_profile,
-    validate_profile,
 )
 
 
@@ -111,21 +110,6 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_unknown_descriptor():
     with pytest.raises(ProfileFormatError):
         parse_profile("kind potential\nradius 1\nanalytic no_such_thing\n")
-
-
-def test_validate_profile_support_radius():
-    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.4, 1.0), (3.0, 0.0))
-    rep = validate_profile(q)
-    assert rep.positivity_ok
-    assert rep.boundary_ok
-    assert abs(rep.support_radius - 0.4) < 1e-12
-
-
-def test_validate_profile_boundary_mismatch():
-    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 1.0), (2.0,))
-    rep = validate_profile(g)
-    assert not rep.boundary_ok
-    assert rep.boundary_value == 2.0
 
 
 def test_bump_offset_and_support():

@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
-from radialborn.born import moment_sequence_exact
+from radialborn.born import _series_sum, _series_terms, moment_sequence_exact
 from radialborn.forward import spectrum_of
 from radialborn.fourier import RadialSamples
+from radialborn.highprec import GUARD_BITS
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 from radialborn.reconstruct import (
     EPS_FLOOR,
@@ -15,13 +18,35 @@ from radialborn.reconstruct import (
     draw_cosine_potential,
     ensemble_depth_profile,
     error_norms,
-    growth_slope,
     iterate_born,
     samples_to_profile,
     support_radius_estimate,
 )
 
 FAST = SolverParams(terms=80, prec=192, pieces=300, grid_n=128)
+
+
+def growth_slope(mu, xi_window, prec):
+    """Least-squares slope of log sum_k |term_k(xi)| at 40 points of a xi window.
+
+    The empirical exponential type of the series with entries mu; for
+    moment sequences of a function supported in B_alpha the slope
+    approaches alpha.
+    """
+    a, b = xi_window
+    if not 0 < a < b:
+        raise ValueError("need 0 < a < b")
+    xs = np.linspace(a, b, 40)
+    with mp.workprec(prec + GUARD_BITS):
+        terms = [abs(t) for t in _series_terms(mu, prec)]
+        # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
+        logs = []
+        for xi, s in zip(xs, _series_sum(terms, xs, prec)):
+            if not s:
+                raise ValueError(f"the series of |term_k| sums to 0 at xi = {xi}")
+            logs.append(float(mpmath.log(s)))
+    slope, _ = np.polyfit(xs, np.asarray(logs), 1)
+    return float(slope)
 
 
 def test_born_samples_small_potential_accurate():
@@ -117,4 +142,4 @@ def test_growth_slope_tracks_support_radius():
 def test_growth_slope_rejects_a_zero_series():
     # log 0 would hand -inf to the fit and return nan
     with pytest.raises(ValueError, match="sums to 0 at xi = 1.0"):
-        growth_slope([0, 0, 0], (1.0, 2.0))
+        growth_slope([0, 0, 0], (1.0, 2.0), 256)
