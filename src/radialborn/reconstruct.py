@@ -21,6 +21,7 @@ from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
 from .profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
 EPS_FLOOR = 1e-3  # conductivity clamp before forward solves
+ITERATE_PIECES_PER_SAMPLE = 4  # iterate pieces per sample spacing of its r-grid
 
 
 class DegenerateSamplesError(ValueError):
@@ -31,8 +32,10 @@ class DegenerateSamplesError(ValueError):
 class SolverParams:
     """Pipeline parameters; the defaults are the desk row of ``SCALES``.
 
-    Spectra run over degrees 0..terms at prec bits, analytic profiles are
-    projected onto ``pieces`` pieces and the Born xi-grid has grid_n intervals.
+    Spectra run over degrees 0..terms at prec bits and the Born xi-grid has
+    grid_n intervals.  ``pieces`` projects truth and analytic profiles;
+    ``iterate_born`` projects its iterates onto ``ITERATE_PIECES_PER_SAMPLE``
+    pieces per sample spacing instead (see there).
     """
 
     terms: int = 150
@@ -146,11 +149,17 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
 
     ``reference`` (a profile) is only used for the error trace.  Stops early
     when the L2 error increases twice in a row.
+
+    Each iterate is the linear interpolant of its samples, so it is projected
+    onto ``ITERATE_PIECES_PER_SAMPLE`` pieces per sample spacing on [0, R],
+    not onto ``params.pieces``, before its spectrum is solved.
     """
     params = params or SolverParams()
     radius = float(target_spec.radius)
     born0 = born_samples(target_spec, params)
     r_grid = born0.r_grid
+    # rounded to 6 decimals so that float error in r_grid cannot add a piece
+    pieces = math.ceil(round(ITERATE_PIECES_PER_SAMPLE * radius / r_grid[1], 6))
     ref_vals = profile_on_grid(reference, r_grid)
     iterates = [born0]
     l2s, linfs = [], []
@@ -161,7 +170,7 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
     increases = 0
     converged = True
     for _ in range(n_iter):
-        prof = samples_to_profile(current, kind, radius, params.pieces)
+        prof = samples_to_profile(current, kind, radius, pieces)
         spec_n = spectrum_of(prof, params.terms, params.prec)
         born_n = born_samples(spec_n, params)
         nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values)
