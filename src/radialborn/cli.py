@@ -99,7 +99,7 @@ def _build_parser():
     sp = common(sub.add_parser("ensemble",
                                help="depth-error statistics over random potentials"),
                 profile=False)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=192, metavar="N")
+    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
     sp.add_argument("--seed", type=int, default=1234, metavar="S")
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--scale", type=float, default=1.0)

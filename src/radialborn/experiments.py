@@ -52,8 +52,6 @@ def experiment_config(exp_id, paper_scale=False, **overrides):
     if exp_id not in _CATALOGUE:
         raise ValueError(f"experiment id must be 1..12, got {exp_id}")
     base = asdict(SCALES["paper" if paper_scale else "desk"])
-    if not paper_scale and _CATALOGUE[exp_id].desk_grid_n:
-        base.update(grid_n=_CATALOGUE[exp_id].desk_grid_n)
     base.update(overrides)
     return ExperimentConfig(id=exp_id, paper_scale=paper_scale, **base)
 
@@ -153,12 +151,6 @@ class _Experiment:
     born: tuple = (("unit", None),)  # the (mode, R) Born bundles of each profile
     iterate: bool = False            # the fixed-point iteration bundle of each profile
     depth_scales: tuple = ()         # the depth-error ensemble: one curve per scale alpha
-    # Rows 2, 3, 4, 6, 7, 9, 11 and 12 use a shorter xi-grid at desk scale: the
-    # K-term series only tracks the closed-form transform up to roughly
-    # xi ~ 2K/(3 alpha) for support radius alpha, so they trade grid extent for
-    # term count.  The list is kept by hand, not derived from the profiles,
-    # until the series reports the band it resolves (ROADMAP item 2).
-    desk_grid_n: int | None = None
 
 
 def _step_gamma(values, breaks=(0.0, 0.5, 1.0)):
@@ -185,26 +177,24 @@ _CATALOGUE = {
                     "gamma_small": _step_gamma((1.2, 1.0))}),
     # deviation from 1 supported in B_{1/3}, so gamma is exactly 1 on (1/3, 1)
     2: _Experiment({f"gamma_{i}": _bump_gamma(a, support=1.0 / 3.0)
-                    for i, a in enumerate((0.2, 0.35, 0.5), start=1)}, desk_grid_n=256),
-    3: _Experiment({"gamma": _EXP3_GAMMA}, born=(("unit", None), ("scattering", None)),
-                   desk_grid_n=256),
+                    for i, a in enumerate((0.2, 0.35, 0.5), start=1)}),
+    3: _Experiment({"gamma": _EXP3_GAMMA}, born=(("unit", None), ("scattering", None))),
     4: _Experiment({"gamma_mild": _bump_gamma(0.3), "gamma_large": _bump_gamma(4.0),
-                    "gamma_degenerate": _bump_gamma(-0.995)}, desk_grid_n=256),
+                    "gamma_degenerate": _bump_gamma(-0.995)}),
     5: _Experiment({**{f"q_step_{a:g}": _step_q((a, a / 2, 0.0), (0.0, 0.3, 0.6, 1.0))
                        for a in (2.0, 10.0, 40.0)},
                     "q_annular": _step_q((0.0, 5.0, 0.0), (0.0, 0.3, 0.6, 1.0))}),
-    6: _Experiment({f"q_smooth_{a:g}": _bump_q(a) for a in (1.0, 5.0, 20.0)}, desk_grid_n=256),
-    7: _Experiment({}, born=(), depth_scales=(1.0, 2.0, 3.0), desk_grid_n=256),
+    6: _Experiment({f"q_smooth_{a:g}": _bump_q(a) for a in (1.0, 5.0, 20.0)}),
+    7: _Experiment({}, born=(), depth_scales=(1.0, 2.0, 3.0)),
     8: _Experiment({"q": AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump",
                                          {"height": 3.0, "inner": 0.4, "outer": 1.0})}),
     9: _Experiment({"q": _bump_q(5.0)},
-                   born=(("unit", None), ("finiteR", 5.0), ("scattering", None)),
-                   desk_grid_n=256),
+                   born=(("unit", None), ("finiteR", 5.0), ("scattering", None))),
     10: _Experiment({f"q_neg_{a:g}": _bump_q(-a) for a in (5.0, 15.0, 30.0)}),
     11: _Experiment({"gamma_step": _step_gamma((2.0, 1.0)), "gamma_lipschitz": _EXP3_GAMMA,
-                     "gamma_smooth": _bump_gamma(0.3)}, born=(), iterate=True, desk_grid_n=256),
+                     "gamma_smooth": _bump_gamma(0.3)}, born=(), iterate=True),
     12: _Experiment({"q_step": _step_q((2.0, 0.0), (0.0, 0.5, 1.0)), "q_smooth": _bump_q(2.0)},
-                    born=(), iterate=True, desk_grid_n=256),
+                    born=(), iterate=True),
 }
 
 EXPERIMENT_IDS = tuple(_CATALOGUE)

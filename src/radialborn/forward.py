@@ -51,6 +51,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 from .highprec import (
     GUARD_BITS,
     check_precision,
+    finite_dyadic,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
     sph_j_ladder,
@@ -120,13 +121,6 @@ def _to_bits(U, V, bits):
     return (U >> s, V >> s) if s >= 0 else (U << -s, V << -s)
 
 
-def _dyadic(x, bits):
-    # x = man * 2**exp, rounded to `bits` bits (exact for floats and for mpf of <= bits)
-    with mp.workprec(bits):
-        sign, man, exp, _ = mpf(x)._mpf_
-    return (-man if sign else man), exp
-
-
 def _fixed_ratio(a, b, bits):
     # floor(a / b * 2**bits) for dyadics a = (man, exp), b = (man, exp)
     (am, ae), (bm, be) = a, b
@@ -142,10 +136,14 @@ def _spectrum(p, kmax, prec):
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
     ks = range(kmax + 1)
-    dy = [_dyadic(x, F) for x in p.breakpoints]
+    # breakpoints and the gamma_j of flat pieces (1 for a potential) as exact
+    # dyadics: floats and mpfs as they are, other numbers at F >= 53 bits
+    with mp.workprec(F):
+        dy = [finite_dyadic(x, "breakpoint") for x in p.breakpoints]
+        flat = [finite_dyadic(1 if potential else v, "value") for v in p.values]
     # lambda is homogeneous of degree one in gamma: solve for gamma / 2^se, whose
     # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
-    gm, ge = (1, 0) if potential else _dyadic(p.values[-1], F)
+    gm, ge = flat[-1]
     se = ge + gm.bit_length() - 1
     with mp.workprec(prec + GUARD_BITS):
         for j, value in enumerate(p.values):
@@ -176,7 +174,7 @@ def _spectrum(p, kmax, prec):
                     state[k] = _to_bits(f1b * A + f2b * B, v1b * A + v2b * B, F)
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
-            gm, ge = _dyadic(1 if potential else value, F)
+            gm, ge = flat[j]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
             if j == 0:

@@ -311,14 +311,18 @@ def test_explicit_flags_win_over_paper_scale(workdir, solver_calls):
     assert (profile.piece_count, terms, prec) == (10_000, 150, 1024)
 
 
-def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls):
+def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls, monkeypatch):
+    # at either scale ensemble runs at experiment 7's parameters, grid included
     from radialborn.experiments import experiment_config
     from radialborn.reconstruct import ensemble_params
-    with pytest.raises(_Requested):
-        main(["ensemble", "--paper-scale"])
-    params = solver_calls.pop()[2]["params"]
-    exp7 = ensemble_params(experiment_config(7, paper_scale=True))
-    assert (params.terms, params.prec, params.pieces) == (exp7.terms, exp7.prec, exp7.pieces)
+    monkeypatch.delenv("RADIALBORN_PRECISION", raising=False)
+    for flags, paper_scale in (([], False), (["--paper-scale"], True)):
+        with pytest.raises(_Requested):
+            main(["ensemble", *flags])
+        params = solver_calls.pop()[2]["params"]
+        exp7 = ensemble_params(experiment_config(7, paper_scale=paper_scale))
+        assert (params.terms, params.prec, params.pieces, params.grid_n) == \
+            (exp7.terms, exp7.prec, exp7.pieces, exp7.grid_n), flags
 
 
 def test_born_finiteR_from_spectrum_and_profile_agree(workdir):

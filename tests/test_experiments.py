@@ -15,6 +15,7 @@ from radialborn.experiments import (
 )
 from radialborn.forward import spectrum_of
 from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.reconstruct import SCALES
 
 SMALL = dict(terms=40, prec=128, grid_n=48, pieces=120, iterations=2, samples=2)
 
@@ -39,11 +40,11 @@ def test_catalog_covers_all_ids():
             assert experiment_profiles(exp_id)
 
 
-def test_desk_grid_rows_use_the_coarser_grid():
-    # the hand-kept desk_grid_n column of the catalogue, row by row
-    coarse = {2, 3, 4, 6, 7, 9, 11, 12}
-    for exp_id in range(1, 13):
-        assert experiment_config(exp_id).grid_n == (256 if exp_id in coarse else 512), exp_id
+def test_every_experiment_uses_its_scale_grid():
+    for scale, paper_scale in (("desk", False), ("paper", True)):
+        for exp_id in EXPERIMENT_IDS:
+            cfg = experiment_config(exp_id, paper_scale=paper_scale)
+            assert cfg.grid_n == SCALES[scale].grid_n, (scale, exp_id)
 
 
 def test_paper_scale_overrides():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from radialborn.highprec import GUARD_BITS
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 from radialborn.reconstruct import (
     EPS_FLOOR,
+    SCALES,
     DegenerateSamplesError,
     SolverParams,
     born_samples,
@@ -58,6 +60,21 @@ def test_born_samples_small_potential_accurate():
     keep = (np.abs(r - 0.5) > 0.06) & (r > 0.06) & (r <= 1.0)
     truth = np.where(r <= 0.5, 0.1, 0.0)
     assert np.max(np.abs(s.values - truth)[keep]) < 0.02
+
+
+def test_scale_grids_lie_inside_the_band_of_the_series():
+    # the K-term series follows the transform only while its tail bound
+    # xi_max^(2K) / (2K+1)! is small; at K = 150 a grid of 512 gives 10^45.0
+    # and samples of 3.8e45 on this step
+    for name, p in SCALES.items():
+        xi_max = p.grid_n * math.pi / p.length_factor
+        tail = (2 * p.terms * math.log(xi_max) - math.lgamma(2 * p.terms + 2)) / math.log(10)
+        assert tail < -40, name
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.25, 0.5, 0.75, 1.0),
+                         (2.0, 1.5, 1.0, 0.5))
+    spec = spectrum_of(q, SCALES["desk"].terms, 256)
+    s = born_samples(spec, replace(SCALES["desk"], prec=256))
+    assert np.max(np.abs(s.values[s.r_grid <= 1.0])) < 10
 
 
 def test_born_samples_conductivity_offset():
