@@ -211,12 +211,18 @@ def _piecewise(profile, pieces):
     return project_midpoint(profile, pieces)
 
 
-def _born_bundle(name, profile, pw, spec, cfg, mode, R):
-    """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs."""
+def _born_bundle(name, profile, pw, spec, cfg, mode, R, truths):
+    """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs.
+
+    ``truths`` maps an xi grid to the transform of ``pw`` on it, so bundles on
+    one grid (unit and scattering on the unit ball) share one transform.
+    """
     # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
-    Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
+    Ft = truths.get(Fb.xi_grid)
+    if Ft is None:
+        Ft = truths[Fb.xi_grid] = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
     tag = name if mode == "unit" else f"{name}_{mode}"
     return {
         f"{tag}_truth.csv": (("r", "value"), _truth_rows(profile, recon.r_grid)),
@@ -248,8 +254,9 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
     for name, p in row.profiles.items():
         pw = _piecewise(p, cfg.pieces)
         spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
+        truths = {}
         for mode, R in row.born:
-            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R))
+            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, truths))
         if row.iterate:
             files.update(_iteration_bundle(name, p, spec, cfg))
     for alpha in row.depth_scales:

@@ -28,7 +28,9 @@ r u' = x f_k' = k f_k +- x f_{k+1}.  Every ladder value is read once as an
 exact mantissa and exponent, so a column (f_k, x f_k') is a pair of exact
 ints sharing one exponent; the exponents drop out of Phi_b adj(Phi_a) up to
 one left shift that aligns the two columns, which leaves eight exact integer
-products per degree.  The ladders of a piece serve all k at once.
+products per degree.  When one column's term lies more than 2F bits below the
+other's it is dropped, and the shift with it.  The ladders of a piece serve
+all k at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop; unlike max(|U|, |V|), this keeps F bits of U however
@@ -36,10 +38,10 @@ large a conductivity contrast makes V / U.  lambda is homogeneous of degree
 one in gamma, so a conductivity is solved for gamma / 2^se, whose outermost
 value lies in [1, 2), and V keeps its F bits however far gamma lies below 1.
 lambda_k = 2^se V / (U R) is rounded to prec once, at the end.  A spectrum
-costs O(m K) integer products, plus O(m K) big-float operations in the
-ladders of its Bessel pieces.  Only a potential can put a Dirichlet
-eigenvalue at 0, where u(R) vanishes; its spectrum raises
-DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
+costs O(m K) integer products, in the transfer and in the integer ladders of
+its Bessel pieces.  Only a potential can put a Dirichlet eigenvalue at 0,
+where u(R) vanishes; its spectrum raises DirichletCollisionError when
+|R u| < 2^(-prec/2) |u + R u'|.
 """
 
 from dataclasses import dataclass
@@ -167,6 +169,21 @@ def _spectrum(p, kmax, prec):
                     U, V = state[k]
                     A, B = v2a * U - f2a * V, f1a * V - v1a * U
                     d = e1b + e2a - e2b - e1a
+                    # (U, V) = A 2^d (f1b, v1b) + B (f2b, v2b), up to the scale
+                    # _to_bits removes.  ha, hb bound the bit lengths of the two
+                    # terms, and the larger one alone has max(|U|, |V|) >= 2^(h - 2),
+                    # so a term below 2^(h - 2F - 8) moves (U, V) by less than
+                    # 2^-(2F + 6) max(|U|, |V|).  That is below the 2^-F |U| which
+                    # _to_bits cuts, unless |U| < 2^-F |V|; there the columns,
+                    # exact to prec + GUARD_BITS bits only, leave U wrong by more.
+                    # Dropping it skips a shift by |d|: 1.4e8 bits for c = 1e16
+                    # on (0.5, 1], where i_k and kk_k grow apart by e^(2 s (b - a)).
+                    ha = A.bit_length() + max(f1b.bit_length(), v1b.bit_length()) + d
+                    hb = B.bit_length() + max(f2b.bit_length(), v2b.bit_length())
+                    if hb < ha - 2 * F - 8:
+                        B = d = 0
+                    elif ha < hb - 2 * F - 8:
+                        A = d = 0
                     if d > 0:
                         A <<= d
                     else:

@@ -2,10 +2,12 @@
 spherical Bessel ladders.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
-mantissa precision and round results with :func:`to_prec`; the ladders run at
-the caller's working precision.  The mpmath big-float type plays the role of
-the extended-precision real number; precision is carried by the caller, not
-by the value.
+mantissa precision and round results with :func:`to_prec`.  The ladders seed
+with mpmath at the caller's working precision, run their three-term
+recurrence in Python integers on F = working precision + 16 + bit_length(n)
+bits, and round each value once, to the working precision.  The mpmath
+big-float type plays the role of the extended-precision real number;
+precision is carried by the caller, not by the value.
 
 Conventions for the spherical families (order ``k >= 0``, argument ``x > 0``):
 
@@ -20,6 +22,7 @@ differentiation is used anywhere.
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import MPZ, normalize, round_nearest
 
 GUARD_BITS = 32
 
@@ -72,56 +75,75 @@ def _sph_from_cyl(kind, k, x):
 # regular family is seeded at the top orders with direct evaluations and
 # propagated downward (stable: the regular solution dominates going down);
 # the singular family starts from closed forms at orders 0, 1 and goes up.
-# Each returns a list of length kmax + 2 so callers can form derivatives via
-# the ladder relations.
+# All four steps are f_next = sigma f_prev + (2m+1) f_m / x, run by
+# _recurrence in integers on F = mp.prec + 16 + bit_length(n) bits; each
+# value is rounded once, to the working precision.  Each ladder returns a list
+# of length kmax + 2 so callers can form derivatives via the ladder relations.
 # ---------------------------------------------------------------------------
+
+def _recurrence(prev, cur, x, orders, sigma):
+    """[f_next for m in orders] of f_next = sigma f_prev + (2m+1) f_m / x from the
+    seeds (prev, cur), each an mpf rounded once to the working precision.
+
+    x is read once as an exact dyadic and 1/x becomes one fixed-point integer
+    W 2^-s with F + 1 bits.  The running pair (P, C) are ints on one exponent E;
+    both shift right whenever the larger grows past F bits, so every step keeps
+    F bits of the larger, and the bit_length(n) + 16 bits above mp.prec cover
+    the few floors of each of the n steps.  A step's value is recorded as the
+    exact (N, E) before that shift.  The seeds are the caller's and are not
+    rounded again.
+    """
+    prec = mp.prec
+    F = prec + 16 + len(orders).bit_length()
+    xm, xe = finite_dyadic(x, "ladder argument")
+    W = (1 << F + xm.bit_length()) // xm
+    s = F + xm.bit_length() + xe
+    if s < 0:  # x below 2^-(F+1): the left shift goes into W once
+        W, s = W << -s, 0
+    seeds = [finite_dyadic(v, "ladder seed") for v in (prev, cur)]
+    # the larger seed at F bits: the smaller may lose bits here, which lie
+    # below the F bits the pair carries
+    E = max(se + sm.bit_length() for sm, se in seeds) - F
+    P, C = (sm << se - E if se >= E else sm >> E - se for sm, se in seeds)
+    out = []
+    for m in orders:
+        N = sigma * P + ((2 * m + 1) * C * W >> s)
+        a = MPZ(abs(N))  # normalize is from_man_exp without its conversions
+        out.append(mp.make_mpf(normalize(int(N < 0), a, E, a.bit_length(), prec, round_nearest)))
+        b = max(C.bit_length(), N.bit_length()) - F
+        if b > 0:
+            C, N, E = C >> b, N >> b, E + b
+        P, C = C, N
+    return out
+
 
 def mod_sph_i_ladder(kmax, x):
     """[i_0(x), ..., i_{kmax+1}(x)] at the current working precision."""
     n = kmax + 1
-    vals = [mpf(0)] * (n + 2)
-    vals[n + 1] = _sph_from_cyl(mpmath.besseli, n + 1, x)
-    vals[n] = _sph_from_cyl(mpmath.besseli, n, x)
-    for m in range(n, 0, -1):
-        # i_{m-1} = i_{m+1} + (2m+1)/x * i_m
-        vals[m - 1] = vals[m + 1] + (2 * m + 1) * vals[m] / x
-    return vals[: n + 1]
+    top, below = (_sph_from_cyl(mpmath.besseli, m, x) for m in (n + 1, n))
+    # i_{m-1} = i_{m+1} + (2m+1)/x * i_m
+    return _recurrence(top, below, x, range(n, 0, -1), 1)[::-1] + [below]
 
 
 def mod_sph_k_ladder(kmax, x):
     """[kk_0(x), ..., kk_{kmax+1}(x)] at the current working precision."""
-    n = kmax + 1
-    vals = [mpf(0)] * (n + 1)
     e = mpmath.exp(-x) * mpmath.pi / 2
-    vals[0] = e / x
-    if n >= 1:
-        vals[1] = e * (1 / x + 1 / x**2)
-    for m in range(1, n):
-        # kk_{m+1} = kk_{m-1} + (2m+1)/x * kk_m
-        vals[m + 1] = vals[m - 1] + (2 * m + 1) * vals[m] / x
-    return vals
+    k0, k1 = e / x, e * (1 / x + 1 / x**2)
+    # kk_{m+1} = kk_{m-1} + (2m+1)/x * kk_m
+    return [k0, k1] + _recurrence(k0, k1, x, range(1, kmax + 1), 1)
 
 
 def sph_j_ladder(kmax, x):
     """[j_0(x), ..., j_{kmax+1}(x)] at the current working precision."""
     n = kmax + 1
-    vals = [mpf(0)] * (n + 2)
-    vals[n + 1] = _sph_from_cyl(mpmath.besselj, n + 1, x)
-    vals[n] = _sph_from_cyl(mpmath.besselj, n, x)
-    for m in range(n, 0, -1):
-        # j_{m-1} = (2m+1)/x * j_m - j_{m+1}
-        vals[m - 1] = (2 * m + 1) * vals[m] / x - vals[m + 1]
-    return vals[: n + 1]
+    top, below = (_sph_from_cyl(mpmath.besselj, m, x) for m in (n + 1, n))
+    # j_{m-1} = (2m+1)/x * j_m - j_{m+1}
+    return _recurrence(top, below, x, range(n, 0, -1), -1)[::-1] + [below]
 
 
 def sph_y_ladder(kmax, x):
     """[y_0(x), ..., y_{kmax+1}(x)] at the current working precision."""
-    n = kmax + 1
-    vals = [mpf(0)] * (n + 1)
     c, s = mpmath.cos(x), mpmath.sin(x)
-    vals[0] = -c / x
-    if n >= 1:
-        vals[1] = -c / x**2 - s / x
-    for m in range(1, n):
-        vals[m + 1] = (2 * m + 1) * vals[m] / x - vals[m - 1]
-    return vals
+    y0, y1 = -c / x, -c / x**2 - s / x
+    # y_{m+1} = (2m+1)/x * y_m - y_{m-1}
+    return [y0, y1] + _recurrence(y0, y1, x, range(1, kmax + 1), -1)

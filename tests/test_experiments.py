@@ -74,7 +74,8 @@ def test_manifest_records_config(exp_id, tmp_path, cache_dir):
 
 @pytest.mark.parametrize("exp_id, bundles", [(3, 2), (9, 3)])
 def test_each_profile_is_solved_once(exp_id, bundles, tmp_path, cache_dir, monkeypatch):
-    # one projection and one spectrum lookup per profile, however many modes it writes
+    # one projection and one spectrum lookup per profile, however many modes it
+    # writes, and one truth transform per grid: unit and scattering share one
     calls = []
 
     def record(f):
@@ -83,11 +84,15 @@ def test_each_profile_is_solved_once(exp_id, bundles, tmp_path, cache_dir, monke
             return f(*args, **kwargs)
         return counted
 
-    for name in ("cached_spectrum_of", "project_midpoint"):
+    for name in ("cached_spectrum_of", "project_midpoint", "forward_radial_ft"):
         monkeypatch.setattr(experiments, name, record(getattr(experiments, name)))
     files = run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
-    assert sorted(calls) == ["cached_spectrum_of", "project_midpoint"]
+    assert sorted(calls) == (["cached_spectrum_of"] + ["forward_radial_ft"] * (bundles - 1)
+                             + ["project_midpoint"])
     assert len(files) == 4 * bundles + 1
+    name = next(iter(experiment_profiles(exp_id)))
+    assert (tmp_path / f"{name}_fourier_truth.csv").read_bytes() == \
+        (tmp_path / f"{name}_scattering_fourier_truth.csv").read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path, cache_dir):

@@ -120,21 +120,24 @@ def test_derivative_pairs_satisfy_wronskian():
 
 
 def test_ladders_match_direct_evaluations():
+    # at x = 5e-44 each step multiplies by about (2m+1)/x >= 2^144, and
+    # kk_1/kk_0 and y_1/y_0 are about 1/x, so a seed rounded onto its
+    # partner's exponent would lose about 144 bits at k = 0
     kmax = 30
     with mp.workprec(320):
-        x = mpf(5) / 4
-        il = mod_sph_i_ladder(kmax, x)
-        kl = mod_sph_k_ladder(kmax, x)
-        jl = sph_j_ladder(kmax, x)
-        yl = sph_y_ladder(kmax, x)
-        for k in (0, 1, 7, 15, 30):
-            ik, _ = mod_sph_bessel_pair(k, x, 256)
-            kk, _ = mod_sph_bessel_second_pair(k, x, 256)
-            j, _, y, _ = sph_bessel_pair(k, x, 256)
-            assert abs(il[k] - ik) <= abs(ik) * mpf(2) ** -240
-            assert abs(kl[k] - kk) <= abs(kk) * mpf(2) ** -240
-            assert abs(jl[k] - j) <= abs(j) * mpf(2) ** -240
-            assert abs(yl[k] - y) <= abs(y) * mpf(2) ** -240
+        for x in (mpf(5) / 4, mpf("5e-44"), mpf("1e-20")):
+            il = mod_sph_i_ladder(kmax, x)
+            kl = mod_sph_k_ladder(kmax, x)
+            jl = sph_j_ladder(kmax, x)
+            yl = sph_y_ladder(kmax, x)
+            for k in (0, 1, 7, 15, 30):
+                ik, _ = mod_sph_bessel_pair(k, x, 256)
+                kk, _ = mod_sph_bessel_second_pair(k, x, 256)
+                j, _, y, _ = sph_bessel_pair(k, x, 256)
+                assert abs(il[k] - ik) <= abs(ik) * mpf(2) ** -240, (x, k)
+                assert abs(kl[k] - kk) <= abs(kk) * mpf(2) ** -240, (x, k)
+                assert abs(jl[k] - j) <= abs(j) * mpf(2) ** -240, (x, k)
+                assert abs(yl[k] - y) <= abs(y) * mpf(2) ** -240, (x, k)
 
 
 def test_ladder_derivative_recovers_derivatives():

@@ -15,6 +15,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from radialborn.experiments import experiment_profiles
 from radialborn.forward import DirichletCollisionError, ode_log_derivative_oracle, potential_spectrum
 from radialborn.highprec import (
     GUARD_BITS,
@@ -25,7 +26,7 @@ from radialborn.highprec import (
     sph_y_ladder,
     to_prec,
 )
-from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.profiles import PiecewiseProfile, ProfileKind, project_midpoint
 
 KS = (0, 1, 20, 150)
 PRECS = (64, 256, 512)
@@ -204,6 +205,35 @@ def test_benchmark_shapes_are_bit_identical_to_the_mpf_transfer():
         ours = potential_spectrum(q, 150, prec).lambdas
         ref = mpf_potential_spectrum(q, 150, prec)
         assert [x._mpf_ for x in ours] == [x._mpf_ for x in ref], q.piece_count
+
+
+def test_bump_tail_keeps_every_bit_at_paper_terms():
+    # the 200-piece projection of experiment 6's bump reaches values of 2.9e-87
+    # in its tail, so the ladders run at x down to about 5e-44
+    q = project_midpoint(experiment_profiles(6)["q_smooth_1"], 200)
+    ours = potential_spectrum(q, 150, 512).lambdas
+    ref = potential_spectrum(q, 150, 640).lambdas
+    with mp.workprec(700):
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert abs(a - b) < abs(b) * mpf(2) ** -508, k
+
+
+@pytest.mark.parametrize("c", (1e20, -1e16))
+def test_huge_outer_values_solve_quickly_and_right(c):
+    # for c = 1e20 the columns i_k and kk_k of the outer piece grow apart by
+    # e^(2 s (b - a)), s = sqrt(c): a shift of 1.4e10 bits the transfer must skip
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (1.0, c))
+    ours = potential_spectrum(q, 30, 128).lambdas
+    ref = potential_spectrum(q, 30, 256).lambdas
+    with mp.workprec(300):
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert abs(a - b) <= abs(b) * mpf(2) ** (2 - 128), k
+        if c > 0:
+            # u is i_k(s r) to within e^(-s), s = sqrt(c): lambda_k = k + s i_{k+1}(s) / i_k(s)
+            s = mpmath.sqrt(mpf(c))
+            for k in (0, 1, 30):
+                exact = k + s * mpmath.besseli(k + mpf(3) / 2, s) / mpmath.besseli(k + mpf(1) / 2, s)
+                assert abs(ours[k] - exact) <= exact * mpf(2) ** (2 - 128), k
 
 
 @pytest.mark.parametrize("R", RADII)
