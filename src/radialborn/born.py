@@ -77,24 +77,23 @@ def _series_sum(a, xi_grid, prec):
     A truncated Horner pass in Python integers, F = prec + GUARD_BITS + 8 +
     bit_length(K).  The nonzero nodes are read as integers on one exponent,
     |xi_n| = N_n 2^e with N_n = m_n 2^z_n (``highprec.one_exponent``), and with g the gcd
-    of the mantissas m_n (gcd(N_n) for odd mantissas), y_n = J_n Y0 with
-    J_n = (N_n / g)^2 and Y0 = g^2 2^(2e - 2).  J_n = Jm 2^js is exact (js = 0)
-    while N_n / g has at most F/2 bits, so J_n = n^2 on ``default_xi_grid``;
-    otherwise Jm is (m_n / g)^2 cut to F bits and js keeps 2 z_n plus the cut.
+    of the mantissas m_n (gcd(N_n) for odd mantissas), y_n = J_n Y0 with the
+    exact integer J_n = (N_n / g)^2, n^2 on ``default_xi_grid``, and
+    Y0 = g^2 2^(2e - 2); nodes over 2^22 binary orders apart raise ``ValueError``.
     Y0 is folded into the terms once per call, b_k = a_k Y0^k to within
     2^-(F + bit_length(K) + 2) relative, so each node sums t_k = b_k J_n^k.
 
-    With s = ceil(log2 Jm), c = s + js and L the last kept bit, the partial sum
-    sum_{j>=k} b_j J^(j-k) is an integer S with LSB 2^(L - kc), and one step is
-    S <- (S Jm >> s) + b_k aligned: one small-integer product, one shift and one
-    add.  Each step truncates twice by less than 2^(L - kc), which J^k <= 2^(kc)
+    With s = ceil(log2 J) and L the last kept bit, the partial sum
+    sum_{j>=k} b_j J^(j-k) is an integer S with LSB 2^(L - ks), and one step is
+    S <- (S J >> s) + b_k aligned: one integer product, one shift and one
+    add.  Each step truncates twice by less than 2^(L - ks), which J^k <= 2^(ks)
     carries into the sum as less than 2^L.  Per node, L_n = floor(log2 max_k
     2^top_k J^k) - F - 1 (|b_k| < 2^top_k), and every term past the highest k
     whose bound reaches 2^(L_n) is dropped; both are estimated for all nodes at
-    once in numpy.  The nodes that share (s, js) share one schedule: the least
+    once in numpy.  The nodes that share s share one schedule: the least
     of their L_n, the highest of their start indices, and the b_k aligned once.
     The error before rounding is < 3 (K + 1) 2^(L_n) from the pass, plus the
-    fold and the cut of J, < 2^-(prec + GUARD_BITS + 5) sum|t_k| in all.  The
+    fold, < 2^-(prec + GUARD_BITS + 5) sum|t_k| in all.  The
     bits of a node's value below that bound may depend on the other nodes of
     the call, through g, e and its group's schedule, but never on their order.
     """
@@ -121,20 +120,15 @@ def _series_sum(a, xi_grid, prec):
         b = am * pm
         cut = max(b.bit_length() - P, 0)
         B.append((b >> cut, ae + pe + k * (2 * e - 2) + cut))
-    J = []
-    for n in nodes:
-        xm, z = X[n]
-        q = abs(xm) // g
-        if 2 * (q.bit_length() + z) <= bits:
-            J.append(((q << z) ** 2, 0))
-        else:
-            q *= q
-            cut = max(q.bit_length() - bits, 0)
-            J.append((q >> cut, 2 * z + cut))
+    qz = [(abs(X[n][0]) // g, X[n][1]) for n in nodes]  # N_n / g = q_n 2^z_n
+    # J_n is exact, so nodes 2^22 binary orders apart would make it megabytes long
+    if max(q.bit_length() + z for q, z in qz) > 2 ** 22:
+        raise ValueError("frequency out of range: nodes span over 2^22 binary orders")
+    J = [(q << z) ** 2 for q, z in qz]
     ks = np.arange(len(B))
     nz = np.array([bm != 0 for bm, _ in B])
     top = np.where(nz, [float(abs(bm).bit_length() + be) for bm, be in B], -np.inf)
-    lj = np.array([math.log2(jm) + js for jm, js in J])
+    lj = np.array([math.log2(j) for j in J])
     # keeps the float64 estimates within a bit and the shifts bounded
     if max(np.abs(top[nz]).max(), lj.max() * len(B)) >= 2.0 ** 50:
         raise ValueError("series term or frequency out of range: |log2| >= 2^50")
@@ -145,29 +139,29 @@ def _series_sum(a, xi_grid, prec):
     kt = K - np.argmax((est >= L[:, None])[:, ::-1], axis=1)
     del est
     groups = {}
-    for i, (jm, js) in enumerate(J):
-        groups.setdefault(((jm - 1).bit_length(), js), []).append(i)
-    for (s, js), members in groups.items():
+    for i, j in enumerate(J):
+        groups.setdefault((j - 1).bit_length(), []).append(i)
+    for s, members in groups.items():
         T, first = int(L[members].min()), int(kt[members].max())
-        aligned = []  # b_k on the LSB 2^(T - kc), k = first..0
+        aligned = []  # b_k on the LSB 2^(T - ks), k = first..0
         for k in range(first, -1, -1):
             bm, be = B[k]
-            d = T - k * (s + js) - be
+            d = T - k * s - be
             aligned.append(bm >> d if d >= 0 else bm << -d)
         for i in members:
-            jm, S = J[i][0], 0
+            j, S = J[i], 0
             for b in aligned:
-                S = (S * jm >> s) + b
+                S = (S * j >> s) + b
             out[nodes[i]] = mp.make_mpf(from_man_exp(S, T, prec, round_nearest))
     return out
 
 
-def eval_series_L(mu, xi, prec=1024):
+def eval_series_L(mu, xi, prec):
     """Evaluate L(mu; xi); truncation is the sequence length."""
     return eval_series_L_grid(mu, [xi], prec).values[0]
 
 
-def eval_series_L_grid(mu, xi_grid, prec=1024):
+def eval_series_L_grid(mu, xi_grid, prec):
     """L(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
     vals = _series_sum(_series_terms(mu, prec), xi_grid, prec)
@@ -209,7 +203,7 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
     return FourierSamples(tuple(xi_grid), tuple(_series_sum(terms, xi_grid, prec)))
 
 
-def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
+def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):
     """Fourier transform of the potential Born approximation on a xi-grid.
 
     L(mu; xi) with the weights mu of ``scaled_shifts`` at the mode's
@@ -218,7 +212,7 @@ def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
     return _born_fourier(ProfileKind.POTENTIAL, spec, xi_grid, mode, R, d, prec)
 
 
-def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024):
+def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):
     """Fourier transform of gamma_exp - 1 on a xi-grid.
 
     The k >= 1 series -2 (L(mu; xi) - 4 pi mu_0) / xi^2 with the weights mu of
@@ -231,7 +225,7 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, prec=1024
     return _born_fourier(ProfileKind.CONDUCTIVITY, spec, xi_grid, mode, R, d, prec)
 
 
-def moment_sequence_exact(f, kmax, prec=256):
+def moment_sequence_exact(f, kmax, prec):
     """sigma_k of the profile's deviation from background, by exact integration.
 
     sigma_k = sum_j (v_j - bg) (r_j^{2k+3} - r_{j-1}^{2k+3}) / (2k+3), where

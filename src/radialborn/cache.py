@@ -74,11 +74,9 @@ def store_spectrum(spec, profile, cache_dir=None):
     digits = decimal_digits(spec.prec)
     with mp.workprec(spec.prec + GUARD_BITS):
         lambdas = [mp.nstr(mpf(v), digits, strip_zeros=False) for v in spec.lambdas]
-        radius = mp.nstr(mpf(spec.radius), digits, strip_zeros=False)
     entry = {
         "version": FORMAT_VERSION,
         "kind": spec.kind.value,
-        "radius": radius,
         "kmax": spec.kmax,
         "prec": spec.prec,
         "lambdas": lambdas,
@@ -113,12 +111,12 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
             return None
         with mp.workprec(prec + GUARD_BITS):
             lambdas = tuple(to_prec(mpf(s), prec) for s in entry["lambdas"])
-            radius = to_prec(mpf(entry["radius"]), prec)
     except (KeyError, ValueError, TypeError):
         return None
-    if not all(mpmath.isfinite(x) for x in (radius, *lambdas)):
+    if not all(mpmath.isfinite(x) for x in lambdas):
         return None
-    return DtnSpectrum(profile.kind, radius, lambdas, prec)
+    # the key holds the exact radius, so a hit carries the profile's own, as a solve does
+    return DtnSpectrum(profile.kind, profile.radius, lambdas, prec)
 
 
 def cached_spectrum_of(profile, kmax, prec, cache_dir=None):

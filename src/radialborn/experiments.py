@@ -45,7 +45,7 @@ class ExperimentConfig(SolverParams):
     iterations: int = 8
     seed: int = 1234
     samples: int = 20
-    paper_scale: bool = False
+    paper_scale: bool
 
 
 def experiment_config(exp_id, paper_scale=False, **overrides):

@@ -89,7 +89,7 @@ def _fixed_cos_sin(t, F):
     return to_fixed(c, F), to_fixed(s, F)
 
 
-def forward_radial_ft(f, xi_grid, prec=256):
+def forward_radial_ft(f, xi_grid, prec):
     """Closed-form radial Fourier transform of a profile's deviation from background.
 
     ``xi_grid`` must be exactly arithmetic, xi_j = xi_0 + j h for j = 0..n-1,

@@ -32,6 +32,10 @@ class DegenerateSamplesError(ValueError):
 class SolverParams:
     """Pipeline parameters; the defaults are the desk row of ``SCALES``.
 
+    ``SCALES`` is the only place these values are decided: the layer functions
+    (``born_fourier``, ``iterate_born``, the Born series, the transforms) take
+    them, precision included, from their caller and default none of them.
+
     Spectra run over degrees 0..terms at prec bits and the Born xi-grid has
     grid_n intervals, so it reaches xi_max = grid_n pi / length_factor on the
     unit ball.  The K-term series only tracks the transform while its tail
@@ -74,7 +78,7 @@ class DepthErrorCurve:
     mean_abs_error: np.ndarray
     sample_count: int
     scale: float
-    failed: int = 0
+    failed: int
 
 
 def grid_radius(spec, mode, R):
@@ -83,14 +87,13 @@ def grid_radius(spec, mode, R):
     return 1.0 if math.isinf(rho) else rho
 
 
-def born_fourier(spec, params=None, mode="unit", R=None):
+def born_fourier(spec, params, mode="unit", R=None):
     """Born Fourier transform of a spectrum on default_xi_grid(grid_n, length_factor * rho).
 
     rho is R in finiteR mode, 1 in scattering mode and the spectrum's radius
     otherwise (``grid_radius``), so the inverse covers [0, length_factor * rho].
     Potentials give the transform of q, conductivities that of gamma - 1.
     """
-    params = params or SolverParams()
     xi = default_xi_grid(params.grid_n, params.length_factor * grid_radius(spec, mode, R))
     born = (born_potential_fourier if spec.kind is ProfileKind.POTENTIAL
             else born_conductivity_fourier)
@@ -105,7 +108,7 @@ def born_inverse(F, kind):
     return RadialSamples(out.r_grid, out.values + kind.background)
 
 
-def born_samples(spec, params=None, mode="unit", R=None):
+def born_samples(spec, params, mode="unit", R=None):
     """Born reconstruction of a spectrum as radial samples on [0, length_factor * rho].
 
     rho is as in ``born_fourier``.  Potentials return q_exp; conductivities
@@ -148,7 +151,7 @@ def error_norms(s, reference, interval):
     return l2, float(np.max(np.abs(diff)))
 
 
-def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
+def iterate_born(kind, target_spec, reference, n_iter, params):
     """Fixed-point Born refinement against a target spectrum.
 
     ``reference`` (a profile) is only used for the error trace.  Stops early
@@ -158,7 +161,6 @@ def iterate_born(kind, target_spec, reference, n_iter=8, params=None):
     onto ``ITERATE_PIECES_PER_SAMPLE`` pieces per sample spacing on [0, R],
     not onto ``params.pieces``, before its spectrum is solved.
     """
-    params = params or SolverParams()
     radius = float(target_spec.radius)
     born0 = born_samples(target_spec, params)
     r_grid = born0.r_grid
@@ -204,7 +206,7 @@ def draw_cosine_potential(rng):
                            {"c": [float(v) for v in c]})
 
 
-def ensemble_depth_profile(seed, n_samples, scale=1.0, params=None):
+def ensemble_depth_profile(seed, n_samples, scale, params):
     """Mean Born error versus depth over random cosine-basis potentials.
 
     e_scale(r) = (1 / (scale * N_s)) sum_i |scale q_i(r) - Born(scale q_i)(r)|
@@ -213,7 +215,6 @@ def ensemble_depth_profile(seed, n_samples, scale=1.0, params=None):
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    params = params or ensemble_params(SCALES["desk"])
     rng = np.random.default_rng(seed)
     acc = None
     failed = 0

@@ -395,6 +395,9 @@ def test_out_of_range_inputs_raise():
     with pytest.raises(ValueError, match="out of range"):
         eval_series_L([1, mpf(2) ** -(2**51)], 1.0, prec=64)
     assert eval_series_L([1, mpf(2) ** -(2**51)], 0.0, prec=64) == eval_series_L([1], 0.0, prec=64)
+    # J_n is exact, so nodes 2^22 binary orders apart would make it megabytes long
+    with pytest.raises(ValueError, match="out of range"):
+        eval_series_L_grid([1, -1], [mpf(2) ** -(2**22), 1.0], prec=64)
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf, -mpmath.inf))

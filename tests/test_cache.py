@@ -91,16 +91,26 @@ def test_entry_that_does_not_fit_the_request_is_a_miss(tmp_path):
     # an entry holding 3 potential lambdas under the key of a K = 10 conductivity
     path = store_spectrum(spectrum_of(gamma(), 10, 256), gamma(), cache_dir=tmp_path)
     good = json.loads(path.read_text())
-    # a non-finite lambda or radius would pass every field check
+    # a non-finite lambda would pass every field check
     for edit in ({"kind": "potential"}, {"lambdas": good["lambdas"][:3]},
                  {"lambdas": good["lambdas"][:4] + ["nan"] + good["lambdas"][5:]},
-                 {"lambdas": good["lambdas"][:10] + ["-inf"]}, {"radius": "inf"}):
+                 {"lambdas": good["lambdas"][:10] + ["-inf"]}):
         path.write_text(json.dumps({**good, **edit}))
         assert load_spectrum(gamma(), 10, 256, cache_dir=tmp_path) is None
     path.write_text(json.dumps({**good, "kind": "potential", "lambdas": good["lambdas"][:3]}))
     spec = cached_spectrum_of(gamma(), 10, 256, cache_dir=tmp_path)
     assert spec.kind is ProfileKind.CONDUCTIVITY and spec.kmax == 10
     assert json.loads(path.read_text()) == good
+
+
+def test_a_hit_returns_what_a_solve_returns(tmp_path):
+    # 0.7 is no short decimal in binary: an entry's rendering of it reads back as
+    # mpf('0.69999999999999996'), the key's exact radius as the profile's float
+    profile = PiecewiseProfile(ProfileKind.POTENTIAL, 0.7, (0.0, 0.3, 0.7), (2.0, -1.0))
+    miss = cached_spectrum_of(profile, 10, 256, cache_dir=tmp_path)
+    hit = cached_spectrum_of(profile, 10, 256, cache_dir=tmp_path)
+    assert hit == miss
+    assert type(hit.radius) is type(miss.radius) is float
 
 
 def test_cached_spectrum_of_hits_without_recompute(tmp_path, monkeypatch):

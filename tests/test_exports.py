@@ -4,10 +4,18 @@ A use is a load of the name or of an attribute of that name, or a string
 constant equal to it (the benchmark's tracer looks functions up by name), in
 the package's own modules, the demos or the benchmark.  Imports and the
 definition itself do not count, so code that only tests call fails here.
+
+No public function decides a precision of its own: the scale table
+``reconstruct.SCALES`` is where precision defaults live.
 """
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
+
+import radialborn
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "radialborn"
@@ -36,3 +44,18 @@ def test_every_export_has_a_caller_outside_the_tests():
     sources += list((ROOT / "demos").glob("*.py")) + list((ROOT / "bench").glob("*.py"))
     used = set().union(*(used_names(p) for p in sources))
     assert [n for n in exported_names() if n not in used] == []
+
+
+def test_every_public_function_requires_its_precision():
+    taking = {}
+    for info in pkgutil.iter_modules(radialborn.__path__):
+        module = importlib.import_module(f"radialborn.{info.name}")
+        for name, fn in vars(module).items():
+            if (name.startswith("_") or inspect.isclass(fn) or not callable(fn)
+                    or getattr(fn, "__module__", None) != module.__name__):
+                continue
+            prec = inspect.signature(fn).parameters.get("prec")
+            if prec is not None:
+                taking[f"{info.name}.{name}"] = prec.default
+    assert "born.series_coefficients" in taking and "fourier.forward_radial_ft" in taking
+    assert {n: d for n, d in taking.items() if d is not inspect.Parameter.empty} == {}

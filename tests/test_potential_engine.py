@@ -290,6 +290,20 @@ def test_collision_floor_is_decided_like_the_oracle(R, offset):
             assert abs(a - b) <= abs(b) * mpf(2) ** -(prec // 2)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: precision lost near a Dirichlet "
+                   "collision is neither raised nor recorded")
+def test_lambda_near_the_collision_floor_keeps_every_bit():
+    # lambda_0 ~ 2^124 is so conditioned that only about prec + 32 - 124 of its
+    # bits survive; it agrees with a 1200-bit solve to 2^-165.8 relative
+    with mp.workprec(256):
+        q = _constant_q(1.0, 1, -(mpmath.pi * (1 + mpf(2) ** -124)) ** 2)
+    ours = potential_spectrum(q, 3, 256).lambdas[0]
+    ref = potential_spectrum(q, 3, 1200).lambdas[0]
+    assert abs(ours) > 2 ** 120
+    with mp.workprec(1300):
+        assert abs(ours - ref) <= abs(ref) * mpf(2) ** -254
+
+
 def test_no_collision_below_the_first_dirichlet_eigenvalue():
     with mp.workprec(300):
         q = _constant_q(1.0, 1, -mpf("0.9") * mpmath.pi ** 2)
