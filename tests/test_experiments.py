@@ -17,7 +17,7 @@ from radialborn.forward import spectrum_of
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 from radialborn.reconstruct import SCALES
 
-SMALL = dict(terms=40, prec=128, grid_n=48, pieces=120, iterations=2, samples=2)
+from experiment_digests import SMALL, experiment_digests, recorded_digests
 
 
 def _column(path, j=0):
@@ -61,7 +61,7 @@ def test_unknown_experiment_rejected():
 
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)
 def test_manifest_records_config(exp_id, tmp_path, cache_dir):
-    run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
+    files = run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["experiment"] == exp_id
     assert manifest["config"]["terms"] == 40
@@ -70,6 +70,8 @@ def test_manifest_records_config(exp_id, tmp_path, cache_dir):
     names = set(manifest["files"])
     assert names == {p.name for p in tmp_path.glob("*.csv")}
     assert names
+    # every output as checked in; `python tests/experiment_digests.py` rewrites them
+    assert experiment_digests(exp_id, files) == recorded_digests(exp_id)
 
 
 @pytest.mark.parametrize("exp_id, bundles", [(3, 2), (9, 3)])
