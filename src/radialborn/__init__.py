@@ -46,6 +46,6 @@ from .reconstruct import (
     support_radius_estimate,
 )
 from .cache import cached_spectrum_of, load_spectrum, spectrum_key, store_spectrum
-from .experiments import ExperimentConfig, experiment_config, run_experiment
+from .experiments import experiment_config, run_experiment
 
 __version__ = "0.1.0"

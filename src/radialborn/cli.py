@@ -1,14 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 3 solver error, 4 cache I/O error.
-Each solver parameter is its flag if given, else its ``reconstruct.SCALES`` value
-(paper under --paper-scale; desk otherwise, with RADIALBORN_PRECISION first for the
-precision).  RADIALBORN_CACHE_DIR relocates the spectrum cache.
+Each run setting (terms, precision, grid, iterations, seed, samples) is its flag
+if given, else its value in the ``reconstruct.SCALES`` row: paper under
+--paper-scale, desk otherwise; none of these flags has a default of its own.
+RADIALBORN_CACHE_DIR relocates the spectrum cache.
 """
 
 import argparse
 import csv
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,7 +37,6 @@ from .reconstruct import (
     born_fourier,
     born_inverse,
     ensemble_depth_profile,
-    ensemble_params,
     grid_radius,
     iterate_born,
 )
@@ -47,7 +46,8 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_CACHE = 4
 
-PRECISION_ENV = "RADIALBORN_PRECISION"
+# the SolverParams fields a command may set by flag
+SETTINGS = ("terms", "prec", "grid_n", "iterations", "seed", "samples")
 
 
 class InputError(Exception):
@@ -94,14 +94,14 @@ def _build_parser():
 
     sp = common(sub.add_parser("reconstruct", help="fixed-point Born iteration"))
     sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
-    sp.add_argument("--iterations", type=int, default=8, metavar="N")
+    sp.add_argument("--iterations", type=int, default=None, metavar="N")
 
     sp = common(sub.add_parser("ensemble",
                                help="depth-error statistics over random potentials"),
                 profile=False)
     sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
-    sp.add_argument("--seed", type=int, default=1234, metavar="S")
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--seed", type=int, default=None, metavar="S")
+    sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--scale", type=float, default=1.0)
 
     sp = common(sub.add_parser("experiment", help="run a canned experiment"),
@@ -124,22 +124,14 @@ def _load_profile(path):
         raise InputError(f"{path}: {e}")
 
 
-def _explicit(args, names):
-    return {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+def _explicit(args):
+    """The run settings the command line sets explicitly."""
+    return {n: getattr(args, n) for n in SETTINGS if getattr(args, n, None) is not None}
 
 
 def _params(args):
-    """The command's SolverParams: its explicit flags over the chosen scale."""
-    given = _explicit(args, ("terms", "prec", "grid_n"))
-    if args.paper_scale:
-        return replace(SCALES["paper"], **given)
-    env = os.environ.get(PRECISION_ENV)
-    if env and "prec" not in given:
-        try:
-            given["prec"] = int(env)
-        except ValueError:
-            raise InputError(f"{PRECISION_ENV} must be an integer, got {env!r}")
-    return replace(SCALES["desk"], **given)
+    """The command's SolverParams: its explicit flags over the chosen scale row."""
+    return replace(SCALES["paper" if args.paper_scale else "desk"], **_explicit(args))
 
 
 def cmd_dtn(args):
@@ -227,7 +219,7 @@ def cmd_reconstruct(args):
     params = _params(args)
     profile = _load_profile(args.profile)
     spec = cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
-    trace = iterate_born(profile.kind, spec, profile, n_iter=args.iterations,
+    trace = iterate_born(profile.kind, spec, profile, n_iter=params.iterations,
                          params=params)
     out = Path(args.out)
     paths = []
@@ -243,19 +235,17 @@ def cmd_reconstruct(args):
 
 
 def cmd_ensemble(args):
-    curve = ensemble_depth_profile(args.seed, args.samples, scale=args.scale,
-                                   params=ensemble_params(_params(args)))
-    path = write_csv(Path(args.out) / f"depth_error_seed{args.seed}.csv",
+    params = _params(args)
+    curve = ensemble_depth_profile(args.scale, params)
+    path = write_csv(Path(args.out) / f"depth_error_seed{params.seed}.csv",
                      ("r", "mean_abs_error"), depth_error_rows(curve))
     print(path)
     return EXIT_OK
 
 
 def cmd_experiment(args):
-    overrides = _explicit(args, ("terms", "grid_n", "iterations", "seed"))
     files = run_experiment(args.id, Path(args.out) / f"experiment_{args.id}",
-                           paper_scale=args.paper_scale, prec=_params(args).prec,
-                           **overrides)
+                           paper_scale=args.paper_scale, **_explicit(args))
     for f in files:
         print(f)
     return EXIT_OK

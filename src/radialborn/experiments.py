@@ -9,7 +9,7 @@ strings, never timestamps, so identical configs give byte-identical output.
 import copy
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import mpmath
@@ -28,32 +28,19 @@ from .profiles import (
 )
 from .reconstruct import (
     SCALES,
-    SolverParams,
     born_fourier,
     born_samples,
     ensemble_depth_profile,
-    ensemble_params,
     iterate_born,
     profile_on_grid,
 )
 
-@dataclass(frozen=True, kw_only=True)
-class ExperimentConfig(SolverParams):
-    """Resolved parameters for one experiment run: the solver's and the experiment's own."""
-
-    id: int
-    iterations: int = 8
-    seed: int = 1234
-    samples: int = 20
-    paper_scale: bool
-
 
 def experiment_config(exp_id, paper_scale=False, **overrides):
+    """An experiment's settings: its scale's row with ``overrides`` replaced."""
     if exp_id not in _CATALOGUE:
         raise ValueError(f"experiment id must be 1..12, got {exp_id}")
-    base = asdict(SCALES["paper" if paper_scale else "desk"])
-    base.update(overrides)
-    return ExperimentConfig(id=exp_id, paper_scale=paper_scale, **base)
+    return replace(SCALES["paper" if paper_scale else "desk"], **overrides)
 
 
 def _fmt(x, prec=None):
@@ -211,25 +198,25 @@ def _piecewise(profile, pieces):
     return project_midpoint(profile, pieces)
 
 
-def _born_bundle(name, profile, pw, spec, cfg, mode, R, truths):
-    """Truth, Fourier-of-truth, Born Fourier and Born reconstruction CSVs.
+def _born_bundle(name, profile, pw, spec, cfg, mode, R, grids):
+    """Born reconstruction and Born Fourier CSVs, with truth and Fourier-of-truth.
 
-    ``truths`` maps an xi grid to the transform of ``pw`` on it, so bundles on
-    one grid (unit and scattering on the unit ball) share one transform.
+    Only the first bundle on an xi grid writes the truth pair: ``grids`` holds
+    the grids written so far, so bundles on one grid (unit and scattering on
+    the unit ball) share one truth transform and one pair of truth files.
     """
     # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
-    Ft = truths.get(Fb.xi_grid)
-    if Ft is None:
-        Ft = truths[Fb.xi_grid] = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
     tag = name if mode == "unit" else f"{name}_{mode}"
-    return {
-        f"{tag}_truth.csv": (("r", "value"), _truth_rows(profile, recon.r_grid)),
-        f"{tag}_born.csv": (("r", "value"), samples_rows(recon)),
-        f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec)),
-        f"{tag}_fourier_truth.csv": (("xi", "value"), fourier_rows(Ft, cfg.prec)),
-    }
+    files = {f"{tag}_born.csv": (("r", "value"), samples_rows(recon)),
+             f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec))}
+    if Fb.xi_grid not in grids:
+        grids.add(Fb.xi_grid)
+        Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
+        files[f"{tag}_truth.csv"] = (("r", "value"), _truth_rows(profile, recon.r_grid))
+        files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), fourier_rows(Ft, cfg.prec))
+    return files
 
 
 def _iteration_bundle(name, profile, spec, cfg):
@@ -254,20 +241,20 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
     for name, p in row.profiles.items():
         pw = _piecewise(p, cfg.pieces)
         spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
-        truths = {}
+        grids = set()
         for mode, R in row.born:
-            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, truths))
+            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, grids))
         if row.iterate:
             files.update(_iteration_bundle(name, p, spec, cfg))
     for alpha in row.depth_scales:
-        curve = ensemble_depth_profile(cfg.seed, cfg.samples, alpha, ensemble_params(cfg))
+        curve = ensemble_depth_profile(alpha, cfg)
         files[f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"),
                                                       depth_error_rows(curve))
 
     written = [write_csv(out / name, header, rows) for name, (header, rows) in files.items()]
     manifest = {
         "experiment": exp_id,
-        "config": asdict(cfg),
+        "config": {**asdict(cfg), "id": exp_id, "paper_scale": paper_scale},
         "profiles": {k: _profile_summary(v) for k, v in row.profiles.items()},
         "files": sorted(p.name for p in written),
         "format_version": 1,

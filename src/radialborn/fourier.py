@@ -71,9 +71,8 @@ def default_xi_grid(n, L):
         return tuple(j * h for j in range(n + 1))
 
 
-def _arithmetic_grid(xi_grid):
-    """Integers (N, H, e) with xi_j = (N + j H) 2^e exactly, or GridMismatchError."""
-    e, X = one_exponent(xi_grid)
+def _arithmetic_grid(e, X):
+    """(N, H, e) with xi_j = (N + j H) 2^e exactly, from ``one_exponent``, or GridMismatchError."""
     N = [xm << z for xm, z in X]
     H = N[1] - N[0] if len(N) > 1 else 0
     if any(x != N[0] + j * H for j, x in enumerate(N)):
@@ -109,17 +108,23 @@ def forward_radial_ft(f, xi_grid, prec):
     (three products) per node.  S1 is then the sum of the imaginary parts and
     S2 one integer dot product of the real parts with the breakpoints.  With
     |w_i| < 2^E, each u_i is off by less than 6 (j + 1) 2^(E - F) at node j,
-    so S1 and S2 / max r_i are off by less than 2^(E - prec - GUARD_BITS - 4),
-    and F(xi) by less than 4 pi 2^(E - prec - GUARD_BITS - 4) (1 + |xi| max r_i)
-    / |xi|^3.  S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied
-    by 4 pi / xi^3 at that precision and rounded to prec.
+    so S1 and S2 / max r_i are off by less than 2^(E - F + 4 + bit_length(n)
+    + bit_length(m)), and F(xi) by that times 4 pi (1 + |xi| max r_i) / |xi|^3.
+    S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied by
+    4 pi / xi^3 at that precision and rounded to prec.
+
+    S1 - xi S2 is about (xi r)^3 |w| / 3, so at the smallest nonzero node,
+    2^-t = min |xi| max r_i, it cancels about 3t bits: F grows by
+    3 max(0, t - 10) bits, with t read from the nodes' exponents before any node
+    integer is formed, and each value keeps prec bits.  t > prec raises
+    ``ValueError``.
     """
     if not isinstance(f, PiecewiseProfile):
         raise TypeError("forward_radial_ft needs a piecewise-constant profile")
     prec = check_precision(prec)
     work = prec + GUARD_BITS
     with mp.workprec(work):
-        N0, H, e = _arithmetic_grid(xi_grid)
+        e, X = one_exponent(xi_grid)
         bp = [mpf(x) for x in f.breakpoints]
         dev = [mpf(v) - f.kind.background for v in f.values]
         pieces = [(j, v) for j, v in enumerate(dev) if v != 0]
@@ -128,7 +133,15 @@ def forward_radial_ft(f, xi_grid, prec):
             w = mpf_sub(a._mpf_, b._mpf_)
             if r and w[1]:
                 jumps.append((r._mpf_, w))
-        F = work + len(xi_grid).bit_length() + len(jumps).bit_length() + 8
+        # 2^-t <= min |xi| max r_i: |xi_n| >= 2^(e + z_n + bc_n - 1), r >= 2^(exp + bc - 1)
+        lows = [e + z + abs(xm).bit_length() - 1 for xm, z in X if xm]
+        t = -min(lows) - max(r[2] + r[3] - 1 for r, _ in jumps) if lows and jumps else 0
+        if t > prec:
+            raise ValueError(f"smallest nonzero xi-grid node too small for {prec} bits: "
+                             f"min |xi| max r_i is about 2^-{t}")
+        N0, H, e = _arithmetic_grid(e, X)
+        F = (work + len(xi_grid).bit_length() + len(jumps).bit_length() + 8
+             + 3 * max(0, t - 10))
         E = max((w[2] + w[3] for _, w in jumps), default=0)  # |w_i| < 2^E
         # breakpoints as integers r_i 2^-er, exact unless they span over F bits
         er = max(min((r[2] for r, _ in jumps), default=0),

@@ -30,7 +30,7 @@ class DegenerateSamplesError(ValueError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Pipeline parameters; the defaults are the desk row of ``SCALES``.
+    """Run settings; the defaults are the desk row of ``SCALES``.
 
     ``SCALES`` is the only place these values are decided: the layer functions
     (``born_fourier``, ``iterate_born``, the Born series, the transforms) take
@@ -44,6 +44,8 @@ class SolverParams:
     grid 512, where the samples are truncation garbage).  ``pieces`` projects
     truth and analytic profiles; ``iterate_born`` projects its iterates onto
     ``ITERATE_PIECES_PER_SAMPLE`` pieces per sample spacing instead (see there).
+    ``iterations`` is the step count of ``iterate_born``; ``seed`` and ``samples``
+    draw the depth-error ensemble, which caps prec and pieces on its own.
     """
 
     terms: int = 150
@@ -51,17 +53,15 @@ class SolverParams:
     pieces: int = 2000
     grid_n: int = 256
     length_factor: float = 10.0   # inverse-transform domain [0, length_factor * rho]
+    iterations: int = 8
+    seed: int = 1234
+    samples: int = 20
 
 
 # The only place the scales are written.  Commands and experiments start from
 # one of them and replace the fields a caller sets explicitly.
 SCALES = {"desk": SolverParams(),
           "paper": SolverParams(terms=400, prec=1024, pieces=10_000, grid_n=512)}
-
-
-def ensemble_params(params):
-    """The depth-error ensemble's parameters at a scale: at most 256 bits and 400 pieces."""
-    return replace(params, prec=min(params.prec, 256), pieces=min(params.pieces, 400))
 
 
 @dataclass(frozen=True)
@@ -206,19 +206,22 @@ def draw_cosine_potential(rng):
                            {"c": [float(v) for v in c]})
 
 
-def ensemble_depth_profile(seed, n_samples, scale, params):
+def ensemble_depth_profile(scale, params):
     """Mean Born error versus depth over random cosine-basis potentials.
 
     e_scale(r) = (1 / (scale * N_s)) sum_i |scale q_i(r) - Born(scale q_i)(r)|
-    restricted to [0, R].  Deterministic for a fixed seed; failed samples are
+    restricted to [0, R], over N_s = ``params.samples`` potentials drawn from
+    ``params.seed``.  Each is solved at most at 256 bits on at most 400 pieces,
+    whatever the scale.  Deterministic for a fixed seed; failed samples are
     excluded and counted.
     """
-    if n_samples < 1:
+    if params.samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
+    params = replace(params, prec=min(params.prec, 256), pieces=min(params.pieces, 400))
+    rng = np.random.default_rng(params.seed)
     acc = None
     failed = 0
-    for _ in range(n_samples):
+    for _ in range(params.samples):
         base = draw_cosine_potential(rng)
         scaled = AnalyticProfile(ProfileKind.POTENTIAL, base.radius, base.name,
                                  {"c": [scale * v for v in base.params["c"]]})
@@ -234,7 +237,7 @@ def ensemble_depth_profile(seed, n_samples, scale, params):
         truth = np.asarray([scaled(r) for r in r_grid])
         err = np.abs(truth - recon.values[mask])
         acc = err if acc is None else acc + err
-    used = n_samples - failed
+    used = params.samples - failed
     if used == 0:
         raise ArithmeticError("all ensemble samples failed")
     return DepthErrorCurve(r_grid, acc / (scale * used), used, scale, failed)

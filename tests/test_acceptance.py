@@ -231,11 +231,11 @@ def test_criterion_11_local_uniqueness():
 
 
 def test_criterion_12_depth_error():
-    params = SolverParams(terms=80, prec=192, pieces=200, grid_n=128)
+    params = SolverParams(terms=80, prec=192, pieces=200, grid_n=128, seed=1234, samples=20)
     ok = True
     parts = []
     for alpha in (1.0, 2.0, 3.0):
-        curve = ensemble_depth_profile(1234, 20, scale=alpha, params=params)
+        curve = ensemble_depth_profile(alpha, params)
         r = curve.r_grid
         deep = float(curve.mean_abs_error[r <= 0.2].mean())
         shallow = float(curve.mean_abs_error[r >= 0.8].mean())

@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 
 import pytest
 
@@ -180,7 +179,7 @@ def test_experiment_subcommand_writes_manifest(workdir):
     assert (out / "q_annular_born.csv").exists()
 
 
-def test_experiment_honours_env_precision(workdir, monkeypatch):
+def test_experiment_honours_the_precision_flag(workdir):
     argv = ["experiment", "1", "--terms", "20", "--grid", "32"]
 
     def manifest_prec(out):
@@ -189,9 +188,6 @@ def test_experiment_honours_env_precision(workdir, monkeypatch):
 
     assert main([*argv, "--out", "desk"]) == 0
     assert manifest_prec("desk") == 512
-    monkeypatch.setenv("RADIALBORN_PRECISION", "128")
-    assert main([*argv, "--out", "env"]) == 0
-    assert manifest_prec("env") == 128
     assert main([*argv, "--precision", "96", "--out", "flag"]) == 0
     assert manifest_prec("flag") == 96
 
@@ -259,12 +255,24 @@ def test_exit_code_solver_error(workdir):
     assert rc == 3
 
 
-def test_env_precision_default(workdir, monkeypatch):
-    monkeypatch.setenv("RADIALBORN_PRECISION", "128")
-    prof = write(workdir / "g.txt", GAMMA_ONE)
-    assert main(["dtn", "--profile", prof, "--terms", "2", "--out", "run"]) == 0
-    monkeypatch.setenv("RADIALBORN_PRECISION", "junk")
-    assert main(["dtn", "--profile", prof, "--terms", "2", "--out", "run2"]) == 2
+def test_no_flag_repeats_a_scale_table_default():
+    # a flag that sets a SolverParams field defaults to None, so the SCALES row
+    # is the one place each of those settings is decided
+    import argparse
+    from dataclasses import fields
+    from radialborn.cli import _build_parser
+    from radialborn.reconstruct import SolverParams
+    settings = {f.name for f in fields(SolverParams)}
+    assert {"iterations", "seed", "samples"} <= settings
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flagged = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.dest in settings:
+                assert action.default is None, (command, action.dest)
+                flagged.add(action.dest)
+    assert {"iterations", "seed", "samples"} <= flagged
 
 
 Q_BUMP = "kind potential\nradius 1\nanalytic bump height=2\n"
@@ -311,18 +319,19 @@ def test_explicit_flags_win_over_paper_scale(workdir, solver_calls):
     assert (profile.piece_count, terms, prec) == (10_000, 150, 1024)
 
 
-def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls, monkeypatch):
-    # at either scale ensemble runs at experiment 7's parameters, grid included
+def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls):
+    # at either scale ensemble hands the solver experiment 7's settings, seed and
+    # sample count included; explicit flags replace them
+    from dataclasses import replace
     from radialborn.experiments import experiment_config
-    from radialborn.reconstruct import ensemble_params
-    monkeypatch.delenv("RADIALBORN_PRECISION", raising=False)
-    for flags, paper_scale in (([], False), (["--paper-scale"], True)):
+    for flags, paper_scale, given in (([], False, {}), (["--paper-scale"], True, {}),
+                                      (["--seed", "7", "--samples", "3"], False,
+                                       {"seed": 7, "samples": 3})):
         with pytest.raises(_Requested):
             main(["ensemble", *flags])
-        params = solver_calls.pop()[2]["params"]
-        exp7 = ensemble_params(experiment_config(7, paper_scale=paper_scale))
-        assert (params.terms, params.prec, params.pieces, params.grid_n) == \
-            (exp7.terms, exp7.prec, exp7.pieces, exp7.grid_n), flags
+        scale, params = solver_calls.pop()[1]
+        assert scale == 1.0
+        assert params == replace(experiment_config(7, paper_scale=paper_scale), **given), flags
 
 
 def test_born_finiteR_from_spectrum_and_profile_agree(workdir):

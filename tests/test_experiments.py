@@ -34,8 +34,7 @@ def cache_dir(tmp_path):
 
 def test_catalog_covers_all_ids():
     for exp_id in EXPERIMENT_IDS:
-        cfg = experiment_config(exp_id)
-        assert cfg.id == exp_id
+        assert experiment_config(exp_id) == SCALES["desk"]
         if exp_id != 7:
             assert experiment_profiles(exp_id)
 
@@ -77,7 +76,8 @@ def test_manifest_records_config(exp_id, tmp_path, cache_dir):
 @pytest.mark.parametrize("exp_id, bundles", [(3, 2), (9, 3)])
 def test_each_profile_is_solved_once(exp_id, bundles, tmp_path, cache_dir, monkeypatch):
     # one projection and one spectrum lookup per profile, however many modes it
-    # writes, and one truth transform per grid: unit and scattering share one
+    # writes, and one truth transform and truth pair per grid: unit and
+    # scattering share one
     calls = []
 
     def record(f):
@@ -91,10 +91,12 @@ def test_each_profile_is_solved_once(exp_id, bundles, tmp_path, cache_dir, monke
     files = run_experiment(exp_id, tmp_path, cache_dir=cache_dir, **SMALL)
     assert sorted(calls) == (["cached_spectrum_of"] + ["forward_radial_ft"] * (bundles - 1)
                              + ["project_midpoint"])
-    assert len(files) == 4 * bundles + 1
+    assert len(files) == 4 * bundles - 1
     name = next(iter(experiment_profiles(exp_id)))
-    assert (tmp_path / f"{name}_fourier_truth.csv").read_bytes() == \
-        (tmp_path / f"{name}_scattering_fourier_truth.csv").read_bytes()
+    assert (tmp_path / f"{name}_truth.csv").exists()
+    assert (tmp_path / f"{name}_fourier_truth.csv").exists()
+    assert not (tmp_path / f"{name}_scattering_truth.csv").exists()
+    assert not (tmp_path / f"{name}_scattering_fourier_truth.csv").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path, cache_dir):

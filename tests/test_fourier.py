@@ -231,6 +231,31 @@ def test_forward_rejects_a_grid_that_is_not_exactly_arithmetic():
         forward_radial_ft(half_ball(), [j * np.pi / 10.0 for j in range(65)], prec=256)
 
 
+@pytest.mark.parametrize("prec", [64, 256])
+def test_forward_keeps_its_precision_at_small_nodes(prec):
+    # S1 - xi S2 cancels like (xi r)^3; the half ball's closed form at xi is
+    # 4 pi (sin(xi/2) - (xi/2) cos(xi/2)) / xi^3
+    for xi in (1e-15, 1e-10, 1e-4, 2e-3, 1e-2):
+        for grid in ((mpf(xi),), (mpf(xi), mpf(1.0))):
+            value = forward_radial_ft(half_ball(), grid, prec=prec).values[0]
+            with mp.workprec(4 * prec):
+                x, h = mpf(xi), mpf(xi) / 2
+                exact = 4 * mpmath.pi * (mpmath.sin(h) - h * mpmath.cos(h)) / x**3
+                assert abs(value - exact) <= abs(exact) * mpmath.ldexp(1, 1 - prec), (xi, grid)
+
+
+def test_forward_raises_past_its_precision():
+    # min xi max r_i = 2^-71 cancels more than 64 bits, not more than 128
+    grid = (mpmath.ldexp(1, -70), mpf(1.0))
+    with pytest.raises(ValueError, match="too small for 64 bits"):
+        forward_radial_ft(half_ball(), grid, prec=64)
+    value = forward_radial_ft(half_ball(), grid, prec=128).values[0]
+    with mp.workprec(256):  # the transform is 4 pi / 24 to O(xi^2) = 2^-140
+        assert abs(value - 4 * mpmath.pi / 24) <= mpmath.ldexp(4 * mpmath.pi / 24, -127)
+    with pytest.raises(ValueError, match="too small"):
+        forward_radial_ft(half_ball(), (mpmath.ldexp(1, -2**16), mpf(1.0)), prec=256)
+
+
 def test_inverse_rejects_a_grid_without_the_origin():
     F = forward_radial_ft(half_ball(), default_xi_grid(64, 10.0), prec=128)
     with pytest.raises(GridMismatchError):

@@ -180,13 +180,27 @@ def test_draw_cosine_potential_in_unit_ball():
 
 
 def test_ensemble_deterministic_and_boundary_accurate():
-    params = SolverParams(terms=60, prec=192, pieces=200, grid_n=96)
-    a = ensemble_depth_profile(11, 3, scale=1.0, params=params)
-    b = ensemble_depth_profile(11, 3, scale=1.0, params=params)
+    params = SolverParams(terms=60, prec=192, pieces=200, grid_n=96, seed=11, samples=3)
+    a = ensemble_depth_profile(1.0, params)
+    b = ensemble_depth_profile(1.0, params)
     assert np.array_equal(a.mean_abs_error, b.mean_abs_error)
     near = a.r_grid >= 0.8
     deep = a.r_grid <= 0.2
     assert a.mean_abs_error[near].mean() < a.mean_abs_error[deep].mean()
+
+
+def test_ensemble_caps_precision_and_pieces(monkeypatch):
+    # the paper row's 1024 bits and 10 000 pieces reach the solver as 256 and 400
+    seen = []
+
+    def failing_solve(profile, terms, prec):
+        seen.append((profile.piece_count, terms, prec))
+        raise ArithmeticError
+
+    monkeypatch.setattr(reconstruct, "spectrum_of", failing_solve)
+    with pytest.raises(ArithmeticError, match="all ensemble samples failed"):
+        ensemble_depth_profile(1.0, replace(SCALES["paper"], samples=2))
+    assert seen == [(400, 400, 256)] * 2
 
 
 def test_growth_slope_tracks_support_radius():
