@@ -66,8 +66,8 @@ def test_key_is_the_same_for_equal_values_of_any_type():
 def test_analytic_profiles_have_no_key(tmp_path):
     # an analytic profile is solved through a projection whose piece count its
     # parameters do not name, so a key of them would serve one spectrum for all
-    analytic = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "step2",
-                               {"r1": 0.5, "v1": 2.0, "v2": 1.0})
+    analytic = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "bump",
+                               {"height": 1.0, "offset": 1.0})
     with pytest.raises(TypeError):
         spectrum_key(analytic, 10, 256)
     with pytest.raises(TypeError):

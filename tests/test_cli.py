@@ -221,7 +221,7 @@ def test_exit_code_input_error(workdir):
     assert main(["dtn", "--profile", nan, "--terms", "5", "--precision", "128"]) == 2
     inf = write(workdir / "inf.txt", Q_ONE.replace("values 1", "values inf"))
     assert main(["dtn", "--profile", inf, "--terms", "5", "--precision", "128"]) == 2
-    step = write(workdir / "step.txt", "kind potential\nradius 1\nanalytic step2 v1=2\n")
+    step = write(workdir / "step.txt", "kind potential\nradius 1\nanalytic annular_bump height=2\n")
     assert main(["dtn", "--profile", step, "--terms", "5", "--precision", "128"]) == 2
     for text in ("k,lambda,shift\n", "", "k,lambda,shift\n0,nan,nan\n",
                  "k,lambda,shift\n0,0.5,0.5\n1,inf,inf\n"):

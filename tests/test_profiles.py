@@ -19,8 +19,8 @@ def step_gamma():
 
 
 def test_missing_analytic_parameter_is_a_value_error():
-    p = AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "step2", {"v1": 2.0})
-    with pytest.raises(ValueError, match="'step2' needs parameter r1"):
+    p = AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump", {"outer": 0.8})
+    with pytest.raises(ValueError, match="'annular_bump' needs parameter inner"):
         p(0.3)
 
 

@@ -149,6 +149,32 @@ def test_iterates_use_four_pieces_per_sample_spacing(monkeypatch, grid_n, length
     assert seen and set(seen) == {math.ceil(4 * grid_n / length_factor)}
 
 
+@pytest.mark.parametrize("l2s, n_iterates", (
+    ((1, .5, .6, .55, .7, .8, .9), 6),          # grew at steps 4 and 5
+    ((1, .5, float("nan"), .6, .7, .8, .9), 6),  # NaN is neither growth nor decrease
+    ((1, .9, 1.1, float("nan"), 1.2, 1.0), 6),   # a NaN between two growths resets the count
+    ((1, 1, 1, 1), 4),                           # equal is not growth
+    ((1, 2), 2),                                 # one growth, then n_iter ends the loop
+))
+def test_iteration_stops_after_two_growths_in_a_row(monkeypatch, l2s, n_iterates):
+    # the stop rule on a scripted L2 trace; Linf is 10 L2 so the pairs stay aligned
+    params = SolverParams(terms=4, prec=64, pieces=8, grid_n=16)
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (1.5, 1.0))
+    spec = spectrum_of(g, params.terms, params.prec)
+    script = iter(l2s)
+
+    def scripted(s, reference, interval):
+        l2 = next(script)
+        return l2, 10 * l2
+
+    monkeypatch.setattr(reconstruct, "error_norms", scripted)
+    trace = iterate_born(ProfileKind.CONDUCTIVITY, spec, g, n_iter=len(l2s) - 1, params=params)
+    assert len(trace.iterates) == n_iterates
+    expected = list(l2s[:n_iterates])
+    np.testing.assert_array_equal(trace.l2_errors, expected)
+    np.testing.assert_array_equal(trace.linf_errors, [10 * v for v in expected])
+
+
 _ITERATE_CASES = {
     "gamma_bump": AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "bump",
                                   {"height": 0.3, "offset": 1.0}),
