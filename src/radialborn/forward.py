@@ -134,6 +134,8 @@ def _spectrum(p, kmax, prec):
     """lambda_0..lambda_kmax of either kind by the one transfer described above."""
     if not isinstance(p, PiecewiseProfile):
         raise TypeError("the forward engine needs a PiecewiseProfile; use project_midpoint")
+    if kmax < 0:
+        raise ValueError(f"need a term count kmax >= 0, got {kmax}")
     prec = check_precision(prec)
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()

@@ -19,7 +19,9 @@ or, for a built-in analytic descriptor::
     radius 1
     analytic exp3_profile
 
-Built-ins: constant, step2, step3, bump, cosine_series, exp3_profile.
+Built-ins: bump, annular_bump, cosine_series, exp3_profile.  A staircase
+(a constant or a step) is written with ``breakpoints``/``values``, which keep
+its jumps exact; a formula would be midpoint-projected and move them.
 Blank lines and lines starting with '#' are ignored.
 """
 
@@ -124,22 +126,6 @@ class AnalyticProfile:
                              f"{e.args[0]}") from None
 
 
-def _eval_constant(r, R, p):
-    return p.get("value", 1.0)
-
-
-def _eval_step2(r, R, p):
-    return p["v1"] if r <= p["r1"] else p["v2"]
-
-
-def _eval_step3(r, R, p):
-    if r <= p["r1"]:
-        return p["v1"]
-    if r <= p["r2"]:
-        return p["v2"]
-    return p["v3"]
-
-
 def _eval_bump(r, R, p):
     # smooth bump of height `height` supported in [0, support], plus `offset`
     a = p.get("support", R)
@@ -177,9 +163,6 @@ def _eval_exp3(r, R, p):
 
 
 _ANALYTIC_BUILTINS = {
-    "constant": _eval_constant,
-    "step2": _eval_step2,
-    "step3": _eval_step3,
     "bump": _eval_bump,
     "annular_bump": _eval_annular_bump,
     "cosine_series": _eval_cosine_series,

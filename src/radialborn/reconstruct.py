@@ -69,15 +69,12 @@ class IterationTrace:
     iterates: list
     l2_errors: list
     linf_errors: list
-    converged: bool
 
 
 @dataclass(frozen=True)
 class DepthErrorCurve:
     r_grid: np.ndarray
     mean_abs_error: np.ndarray
-    sample_count: int
-    scale: float
     failed: int
 
 
@@ -154,8 +151,8 @@ def error_norms(s, reference, interval):
 def iterate_born(kind, target_spec, reference, n_iter, params):
     """Fixed-point Born refinement against a target spectrum.
 
-    ``reference`` (a profile) is only used for the error trace.  Stops early
-    when the L2 error increases twice in a row.
+    ``reference`` (a profile) is only used for the error trace.  Stops after
+    the L2 error grew at two steps in a row; the last iterate is kept.
 
     Each iterate is the linear interpolant of its samples, so it is projected
     onto ``ITERATE_PIECES_PER_SAMPLE`` pieces per sample spacing on [0, R],
@@ -168,31 +165,17 @@ def iterate_born(kind, target_spec, reference, n_iter, params):
     pieces = math.ceil(round(ITERATE_PIECES_PER_SAMPLE * radius / r_grid[1], 6))
     ref_vals = profile_on_grid(reference, r_grid)
     iterates = [born0]
-    l2s, linfs = [], []
-    l2, linf = error_norms(born0, ref_vals, (0.0, radius))
-    l2s.append(l2)
-    linfs.append(linf)
-    current = born0
-    increases = 0
-    converged = True
+    norms = [error_norms(born0, ref_vals, (0.0, radius))]
     for _ in range(n_iter):
-        prof = samples_to_profile(current, kind, radius, pieces)
-        spec_n = spectrum_of(prof, params.terms, params.prec)
-        born_n = born_samples(spec_n, params)
-        nxt = RadialSamples(r_grid, born0.values + current.values - born_n.values)
-        iterates.append(nxt)
-        l2, linf = error_norms(nxt, ref_vals, (0.0, radius))
-        l2s.append(l2)
-        linfs.append(linf)
-        if l2 > l2s[-2]:
-            increases += 1
-            if increases >= 2:
-                converged = False
-                break
-        else:
-            increases = 0
-        current = nxt
-    return IterationTrace(iterates, l2s, linfs, converged)
+        prof = samples_to_profile(iterates[-1], kind, radius, pieces)
+        born_n = born_samples(spectrum_of(prof, params.terms, params.prec), params)
+        iterates.append(RadialSamples(r_grid, born0.values + iterates[-1].values - born_n.values))
+        norms.append(error_norms(iterates[-1], ref_vals, (0.0, radius)))
+        # NaN compares false both ways, so it neither grows nor extends a run
+        if len(norms) > 2 and norms[-3][0] < norms[-2][0] < norms[-1][0]:
+            break
+    l2s, linfs = map(list, zip(*norms))
+    return IterationTrace(iterates, l2s, linfs)
 
 
 def draw_cosine_potential(rng):
@@ -213,34 +196,30 @@ def ensemble_depth_profile(scale, params):
     restricted to [0, R], over N_s = ``params.samples`` potentials drawn from
     ``params.seed``.  Each is solved at most at 256 bits on at most 400 pieces,
     whatever the scale.  Deterministic for a fixed seed; failed samples are
-    excluded and counted.
+    excluded and counted.  The scale must be positive.
     """
+    if not scale > 0:
+        raise ValueError(f"ensemble scale must be positive, got {scale}")
     if params.samples < 1:
         raise ValueError("need at least one sample")
     params = replace(params, prec=min(params.prec, 256), pieces=min(params.pieces, 400))
     rng = np.random.default_rng(params.seed)
-    acc = None
-    failed = 0
+    errors = []
     for _ in range(params.samples):
         base = draw_cosine_potential(rng)
         scaled = AnalyticProfile(ProfileKind.POTENTIAL, base.radius, base.name,
                                  {"c": [scale * v for v in base.params["c"]]})
         prof = project_midpoint(scaled, params.pieces)
         try:
-            spec = spectrum_of(prof, params.terms, params.prec)
-            recon = born_samples(spec, params)
+            recon = born_samples(spectrum_of(prof, params.terms, params.prec), params)
         except ArithmeticError:
-            failed += 1
             continue
-        mask = recon.r_grid <= float(base.radius)
-        r_grid = recon.r_grid[mask]
-        truth = np.asarray([scaled(r) for r in r_grid])
-        err = np.abs(truth - recon.values[mask])
-        acc = err if acc is None else acc + err
-    used = params.samples - failed
-    if used == 0:
+        recon = recon.restrict(0.0, float(scaled.radius))
+        errors.append(np.abs(profile_on_grid(scaled, recon.r_grid) - recon.values))
+    if not errors:
         raise ArithmeticError("all ensemble samples failed")
-    return DepthErrorCurve(r_grid, acc / (scale * used), used, scale, failed)
+    return DepthErrorCurve(recon.r_grid, sum(errors) / (scale * len(errors)),
+                           params.samples - len(errors))
 
 
 def support_radius_estimate(s, background):

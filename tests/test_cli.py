@@ -223,6 +223,12 @@ def test_exit_code_input_error(workdir):
     assert main(["dtn", "--profile", inf, "--terms", "5", "--precision", "128"]) == 2
     step = write(workdir / "step.txt", "kind potential\nradius 1\nanalytic annular_bump height=2\n")
     assert main(["dtn", "--profile", step, "--terms", "5", "--precision", "128"]) == 2
+    # a negative term count and a non-positive ensemble scale used to exit 0
+    assert main(["dtn", "--profile", q, "--terms", "-1", "--precision", "128",
+                 "--out", "run"]) == 2
+    for scale in ("0", "-2"):
+        assert main(["ensemble", "--scale", scale, "--samples", "1", "--terms", "5",
+                     "--precision", "64", "--grid", "16", "--out", "run"]) == 2
     for text in ("k,lambda,shift\n", "", "k,lambda,shift\n0,nan,nan\n",
                  "k,lambda,shift\n0,0.5,0.5\n1,inf,inf\n"):
         spec = write(workdir / "s.csv", text)

@@ -6,7 +6,8 @@ the package's own modules, the demos or the benchmark.  Imports and the
 definition itself do not count, so code that only tests call fails here.
 
 No public function decides a precision of its own: the scale table
-``reconstruct.SCALES`` is where precision defaults live.
+``reconstruct.SCALES`` is where precision defaults live.  The package's knobs
+are counted, so that adding one edits the bound below in the same diff.
 """
 
 import ast
@@ -59,3 +60,37 @@ def test_every_public_function_requires_its_precision():
                 taking[f"{info.name}.{name}"] = prec.default
     assert "born.series_coefficients" in taking and "fourier.forward_radial_ft" in taking
     assert {n: d for n, d in taking.items() if d is not inspect.Parameter.empty} == {}
+
+
+KNOB_BOUND = 34
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        fn = deco.func if isinstance(deco, ast.Call) else deco
+        if (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def knob_count(paths):
+    """Parameters with a default plus dataclass fields with a default."""
+    n = 0
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                n += len(node.args.defaults)
+                n += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                n += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+    return n
+
+
+def test_knob_count_does_not_grow(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from dataclasses import dataclass\n\n"
+                     "@dataclass(frozen=True)\nclass A:\n    y: int\n    x: int = 1\n\n"
+                     "def f(a, b=1, *, c=2, d):\n    return lambda e=3: e\n")
+    assert knob_count([probe]) == 4
+    assert knob_count(sorted(PACKAGE.glob("*.py"))) <= KNOB_BOUND

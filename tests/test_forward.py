@@ -36,6 +36,14 @@ def test_analytic_profile_is_a_type_error():
                                                   {"height": 1.0}), 1)
 
 
+def test_negative_term_count_is_a_value_error():
+    # range(kmax + 1) would be empty and the spectrum () with kmax == -1
+    for kind in ProfileKind:
+        p = PiecewiseProfile(kind, 1.0, (0.0, 1.0), (1.0,))
+        with pytest.raises(ValueError, match="kmax >= 0, got -1"):
+            spectrum_of(p, -1, 128)
+
+
 def test_unit_conductivity_eigenvalues():
     for R in (1.0, 2.0):
         g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, R, (0.0, R), (1.0,))

@@ -215,6 +215,14 @@ def test_ensemble_deterministic_and_boundary_accurate():
     assert a.mean_abs_error[near].mean() < a.mean_abs_error[deep].mean()
 
 
+@pytest.mark.parametrize("scale", (0.0, -2.0, float("nan")))
+def test_ensemble_scale_must_be_positive(monkeypatch, scale):
+    # -2 gave a "mean abs error" of -1.43 at r = 0 and 0 gave NaN; neither solves
+    monkeypatch.setattr(reconstruct, "spectrum_of", None)
+    with pytest.raises(ValueError, match="scale must be positive"):
+        ensemble_depth_profile(scale, SolverParams(samples=1))
+
+
 def test_ensemble_caps_precision_and_pieces(monkeypatch):
     # the paper row's 1024 bits and 10 000 pieces reach the solver as 256 and 400
     seen = []
