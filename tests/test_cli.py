@@ -367,3 +367,74 @@ def test_invert_fourier_of_born_output_reproduces_the_reconstruction(workdir):
                  "--out", "run"]) == 0
     assert read_rows(workdir / "run" / "inverse.csv") == \
         [row[:2] for row in read_rows(workdir / "run" / "reconstruction.csv")]
+
+
+# every subcommand's flags: dest -> (option strings, default, required, choices,
+# metavar, type); help text and argument order are not part of the surface
+_SETTING_FLAGS = {
+    "terms": (("--terms",), None, False, None, "K", int),
+    "prec": (("--precision",), None, False, None, "BITS", int),
+    "grid_n": (("--grid",), None, False, None, "N", int),
+    "iterations": (("--iterations",), None, False, None, "N", int),
+    "seed": (("--seed",), None, False, None, "S", int),
+    "samples": (("--samples",), None, False, None, None, int),
+}
+_OUT = {"out": (("--out",), ".", False, None, "DIR", None)}
+_SCALED = {**_OUT, "paper_scale": (("--paper-scale",), False, False, None, None, None)}
+_PROFILE = {"profile": (("--profile",), None, True, None, None, None)}
+
+
+def _settings(*names):
+    return {n: _SETTING_FLAGS[n] for n in names}
+
+
+CLI_SURFACE = {
+    "dtn": {**_PROFILE, **_SCALED, **_settings("terms", "prec"),
+            "radius": (("--radius",), None, False, None, None, float)},
+    "born": {**_SCALED, **_settings("terms", "prec", "grid_n"),
+             "profile": (("--profile",), None, False, None, None, None),
+             "spectrum": (("--spectrum",), None, False, None, None, None),
+             "kind": (("--kind",), None, False, ("conductivity", "potential"), None, None),
+             "radius": (("--radius",), 1.0, False, None, None, float),
+             "mode": (("--mode",), "unit", False,
+                      ("unit", "finiteR", "scattering", "moment-form"), None, None),
+             "xi_max": (("--xi-max",), None, False, None, None, float)},
+    "invert-fourier": {**_OUT, "input": (("--input",), None, True, None, None, None)},
+    "moments": {**_PROFILE, **_SCALED, **_settings("terms", "prec")},
+    "reconstruct": {**_PROFILE, **_SCALED,
+                    **_settings("terms", "prec", "grid_n", "iterations")},
+    "ensemble": {**_SCALED, **_settings("terms", "prec", "grid_n", "seed", "samples"),
+                 "scale": (("--scale",), 1.0, False, None, None, float)},
+    "experiment": {**_SCALED, **_settings("terms", "prec", "grid_n", "iterations", "seed"),
+                   "id": ((), None, True, tuple(range(1, 13)), None, int)},
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    import argparse
+    from radialborn.cli import _build_parser
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_SURFACE)
+    for command, parser in sub.choices.items():
+        flags = {a.dest: (tuple(a.option_strings), a.default, a.required,
+                          tuple(a.choices) if a.choices else None, a.metavar, a.type)
+                 for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert flags == CLI_SURFACE[command], command
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_every_subcommand_has_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: radialborn {command}")
+
+
+def test_stdout_is_the_written_paths_in_order(workdir, capsys):
+    prof = write(workdir / "g.txt", GAMMA_STEP)
+    small = ["--terms", "10", "--precision", "64", "--grid", "16"]
+    assert main(["born", "--profile", prof, *small, "--out", "b"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["b/fourier.csv", "b/reconstruction.csv"]
+    assert main(["reconstruct", "--profile", prof, *small, "--iterations", "1",
+                 "--out", "r"]) == 0
+    assert capsys.readouterr().out.splitlines() == \
+        [f"r/{n}" for n in ("iterate_0.csv", "iterate_1.csv", "errors.csv")]
