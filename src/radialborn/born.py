@@ -176,8 +176,8 @@ def target_radius(spec, mode, R):
     """
     if mode == "moment_form" and spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("moment_form mode applies to conductivity spectra")
-    if mode == "finiteR" and R is None:
-        raise ValueError("finiteR mode needs a target radius R")
+    if mode == "finiteR" and (R is None or not R > 0):
+        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
     targets = {"unit": spec.radius, "moment_form": spec.radius, "finiteR": R,
                "scattering": mpmath.inf}
     if mode not in targets:

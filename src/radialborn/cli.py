@@ -9,6 +9,7 @@ RADIALBORN_CACHE_DIR relocates the spectrum cache.
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from .experiments import (
     read_spectrum_csv,
     run_experiment,
     samples_rows,
-    write_csv,
+    write_files,
     write_spectrum_csv,
 )
 from .fourier import inverse_radial_ft, xi_node_bits
@@ -46,12 +47,10 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_CACHE = 4
 
-# the SolverParams fields a command may set by flag
-SETTINGS = ("terms", "prec", "grid_n", "iterations", "seed", "samples")
-
-
-class InputError(Exception):
-    pass
+# the SolverParams fields a command may set by flag: {field: (flag, metavar)}
+SETTINGS = {"terms": ("--terms", "K"), "prec": ("--precision", "BITS"), "grid_n": ("--grid", "N"),
+            "iterations": ("--iterations", "N"), "seed": ("--seed", "S"),
+            "samples": ("--samples", None)}
 
 
 def _build_parser():
@@ -60,21 +59,25 @@ def _build_parser():
                                             "for radial coefficients.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True):
-        if profile:
-            sp.add_argument("--profile", required=True, help="profile file")
-        sp.add_argument("--terms", type=int, default=None, metavar="K")
-        sp.add_argument("--precision", dest="prec", type=int, default=None, metavar="BITS")
+    def command(name, run, help, *settings):
+        """A subcommand that runs ``run`` and takes --out and the given settings."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        for field in settings:
+            flag, metavar = SETTINGS[field]
+            sp.add_argument(flag, dest=field, type=int, default=None, metavar=metavar)
         sp.add_argument("--out", default=".", metavar="DIR")
-        sp.add_argument("--paper-scale", action="store_true")
+        if settings:
+            sp.add_argument("--paper-scale", action="store_true")
         return sp
 
-    sp = common(sub.add_parser("dtn", help="compute a DtN spectrum"))
+    sp = command("dtn", cmd_dtn, "compute a DtN spectrum", "terms", "prec")
+    sp.add_argument("--profile", required=True, help="profile file")
     sp.add_argument("--radius", type=float, default=None,
                     help="solve on this ball instead of the profile's")
 
-    sp = common(sub.add_parser("born", help="Born approximation of a spectrum"),
-                profile=False)
+    sp = command("born", cmd_born, "Born approximation of a spectrum",
+                 "terms", "prec", "grid_n")
     sp.add_argument("--profile", help="profile file (solved, then inverted)")
     sp.add_argument("--spectrum", help="spectrum CSV (k,lambda,shift)")
     sp.add_argument("--kind", choices=["conductivity", "potential"],
@@ -84,32 +87,24 @@ def _build_parser():
     sp.add_argument("--mode", default="unit",
                     choices=["unit", "finiteR", "scattering", "moment-form"])
     sp.add_argument("--xi-max", type=float, default=None)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
 
-    sp = sub.add_parser("invert-fourier", help="discrete inverse radial transform")
+    sp = command("invert-fourier", cmd_invert_fourier, "discrete inverse radial transform")
     sp.add_argument("--input", required=True, help="CSV of xi,value rows")
-    sp.add_argument("--out", default=".", metavar="DIR")
 
-    sp = common(sub.add_parser("moments", help="exact moment sequence"))
+    sp = command("moments", cmd_moments, "exact moment sequence", "terms", "prec")
+    sp.add_argument("--profile", required=True, help="profile file")
 
-    sp = common(sub.add_parser("reconstruct", help="fixed-point Born iteration"))
-    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
-    sp.add_argument("--iterations", type=int, default=None, metavar="N")
+    sp = command("reconstruct", cmd_reconstruct, "fixed-point Born iteration",
+                 "terms", "prec", "grid_n", "iterations")
+    sp.add_argument("--profile", required=True, help="profile file")
 
-    sp = common(sub.add_parser("ensemble",
-                               help="depth-error statistics over random potentials"),
-                profile=False)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
-    sp.add_argument("--seed", type=int, default=None, metavar="S")
-    sp.add_argument("--samples", type=int, default=None)
+    sp = command("ensemble", cmd_ensemble, "depth-error statistics over random potentials",
+                 "terms", "prec", "grid_n", "seed", "samples")
     sp.add_argument("--scale", type=float, default=1.0)
 
-    sp = common(sub.add_parser("experiment", help="run a canned experiment"),
-                profile=False)
+    sp = command("experiment", cmd_experiment, "run a canned experiment",
+                 "terms", "prec", "grid_n", "iterations", "seed")
     sp.add_argument("id", type=int, choices=EXPERIMENT_IDS)
-    sp.add_argument("--grid", dest="grid_n", type=int, default=None, metavar="N")
-    sp.add_argument("--iterations", type=int, default=None, metavar="N")
-    sp.add_argument("--seed", type=int, default=None, metavar="S")
     return p
 
 
@@ -117,11 +112,11 @@ def _load_profile(path):
     try:
         text = Path(path).read_text()
     except OSError as e:
-        raise InputError(f"cannot read profile {path}: {e}")
+        raise ValueError(f"cannot read profile {path}: {e}")
     try:
         return parse_profile(text)
     except ProfileFormatError as e:
-        raise InputError(f"{path}: {e}")
+        raise ValueError(f"{path}: {e}")
 
 
 def _explicit(args):
@@ -143,24 +138,21 @@ def cmd_dtn(args):
                                          for b in profile.breakpoints[:-1]) + (args.radius,),
                                    profile.values)
     spec = cached_spectrum_of(profile, params.terms, params.prec)
-    out = Path(args.out)
-    path = write_spectrum_csv(out / "spectrum.csv", spec)
-    print(path)
-    return EXIT_OK
+    return [write_spectrum_csv(Path(args.out) / "spectrum.csv", spec)]
 
 
 def _spectrum_from_args(args, params, mode):
     if args.spectrum:
         if not args.kind:
-            raise InputError("--spectrum requires --kind")
+            raise ValueError("--spectrum requires --kind")
         # finiteR mode transforms the unit-ball spectrum; --radius is then the target
         radius = 1.0 if mode == "finiteR" else args.radius
         try:
             return read_spectrum_csv(args.spectrum, args.kind, radius, params.prec)
-        except (OSError, ValueError) as e:
-            raise InputError(str(e))  # every message names the file
+        except OSError as e:
+            raise ValueError(str(e))  # every message names the file
     if not args.profile:
-        raise InputError("born needs --profile or --spectrum")
+        raise ValueError("born needs --profile or --spectrum")
     profile = _piecewise(_load_profile(args.profile), params.pieces)
     return cached_spectrum_of(profile, params.terms, params.prec)
 
@@ -169,19 +161,19 @@ def cmd_born(args):
     params = _params(args)
     mode = args.mode.replace("-", "_")
     R = args.radius if mode == "finiteR" else None
+    if args.xi_max is not None and not 0 < args.xi_max < math.inf:
+        raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
     spec = _spectrum_from_args(args, params, mode)
     if args.xi_max is not None:
         rho = grid_radius(spec, mode, R)
         params = replace(params, length_factor=np.pi * params.grid_n / (args.xi_max * rho))
     F = born_fourier(spec, params, mode, R)
     recon = born_inverse(F, spec.kind)
-    out = Path(args.out)
-    fpath = write_csv(out / "fourier.csv", ("xi", "value"), fourier_rows(F, params.prec))
-    rpath = write_csv(out / "reconstruction.csv", ("r", "value", "in_ball"),
-                      samples_rows(recon, radius=float(spec.radius)))
-    print(fpath)
-    print(rpath)
-    return EXIT_OK
+    rows = [(*row, int(r <= float(spec.radius)))
+            for row, r in zip(samples_rows(recon), recon.r_grid)]
+    return write_files(args.out, {
+        "fourier.csv": (("xi", "value"), fourier_rows(F, params.prec)),
+        "reconstruction.csv": (("r", "value", "in_ball"), rows)})
 
 
 def cmd_invert_fourier(args):
@@ -195,13 +187,9 @@ def cmd_invert_fourier(args):
         with mp.workprec(xi_node_bits(len(rows) - 1)):
             xi = tuple(mpf(a) for a, _ in rows)
     except (OSError, ValueError, StopIteration) as e:
-        raise InputError(f"{args.input}: {e}")
-    F = FourierSamples(xi, tuple(v for _, v in rows))
-    s = inverse_radial_ft(F)
-    out = Path(args.out)
-    path = write_csv(out / "inverse.csv", ("r", "value"), samples_rows(s))
-    print(path)
-    return EXIT_OK
+        raise ValueError(f"{args.input}: {e}")
+    s = inverse_radial_ft(FourierSamples(xi, tuple(v for _, v in rows)))
+    return write_files(args.out, {"inverse.csv": (("r", "value"), samples_rows(s))})
 
 
 def cmd_moments(args):
@@ -209,10 +197,7 @@ def cmd_moments(args):
     profile = _piecewise(_load_profile(args.profile), params.pieces)
     sigma = moment_sequence_exact(profile, params.terms, prec=params.prec)
     rows = [(k, _fmt(s, params.prec)) for k, s in enumerate(sigma)]
-    out = Path(args.out)
-    path = write_csv(out / "moments.csv", ("k", "sigma"), rows)
-    print(path)
-    return EXIT_OK
+    return write_files(args.out, {"moments.csv": (("k", "sigma"), rows)})
 
 
 def cmd_reconstruct(args):
@@ -221,56 +206,34 @@ def cmd_reconstruct(args):
     spec = cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
     trace = iterate_born(profile.kind, spec, profile, n_iter=params.iterations,
                          params=params)
-    out = Path(args.out)
-    paths = []
-    for n, it in enumerate(trace.iterates):
-        paths.append(write_csv(out / f"iterate_{n}.csv", ("r", "value"),
-                               samples_rows(it)))
-    err = [(n, repr(l2), repr(li))
-           for n, (l2, li) in enumerate(zip(trace.l2_errors, trace.linf_errors))]
-    paths.append(write_csv(out / "errors.csv", ("iteration", "l2", "linf"), err))
-    for p in paths:
-        print(p)
-    return EXIT_OK
+    files = {f"iterate_{n}.csv": (("r", "value"), samples_rows(it))
+             for n, it in enumerate(trace.iterates)}
+    err = zip(map(repr, trace.l2_errors), map(repr, trace.linf_errors))
+    files["errors.csv"] = (("iteration", "l2", "linf"), [(n, *e) for n, e in enumerate(err)])
+    return write_files(args.out, files)
 
 
 def cmd_ensemble(args):
     params = _params(args)
     curve = ensemble_depth_profile(args.scale, params)
-    path = write_csv(Path(args.out) / f"depth_error_seed{params.seed}.csv",
-                     ("r", "mean_abs_error"), depth_error_rows(curve))
-    print(path)
-    return EXIT_OK
+    return write_files(args.out, {f"depth_error_seed{params.seed}.csv":
+                                  (("r", "mean_abs_error"), depth_error_rows(curve))})
 
 
 def cmd_experiment(args):
-    files = run_experiment(args.id, Path(args.out) / f"experiment_{args.id}",
-                           paper_scale=args.paper_scale, **_explicit(args))
-    for f in files:
-        print(f)
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "dtn": cmd_dtn,
-    "born": cmd_born,
-    "invert-fourier": cmd_invert_fourier,
-    "moments": cmd_moments,
-    "reconstruct": cmd_reconstruct,
-    "ensemble": cmd_ensemble,
-    "experiment": cmd_experiment,
-}
+    return run_experiment(args.id, Path(args.out) / f"experiment_{args.id}",
+                          paper_scale=args.paper_scale, **_explicit(args))
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except (InputError, ValueError) as e:
+        for path in args.run(args):
+            print(path)
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ArithmeticError as e:
@@ -279,6 +242,7 @@ def main(argv=None):
     except OSError as e:
         print(f"cache/io error: {e}", file=sys.stderr)
         return EXIT_CACHE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

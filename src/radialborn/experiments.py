@@ -60,6 +60,11 @@ def write_csv(path, header, rows):
     return path
 
 
+def write_files(out, files):
+    """Write each ``{name: (header, rows)}`` entry to ``out/name``; the paths, in order."""
+    return [write_csv(Path(out) / name, header, rows) for name, (header, rows) in files.items()]
+
+
 def write_spectrum_csv(path, spec):
     """Spectrum file format: header k,lambda,shift with decimal strings."""
     with mp.workprec(spec.prec + GUARD_BITS):
@@ -72,9 +77,9 @@ def write_spectrum_csv(path, spec):
 def read_spectrum_csv(path, kind, radius, prec):
     """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
 
-    Raises ValueError naming the file (and the line) on a bad header, an unparsable
-    or non-finite number, k not running 0, 1, 2, ..., a shift off lambda - k/R by
-    more than 2^(2-prec) max(|lambda|, |shift|), or no rows.
+    Raises ValueError naming the file (and the line) on a radius outside (0, inf), a
+    bad header, an unparsable or non-finite number, k not running 0, 1, 2, ..., a
+    shift off lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|), or no rows.
     """
     lambdas = []
     with open(path, newline="") as fh:
@@ -83,6 +88,8 @@ def read_spectrum_csv(path, kind, radius, prec):
             raise ValueError(f"{path}: expected header k,lambda,shift")
         with mp.workprec(prec + GUARD_BITS):
             R = mpf(radius)
+        if not 0 < R < mpmath.inf:
+            raise ValueError(f"{path}: radius must be positive and finite, got {radius}")
         for line, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -107,11 +114,8 @@ def read_spectrum_csv(path, kind, radius, prec):
     return DtnSpectrum(ProfileKind(kind), mpf(radius), lambdas, prec)
 
 
-def samples_rows(s, radius=None):
-    if radius is None:
-        return [(_fmt(r), _fmt(v)) for r, v in zip(s.r_grid, s.values)]
-    return [(_fmt(r), _fmt(v), int(r <= radius))
-            for r, v in zip(s.r_grid, s.values)]
+def samples_rows(s):
+    return [(_fmt(r), _fmt(v)) for r, v in zip(s.r_grid, s.values)]
 
 
 def fourier_rows(F, prec):
@@ -235,8 +239,6 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
     """Run one experiment; returns the list of files written."""
     cfg = experiment_config(exp_id, paper_scale, **overrides)
     row = _CATALOGUE[exp_id]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     files = {}
     for name, p in row.profiles.items():
         pw = _piecewise(p, cfg.pieces)
@@ -251,7 +253,7 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
         files[f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"),
                                                       depth_error_rows(curve))
 
-    written = [write_csv(out / name, header, rows) for name, (header, rows) in files.items()]
+    written = write_files(out_dir, files)
     manifest = {
         "experiment": exp_id,
         "config": {**asdict(cfg), "id": exp_id, "paper_scale": paper_scale},
@@ -259,7 +261,7 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
         "files": sorted(p.name for p in written),
         "format_version": 1,
     }
-    mpath = out / "manifest.json"
+    mpath = Path(out_dir) / "manifest.json"
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return written + [mpath]

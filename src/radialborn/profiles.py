@@ -116,9 +116,9 @@ class AnalyticProfile:
     def __call__(self, r):
         if r < 0 or r > float(self.radius):
             raise ValueError(f"r = {r} outside [0, {self.radius}]")
-        fn = _ANALYTIC_BUILTINS.get(self.name)
-        if fn is None:
+        if self.name not in _ANALYTIC_BUILTINS:
             raise ValueError(f"unknown analytic descriptor {self.name!r}")
+        fn, _ = _ANALYTIC_BUILTINS[self.name]
         try:
             return fn(float(r), float(self.radius), self.params)
         except KeyError as e:
@@ -162,11 +162,12 @@ def _eval_exp3(r, R, p):
     return 2.5 - r
 
 
+# each built-in's formula and the parameter names it reads
 _ANALYTIC_BUILTINS = {
-    "bump": _eval_bump,
-    "annular_bump": _eval_annular_bump,
-    "cosine_series": _eval_cosine_series,
-    "exp3_profile": _eval_exp3,
+    "bump": (_eval_bump, ("height", "support", "offset")),
+    "annular_bump": (_eval_annular_bump, ("inner", "outer", "height", "offset")),
+    "cosine_series": (_eval_cosine_series, ("c", "offset")),
+    "exp3_profile": (_eval_exp3, ()),
 }
 
 def project_midpoint(profile, m):
@@ -254,6 +255,8 @@ def parse_profile(text):
             key, eq, val = tok.partition("=")
             if not eq:
                 raise ProfileFormatError(f"expected key=value, got {tok!r}", lineno)
+            if key not in _ANALYTIC_BUILTINS[name][1]:
+                raise ProfileFormatError(f"{name} has no parameter {key!r}", lineno)
             if val.startswith("["):
                 if not val.endswith("]"):
                     raise ProfileFormatError(f"unterminated list in {tok!r}", lineno)

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Runs every radialborn command once on small inputs, writing under DIR, and
-# checks that a desk-grid Born reconstruction stays bounded in the ball.
+# Prints every radialborn command's help, runs each once on small inputs, writing
+# under DIR, and checks that a desk-grid Born reconstruction stays bounded in the ball.
 #
 #     tests/cli_smoke.sh DIR
 #
@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 export RADIALBORN_CACHE_DIR=${RADIALBORN_CACHE_DIR:-$run/cache}
 
+# every subcommand's parser builds, whatever the Python version's argparse
+for cmd in dtn born invert-fourier moments reconstruct ensemble experiment; do
+    python -m radialborn.cli "$cmd" --help > /dev/null
+done
 printf 'kind conductivity\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 1\n' > "$run/gamma.txt"
 python -m radialborn.cli dtn --profile "$run/gamma.txt" --terms 30 --precision 128 --out "$run"
 python -m radialborn.cli born --spectrum "$run/spectrum.csv" --kind conductivity --precision 128 --grid 64 --out "$run"

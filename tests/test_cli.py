@@ -206,7 +206,7 @@ def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
     assert read_rows(workdir / "run" / "fourier.csv") == \
         [list(row) for row in fourier_rows(F, 128)]
     assert read_rows(workdir / "run" / "reconstruction.csv") == \
-        [[str(x) for x in row] for row in samples_rows(born_inverse(F, spec.kind), radius=1.0)]
+        [[r, v, str(int(float(r) <= 1.0))] for r, v in samples_rows(born_inverse(F, spec.kind))]
 
 
 def test_exit_code_input_error(workdir):
@@ -248,6 +248,32 @@ def test_spectrum_csv_errors_name_the_file_once(workdir, capsys):
                      "--precision", "128", "--grid", "32", "--out", "run"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {where}") and what in err and err.count(path) == 1
+
+
+def test_bad_finite_radius_or_xi_max_is_an_input_error(workdir, capsys):
+    # radius 0 and xi-max 0 or inf used to exit 3 on a division by zero, and a
+    # negative value exit 2 with a message about the xi-grid
+    q = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
+    small = ["--profile", q, "--terms", "5", "--precision", "64", "--grid", "16"]
+    cases = [(["--mode", "finiteR", "--radius", r], "needs a target radius R > 0")
+             for r in ("0", "-2", "nan")]
+    cases += [(["--xi-max", x], "--xi-max must be positive and finite")
+              for x in ("0", "inf", "-5", "nan")]
+    for flags, message in cases:
+        assert main(["born", *small, *flags, "--out", "run"]) == 2, flags
+        assert message in capsys.readouterr().err, flags
+    write(workdir / "s.csv", "k,lambda,shift\n0,0.5,0.5\n")
+    for radius in ("0", "nan"):
+        assert main(["born", "--spectrum", str(workdir / "s.csv"), "--kind", "potential",
+                     "--radius", radius, *small[2:], "--out", "run"]) == 2
+        assert "radius must be positive and finite" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
+
+
+def test_misspelt_analytic_parameter_is_an_input_error(workdir, capsys):
+    prof = write(workdir / "q.txt", "kind potential\nradius 1\nanalytic bump hieght=2\n")
+    assert main(["dtn", "--profile", prof, "--terms", "5", "--precision", "64"]) == 2
+    assert "line 3: bump has no parameter 'hieght'" in capsys.readouterr().err
 
 
 def test_exit_code_solver_error(workdir):

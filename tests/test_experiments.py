@@ -177,3 +177,7 @@ def test_spectrum_csv_rejects_bad_k_and_shift(tmp_path):
     # the shift column ties the file to its radius
     with pytest.raises(ValueError, match="line 3: shift"):
         read_spectrum_csv(tmp_path / "s.csv", "conductivity", 1.0, 256)
+    # radius 0 used to divide by zero in the shift check
+    for radius in (0.0, -2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s.csv: radius must be positive and finite"):
+            read_spectrum_csv(tmp_path / "s.csv", "conductivity", radius, 256)

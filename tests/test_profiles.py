@@ -112,6 +112,20 @@ def test_parse_unknown_descriptor():
         parse_profile("kind potential\nradius 1\nanalytic no_such_thing\n")
 
 
+def test_parse_unknown_analytic_parameter():
+    # a misspelt key used to be dropped, leaving a bump of the default height 1
+    with pytest.raises(ProfileFormatError, match="line 3: bump has no parameter 'hieght'"):
+        parse_profile("kind potential\nradius 1\nanalytic bump hieght=2\n")
+    with pytest.raises(ProfileFormatError, match="exp3_profile has no parameter 'height'"):
+        parse_profile("kind conductivity\nradius 1\nanalytic exp3_profile height=2\n")
+    params = {"bump": "height=2 support=0.5 offset=1",
+              "annular_bump": "inner=0.2 outer=0.8 height=2 offset=1",
+              "cosine_series": "c=[1,2] offset=1", "exp3_profile": ""}
+    for name, given in params.items():
+        p = parse_profile(f"kind conductivity\nradius 1\nanalytic {name} {given}\n")
+        assert sorted(p.params) == sorted(t.partition("=")[0] for t in given.split())
+
+
 def test_bump_offset_and_support():
     g = AnalyticProfile(ProfileKind.CONDUCTIVITY, 1.0, "bump",
                         {"height": 0.3, "support": 0.5, "offset": 1.0})

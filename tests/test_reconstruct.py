@@ -250,3 +250,12 @@ def test_growth_slope_rejects_a_zero_series():
     # log 0 would hand -inf to the fit and return nan
     with pytest.raises(ValueError, match="sums to 0 at xi = 1.0"):
         growth_slope([0, 0, 0], (1.0, 2.0), 256)
+
+
+def test_finite_radius_must_be_positive():
+    # R = 0 used to reach a division by zero inside the radius map
+    spec = spectrum_of(PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0),
+                                        (1.0, 0.0)), 5, 128)
+    for R in (0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match="needs a target radius R > 0"):
+            born_samples(spec, FAST, "finiteR", R)
