@@ -168,6 +168,12 @@ def eval_series_L_grid(mu, xi_grid, prec):
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
+def check_finite_radius(mode, R):
+    """Raise ValueError unless a "finiteR" mode has a target radius R > 0."""
+    if mode == "finiteR" and (R is None or not R > 0):
+        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
+
+
 def target_radius(spec, mode, R):
     """The radius at which a Born mode reads the spectrum through ``scaled_shifts``.
 
@@ -176,8 +182,7 @@ def target_radius(spec, mode, R):
     """
     if mode == "moment_form" and spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("moment_form mode applies to conductivity spectra")
-    if mode == "finiteR" and (R is None or not R > 0):
-        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
+    check_finite_radius(mode, R)
     targets = {"unit": spec.radius, "moment_form": spec.radius, "finiteR": R,
                "scattering": mpmath.inf}
     if mode not in targets:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from mpmath import mp, mpf
 
-from .born import FourierSamples, moment_sequence_exact
+from .born import FourierSamples, check_finite_radius, moment_sequence_exact
 from .cache import cached_spectrum_of
 from .experiments import (
     EXPERIMENT_IDS,
@@ -161,6 +161,7 @@ def cmd_born(args):
     params = _params(args)
     mode = args.mode.replace("-", "_")
     R = args.radius if mode == "finiteR" else None
+    check_finite_radius(mode, R)  # before a --profile is solved
     if args.xi_max is not None and not 0 < args.xi_max < math.inf:
         raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
     spec = _spectrum_from_args(args, params, mode)

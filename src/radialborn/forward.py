@@ -24,11 +24,11 @@ correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
 solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x, and
-r u' = x f_k' = k f_k +- x f_{k+1}.  Every ladder value is read once as an
-exact mantissa and exponent, so a column (f_k, x f_k') is a pair of exact
-ints sharing one exponent; the exponents drop out of Phi_b adj(Phi_a) up to
-one left shift that aligns the two columns, which leaves eight exact integer
-products per degree.  When one column's term lies more than 2F bits below the
+r u' = x f_k' = k f_k +- x f_{k+1}.  Every ladder value comes as the exact
+int pair (N, E) its integer recurrence formed, so a column (f_k, x f_k') is
+a pair of exact ints sharing one exponent; the exponents drop out of
+Phi_b adj(Phi_a) up to one left shift that aligns the two columns, which
+leaves eight exact integer products per degree.  When one column's term lies more than 2F bits below the
 other's it is dropped, and the shift with it.  The ladders of a piece serve
 all k at once.
 
@@ -105,7 +105,7 @@ def _bessel_columns(ladder, x, sgn, kmax):
     for u = f_k(s r).
     """
     _, xm, xe, _ = x._mpf_
-    vals = [(-m if sign else m, e) for sign, m, e, _ in (v._mpf_ for v in ladder(kmax, x))]
+    vals = ladder(kmax, x)
     cols = []
     for k in range(kmax + 1):
         fm, fe = vals[k]

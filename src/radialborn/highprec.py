@@ -2,12 +2,16 @@
 spherical Bessel ladders.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
-mantissa precision and round results with :func:`to_prec`.  The ladders seed
-with mpmath at the caller's working precision, run their three-term
-recurrence in Python integers on F = working precision + 16 + bit_length(n)
-bits, and round each value once, to the working precision.  The mpmath
-big-float type plays the role of the extended-precision real number;
-precision is carried by the caller, not by the value.
+mantissa precision and round results with :func:`to_prec`.  The Bessel
+ladders run their three-term recurrence in Python integers on
+F = working precision + 16 + bit_length(n) bits and return each value as the
+exact pair (N, E), value = N 2^E, that the recurrence forms; nothing is
+rounded to an mpf.  The regular ladders start by Miller's backward
+recurrence and are scaled once to a closed form; only where x is so large
+that this start needs more than ``MILLER_ORDERS`` extra orders do they start
+from two mpmath Bessel values instead.  The mpmath big-float type plays the
+role of the extended-precision real number; precision is carried by the
+caller, not by the value.
 
 Conventions for the spherical families (order ``k >= 0``, argument ``x > 0``):
 
@@ -20,9 +24,10 @@ Derivatives follow from the half-integer ladder relations; no numerical
 differentiation is used anywhere.
 """
 
+import math
+
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import MPZ, normalize, round_nearest
 
 GUARD_BITS = 32
 
@@ -71,45 +76,46 @@ def _sph_from_cyl(kind, k, x):
 
 
 # ---------------------------------------------------------------------------
-# Whole-ladder evaluations used by the potential forward solver.  The
-# regular family is seeded at the top orders with direct evaluations and
-# propagated downward (stable: the regular solution dominates going down);
-# the singular family starts from closed forms at orders 0, 1 and goes up.
-# All four steps are f_next = sigma f_prev + (2m+1) f_m / x, run by
-# _recurrence in integers on F = mp.prec + 16 + bit_length(n) bits; each
-# value is rounded once, to the working precision.  Each ladder returns a list
-# of length kmax + 2 so callers can form derivatives via the ladder relations.
+# Whole-ladder evaluations used by the potential forward solver.  All four
+# steps are f_next = sigma f_prev + (2m+1) f_m / x, run by _recurrence in
+# integers on F = mp.prec + 16 + bit_length(n) bits, and every ladder value is
+# the exact (N, E) that step forms, f = N 2^E.  The singular family starts from
+# closed forms at orders 0, 1 and goes up.  The regular family goes down (stable:
+# the regular solution dominates going down) from a Miller start f_{M+1}, f_M =
+# 0, 1 and is scaled once to a closed form at order 0 or 1; where that start
+# needs more than MILLER_ORDERS orders above the ladder, it goes down from
+# mpmath values at the top two orders instead.  Each ladder returns a list of
+# length kmax + 2 so callers can form derivatives via the ladder relations.
 # ---------------------------------------------------------------------------
 
+MILLER_ORDERS = 1000
+
+
 def _recurrence(prev, cur, x, orders, sigma):
-    """[f_next for m in orders] of f_next = sigma f_prev + (2m+1) f_m / x from the
-    seeds (prev, cur), each an mpf rounded once to the working precision.
+    """[(N, E) for m in orders]: f_next = N 2^E of f_next = sigma f_prev + (2m+1) f_m / x
+    from the seeds (prev, cur), each an exact (man, exp).
 
     x is read once as an exact dyadic and 1/x becomes one fixed-point integer
     W 2^-s with F + 1 bits.  The running pair (P, C) are ints on one exponent E;
     both shift right whenever the larger grows past F bits, so every step keeps
     F bits of the larger, and the bit_length(n) + 16 bits above mp.prec cover
     the few floors of each of the n steps.  A step's value is recorded as the
-    exact (N, E) before that shift.  The seeds are the caller's and are not
-    rounded again.
+    exact (N, E) before that shift.
     """
-    prec = mp.prec
-    F = prec + 16 + len(orders).bit_length()
+    F = mp.prec + 16 + len(orders).bit_length()
     xm, xe = finite_dyadic(x, "ladder argument")
     W = (1 << F + xm.bit_length()) // xm
     s = F + xm.bit_length() + xe
     if s < 0:  # x below 2^-(F+1): the left shift goes into W once
         W, s = W << -s, 0
-    seeds = [finite_dyadic(v, "ladder seed") for v in (prev, cur)]
     # the larger seed at F bits: the smaller may lose bits here, which lie
     # below the F bits the pair carries
-    E = max(se + sm.bit_length() for sm, se in seeds) - F
-    P, C = (sm << se - E if se >= E else sm >> E - se for sm, se in seeds)
+    E = max(se + sm.bit_length() for sm, se in (prev, cur)) - F
+    P, C = (sm << se - E if se >= E else sm >> E - se for sm, se in (prev, cur))
     out = []
     for m in orders:
         N = sigma * P + ((2 * m + 1) * C * W >> s)
-        a = MPZ(abs(N))  # normalize is from_man_exp without its conversions
-        out.append(mp.make_mpf(normalize(int(N < 0), a, E, a.bit_length(), prec, round_nearest)))
+        out.append((N, E))
         b = max(C.bit_length(), N.bit_length()) - F
         if b > 0:
             C, N, E = C >> b, N >> b, E + b
@@ -117,33 +123,87 @@ def _recurrence(prev, cur, x, orders, sigma):
     return out
 
 
-def mod_sph_i_ladder(kmax, x):
-    """[i_0(x), ..., i_{kmax+1}(x)] at the current working precision."""
+def _start_order(kmax, x, sigma):
+    """The Miller start order M >= kmax + 2 of the regular ladder, or None past
+    kmax + 1 + MILLER_ORDERS.
+
+    The start (0, 1) at orders (M + 1, M) is the regular solution plus a multiple
+    of the singular one g (kk_k for sigma = 1, y_k for sigma = -1) whose share at
+    orders 0..kmax+1 is at most (g_first / g_{M+1})^2, where g_first = g_{kmax+1}
+    for kk_k, and for y_k the order past both kmax + 1 and x, below which y_k
+    oscillates with j_k.  M is the first order at which that share falls below
+    2^-(mp.prec + 16).  The ratios g_{m+1} / g_m run up in floats from g_1 / g_0.
+    """
+    need = mp.prec + 16
+    xf = min(max(float(x), 2.0 ** -1000), 2.0 ** 1000)
+    first = kmax + 1 if sigma > 0 else max(kmax + 1, math.ceil(xf))
+    rho = 1 / xf + (1 if sigma > 0 else math.tan(xf))
+    gain = 0.0
+    for m in range(kmax + 2 + MILLER_ORDERS):
+        if m >= first:
+            gain += 2 * math.log2(abs(rho))
+            if gain >= need and m > kmax + 1:
+                return m
+        rho = (2 * m + 3) / xf + sigma / (rho or 2.0 ** -1000)
+    return None
+
+
+def _regular_ladder(kmax, x, sigma, bessel, closed_form):
+    """[f_0, ..., f_{kmax+1}] of the regular family as exact (N, E) pairs, going down.
+
+    From a Miller start, scaled by one F-bit factor, F = mp.prec + 16, so that
+    f_i reads the closed form: closed_form(vals) gives (i, f_i) at F bits from
+    the unscaled pairs.  Past the start's reach, from the mpmath ``bessel`` at
+    orders kmax + 2 and kmax + 1.
+    """
     n = kmax + 1
-    top, below = (_sph_from_cyl(mpmath.besseli, m, x) for m in (n + 1, n))
-    # i_{m-1} = i_{m+1} + (2m+1)/x * i_m
-    return _recurrence(top, below, x, range(n, 0, -1), 1)[::-1] + [below]
+    M = _start_order(kmax, x, sigma)
+    if M is None:
+        top, below = (finite_dyadic(_sph_from_cyl(bessel, m, x), "ladder seed")
+                      for m in (n + 1, n))
+        return _recurrence(top, below, x, range(n, 0, -1), sigma)[::-1] + [below]
+    vals = _recurrence((0, 0), (1, 0), x, range(M, 0, -1), sigma)[::-1][:n + 1]
+    F = mp.prec + 16
+    with mp.workprec(F):
+        i, exact = closed_form(vals)
+        cm, ce = finite_dyadic(exact, "ladder scale")
+    rm, re = vals[i]
+    g = F + rm.bit_length() - cm.bit_length()
+    S = (cm << g) // rm
+    return [(N * S >> F, E + ce - re - g + F) for N, E in vals]
+
+
+def mod_sph_i_ladder(kmax, x):
+    """[i_0(x), ..., i_{kmax+1}(x)] as exact (N, E) pairs, i_k = N 2^E."""
+    # i_{m-1} = i_{m+1} + (2m+1)/x * i_m, scaled to i_0 = sinh x / x
+    return _regular_ladder(kmax, x, 1, mpmath.besseli, lambda vals: (0, mpmath.sinh(x) / x))
 
 
 def mod_sph_k_ladder(kmax, x):
-    """[kk_0(x), ..., kk_{kmax+1}(x)] at the current working precision."""
+    """[kk_0(x), ..., kk_{kmax+1}(x)] as exact (N, E) pairs."""
     e = mpmath.exp(-x) * mpmath.pi / 2
-    k0, k1 = e / x, e * (1 / x + 1 / x**2)
+    k0, k1 = (finite_dyadic(v, "ladder seed") for v in (e / x, e * (1 / x + 1 / x**2)))
     # kk_{m+1} = kk_{m-1} + (2m+1)/x * kk_m
     return [k0, k1] + _recurrence(k0, k1, x, range(1, kmax + 1), 1)
 
 
 def sph_j_ladder(kmax, x):
-    """[j_0(x), ..., j_{kmax+1}(x)] at the current working precision."""
-    n = kmax + 1
-    top, below = (_sph_from_cyl(mpmath.besselj, m, x) for m in (n + 1, n))
+    """[j_0(x), ..., j_{kmax+1}(x)] as exact (N, E) pairs."""
+    def closed_form(vals):
+        # j_0 = sin x / x, or j_1 = (j_0 - cos x) / x where j_0 is the smaller by
+        # a bit or more: j_1 cancels to nothing as x -> 0, and j_0 = 0 at x = n pi
+        (n0, e0), (n1, e1) = vals[:2]
+        if n0.bit_length() + e0 >= n1.bit_length() + e1:
+            return 0, mpmath.sin(x) / x
+        return 1, (mpmath.sin(x) / x - mpmath.cos(x)) / x
+
     # j_{m-1} = (2m+1)/x * j_m - j_{m+1}
-    return _recurrence(top, below, x, range(n, 0, -1), -1)[::-1] + [below]
+    return _regular_ladder(kmax, x, -1, mpmath.besselj, closed_form)
 
 
 def sph_y_ladder(kmax, x):
-    """[y_0(x), ..., y_{kmax+1}(x)] at the current working precision."""
+    """[y_0(x), ..., y_{kmax+1}(x)] as exact (N, E) pairs."""
     c, s = mpmath.cos(x), mpmath.sin(x)
-    y0, y1 = -c / x, -c / x**2 - s / x
+    y0, y1 = (finite_dyadic(v, "ladder seed") for v in (-c / x, -c / x**2 - s / x))
     # y_{m+1} = (2m+1)/x * y_m - y_{m-1}
     return [y0, y1] + _recurrence(y0, y1, x, range(1, kmax + 1), -1)

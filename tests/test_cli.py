@@ -270,6 +270,15 @@ def test_bad_finite_radius_or_xi_max_is_an_input_error(workdir, capsys):
     assert not (workdir / "run").exists()
 
 
+def test_bad_finite_radius_is_rejected_before_the_profile_is_solved(workdir, capsys):
+    q = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
+    assert main(["born", "--profile", q, "--mode", "finiteR", "--radius", "0",
+                 "--out", "run"]) == 2
+    assert "needs a target radius R > 0" in capsys.readouterr().err
+    cache = workdir / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+
+
 def test_misspelt_analytic_parameter_is_an_input_error(workdir, capsys):
     prof = write(workdir / "q.txt", "kind potential\nradius 1\nanalytic bump hieght=2\n")
     assert main(["dtn", "--profile", prof, "--terms", "5", "--precision", "64"]) == 2

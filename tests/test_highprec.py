@@ -2,6 +2,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from radialborn import highprec
 from radialborn.highprec import (
     GUARD_BITS,
     check_precision,
@@ -61,6 +62,11 @@ def sph_bessel_pair(k, x, prec):
         djk = -_sph(mpmath.besselj, k + 1, x) + k * jk / x
         dyk = -_sph(mpmath.bessely, k + 1, x) + k * yk / x
         return tuple(to_prec(v, prec) for v in (jk, djk, yk, dyk))
+
+
+def ladder_mpfs(pairs):
+    """The exact (N, E) pairs of a ladder as mpfs N 2^E, each rounded to the working precision."""
+    return [mpmath.ldexp(mpf(N), E) for N, E in pairs]
 
 
 def ladder_derivative(vals, k, x, sgn):
@@ -126,10 +132,10 @@ def test_ladders_match_direct_evaluations():
     kmax = 30
     with mp.workprec(320):
         for x in (mpf(5) / 4, mpf("5e-44"), mpf("1e-20")):
-            il = mod_sph_i_ladder(kmax, x)
-            kl = mod_sph_k_ladder(kmax, x)
-            jl = sph_j_ladder(kmax, x)
-            yl = sph_y_ladder(kmax, x)
+            il = ladder_mpfs(mod_sph_i_ladder(kmax, x))
+            kl = ladder_mpfs(mod_sph_k_ladder(kmax, x))
+            jl = ladder_mpfs(sph_j_ladder(kmax, x))
+            yl = ladder_mpfs(sph_y_ladder(kmax, x))
             for k in (0, 1, 7, 15, 30):
                 ik, _ = mod_sph_bessel_pair(k, x, 256)
                 kk, _ = mod_sph_bessel_second_pair(k, x, 256)
@@ -140,12 +146,76 @@ def test_ladders_match_direct_evaluations():
                 assert abs(yl[k] - y) <= abs(y) * mpf(2) ** -240, (x, k)
 
 
+def _regular_ladder_bits(kind, ladder, kmax, x, prec):
+    """Bits the regular ladder keeps at prec: the least over k of -log2 |f_k - ref_k| /
+    max(|ref_k|, |ref_{k+1}|), on every tenth order and the top one, against mpmath.
+
+    Near a zero of j_k the next order carries the scale of the oscillation."""
+    with mp.workprec(prec):
+        x = mpf(x)
+        vals = ladder(kmax, x)
+    with mp.workprec(prec + GUARD_BITS):
+        vals = ladder_mpfs(vals)
+        worst = mpf(0)
+        for k in sorted(set(range(0, kmax + 1, max(1, kmax // 10))) | {kmax + 1}):
+            ref, up = _sph(kind, k, x), _sph(kind, k + 1, x)
+            worst = max(worst, abs(vals[k] - ref) / max(abs(ref), abs(up)))
+        return -mpmath.log(worst, 2) if worst else mpmath.inf
+
+
+@pytest.mark.parametrize("prec", (96, 544))
+@pytest.mark.parametrize("kmax", (20, 150))
+@pytest.mark.parametrize("x", ("2.8e-26", "5e-44", "40", "200"))
+def test_miller_started_ladders_keep_every_bit(x, kmax, prec):
+    # j_1 = sin x / x^2 - cos x / x cancels to 0 at x = 2.8e-26, and a start order
+    # that overcounts the bits gained per order near the turning point k = x
+    # loses bits at x = 200 and 544 bits
+    for kind, ladder in ((mpmath.besseli, mod_sph_i_ladder), (mpmath.besselj, sph_j_ladder)):
+        assert _regular_ladder_bits(kind, ladder, kmax, x, prec) >= prec - 4, ladder.__name__
+
+
+@pytest.mark.parametrize("prec", (96, 544))
+@pytest.mark.parametrize("kmax, x", ((20, "24.18453728793556962519"),
+                                     (150, "156.5151000463708500961")))
+def test_j_ladder_start_counts_no_growth_below_x(kmax, x, prec):
+    # x is the first zero of y_{kmax+1}: below x, y_k oscillates with j_k, and a
+    # start order counted from y_{kmax+1} = 0 would keep 8 of 96 bits
+    assert _regular_ladder_bits(mpmath.besselj, sph_j_ladder, kmax, x, prec) >= prec - 4
+
+
+def _seed_threshold(kmax, sigma, prec):
+    """The least x, to 2^-20 relative, at which the ladder drops its Miller start."""
+    with mp.workprec(prec):
+        lo, hi = 1.0, 2.0 ** 40
+        while hi / lo > 1 + 2.0 ** -20:
+            mid = (lo * hi) ** 0.5
+            lo, hi = (lo, mid) if highprec._start_order(kmax, mpf(mid), sigma) is None else (mid, hi)
+        return hi
+
+
+@pytest.mark.parametrize("kind, ladder, sigma, bessel", (
+    (mpmath.besseli, mod_sph_i_ladder, 1, "besseli"),
+    (mpmath.besselj, sph_j_ladder, -1, "besselj")))
+def test_ladders_keep_every_bit_on_both_sides_of_the_seed_switch(kind, ladder, sigma, bessel,
+                                                                 monkeypatch):
+    kmax, prec = 20, 96
+    edge = _seed_threshold(kmax, sigma, prec)
+    for x, seeded in ((edge * (1 - 2.0 ** -10), False), (edge * (1 + 2.0 ** -10), True)):
+        calls = []
+        monkeypatch.setattr(mpmath, bessel, lambda *args: calls.append(args) or kind(*args))
+        with mp.workprec(prec):
+            ladder(kmax, mpf(x))
+        monkeypatch.undo()
+        assert bool(calls) is seeded, x
+        assert _regular_ladder_bits(kind, ladder, kmax, x, prec) >= prec - 4, x
+
+
 def test_ladder_derivative_recovers_derivatives():
     kmax = 12
     with mp.workprec(320):
         x = mpf(9) / 5
-        il = mod_sph_i_ladder(kmax, x)
-        jl = sph_j_ladder(kmax, x)
+        il = ladder_mpfs(mod_sph_i_ladder(kmax, x))
+        jl = ladder_mpfs(sph_j_ladder(kmax, x))
         for k in (0, 3, 8):
             _, ipd = mod_sph_bessel_pair(k, x, 256)
             _, jpd, _, _ = sph_bessel_pair(k, x, 256)

@@ -27,6 +27,7 @@ from radialborn.highprec import (
     to_prec,
 )
 from radialborn.profiles import PiecewiseProfile, ProfileKind, project_midpoint
+from test_highprec import ladder_mpfs
 
 KS = (0, 1, 20, 150)
 PRECS = (64, 256, 512)
@@ -53,8 +54,8 @@ def _piece_bases(c, a, b, kmax):
     out = []
     for r in (a, b):
         x = s * r
-        f1 = reg_ladder(kmax, x)
-        f2 = sing_ladder(kmax, x)
+        f1 = ladder_mpfs(reg_ladder(kmax, x))
+        f2 = ladder_mpfs(sing_ladder(kmax, x))
         W1 = [r * f1[k] for k in range(kmax + 1)]
         W2 = [r * f2[k] for k in range(kmax + 1)]
         dW1 = [f1[k] + s * r * (sgn1 * f1[k + 1] + k * f1[k] / x) for k in range(kmax + 1)]
@@ -80,11 +81,11 @@ def mpf_potential_spectrum(q, kmax, prec):
         else:
             if c > 0:
                 s = mpmath.sqrt(c)
-                lad = mod_sph_i_ladder(kmax, s * b)
+                lad = ladder_mpfs(mod_sph_i_ladder(kmax, s * b))
                 sgn = 1
             else:
                 s = mpmath.sqrt(-c)
-                lad = sph_j_ladder(kmax, s * b)
+                lad = ladder_mpfs(sph_j_ladder(kmax, s * b))
                 sgn = -1
             x = s * b
             states = []
@@ -216,6 +217,21 @@ def test_bump_tail_keeps_every_bit_at_paper_terms():
     with mp.workprec(700):
         for k, (a, b) in enumerate(zip(ours, ref)):
             assert abs(a - b) < abs(b) * mpf(2) ** -508, k
+
+
+def test_solves_below_the_seed_switch_call_no_mpmath_bessel(monkeypatch):
+    # the forward benchmark's potentials at K = 150 and a 40-piece bump at K = 80
+    # of heights 20 and -30 reach x of at most sqrt(30): every regular ladder
+    # starts by Miller
+    def refuse(*args):
+        raise AssertionError("an mpmath Bessel seed was evaluated")
+
+    for name in ("besseli", "besselj"):
+        monkeypatch.setattr(mpmath, name, refuse)
+    for q, prec in _benchmark_shapes(random.Random(7)):
+        potential_spectrum(q, 150, prec)
+    for bump in (experiment_profiles(6)["q_smooth_20"], experiment_profiles(10)["q_neg_30"]):
+        potential_spectrum(project_midpoint(bump, 40), 80, 256)
 
 
 @pytest.mark.parametrize("c", (1e20, -1e16))
