@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -11,7 +12,7 @@ from radialborn.cache import (
     spectrum_key,
     store_spectrum,
 )
-from radialborn.forward import spectrum_of
+from radialborn.forward import DtnSpectrum, spectrum_of
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind
 
 
@@ -33,6 +34,29 @@ def test_store_load_round_trip_one_ulp(tmp_path):
     with mp.workprec(300):
         for a, b in zip(spec.lambdas, back.lambdas):
             assert abs(mpf(a) - mpf(b)) <= (abs(mpf(a)) + mpf(2) ** -256) * mpf(2) ** -255
+
+
+# (prec, entry file name, sha256 of its bytes): entries written before must still
+# hit, and a store must write them again byte for byte
+STORED_ENTRIES = [
+    (96, "e21224cd2f8b0274486b0c1927c2bccaaefceabf66fab2e647749bac188a1f47",
+     "4325dabaac51f7985316ef7fd017673c0d2ea2cb7c89583bf85c0a4c6d017f65"),
+    (512, "40b2555fc63cfa5d62a83f553cb296cd2d3785070e9fa3ec50501fed6fd27a67",
+     "43562b389eb84cfe4046efe764cdae4b1c297af6c774c4d08a8df0ba05e2eef0"),
+    (1024, "69729b6eee2309e28a41a35d0a2f6be37dbdad91faeb67346163aba5663d94c9",
+     "6eb64c6f0fa2da63866f650882018925c5f280aa1645f04e7e48c8bba3c94ddd"),
+]
+
+
+@pytest.mark.parametrize("prec, key, digest", STORED_ENTRIES)
+def test_a_stored_entry_keeps_its_name_and_bytes(tmp_path, prec, key, digest):
+    with mp.workprec(prec):
+        lambdas = (mpf(0), mpf(1) / 3, -mpf(5) / 7 * mpf(2) ** -700, mpf(10) ** 40 / 7)
+    path = store_spectrum(DtnSpectrum(ProfileKind.CONDUCTIVITY, 1.0, lambdas, prec), gamma(),
+                          cache_dir=tmp_path)
+    assert path.name == f"{key}.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert load_spectrum(gamma(), 3, prec, cache_dir=tmp_path).lambdas == lambdas
 
 
 def test_key_depends_on_every_input():
