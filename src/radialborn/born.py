@@ -168,21 +168,18 @@ def eval_series_L_grid(mu, xi_grid, prec):
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
-def check_finite_radius(mode, R):
-    """Raise ValueError unless a "finiteR" mode has a target radius R > 0."""
-    if mode == "finiteR" and (R is None or not R > 0):
-        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
-
-
 def target_radius(spec, mode, R):
     """The radius at which a Born mode reads the spectrum through ``scaled_shifts``.
 
     "unit" the spectrum's own, as "moment_form" on a conductivity, whose series
-    is the unit one; "finiteR" the given R; "scattering" ``mpmath.inf``.
+    is the unit one; "finiteR" the given R > 0; "scattering" ``mpmath.inf``.
+    Only ``spec.kind`` and ``spec.radius`` are read, so a profile can be checked
+    against its mode before its spectrum is solved.
     """
     if mode == "moment_form" and spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("moment_form mode applies to conductivity spectra")
-    check_finite_radius(mode, R)
+    if mode == "finiteR" and (R is None or not R > 0):
+        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
     targets = {"unit": spec.radius, "moment_form": spec.radius, "finiteR": R,
                "scattering": mpmath.inf}
     if mode not in targets:

@@ -4,24 +4,22 @@ Spectra are expensive at high precision, so every solve can be memoized under
 a sha256 key of the exact binary value of every profile input (kind, radius,
 breakpoints and values), the term count and the precision.  Only a
 piecewise-constant profile has a key: an analytic one names no projection.
-Values are stored as decimal strings with enough digits to round-trip the
-binary precision; writes go through a temporary file and an atomic rename so
-a killed process never leaves a torn entry.
+Values are stored in the decimal form of ``highprec.to_decimal``, which
+round-trips the binary precision; writes go through a temporary file and an
+atomic rename so a killed process never leaves a torn entry.
 """
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 from pathlib import Path
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
 from mpmath.libmp import from_float, from_int
 
 from .forward import DtnSpectrum, spectrum_of
-from .highprec import GUARD_BITS, check_precision, to_prec
+from .highprec import check_precision, read_decimal, to_decimal
 from .profiles import PiecewiseProfile
 
 CACHE_DIR_ENV = "RADIALBORN_CACHE_DIR"
@@ -33,11 +31,6 @@ def default_cache_dir():
     if env:
         return Path(env)
     return Path.home() / ".cache" / "radialborn"
-
-
-def decimal_digits(prec):
-    """Digits needed to round-trip a binary precision: ceil(prec * log10 2) + 2."""
-    return int(math.ceil(prec * math.log10(2))) + 2
 
 
 def _exact(x):
@@ -71,15 +64,12 @@ def store_spectrum(spec, profile, cache_dir=None):
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = spectrum_key(profile, spec.kmax, spec.prec)
-    digits = decimal_digits(spec.prec)
-    with mp.workprec(spec.prec + GUARD_BITS):
-        lambdas = [mp.nstr(mpf(v), digits, strip_zeros=False) for v in spec.lambdas]
     entry = {
         "version": FORMAT_VERSION,
         "kind": spec.kind.value,
         "kmax": spec.kmax,
         "prec": spec.prec,
-        "lambdas": lambdas,
+        "lambdas": [to_decimal(v, spec.prec) for v in spec.lambdas],
     }
     path = _entry_path(cache_dir, key)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
@@ -109,11 +99,8 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
         if (entry["version"], entry["kind"], entry["kmax"], entry["prec"], len(entry["lambdas"])) \
                 != (FORMAT_VERSION, profile.kind.value, kmax, prec, kmax + 1):
             return None
-        with mp.workprec(prec + GUARD_BITS):
-            lambdas = tuple(to_prec(mpf(s), prec) for s in entry["lambdas"])
+        lambdas = tuple(read_decimal(s, prec) for s in entry["lambdas"])
     except (KeyError, ValueError, TypeError):
-        return None
-    if not all(mpmath.isfinite(x) for x in lambdas):
         return None
     # the key holds the exact radius, so a hit carries the profile's own, as a solve does
     return DtnSpectrum(profile.kind, profile.radius, lambdas, prec)

@@ -15,23 +15,21 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from mpmath import mp, mpf
 
-from .born import FourierSamples, check_finite_radius, moment_sequence_exact
+from .born import FourierSamples, moment_sequence_exact, target_radius
 from .cache import cached_spectrum_of
 from .experiments import (
     EXPERIMENT_IDS,
-    _fmt,
     _piecewise,
-    depth_error_rows,
     fourier_rows,
     read_spectrum_csv,
     run_experiment,
-    samples_rows,
+    value_rows,
     write_files,
     write_spectrum_csv,
 )
 from .fourier import inverse_radial_ft, xi_node_bits
+from .highprec import read_decimal, to_decimal
 from .profiles import PiecewiseProfile, ProfileFormatError, parse_profile
 from .reconstruct import (
     SCALES,
@@ -141,7 +139,7 @@ def cmd_dtn(args):
     return [write_spectrum_csv(Path(args.out) / "spectrum.csv", spec)]
 
 
-def _spectrum_from_args(args, params, mode):
+def _spectrum_from_args(args, params, mode, R):
     if args.spectrum:
         if not args.kind:
             raise ValueError("--spectrum requires --kind")
@@ -153,25 +151,25 @@ def _spectrum_from_args(args, params, mode):
             raise ValueError(str(e))  # every message names the file
     if not args.profile:
         raise ValueError("born needs --profile or --spectrum")
-    profile = _piecewise(_load_profile(args.profile), params.pieces)
-    return cached_spectrum_of(profile, params.terms, params.prec)
+    profile = _load_profile(args.profile)
+    target_radius(profile, mode, R)  # a mode the profile cannot take fails before the solve
+    return cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
 
 
 def cmd_born(args):
     params = _params(args)
     mode = args.mode.replace("-", "_")
     R = args.radius if mode == "finiteR" else None
-    check_finite_radius(mode, R)  # before a --profile is solved
     if args.xi_max is not None and not 0 < args.xi_max < math.inf:
         raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
-    spec = _spectrum_from_args(args, params, mode)
+    spec = _spectrum_from_args(args, params, mode, R)
     if args.xi_max is not None:
         rho = grid_radius(spec, mode, R)
         params = replace(params, length_factor=np.pi * params.grid_n / (args.xi_max * rho))
     F = born_fourier(spec, params, mode, R)
     recon = born_inverse(F, spec.kind)
     rows = [(*row, int(r <= float(spec.radius)))
-            for row, r in zip(samples_rows(recon), recon.r_grid)]
+            for row, r in zip(value_rows(recon.r_grid, recon.values), recon.r_grid)]
     return write_files(args.out, {
         "fourier.csv": (("xi", "value"), fourier_rows(F, params.prec)),
         "reconstruction.csv": (("r", "value", "in_ball"), rows)})
@@ -182,22 +180,23 @@ def cmd_invert_fourier(args):
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            rows = [(a, float(b)) for a, b, *_ in reader if a]
-        # read each node at the bits fourier_rows writes it with, so a node that
-        # lies halfway between two floats rounds as it did when it was computed
-        with mp.workprec(xi_node_bits(len(rows) - 1)):
-            xi = tuple(mpf(a) for a, _ in rows)
+            rows = [(a, b) for a, b, *_ in reader if a]
+        # nodes at the bits fourier_rows writes them with, so one halfway between two
+        # floats rounds as when it was computed; values at the 53 bits of a float
+        bits = xi_node_bits(len(rows) - 1)
+        F = FourierSamples(tuple(read_decimal(a, bits) for a, _ in rows),
+                           tuple(float(read_decimal(b, 53)) for _, b in rows))
     except (OSError, ValueError, StopIteration) as e:
         raise ValueError(f"{args.input}: {e}")
-    s = inverse_radial_ft(FourierSamples(xi, tuple(v for _, v in rows)))
-    return write_files(args.out, {"inverse.csv": (("r", "value"), samples_rows(s))})
+    s = inverse_radial_ft(F)
+    return write_files(args.out, {"inverse.csv": (("r", "value"), value_rows(s.r_grid, s.values))})
 
 
 def cmd_moments(args):
     params = _params(args)
     profile = _piecewise(_load_profile(args.profile), params.pieces)
     sigma = moment_sequence_exact(profile, params.terms, prec=params.prec)
-    rows = [(k, _fmt(s, params.prec)) for k, s in enumerate(sigma)]
+    rows = [(k, to_decimal(s, params.prec)) for k, s in enumerate(sigma)]
     return write_files(args.out, {"moments.csv": (("k", "sigma"), rows)})
 
 
@@ -207,9 +206,9 @@ def cmd_reconstruct(args):
     spec = cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
     trace = iterate_born(profile.kind, spec, profile, n_iter=params.iterations,
                          params=params)
-    files = {f"iterate_{n}.csv": (("r", "value"), samples_rows(it))
+    files = {f"iterate_{n}.csv": (("r", "value"), value_rows(it.r_grid, it.values))
              for n, it in enumerate(trace.iterates)}
-    err = zip(map(repr, trace.l2_errors), map(repr, trace.linf_errors))
+    err = value_rows(trace.l2_errors, trace.linf_errors)
     files["errors.csv"] = (("iteration", "l2", "linf"), [(n, *e) for n, e in enumerate(err)])
     return write_files(args.out, files)
 
@@ -218,7 +217,8 @@ def cmd_ensemble(args):
     params = _params(args)
     curve = ensemble_depth_profile(args.scale, params)
     return write_files(args.out, {f"depth_error_seed{params.seed}.csv":
-                                  (("r", "mean_abs_error"), depth_error_rows(curve))})
+                                  (("r", "mean_abs_error"),
+                                   value_rows(curve.r_grid, curve.mean_abs_error))})
 
 
 def cmd_experiment(args):

@@ -16,10 +16,10 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
-from .cache import cached_spectrum_of, decimal_digits
+from .cache import cached_spectrum_of
 from .forward import DtnSpectrum
 from .fourier import forward_radial_ft, xi_node_bits
-from .highprec import GUARD_BITS, to_prec
+from .highprec import GUARD_BITS, read_decimal, to_decimal
 from .profiles import (
     AnalyticProfile,
     PiecewiseProfile,
@@ -43,13 +43,6 @@ def experiment_config(exp_id, paper_scale=False, **overrides):
     return replace(SCALES["paper" if paper_scale else "desk"], **overrides)
 
 
-def _fmt(x, prec=None):
-    if prec is not None:
-        with mp.workprec(prec + GUARD_BITS):
-            return mp.nstr(mpf(x), decimal_digits(prec), strip_zeros=False)
-    return repr(float(x))
-
-
 def write_csv(path, header, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -69,7 +62,7 @@ def write_spectrum_csv(path, spec):
     """Spectrum file format: header k,lambda,shift with decimal strings."""
     with mp.workprec(spec.prec + GUARD_BITS):
         R = mpf(spec.radius)
-        rows = [(k, _fmt(lam, spec.prec), _fmt(mpf(lam) - k / R, spec.prec))
+        rows = [(k, to_decimal(lam, spec.prec), to_decimal(mpf(lam) - k / R, spec.prec))
                 for k, lam in enumerate(spec.lambdas)]
     return write_csv(path, ("k", "lambda", "shift"), rows)
 
@@ -78,7 +71,7 @@ def read_spectrum_csv(path, kind, radius, prec):
     """Rebuild a DtnSpectrum from a k,lambda,shift CSV, each lambda rounded to prec.
 
     Raises ValueError naming the file (and the line) on a radius outside (0, inf), a
-    bad header, an unparsable or non-finite number, k not running 0, 1, 2, ..., a
+    bad header, a number ``read_decimal`` rejects, k not running 0, 1, 2, ..., a
     shift off lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|), or no rows.
     """
     lambdas = []
@@ -97,12 +90,9 @@ def read_spectrum_csv(path, kind, radius, prec):
                 raise ValueError(f"{path}, line {line}: expected k = {len(lambdas)} "
                                  f"and three columns, got {row!r}")
             try:
-                lam, shift = to_prec(row[1], prec), to_prec(row[2], prec + GUARD_BITS)
+                lam, shift = read_decimal(row[1], prec), read_decimal(row[2], prec + GUARD_BITS)
             except ValueError as e:
                 raise ValueError(f"{path}, line {line}: {e}") from None
-            if not (mpmath.isfinite(lam) and mpmath.isfinite(shift)):
-                raise ValueError(f"{path}, line {line}: lambda and shift must be finite, "
-                                 f"got {row[1]!r} and {row[2]!r}")
             with mp.workprec(prec + GUARD_BITS):
                 tol = mpmath.ldexp(max(abs(lam), abs(shift)), 2 - prec)
                 if abs(shift - (lam - len(lambdas) / R)) > tol:
@@ -114,24 +104,15 @@ def read_spectrum_csv(path, kind, radius, prec):
     return DtnSpectrum(ProfileKind(kind), mpf(radius), lambdas, prec)
 
 
-def samples_rows(s):
-    return [(_fmt(r), _fmt(v)) for r, v in zip(s.r_grid, s.values)]
+def value_rows(xs, ys):
+    """(x, y) rows of float64 values, each written as its shortest round-trip repr."""
+    return [(repr(float(x)), repr(float(y))) for x, y in zip(xs, ys)]
 
 
 def fourier_rows(F, prec):
-    # the nodes of default_xi_grid(n, L) are exact at xi_node_bits(n) bits;
-    # nstr of an mpf does not depend on the working precision
-    digits = decimal_digits(xi_node_bits(len(F.xi_grid) - 1))
-    return [(mp.nstr(x, digits, strip_zeros=False), _fmt(v, prec))
-            for x, v in zip(F.xi_grid, F.values)]
-
-
-def depth_error_rows(curve):
-    return [(_fmt(r), _fmt(e)) for r, e in zip(curve.r_grid, curve.mean_abs_error)]
-
-
-def _truth_rows(profile, r_grid):
-    return [(_fmt(r), _fmt(v)) for r, v in zip(r_grid, profile_on_grid(profile, r_grid))]
+    # the nodes of default_xi_grid(n, L) are exact at xi_node_bits(n) bits
+    node_bits = xi_node_bits(len(F.xi_grid) - 1)
+    return [(to_decimal(x, node_bits), to_decimal(v, prec)) for x, v in zip(F.xi_grid, F.values)]
 
 
 # the experiment catalogue ----------------------------------------------------
@@ -213,24 +194,26 @@ def _born_bundle(name, profile, pw, spec, cfg, mode, R, grids):
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
     tag = name if mode == "unit" else f"{name}_{mode}"
-    files = {f"{tag}_born.csv": (("r", "value"), samples_rows(recon)),
+    files = {f"{tag}_born.csv": (("r", "value"), value_rows(recon.r_grid, recon.values)),
              f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec))}
     if Fb.xi_grid not in grids:
         grids.add(Fb.xi_grid)
         Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
-        files[f"{tag}_truth.csv"] = (("r", "value"), _truth_rows(profile, recon.r_grid))
+        truth = profile_on_grid(profile, recon.r_grid)
+        files[f"{tag}_truth.csv"] = (("r", "value"), value_rows(recon.r_grid, truth))
         files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), fourier_rows(Ft, cfg.prec))
     return files
 
 
 def _iteration_bundle(name, profile, spec, cfg):
     trace = iterate_born(profile.kind, spec, profile, n_iter=cfg.iterations, params=cfg)
+    r_grid = trace.iterates[0].r_grid
     files = {f"{name}_truth.csv":
-             (("r", "value"), _truth_rows(profile, trace.iterates[0].r_grid))}
+             (("r", "value"), value_rows(r_grid, profile_on_grid(profile, r_grid)))}
     for n, it in enumerate(trace.iterates):
-        files[f"{name}_iterate_{n}.csv"] = (("r", "value"), samples_rows(it))
-    err = [(n, _fmt(np.log10(l2)), _fmt(np.log10(li)))
-           for n, (l2, li) in enumerate(zip(trace.l2_errors, trace.linf_errors))]
+        files[f"{name}_iterate_{n}.csv"] = (("r", "value"), value_rows(it.r_grid, it.values))
+    log10 = value_rows(map(np.log10, trace.l2_errors), map(np.log10, trace.linf_errors))
+    err = [(n, *row) for n, row in enumerate(log10)]
     files[f"{name}_errors_log10.csv"] = (("iteration", "log10_l2", "log10_linf"), err)
     return files
 
@@ -250,8 +233,8 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
             files.update(_iteration_bundle(name, p, spec, cfg))
     for alpha in row.depth_scales:
         curve = ensemble_depth_profile(alpha, cfg)
-        files[f"depth_error_alpha_{alpha:g}.csv"] = (("r", "mean_abs_error"),
-                                                      depth_error_rows(curve))
+        files[f"depth_error_alpha_{alpha:g}.csv"] = (
+            ("r", "mean_abs_error"), value_rows(curve.r_grid, curve.mean_abs_error))
 
     written = write_files(out_dir, files)
     manifest = {

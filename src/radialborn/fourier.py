@@ -184,13 +184,16 @@ def inverse_radial_ft(F):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
     Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
-    L = pi / (xi_1 - xi_0).
+    L = pi / (xi_1 - xi_0).  A non-finite node or value raises ``GridMismatchError``.
     """
     xi = np.asarray([float(x) for x in F.xi_grid])
     vals = np.asarray([float(v) for v in F.values])
     n = len(xi) - 1
     if n < 2:
         raise GridMismatchError("need at least 3 Fourier samples")
+    # NaN compares false, so a NaN node would pass the tests below
+    if not (np.isfinite(xi).all() and np.isfinite(vals).all()):
+        raise GridMismatchError("Fourier nodes and values must be finite")
     if F.xi_grid[0] != 0:
         raise GridMismatchError(f"xi-grid starts at {F.xi_grid[0]}, not at 0")
     h_xi = xi[1] - xi[0]

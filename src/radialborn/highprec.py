@@ -1,5 +1,5 @@
-"""Arbitrary-precision building blocks: precision checks, exact dyadic reads and
-spherical Bessel ladders.
+"""Arbitrary-precision building blocks: precision checks, exact dyadic reads, the
+decimal form of a value in a file and spherical Bessel ladders.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
 mantissa precision and round results with :func:`to_prec`.  The Bessel
@@ -44,6 +44,29 @@ def to_prec(x, prec):
     """Round ``x`` to ``prec`` bits."""
     with mp.workprec(prec):
         return +mpf(x)
+
+
+def decimal_digits(prec):
+    """Digits needed to round-trip a binary precision: ceil(prec * log10 2) + 2."""
+    return int(math.ceil(prec * math.log10(2))) + 2
+
+
+def to_decimal(x, bits):
+    """``x`` in ``decimal_digits(bits)`` digits, which ``read_decimal`` at ``bits`` reads
+    back exactly when x has at most ``bits`` bits; a number that is not an mpf is
+    taken at ``bits + GUARD_BITS`` bits."""
+    x = x if isinstance(x, mpf) else to_prec(x, bits + GUARD_BITS)
+    return mpmath.nstr(x, decimal_digits(bits), strip_zeros=False)
+
+
+def read_decimal(text, bits):
+    """The decimal ``text`` rounded once to ``bits`` bits.  Raises ``ValueError`` on
+    text that is not a number and on NaN or an infinity."""
+    with mp.workprec(bits):
+        x = mpf(text)
+    if not mpmath.isfinite(x):
+        raise ValueError(f"value must be finite, got {text!r}")
+    return x
 
 
 def finite_dyadic(x, what):

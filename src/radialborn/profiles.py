@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mpf
+
+from .highprec import read_decimal
 
 SERIAL_DIGITS = 25   # significant digits of an mpf in the text format; floats use repr
 PARSE_PREC = 64      # bits at which the text format's decimals are read
@@ -207,10 +209,9 @@ def serialize_profile(p):
 
 def _parse_decimal(tok, lineno):
     try:
-        with mp.workprec(PARSE_PREC):
-            return +mpf(tok)
-    except ValueError:
-        raise ProfileFormatError(f"bad decimal {tok!r}", lineno) from None
+        return read_decimal(tok, PARSE_PREC)
+    except ValueError as e:
+        raise ProfileFormatError(str(e), lineno) from None
 
 
 def parse_profile(text):

@@ -57,6 +57,11 @@ class SolverParams:
     seed: int = 1234
     samples: int = 20
 
+    def __post_init__(self):
+        for name, least in (("grid_n", 2), ("iterations", 0), ("samples", 1)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+
 
 # The only place the scales are written.  Commands and experiments start from
 # one of them and replace the fields a caller sets explicitly.
@@ -200,8 +205,6 @@ def ensemble_depth_profile(scale, params):
     """
     if not scale > 0:
         raise ValueError(f"ensemble scale must be positive, got {scale}")
-    if params.samples < 1:
-        raise ValueError("need at least one sample")
     params = replace(params, prec=min(params.prec, 256), pieces=min(params.pieces, 400))
     rng = np.random.default_rng(params.seed)
     errors = []

@@ -7,12 +7,12 @@ from mpmath import mp, mpf
 
 from radialborn.cache import (
     cached_spectrum_of,
-    decimal_digits,
     load_spectrum,
     spectrum_key,
     store_spectrum,
 )
 from radialborn.forward import DtnSpectrum, spectrum_of
+from radialborn.highprec import decimal_digits
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind
 
 

@@ -194,7 +194,7 @@ def test_experiment_honours_the_precision_flag(workdir):
 
 @pytest.mark.parametrize("mode", ["moment-form", "scattering"])
 def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
-    from radialborn.experiments import fourier_rows, samples_rows
+    from radialborn.experiments import fourier_rows, value_rows
     from radialborn.forward import spectrum_of
     from radialborn.profiles import parse_profile
     from radialborn.reconstruct import SolverParams, born_fourier, born_inverse
@@ -205,8 +205,9 @@ def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
     F = born_fourier(spec, SolverParams(terms=30, prec=128, grid_n=64), mode.replace("-", "_"))
     assert read_rows(workdir / "run" / "fourier.csv") == \
         [list(row) for row in fourier_rows(F, 128)]
+    recon = born_inverse(F, spec.kind)
     assert read_rows(workdir / "run" / "reconstruction.csv") == \
-        [[r, v, str(int(float(r) <= 1.0))] for r, v in samples_rows(born_inverse(F, spec.kind))]
+        [[r, v, str(int(float(r) <= 1.0))] for r, v in value_rows(recon.r_grid, recon.values)]
 
 
 def test_exit_code_input_error(workdir):
@@ -277,6 +278,36 @@ def test_bad_finite_radius_is_rejected_before_the_profile_is_solved(workdir, cap
     assert "needs a target radius R > 0" in capsys.readouterr().err
     cache = workdir / "cache"
     assert not cache.exists() or not any(cache.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["born", "--profile", "q.txt", "--mode", "moment-form"],
+     "moment_form mode applies to conductivity spectra"),
+    (["born", "--profile", "q.txt", "--grid", "1"], "grid_n must be at least 2, got 1"),
+    (["born", "--profile", "q.txt", "--grid", "-3"], "grid_n must be at least 2, got -3"),
+    (["reconstruct", "--profile", "q.txt", "--iterations", "-1"],
+     "iterations must be at least 0, got -1"),
+    (["ensemble", "--samples", "0"], "samples must be at least 1, got 0"),
+], ids=["moment-form", "grid-1", "grid-minus-3", "iterations-minus-1", "samples-0"])
+def test_a_mode_or_setting_the_run_cannot_take_fails_before_any_solve(workdir, capsys, argv,
+                                                                       message):
+    # at desk scale a solve of this bump takes seconds; each case used to run it,
+    # store the spectrum and only then fail (or, for --iterations -1, exit 0)
+    write(workdir / "q.txt", "kind potential\nradius 1\nanalytic bump height=2\n")
+    assert main([*argv, "--out", "run"]) == 2
+    assert message in capsys.readouterr().err
+    cache = workdir / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+    assert not (workdir / "run").exists()
+
+
+@pytest.mark.parametrize("row", ["0.5,nan", "0.5,inf", "nan,1.0"])
+def test_invert_fourier_rejects_a_value_or_node_that_is_not_finite(workdir, capsys, row):
+    # each used to exit 0 with an inverse.csv of nan or inf values
+    fpath = write(workdir / "F.csv", f"xi,value\n0,1.0\n{row}\n1.0,1.0\n1.5,1.0\n")
+    assert main(["invert-fourier", "--input", fpath, "--out", "run"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not (workdir / "run").exists()
 
 
 def test_misspelt_analytic_parameter_is_an_input_error(workdir, capsys):
@@ -376,7 +407,7 @@ def test_ensemble_paper_scale_matches_experiment_7(workdir, solver_calls):
 
 
 def test_born_finiteR_from_spectrum_and_profile_agree(workdir):
-    from radialborn.experiments import read_spectrum_csv, samples_rows
+    from radialborn.experiments import read_spectrum_csv, value_rows
     from radialborn.reconstruct import SolverParams, born_samples
     prof = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
     flags = ["--terms", "30", "--precision", "128", "--grid", "64"]
@@ -390,7 +421,7 @@ def test_born_finiteR_from_spectrum_and_profile_agree(workdir):
     spec = read_spectrum_csv(workdir / "unit" / "spectrum.csv", "potential", 1.0, 128)
     expected = born_samples(spec, SolverParams(terms=30, prec=128, grid_n=64), "finiteR", 5.0)
     assert [row[:2] for row in read_rows(workdir / "p" / "reconstruction.csv")] == \
-        [list(row) for row in samples_rows(expected)]
+        [list(row) for row in value_rows(expected.r_grid, expected.values)]
     assert float(read_rows(workdir / "p" / "reconstruction.csv")[-1][0]) == pytest.approx(50.0)
 
 

@@ -137,6 +137,9 @@ def test_grid_mismatch_rejected():
         inverse_radial_ft(FourierSamples((0.0, 0.3, 0.9), (1.0, 1.0, 1.0)))
     with pytest.raises(GridMismatchError):
         inverse_radial_ft(FourierSamples((0.0, 0.1), (1.0, 1.0)))
+    # a NaN node compares false, so the uniformity test alone let it through
+    with pytest.raises(GridMismatchError, match="must be finite"):
+        inverse_radial_ft(FourierSamples((0.0, float("nan"), 0.2, 0.3), (1.0, 1.0, 1.0, 1.0)))
 
 
 def test_doubling_L_does_not_hurt_interior():

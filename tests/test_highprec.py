@@ -8,8 +8,10 @@ from radialborn.highprec import (
     check_precision,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
+    read_decimal,
     sph_j_ladder,
     sph_y_ladder,
+    to_decimal,
     to_prec,
 )
 
@@ -229,3 +231,33 @@ def test_to_prec_rounds():
         y = to_prec(x, 64)
         assert y != x
         assert abs(y - x) <= abs(x) * mpf(2) ** -64
+
+
+@pytest.mark.parametrize("bits", [64, 96, 512, 1024])
+def test_decimal_form_round_trips_every_bit(bits):
+    with mp.workprec(bits):
+        xs = [mpf(0), mpf(1) / 3, -mpf(2) / 7 * mpf(10) ** 300, mpf(5) ** -400,
+              +mpmath.pi, -mpmath.e * mpf(2) ** -1074, 1 - mpmath.eps]
+    for x in xs:
+        assert read_decimal(to_decimal(x, bits), bits) == x
+    # a float is written at its own value, with the digits of bits
+    assert read_decimal(to_decimal(0.1, bits), bits) == mpf(0.1)
+
+
+def test_a_node_halfway_between_two_floats_round_trips():
+    from radialborn.fourier import default_xi_grid, xi_node_bits
+    bits = xi_node_bits(64)
+    # a normalized 54-bit mantissa: exactly halfway between two floats
+    halfway = [x for x in default_xi_grid(64, 10.0) if x._mpf_[3] == 54]
+    assert halfway
+    for x in halfway:
+        text = to_decimal(x, bits)
+        assert read_decimal(text, bits) == x
+        assert read_decimal(text, 53) != x
+
+
+@pytest.mark.parametrize("text, message", [("nan", "must be finite"), ("inf", "must be finite"),
+                                           ("-inf", "must be finite"), ("1.2x", "1.2x")])
+def test_read_decimal_rejects_what_is_not_a_finite_number(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_decimal(text, 128)
