@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -271,3 +272,38 @@ def test_dst_and_direct_paths_agree_on_odd_and_small_grids(n):
     a = inverse_radial_ft(F).values
     b = direct_inverse(F)
     assert np.max(np.abs(a[:-1] - b[:-1])) <= np.max(np.abs(b)) * 2.0 ** -40
+
+
+def _edge_values():
+    """Values at float64's subnormal and overflow edges, with the L that keeps the
+    inverse's samples on their scale: L = 1 for the small ones, L = 8 for the large."""
+    two = functools.partial(mpmath.ldexp, mpf(1))
+    with mp.workprec(300):
+        small = [3 * two(-1074), -5 * two(-1060), two(-1080),
+                 (two(60) + 1) * two(-1100),  # subnormal, rounded twice by float()
+                 (two(53) + 1) * two(-1075), -(two(53) - 1) * two(-1075),  # at 2^-1022
+                 two(-1022), mpf(1) / 3, -mpmath.pi * two(-900)]
+        large = [two(1024) - two(971),  # the largest float
+                 two(1024) - two(970) - two(900),  # rounds down to it
+                 -two(1023) / 3, mpmath.e * two(1000)]
+    return [(v, 1.0) for v in small] + [(v, 8.0) for v in large]
+
+
+@pytest.mark.parametrize("value, L", _edge_values(), ids=lambda x: mpmath.nstr(x, 5))
+def test_inverse_reads_each_value_as_its_float(value, L):
+    grid = default_xi_grid(2, L)
+    got = inverse_radial_ft(FourierSamples(grid, (mpf(0), value, -value)))
+    want = inverse_radial_ft(FourierSamples([float(x) for x in grid],
+                                            (0.0, float(value), -float(value))))
+    assert got.values.tobytes() == want.values.tobytes()
+    assert got.r_grid.tobytes() == want.r_grid.tobytes()
+
+
+def test_inverse_reads_a_value_past_the_largest_float_as_infinite():
+    # 2^1024 - 2^969 lies above the midpoint 2^1024 - 2^970 and rounds to 2^1024
+    with mp.workprec(300):
+        past = mpmath.ldexp(1, 1024) - mpmath.ldexp(1, 969)
+    grid = default_xi_grid(2, 8.0)
+    for values in ((mpf(0), past, mpf(0)), (mpf(0), mpf(1), -past)):
+        with pytest.raises(GridMismatchError, match="finite"):
+            inverse_radial_ft(FourierSamples(grid, values))
