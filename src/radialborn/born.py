@@ -12,9 +12,12 @@ radius map ``forward.scaled_shifts``, each mode one target radius R
 infinity (scattering); a zero denominator raises ``TransferDenominatorError``.
 Fed these, L gives the potential Born approximation, and the conductivity
 transform divides by |xi|^2 via an index shift; that series is also the
-conductivity moment form.  The products a_k = c_k mu_k with
-the coefficients c_k of (xi/2)^{2k} are formed in big floats at
-prec + GUARD_BITS bits.  One kernel, ``_series_sum``, sums the terms
+conductivity moment form.  The weights (``forward.raw_scaled_shifts``) and the
+products a_k = c_k mu_k with the coefficients c_k of (xi/2)^{2k} are raw mpf
+tuples, each formed by the libmp operation that mpf arithmetic at
+prec + GUARD_BITS bits would make, so no mpf is built between lambda and the
+kernel; the conductivity's -a_k / 2 is an exact sign flip and exponent
+decrement.  One kernel, ``_series_sum``, sums the terms
 a_k (xi/2)^{2k} by a truncated Horner pass in Python integers, one
 small-integer product per step, and rounds each value to prec once; the error
 before that rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
@@ -29,10 +32,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
 
-from .forward import scaled_shifts
-from .highprec import GUARD_BITS, check_precision, finite_dyadic, one_exponent, to_prec
+from .forward import raw_scaled_shifts
+from .highprec import GUARD_BITS, check_precision, one_exponent, raw_dyadic, to_prec
 from .profiles import PiecewiseProfile, ProfileKind
 
 @dataclass(frozen=True)
@@ -65,14 +68,16 @@ def series_coefficients(kmax, prec):
 
 
 def _series_terms(mu, prec):
-    # a_k = c_k mu_k, each rounded to prec + GUARD_BITS bits
+    # a_k = c_k mu_k of raw mpf mu_k, each rounded to prec + GUARD_BITS bits, as raw mpfs
     work = prec + GUARD_BITS
-    with mp.workprec(work):
-        return [c * mpf(m) for c, m in zip(series_coefficients(len(mu) - 1, work), mu)]
+    return [mpf_mul(c._mpf_, m, work, round_nearest)
+            for c, m in zip(series_coefficients(len(mu) - 1, work), mu)]
 
 
 def _series_sum(a, xi_grid, prec):
     """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
+
+    The terms a_k are raw mpf tuples, as ``_series_terms`` gives them.
 
     A truncated Horner pass in Python integers, F = prec + GUARD_BITS + 8 +
     bit_length(K).  The nonzero nodes are read as integers on one exponent,
@@ -99,8 +104,8 @@ def _series_sum(a, xi_grid, prec):
     """
     K = len(a) - 1
     bits = prec + GUARD_BITS + 8 + K.bit_length()
+    A = [raw_dyadic(t, "series term") for t in a]
     with mp.workprec(prec + GUARD_BITS):
-        A = [finite_dyadic(t, "series term") for t in a]
         e, X = one_exponent(xi_grid)
     # xi = 0 (and an all-zero or empty series) leaves a_0 alone
     out = [mp.make_mpf(from_man_exp(*(A[0] if A else (0, 0)), prec, round_nearest))] * len(X)
@@ -164,6 +169,8 @@ def eval_series_L(mu, xi, prec):
 def eval_series_L_grid(mu, xi_grid, prec):
     """L(mu; .) on a grid; one coefficient precomputation for all nodes."""
     prec = check_precision(prec)
+    with mp.workprec(prec + GUARD_BITS):
+        mu = [mpf(m)._mpf_ for m in mu]
     vals = _series_sum(_series_terms(mu, prec), xi_grid, prec)
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
@@ -172,14 +179,14 @@ def target_radius(spec, mode, R):
     """The radius at which a Born mode reads the spectrum through ``scaled_shifts``.
 
     "unit" the spectrum's own, as "moment_form" on a conductivity, whose series
-    is the unit one; "finiteR" the given R > 0; "scattering" ``mpmath.inf``.
+    is the unit one; "finiteR" the given R, 0 < R < inf; "scattering" ``mpmath.inf``.
     Only ``spec.kind`` and ``spec.radius`` are read, so a profile can be checked
     against its mode before its spectrum is solved.
     """
     if mode == "moment_form" and spec.kind is not ProfileKind.CONDUCTIVITY:
         raise ValueError("moment_form mode applies to conductivity spectra")
-    if mode == "finiteR" and (R is None or not R > 0):
-        raise ValueError(f"finiteR mode needs a target radius R > 0, got {R}")
+    if mode == "finiteR" and (R is None or not 0 < R < mpmath.inf):
+        raise ValueError(f"finiteR mode needs a target radius R > 0 and finite, got {R}")
     targets = {"unit": spec.radius, "moment_form": spec.radius, "finiteR": R,
                "scattering": mpmath.inf}
     if mode not in targets:
@@ -193,15 +200,17 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
     if spec.kind is not kind:
         raise ValueError(f"born_{kind.value}_fourier requires a {kind.value} spectrum")
     prec = check_precision(prec)
-    terms = _series_terms(scaled_shifts(spec, target_radius(spec, mode, R), prec), prec)
+    terms = _series_terms(raw_scaled_shifts(spec, target_radius(spec, mode, R), prec), prec)
     if kind is ProfileKind.CONDUCTIVITY:
         if spec.kmax < 1:
             raise ValueError("need at least lambda_1")
         with mp.workprec(prec + GUARD_BITS):
             if abs(mpf(spec.lambdas[0])) > mpmath.ldexp(mpf(1), -prec // 2):
                 warnings.warn("conductivity spectrum has lambda_0 != 0", stacklevel=3)
-            # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)}
-            terms = [-t / 2 for t in terms[1:]]
+        # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)};
+        # -t / 2 is exact: a sign flip and one off the exponent (zero, NaN and inf kept)
+        terms = [(1 - sign, man, exp - 1, bc) if man else (sign, man, exp, bc)
+                 for sign, man, exp, bc in terms[1:]]
     return FourierSamples(tuple(xi_grid), tuple(_series_sum(terms, xi_grid, prec)))
 
 

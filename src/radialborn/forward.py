@@ -48,7 +48,22 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
+from mpmath.libmp import (
+    finf,
+    fninf,
+    fone,
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_eq,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from .highprec import (
     GUARD_BITS,
@@ -253,8 +268,9 @@ def spectrum_of(profile, kmax, prec):
     return conductivity_spectrum(profile, kmax, prec)
 
 
-def scaled_shifts(spec, R, prec):
-    """mu_k(R) = R^{2k+2} (lambda_k^R - k/R) of the spectrum moved to radius R, k = 0..K.
+def raw_scaled_shifts(spec, R, prec):
+    """mu_k(R) = R^{2k+2} (lambda_k^R - k/R) of the spectrum moved to radius R, k = 0..K,
+    as raw mpf tuples.
 
     Outside the support the solution is A r^k + B r^{-(k+1)} for both kinds,
     so with a = spec.radius, m = 2k + 1 and s_k = lambda_k - k/a,
@@ -263,26 +279,40 @@ def scaled_shifts(spec, R, prec):
 
     R = a gives a^{m+1} s_k exactly and R = inf the scattering limit.  Valid
     when the coefficient is background outside the ball of radius min(a, R).
-    Computed at prec + GUARD_BITS bits; a zero denominator raises
+    Each operation is the libmp one that mpf arithmetic at prec + GUARD_BITS
+    bits would make, rounded to nearest, in the same order; a lambda that is
+    not an mpf is read as one at that precision.  A zero denominator raises
     TransferDenominatorError.
     """
-    with mp.workprec(prec + GUARD_BITS):
-        a, R = mpf(spec.radius), mpf(R)
-        unit, far = a == 1, mpmath.isinf(R)  # skip the powers of a and of R
-        out = []
-        for k, lam in enumerate(spec.lambdas):
-            m = 2 * k + 1
-            s = lam - k if unit else lam - mpf(k) / a
-            if R == a:
-                out.append(s if unit else a ** (m + 1) * s)
-                continue
-            den = (lam if unit else a * lam) + k + 1
-            if not far:
-                den -= (R ** -m if unit else (a / R) ** m * a) * s
-            if den == 0:
-                raise TransferDenominatorError(k)
-            out.append(s * m / den if unit else a ** (m + 1) * s * m / den)
+    work, rnd = prec + GUARD_BITS, round_nearest
+    with mp.workprec(work):
+        a, R = mpf(spec.radius)._mpf_, mpf(R)._mpf_
+        lambdas = [lam._mpf_ if isinstance(lam, mpf) else mpf(lam)._mpf_ for lam in spec.lambdas]
+    unit, far = a == fone, R in (finf, fninf)  # skip the powers of a and of R
+    out = []
+    for k, lam in enumerate(lambdas):
+        m, kk = 2 * k + 1, from_int(k)
+        s = mpf_sub(lam, kk if unit else mpf_div(kk, a, work, rnd), work, rnd)
+        if mpf_eq(R, a):
+            out.append(s if unit else mpf_mul(mpf_pow_int(a, m + 1, work, rnd), s, work, rnd))
+            continue
+        den = mpf_add(lam if unit else mpf_mul(a, lam, work, rnd), kk, work, rnd)
+        den = mpf_add(den, fone, work, rnd)
+        if not far:
+            w = (mpf_pow_int(R, -m, work, rnd) if unit else
+                 mpf_mul(mpf_pow_int(mpf_div(a, R, work, rnd), m, work, rnd), a, work, rnd))
+            den = mpf_sub(den, mpf_mul(w, s, work, rnd), work, rnd)
+        if mpf_eq(den, fzero):
+            raise TransferDenominatorError(k)
+        if not unit:
+            s = mpf_mul(mpf_pow_int(a, m + 1, work, rnd), s, work, rnd)
+        out.append(mpf_div(mpf_mul_int(s, m, work, rnd), den, work, rnd))
     return out
+
+
+def scaled_shifts(spec, R, prec):
+    """``raw_scaled_shifts`` as mpfs."""
+    return [mp.make_mpf(v) for v in raw_scaled_shifts(spec, R, prec)]
 
 
 def transfer_radius(spec, R):

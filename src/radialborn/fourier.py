@@ -17,6 +17,8 @@ double precision by design: the ill-conditioning lives in the eigenvalue
 series, not in the sine sum.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -57,16 +59,18 @@ def xi_node_bits(n):
     return 53 + int(n).bit_length()
 
 
+@functools.lru_cache(maxsize=16)
 def default_xi_grid(n, L):
-    """xi_j = j h for j = 0..n, h = np.pi / L, as exact mpf multiples of the float h.
+    """xi_j = j h for j = 0..n, h = np.pi / L in float64, as exact mpf multiples of h.
 
     Each node is formed at ``xi_node_bits(n)`` bits, so j h carries no rounding
     and the grid is exactly arithmetic, as ``forward_radial_ft`` requires.
     float(xi_1) == np.pi / L, so the inverse's spacing and r-grid are those of
     the float grid j * np.pi / L; read as floats, some nodes differ from that
-    grid by one ulp.
+    grid by one ulp.  Every call with equal (n, L) returns one shared tuple: the
+    last 16 grids are kept, about 0.11 MB for a 513-node grid.
     """
-    h = mpf(np.pi / L)
+    h = mpf(np.pi / float(L))
     with mp.workprec(xi_node_bits(n)):
         return tuple(j * h for j in range(n + 1))
 
@@ -180,14 +184,34 @@ def forward_radial_ft(f, xi_grid, prec):
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 
+def _floats(xs):
+    """float(x) of each x, as a float64 array.
+
+    An mpf whose value float64 holds as a normal number, 2^-1022 <= |x| < 2^1023,
+    and whose mantissa is below 2^1024 is read from its raw (sign, man, exp, bc):
+    float(man) rounds man to 53 bits, to nearest with ties to even as mpmath's
+    float() does, and ldexp scales that exactly.  Zero, NaN, an infinity, a value
+    at the subnormal or overflow edge and anything but an mpf take float().
+    """
+    ldexp, out = math.ldexp, []
+    for x in xs:
+        if type(x) is mpf:
+            sign, man, exp, bc = x._mpf_
+            if man and bc < 1024 and -1021 <= exp + bc <= 1023:
+                v = ldexp(float(man), exp)
+                out.append(-v if sign else v)
+                continue
+        out.append(float(x))
+    return np.asarray(out, dtype=float)
+
+
 def inverse_radial_ft(F):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
     Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
     L = pi / (xi_1 - xi_0).  A non-finite node or value raises ``GridMismatchError``.
     """
-    xi = np.asarray([float(x) for x in F.xi_grid])
-    vals = np.asarray([float(v) for v in F.values])
+    xi, vals = _floats(F.xi_grid), _floats(F.values)
     n = len(xi) - 1
     if n < 2:
         raise GridMismatchError("need at least 3 Fourier samples")

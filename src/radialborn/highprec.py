@@ -72,9 +72,15 @@ def read_decimal(text, bits):
 def finite_dyadic(x, what):
     """Exact signed (man, exp) of a float or mpf; other types are read at the
     current working precision.  A non-finite x raises ``ValueError`` naming ``what``."""
-    sign, man, exp, _ = x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_
+    return raw_dyadic(x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_, what)
+
+
+def raw_dyadic(t, what):
+    """Exact signed (man, exp) of a raw mpf tuple; NaN or an infinity raises
+    ``ValueError`` naming ``what``."""
+    sign, man, exp, _ = t
     if not man and exp:
-        raise ValueError(f"non-finite {what}: {x!r}")
+        raise ValueError(f"non-finite {what}: {mp.make_mpf(t)}")
     return (-man if sign else man), exp
 
 

@@ -254,8 +254,10 @@ def test_target_radius_per_mode():
         assert target_radius(spec, "unit", None) == 2
         assert target_radius(spec, "finiteR", 3.5) == 3.5
         assert target_radius(spec, "scattering", None) == mpmath.inf
-        with pytest.raises(ValueError, match="needs a target radius R"):
-            target_radius(spec, "finiteR", None)
+        for R in (None, 0, -1.0, math.nan, math.inf, mpmath.inf):
+            with pytest.raises(ValueError, match="needs a target radius R > 0"):
+                target_radius(spec, "finiteR", R)
+        assert target_radius(spec, "finiteR", mpf(2) ** 3000) == mpf(2) ** 3000
         with pytest.raises(ValueError, match="unknown mode"):
             target_radius(spec, "Unit", None)
     assert target_radius(g, "moment_form", None) == 2

@@ -272,12 +272,15 @@ def test_bad_finite_radius_or_xi_max_is_an_input_error(workdir, capsys):
 
 
 def test_bad_finite_radius_is_rejected_before_the_profile_is_solved(workdir, capsys):
+    # --radius inf used to exit 0 and write the scattering transform as finiteR's
     q = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 0\n")
-    assert main(["born", "--profile", q, "--mode", "finiteR", "--radius", "0",
-                 "--out", "run"]) == 2
-    assert "needs a target radius R > 0" in capsys.readouterr().err
-    cache = workdir / "cache"
-    assert not cache.exists() or not any(cache.iterdir())
+    for radius in ("0", "inf"):
+        assert main(["born", "--profile", q, "--mode", "finiteR", "--radius", radius,
+                     "--out", "run"]) == 2
+        assert "needs a target radius R > 0" in capsys.readouterr().err
+        cache = workdir / "cache"
+        assert not cache.exists() or not any(cache.iterdir())
+        assert not (workdir / "run").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,3 +1,5 @@
+import random
+
 import mpmath
 import pytest
 from mpmath import mp, mpf
@@ -8,6 +10,7 @@ from radialborn.forward import (
     TransferDenominatorError,
     ode_log_derivative_oracle,
     potential_spectrum,
+    scaled_shifts,
     spectrum_of,
     transfer_radius,
     untransfer_radius,
@@ -132,6 +135,43 @@ def test_transfer_works_from_any_radius():
                 for k, (x, y) in enumerate(zip(moved.lambdas, solve[R].lambdas)):
                     cond = max(a / R, 1.0) ** (2 * k + 1)  # inward amplifies the shift's error
                     assert abs(x - y) <= (abs(y) + 1) * cond * mpf(2) ** -240, (kind, a, R, k)
+
+
+def mpf_scaled_shifts(spec, R, prec):
+    """The radius map in mpf operators at prec + 32 bits: the reference that
+    ``scaled_shifts`` on raw values must equal bit for bit."""
+    with mp.workprec(prec + 32):
+        a, R = mpf(spec.radius), mpf(R)
+        unit, far = a == 1, mpmath.isinf(R)
+        out = []
+        for k, lam in enumerate(spec.lambdas):
+            m = 2 * k + 1
+            s = lam - k if unit else lam - mpf(k) / a
+            if R == a:
+                out.append(s if unit else a ** (m + 1) * s)
+                continue
+            den = (lam if unit else a * lam) + k + 1
+            if not far:
+                den -= (R ** -m if unit else (a / R) ** m * a) * s
+            if den == 0:
+                raise TransferDenominatorError(k)
+            out.append(s * m / den if unit else a ** (m + 1) * s * m / den)
+    return out
+
+
+def test_scaled_shifts_equal_the_mpf_operators_bit_for_bit():
+    # radius 1 and not, R at the radius, inside, outside and at infinity, and
+    # lambdas with more bits than the precision the map runs at
+    rng = random.Random(11)
+    for prec in (64, 256, 1024):
+        for a in (1.0, 2.5, 0.7, mpf(1) / 3):
+            with mp.workprec(prec + 100):
+                lambdas = [k / mpf(a) + mpf(rng.uniform(-1, 1)) * mpf(2) ** -rng.randint(0, 4 * k + 2)
+                           / mpf(3) for k in range(60)]
+            spec = DtnSpectrum(ProfileKind.POTENTIAL, a, lambdas, prec)
+            for R in (a, 1.0, 0.5, 5.0, mpmath.inf):
+                got = scaled_shifts(spec, R, prec)
+                assert [x._mpf_ for x in got] == [x._mpf_ for x in mpf_scaled_shifts(spec, R, prec)]
 
 
 def test_zero_transfer_denominator_raises_with_its_degree():

@@ -14,6 +14,7 @@ from radialborn.fourier import (
     default_xi_grid,
     forward_radial_ft,
     inverse_radial_ft,
+    _floats,
 )
 from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
@@ -219,6 +220,15 @@ def test_default_grid_is_exactly_arithmetic_with_the_float_spacing():
             assert all(x == j * xi[1] for j, x in enumerate(xi))
 
 
+def test_default_grid_is_built_once_per_n_and_L():
+    grid = default_xi_grid(64, 10.0)
+    assert default_xi_grid(64, 10) is grid and default_xi_grid(np.int64(64), np.float64(10)) is grid
+    assert default_xi_grid(64, 20.0) is not grid and default_xi_grid(32, 10.0) is not grid
+    # h is the float np.pi / L whatever type L has
+    assert default_xi_grid(64, mpf(10)) is grid
+    assert default_xi_grid.cache_info().maxsize == 16
+
+
 def test_inverse_r_grid_is_that_of_the_float_grid():
     for n, L in ((64, 10.0), (512, 10.0), (257, 25.0)):
         old = [j * np.pi / L for j in range(n + 1)]
@@ -307,3 +317,21 @@ def test_inverse_reads_a_value_past_the_largest_float_as_infinite():
     for values in ((mpf(0), past, mpf(0)), (mpf(0), mpf(1), -past)):
         with pytest.raises(GridMismatchError, match="finite"):
             inverse_radial_ft(FourierSamples(grid, values))
+
+
+def test_float_read_is_float_of_each_value():
+    # the raw read against float() on random mantissas of 1 to 1100 bits at
+    # exponents across float64's range, ties to even, specials and plain numbers
+    rng = random.Random(5)
+    xs = [v for v, _ in _edge_values()] + [mpf(0), mpmath.nan, mpmath.inf, -mpmath.inf,
+                                           0.1, -3, 2**60 + 1]
+    with mp.workprec(1200):
+        for bits in (1, 53, 54, 55, 60, 256, 1023, 1024, 1100):
+            for e in (-1080, -1075, -1074, -1030, -1023, -1022, -1021, -5, 0, 5, 1022, 1023,
+                      1024, 1025):
+                m = rng.getrandbits(bits) | 1 << bits - 1 | 1
+                xs += [mpmath.ldexp(mpf(m), e - bits), -mpmath.ldexp(mpf(m), e - bits)]
+            for m in (2**53 + 1, 2**53 + 3, 2**54 - 1):  # halfway and all-ones mantissas
+                xs.append(mpmath.ldexp(mpf(m), rng.randrange(-1100, 1000)))
+    want = np.asarray([float(x) for x in xs])
+    assert _floats(xs).tobytes() == want.tobytes()

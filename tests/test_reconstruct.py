@@ -4,12 +4,13 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
+from mpmath.libmp import mpf_abs
 
 from radialborn import reconstruct
 from radialborn.born import _series_sum, _series_terms, moment_sequence_exact
 from radialborn.forward import spectrum_of
-from radialborn.fourier import RadialSamples
+from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 from radialborn.reconstruct import (
@@ -41,8 +42,8 @@ def growth_slope(mu, xi_window, prec):
         raise ValueError("need 0 < a < b")
     xs = np.linspace(a, b, 40)
     with mp.workprec(prec + GUARD_BITS):
-        terms = [abs(t) for t in _series_terms(mu, prec)]
-        # y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
+        # the terms as raw mpfs; y = (xi/2)^2 >= 0, so the series of |a_k| sums the |term_k|
+        terms = [mpf_abs(t) for t in _series_terms([mpf(m)._mpf_ for m in mu], prec)]
         logs = []
         for xi, s in zip(xs, _series_sum(terms, xs, prec)):
             if not s:
@@ -252,10 +253,19 @@ def test_growth_slope_rejects_a_zero_series():
         growth_slope([0, 0, 0], (1.0, 2.0), 256)
 
 
-def test_finite_radius_must_be_positive():
-    # R = 0 used to reach a division by zero inside the radius map
+def test_born_fourier_reads_the_shared_grid():
     spec = spectrum_of(PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0),
                                         (1.0, 0.0)), 5, 128)
-    for R in (0.0, -2.0, math.nan):
+    params = SolverParams(terms=5, prec=128, grid_n=32)
+    assert reconstruct.born_fourier(spec, params).xi_grid is default_xi_grid(32, 10.0)
+    assert reconstruct.born_fourier(spec, params, "finiteR", 2.0).xi_grid is default_xi_grid(32, 20.0)
+
+
+def test_finite_radius_must_be_positive():
+    # R = 0 used to reach a division by zero inside the radius map, and R = inf
+    # to return the scattering transform under finiteR's name
+    spec = spectrum_of(PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0),
+                                        (1.0, 0.0)), 5, 128)
+    for R in (0.0, -2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="needs a target radius R > 0"):
             born_samples(spec, FAST, "finiteR", R)
