@@ -7,17 +7,16 @@ The central object is the series operator
 For the moments sigma_k[f] = int r^{2k+2} f dr it is the Taylor series of the
 3-D transform 4 pi int r^2 f(r) j_0(xi r) dr, j_0(z) = sin z / z.  The Born
 weights are the scaled shifts mu_k = R^{2k+2} (lambda_k^R - k/R) of the one
-radius map ``forward.scaled_shifts``, each mode one target radius R
+radius map ``forward.raw_scaled_shifts``, each mode one target radius R
 (``target_radius``): the spectrum's own (unit), the given R (finiteR) or
 infinity (scattering); a zero denominator raises ``TransferDenominatorError``.
 Fed these, L gives the potential Born approximation, and the conductivity
 transform divides by |xi|^2 via an index shift; that series is also the
-conductivity moment form.  The weights (``forward.raw_scaled_shifts``) and the
-products a_k = c_k mu_k with the coefficients c_k of (xi/2)^{2k} are raw mpf
-tuples, each formed by the libmp operation that mpf arithmetic at
-prec + GUARD_BITS bits would make, so no mpf is built between lambda and the
-kernel; the conductivity's -a_k / 2 is an exact sign flip and exponent
-decrement.  One kernel, ``_series_sum``, sums the terms
+conductivity moment form.  The weights and the products a_k = c_k mu_k with
+the coefficients c_k of (xi/2)^{2k} are raw mpf tuples, each formed by the
+libmp operation that mpf arithmetic at prec + GUARD_BITS bits would make, so
+no mpf is built between lambda and the kernel; the conductivity's -a_k / 2 is
+an exact sign flip and exponent decrement.  One kernel, ``_series_sum``, sums the terms
 a_k (xi/2)^{2k} by a truncated Horner pass in Python integers, one
 small-integer product per step, and rounds each value to prec once; the error
 before that rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
@@ -176,7 +175,7 @@ def eval_series_L_grid(mu, xi_grid, prec):
 
 
 def target_radius(spec, mode, R):
-    """The radius at which a Born mode reads the spectrum through ``scaled_shifts``.
+    """The radius at which a Born mode reads the spectrum through ``raw_scaled_shifts``.
 
     "unit" the spectrum's own, as "moment_form" on a conductivity, whose series
     is the unit one; "finiteR" the given R, 0 < R < inf; "scattering" ``mpmath.inf``.
@@ -217,7 +216,7 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):
     """Fourier transform of the potential Born approximation on a xi-grid.
 
-    L(mu; xi) with the weights mu of ``scaled_shifts`` at the mode's
+    L(mu; xi) with the weights mu of ``raw_scaled_shifts`` at the mode's
     ``target_radius``.  The spectra are 3-D: any d but 3 raises ``ValueError``.
     """
     return _born_fourier(ProfileKind.POTENTIAL, spec, xi_grid, mode, R, d, prec)
@@ -227,7 +226,7 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):
     """Fourier transform of gamma_exp - 1 on a xi-grid.
 
     The k >= 1 series -2 (L(mu; xi) - 4 pi mu_0) / xi^2 with the weights mu of
-    ``scaled_shifts`` at the mode's ``target_radius``.  "moment_form" is this
+    ``raw_scaled_shifts`` at the mode's ``target_radius``.  "moment_form" is this
     unit series: its Hausdorff entries nu_k = mu_{k+1} / ((k+1)(2k+3)) give
     c_k nu_k = -c_{k+1} mu_{k+1} / 2 term by term.  The xi = 0 node is the
     analytic k = 1 limit, never a division by xi^2.  Any d but 3 raises

@@ -83,7 +83,7 @@ def _build_parser():
     sp.add_argument("--radius", type=float, default=1.0,
                     help="finiteR target radius; otherwise the ball of a --spectrum CSV")
     sp.add_argument("--mode", default="unit",
-                    choices=["unit", "finiteR", "scattering", "moment-form"])
+                    choices=["unit", "finiteR", "scattering"])
     sp.add_argument("--xi-max", type=float, default=None)
 
     sp = command("invert-fourier", cmd_invert_fourier, "discrete inverse radial transform")
@@ -139,12 +139,12 @@ def cmd_dtn(args):
     return [write_spectrum_csv(Path(args.out) / "spectrum.csv", spec)]
 
 
-def _spectrum_from_args(args, params, mode, R):
+def _spectrum_from_args(args, params, R):
     if args.spectrum:
         if not args.kind:
             raise ValueError("--spectrum requires --kind")
         # finiteR mode transforms the unit-ball spectrum; --radius is then the target
-        radius = 1.0 if mode == "finiteR" else args.radius
+        radius = 1.0 if args.mode == "finiteR" else args.radius
         try:
             return read_spectrum_csv(args.spectrum, args.kind, radius, params.prec)
         except OSError as e:
@@ -152,21 +152,20 @@ def _spectrum_from_args(args, params, mode, R):
     if not args.profile:
         raise ValueError("born needs --profile or --spectrum")
     profile = _load_profile(args.profile)
-    target_radius(profile, mode, R)  # a mode the profile cannot take fails before the solve
+    target_radius(profile, args.mode, R)  # a mode the profile cannot take fails before the solve
     return cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
 
 
 def cmd_born(args):
     params = _params(args)
-    mode = args.mode.replace("-", "_")
-    R = args.radius if mode == "finiteR" else None
+    R = args.radius if args.mode == "finiteR" else None
     if args.xi_max is not None and not 0 < args.xi_max < math.inf:
         raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
-    spec = _spectrum_from_args(args, params, mode, R)
+    spec = _spectrum_from_args(args, params, R)
     if args.xi_max is not None:
-        rho = grid_radius(spec, mode, R)
+        rho = grid_radius(spec, args.mode, R)
         params = replace(params, length_factor=np.pi * params.grid_n / (args.xi_max * rho))
-    F = born_fourier(spec, params, mode, R)
+    F = born_fourier(spec, params, args.mode, R)
     recon = born_inverse(F, spec.kind)
     rows = [(*row, int(r <= float(spec.radius)))
             for row, r in zip(value_rows(recon.r_grid, recon.values), recon.r_grid)]

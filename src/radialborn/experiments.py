@@ -125,8 +125,8 @@ class _Experiment:
     depth_scales: tuple = ()         # the depth-error ensemble: one curve per scale alpha
 
 
-def _step_gamma(values, breaks=(0.0, 0.5, 1.0)):
-    return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, breaks, values)
+def _step_gamma(values):
+    return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), values)
 
 
 def _step_q(values, breaks):

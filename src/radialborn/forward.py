@@ -98,10 +98,14 @@ class TransferDenominatorError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DtnSpectrum:
-    """DtN eigenvalues lambda_0..lambda_K with kind, radius and precision."""
+    """DtN eigenvalues lambda_0..lambda_K with kind, radius and precision.
+
+    The radius is the exact value the lambdas belong to: the profile's own, or
+    the mpf that ``transfer_radius`` moved them to.
+    """
 
     kind: ProfileKind
-    radius: float
+    radius: "float | mpf"
     lambdas: tuple
     prec: int
 
@@ -310,25 +314,22 @@ def raw_scaled_shifts(spec, R, prec):
     return out
 
 
-def scaled_shifts(spec, R, prec):
-    """``raw_scaled_shifts`` as mpfs."""
-    return [mp.make_mpf(v) for v in raw_scaled_shifts(spec, R, prec)]
-
-
 def transfer_radius(spec, R):
     """Move a spectrum to the ball of radius R: lambda_k^R = k/R + R^{-(2k+2)} mu_k(R).
 
     Valid when the coefficient is background outside the ball of radius
-    min(spec.radius, R); see :func:`scaled_shifts`.
+    min(spec.radius, R); see :func:`raw_scaled_shifts`.  The result's radius
+    is R as the mpf at prec + GUARD_BITS bits that the lambdas were formed at.
     """
     if not 0 < R < mpmath.inf:
         raise ValueError("target radius must be positive and finite")
     prec = spec.prec
-    mu = scaled_shifts(spec, R, prec)
+    mu = raw_scaled_shifts(spec, R, prec)
     with mp.workprec(prec + GUARD_BITS):
         R = mpf(R)
-        out = [to_prec(mpf(k) / R + R ** -(2 * k + 2) * v, prec) for k, v in enumerate(mu)]
-    return DtnSpectrum(spec.kind, float(R), out, prec)
+        out = [to_prec(mpf(k) / R + R ** -(2 * k + 2) * mp.make_mpf(v), prec)
+               for k, v in enumerate(mu)]
+    return DtnSpectrum(spec.kind, R, out, prec)
 
 
 def untransfer_radius(spec):

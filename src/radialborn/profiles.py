@@ -26,16 +26,12 @@ Blank lines and lines starting with '#' are ignored.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
-from mpmath import mpf
+from .highprec import read_decimal, to_decimal
 
-from .highprec import read_decimal
-
-SERIAL_DIGITS = 25   # significant digits of an mpf in the text format; floats use repr
-PARSE_PREC = 64      # bits at which the text format's decimals are read
+PARSE_PREC = 64      # bits at which the text format's decimals are written and read
 
 
 class ProfileKind(Enum):
@@ -85,7 +81,7 @@ class PiecewiseProfile:
         for a, b in zip(bp, bp[1:]):
             if not b > a:
                 raise ValueError("breakpoints not increasing")
-        if float(bp[-1]) != float(self.radius):
+        if bp[-1] != self.radius:
             raise ValueError("last breakpoint must equal the radius")
         if self.kind is ProfileKind.CONDUCTIVITY and any(v <= 0 for v in vals):
             raise ValueError("conductivity values must be positive")
@@ -113,7 +109,7 @@ class AnalyticProfile:
     kind: ProfileKind
     radius: float
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def __call__(self, r):
         if r < 0 or r > float(self.radius):
@@ -185,24 +181,20 @@ def project_midpoint(profile, m):
 
 # -- text serialization ------------------------------------------------------
 
-def _fmt(x):
-    if isinstance(x, mpf):
-        return mpmath.nstr(x, SERIAL_DIGITS, strip_zeros=True)
-    return repr(float(x))
-
-
 def serialize_profile(p):
-    lines = [f"kind {p.kind.value}", f"radius {_fmt(p.radius)}"]
+    """The text format of a profile, each number as ``to_decimal(x, PARSE_PREC)``, which
+    ``parse_profile`` reads back exactly when x has at most ``PARSE_PREC`` bits."""
+    lines = [f"kind {p.kind.value}", f"radius {to_decimal(p.radius, PARSE_PREC)}"]
     if isinstance(p, PiecewiseProfile):
-        lines.append("breakpoints " + " ".join(_fmt(b) for b in p.breakpoints))
-        lines.append("values " + " ".join(_fmt(v) for v in p.values))
+        lines.append("breakpoints " + " ".join(to_decimal(b, PARSE_PREC) for b in p.breakpoints))
+        lines.append("values " + " ".join(to_decimal(v, PARSE_PREC) for v in p.values))
     else:
         parts = [p.name]
         for key, val in p.params.items():
             if isinstance(val, (list, tuple)):
-                parts.append(f"{key}=[{','.join(_fmt(v) for v in val)}]")
+                parts.append(f"{key}=[{','.join(to_decimal(v, PARSE_PREC) for v in val)}]")
             else:
-                parts.append(f"{key}={_fmt(val)}")
+                parts.append(f"{key}={to_decimal(val, PARSE_PREC)}")
         lines.append("analytic " + " ".join(parts))
     return "\n".join(lines) + "\n"
 

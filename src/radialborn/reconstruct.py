@@ -11,6 +11,7 @@ the ensemble depth-error statistic and the support-radius estimate.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,8 +60,13 @@ class SolverParams:
 
     def __post_init__(self):
         for name, least in (("grid_n", 2), ("iterations", 0), ("samples", 1)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not 0 < self.length_factor < math.inf:
+            raise ValueError(f"length_factor must be positive and finite, got {self.length_factor}")
 
 
 # The only place the scales are written.  Commands and experiments start from
@@ -161,13 +167,14 @@ def iterate_born(kind, target_spec, reference, n_iter, params):
 
     Each iterate is the linear interpolant of its samples, so it is projected
     onto ``ITERATE_PIECES_PER_SAMPLE`` pieces per sample spacing on [0, R],
-    not onto ``params.pieces``, before its spectrum is solved.
+    not onto ``params.pieces``, before its spectrum is solved: the sample
+    spacing is radius * length_factor / grid_n, so that is
+    ceil(ITERATE_PIECES_PER_SAMPLE * grid_n / length_factor) pieces.
     """
     radius = float(target_spec.radius)
     born0 = born_samples(target_spec, params)
     r_grid = born0.r_grid
-    # rounded to 6 decimals so that float error in r_grid cannot add a piece
-    pieces = math.ceil(round(ITERATE_PIECES_PER_SAMPLE * radius / r_grid[1], 6))
+    pieces = math.ceil(ITERATE_PIECES_PER_SAMPLE * params.grid_n / params.length_factor)
     ref_vals = profile_on_grid(reference, r_grid)
     iterates = [born0]
     norms = [error_norms(born0, ref_vals, (0.0, radius))]

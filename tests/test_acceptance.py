@@ -20,7 +20,7 @@ from radialborn.born import (
 )
 from radialborn.forward import (
     ode_log_derivative_oracle,
-    scaled_shifts,
+    raw_scaled_shifts,
     spectrum_of,
     transfer_radius,
 )
@@ -150,7 +150,7 @@ def test_criterion_07_algebraic_equivalences():
         bitwise = bitwise and all(a == b for a, b in zip(unit.values, at_one.values))
     unit = born_conductivity_fourier(spg, grid, mode="unit", prec=256)
     # the moment-form sum L(nu), nu_k = mu_{k+1} / ((k+1)(2k+3)), built here
-    mu = scaled_shifts(spg, spg.radius, 256)
+    mu = [mp.make_mpf(v) for v in raw_scaled_shifts(spg, spg.radius, 256)]
     with mp.workprec(256 + GUARD_BITS):
         nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spg.kmax)]
     moment = eval_series_L_grid(nu, grid, 256)

@@ -23,7 +23,12 @@ from radialborn.born import (
     series_coefficients,
     target_radius,
 )
-from radialborn.forward import DtnSpectrum, TransferDenominatorError, scaled_shifts, spectrum_of
+from radialborn.forward import (
+    DtnSpectrum,
+    TransferDenominatorError,
+    raw_scaled_shifts,
+    spectrum_of,
+)
 from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
@@ -224,7 +229,7 @@ def test_conductivity_zero_frequency_limit():
 
 def moment_form_series(spec, xi_grid, prec):
     """L(nu; xi) with the Hausdorff entries nu_k = mu_{k+1} / ((k+1)(2k+3)) of the unit weights."""
-    mu = scaled_shifts(spec, spec.radius, prec)
+    mu = [mp.make_mpf(v) for v in raw_scaled_shifts(spec, spec.radius, prec)]
     with mp.workprec(prec + GUARD_BITS):
         nu = [mu[k + 1] / ((k + 1) * (2 * k + 3)) for k in range(spec.kmax)]
     return eval_series_L_grid(nu, xi_grid, prec)

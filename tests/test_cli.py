@@ -192,7 +192,7 @@ def test_experiment_honours_the_precision_flag(workdir):
     assert manifest_prec("flag") == 96
 
 
-@pytest.mark.parametrize("mode", ["moment-form", "scattering"])
+@pytest.mark.parametrize("mode", ["unit", "scattering"])
 def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
     from radialborn.experiments import fourier_rows, value_rows
     from radialborn.forward import spectrum_of
@@ -202,7 +202,7 @@ def test_born_mode_writes_the_transform_and_its_inverse(workdir, mode):
     assert main(["born", "--profile", prof, "--mode", mode, "--terms", "30",
                  "--precision", "128", "--grid", "64", "--out", "run"]) == 0
     spec = spectrum_of(parse_profile(GAMMA_STEP), 30, 128)
-    F = born_fourier(spec, SolverParams(terms=30, prec=128, grid_n=64), mode.replace("-", "_"))
+    F = born_fourier(spec, SolverParams(terms=30, prec=128, grid_n=64), mode)
     assert read_rows(workdir / "run" / "fourier.csv") == \
         [list(row) for row in fourier_rows(F, 128)]
     recon = born_inverse(F, spec.kind)
@@ -284,8 +284,8 @@ def test_bad_finite_radius_is_rejected_before_the_profile_is_solved(workdir, cap
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["born", "--profile", "q.txt", "--mode", "moment-form"],
-     "moment_form mode applies to conductivity spectra"),
+    # the library's moment_form mode is the unit series, so the CLI does not offer it
+    (["born", "--profile", "q.txt", "--mode", "moment-form"], "invalid choice: 'moment-form'"),
     (["born", "--profile", "q.txt", "--grid", "1"], "grid_n must be at least 2, got 1"),
     (["born", "--profile", "q.txt", "--grid", "-3"], "grid_n must be at least 2, got -3"),
     (["reconstruct", "--profile", "q.txt", "--iterations", "-1"],
@@ -466,7 +466,7 @@ CLI_SURFACE = {
              "kind": (("--kind",), None, False, ("conductivity", "potential"), None, None),
              "radius": (("--radius",), 1.0, False, None, None, float),
              "mode": (("--mode",), "unit", False,
-                      ("unit", "finiteR", "scattering", "moment-form"), None, None),
+                      ("unit", "finiteR", "scattering"), None, None),
              "xi_max": (("--xi-max",), None, False, None, None, float)},
     "invert-fourier": {**_OUT, "input": (("--input",), None, True, None, None, None)},
     "moments": {**_PROFILE, **_SCALED, **_settings("terms", "prec")},

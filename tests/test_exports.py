@@ -62,7 +62,7 @@ def test_every_public_function_requires_its_precision():
     assert {n: d for n, d in taking.items() if d is not inspect.Parameter.empty} == {}
 
 
-KNOB_BOUND = 31
+KNOB_BOUND = 29
 
 
 def _is_dataclass(cls):

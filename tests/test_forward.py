@@ -10,7 +10,7 @@ from radialborn.forward import (
     TransferDenominatorError,
     ode_log_derivative_oracle,
     potential_spectrum,
-    scaled_shifts,
+    raw_scaled_shifts,
     spectrum_of,
     transfer_radius,
     untransfer_radius,
@@ -110,6 +110,21 @@ def test_transfer_matches_direct_solve():
             assert abs(moved.lambdas[k] - direct.lambdas[k]) <= abs(direct.lambdas[k]) * mpf(10) ** -40 + mpf(10) ** -45
 
 
+def test_transfer_labels_its_result_with_the_radius_it_computed_at():
+    # the radius used to be float(R), so for R = 7/3 at 300 bits lambda_60 - 60/R
+    # of the result read 1.6e-15 where the directly solved shift is 1.9e-80
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
+    with mp.workprec(300):
+        R = mpf(7) / 3
+    moved = transfer_radius(spectrum_of(g, 60, 300), R)
+    direct = spectrum_of(PiecewiseProfile(g.kind, R, (0.0, 0.5, R), g.values), 60, 300)
+    assert moved.radius == R
+    with mp.workprec(400):
+        for k in (1, 30, 60):
+            shift = moved.lambdas[k] - k / mpf(moved.radius)
+            assert abs(shift - (direct.lambdas[k] - k / R)) <= mpf(2) ** -280, k
+
+
 def test_transfer_round_trip():
     q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (2.0, -1.0))
     spec = potential_spectrum(q, 15, 256)
@@ -139,7 +154,7 @@ def test_transfer_works_from_any_radius():
 
 def mpf_scaled_shifts(spec, R, prec):
     """The radius map in mpf operators at prec + 32 bits: the reference that
-    ``scaled_shifts`` on raw values must equal bit for bit."""
+    ``raw_scaled_shifts`` must equal bit for bit."""
     with mp.workprec(prec + 32):
         a, R = mpf(spec.radius), mpf(R)
         unit, far = a == 1, mpmath.isinf(R)
@@ -170,8 +185,8 @@ def test_scaled_shifts_equal_the_mpf_operators_bit_for_bit():
                            / mpf(3) for k in range(60)]
             spec = DtnSpectrum(ProfileKind.POTENTIAL, a, lambdas, prec)
             for R in (a, 1.0, 0.5, 5.0, mpmath.inf):
-                got = scaled_shifts(spec, R, prec)
-                assert [x._mpf_ for x in got] == [x._mpf_ for x in mpf_scaled_shifts(spec, R, prec)]
+                got = raw_scaled_shifts(spec, R, prec)
+                assert got == [x._mpf_ for x in mpf_scaled_shifts(spec, R, prec)]
 
 
 def test_zero_transfer_denominator_raises_with_its_degree():

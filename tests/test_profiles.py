@@ -1,9 +1,11 @@
 import math
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from radialborn.cache import spectrum_key
 from radialborn.profiles import (
+    PARSE_PREC,
     AnalyticProfile,
     PiecewiseProfile,
     ProfileFormatError,
@@ -77,11 +79,34 @@ def test_projection_refinement_lipschitz():
 
 
 def test_serialize_parse_round_trip_piecewise():
-    p = step_gamma()
-    q = parse_profile(serialize_profile(p))
-    assert q.kind is p.kind
-    assert [float(b) for b in q.breakpoints] == list(p.breakpoints)
-    assert [float(v) for v in q.values] == list(p.values)
+    # every value of at most PARSE_PREC bits reads back exactly, so the parsed
+    # profile is the same problem; 0.1 and 0.7 as floats used to be written as
+    # their shortest reprs, read back at 64 bits as other values with another key
+    with mp.workprec(PARSE_PREC):
+        third, tenth = mpf(1) / 3, mpf(1) / 10
+    for p in (step_gamma(),
+              PiecewiseProfile(ProfileKind.POTENTIAL, 0.7, (0.0, 0.1, 0.7), (3.0, -0.1)),
+              PiecewiseProfile(ProfileKind.CONDUCTIVITY, third, (0.0, tenth, third),
+                               (1 + tenth, third))):
+        text = serialize_profile(p)
+        q = parse_profile(text)
+        assert q.kind is p.kind
+        assert (q.radius, q.breakpoints, q.values) == (p.radius, p.breakpoints, p.values)
+        assert spectrum_key(q, 40, 128) == spectrum_key(p, 40, 128)
+        assert serialize_profile(q) == text
+    assert serialize_profile(step_gamma()).splitlines()[1] == "radius 1.000000000000000000000"
+
+
+def test_radius_must_equal_the_last_breakpoint_exactly():
+    # equal as floats but not at the 64 bits they are read at: the spectrum
+    # used to be solved at the breakpoint and labelled with the radius
+    with pytest.raises(ProfileFormatError, match="last breakpoint must equal the radius"):
+        parse_profile("kind potential\nradius 0.7\n"
+                      "breakpoints 0 0.35 0.70000000000000001\nvalues 2 0\n")
+    with mp.workprec(64):
+        radius = mpf(0.7) + mpf(2) ** -60
+    with pytest.raises(ValueError, match="last breakpoint must equal the radius"):
+        PiecewiseProfile(ProfileKind.POTENTIAL, radius, (0.0, 0.7), (1.0,))
 
 
 def test_serialize_parse_round_trip_analytic():

@@ -150,6 +150,25 @@ def test_iterates_use_four_pieces_per_sample_spacing(monkeypatch, grid_n, length
     assert seen and set(seen) == {math.ceil(4 * grid_n / length_factor)}
 
 
+@pytest.mark.parametrize("field, value, message", (
+    ("length_factor", 0.0, "length_factor must be positive and finite, got 0.0"),
+    ("length_factor", -10.0, "length_factor must be positive and finite, got -10.0"),
+    ("length_factor", math.inf, "length_factor must be positive and finite, got inf"),
+    ("length_factor", math.nan, "length_factor must be positive and finite, got nan"),
+    ("grid_n", 2.5, "grid_n must be an integer, got 2.5"),
+    ("grid_n", 16.0, "grid_n must be an integer, got 16.0"),
+    ("iterations", 1.5, "iterations must be an integer, got 1.5"),
+    ("samples", 2.0, "samples must be an integer, got 2.0"),
+))
+def test_settings_outside_their_range_are_rejected_naming_the_field(field, value, message):
+    # each used to be taken: length_factor 0 raised ZeroDivisionError in the grid,
+    # -10 a GridMismatchError, inf gave samples on a NaN r-grid, and grid_n 2.5
+    # raised TypeError only after the spectrum was solved
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverParams(**{field: value})
+    assert replace(SolverParams(), grid_n=np.int64(16)).grid_n == 16
+
+
 @pytest.mark.parametrize("l2s, n_iterates", (
     ((1, .5, .6, .55, .7, .8, .9), 6),          # grew at steps 4 and 5
     ((1, .5, float("nan"), .6, .7, .8, .9), 6),  # NaN is neither growth nor decrease
