@@ -20,7 +20,6 @@ from .born import FourierSamples, moment_sequence_exact, target_radius
 from .cache import cached_spectrum_of
 from .experiments import (
     EXPERIMENT_IDS,
-    _piecewise,
     fourier_rows,
     read_spectrum_csv,
     run_experiment,
@@ -30,7 +29,7 @@ from .experiments import (
 )
 from .fourier import inverse_radial_ft, xi_node_bits
 from .highprec import read_decimal, to_decimal
-from .profiles import PiecewiseProfile, ProfileFormatError, parse_profile
+from .profiles import PiecewiseProfile, ProfileFormatError, parse_profile, project_midpoint
 from .reconstruct import (
     SCALES,
     born_fourier,
@@ -129,7 +128,7 @@ def _params(args):
 
 def cmd_dtn(args):
     params = _params(args)
-    profile = _piecewise(_load_profile(args.profile), params.pieces)
+    profile = project_midpoint(_load_profile(args.profile), params.pieces)
     if args.radius is not None and float(args.radius) != float(profile.radius):
         profile = PiecewiseProfile(profile.kind, args.radius,
                                    tuple(b * args.radius / float(profile.radius)
@@ -153,7 +152,7 @@ def _spectrum_from_args(args, params, R):
         raise ValueError("born needs --profile or --spectrum")
     profile = _load_profile(args.profile)
     target_radius(profile, args.mode, R)  # a mode the profile cannot take fails before the solve
-    return cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
+    return cached_spectrum_of(project_midpoint(profile, params.pieces), params.terms, params.prec)
 
 
 def cmd_born(args):
@@ -193,7 +192,7 @@ def cmd_invert_fourier(args):
 
 def cmd_moments(args):
     params = _params(args)
-    profile = _piecewise(_load_profile(args.profile), params.pieces)
+    profile = project_midpoint(_load_profile(args.profile), params.pieces)
     sigma = moment_sequence_exact(profile, params.terms, prec=params.prec)
     rows = [(k, to_decimal(s, params.prec)) for k, s in enumerate(sigma)]
     return write_files(args.out, {"moments.csv": (("k", "sigma"), rows)})
@@ -202,7 +201,7 @@ def cmd_moments(args):
 def cmd_reconstruct(args):
     params = _params(args)
     profile = _load_profile(args.profile)
-    spec = cached_spectrum_of(_piecewise(profile, params.pieces), params.terms, params.prec)
+    spec = cached_spectrum_of(project_midpoint(profile, params.pieces), params.terms, params.prec)
     trace = iterate_born(profile.kind, spec, profile, n_iter=params.iterations,
                          params=params)
     files = {f"iterate_{n}.csv": (("r", "value"), value_rows(it.r_grid, it.values))

@@ -36,10 +36,15 @@ from .reconstruct import (
 )
 
 
-def experiment_config(exp_id, paper_scale=False, **overrides):
-    """An experiment's settings: its scale's row with ``overrides`` replaced."""
+def _experiment(exp_id):
     if exp_id not in _CATALOGUE:
         raise ValueError(f"experiment id must be 1..12, got {exp_id}")
+    return _CATALOGUE[exp_id]
+
+
+def experiment_config(exp_id, paper_scale=False, **overrides):
+    """An experiment's settings: its scale's row with ``overrides`` replaced."""
+    _experiment(exp_id)
     return replace(SCALES["paper" if paper_scale else "desk"], **overrides)
 
 
@@ -174,13 +179,7 @@ EXPERIMENT_IDS = tuple(_CATALOGUE)
 
 def experiment_profiles(exp_id):
     """The named truth profiles of one experiment, a copy the caller may change."""
-    return copy.deepcopy(_CATALOGUE[exp_id].profiles) if exp_id in _CATALOGUE else {}
-
-
-def _piecewise(profile, pieces):
-    if isinstance(profile, PiecewiseProfile):
-        return profile
-    return project_midpoint(profile, pieces)
+    return copy.deepcopy(_experiment(exp_id).profiles)
 
 
 def _born_bundle(name, profile, pw, spec, cfg, mode, R, grids):
@@ -221,10 +220,10 @@ def _iteration_bundle(name, profile, spec, cfg):
 def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrides):
     """Run one experiment; returns the list of files written."""
     cfg = experiment_config(exp_id, paper_scale, **overrides)
-    row = _CATALOGUE[exp_id]
+    row = _experiment(exp_id)
     files = {}
     for name, p in row.profiles.items():
-        pw = _piecewise(p, cfg.pieces)
+        pw = project_midpoint(p, cfg.pieces)
         spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
         grids = set()
         for mode, R in row.born:

@@ -44,6 +44,7 @@ where u(R) vanishes; its spectrum raises DirichletCollisionError when
 |R u| < 2^(-prec/2) |u + R u'|.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import mpmath
@@ -153,8 +154,8 @@ def _spectrum(p, kmax, prec):
     """lambda_0..lambda_kmax of either kind by the one transfer described above."""
     if not isinstance(p, PiecewiseProfile):
         raise TypeError("the forward engine needs a PiecewiseProfile; use project_midpoint")
-    if kmax < 0:
-        raise ValueError(f"need a term count kmax >= 0, got {kmax}")
+    if not isinstance(kmax, numbers.Integral) or kmax < 0:
+        raise ValueError(f"need an integer term count kmax >= 0, got {kmax!r}")
     prec = check_precision(prec)
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()

@@ -3,8 +3,9 @@
 A profile is either a :class:`PiecewiseProfile` (breakpoints + per-piece
 values on [0, R], pieces right-closed) or an :class:`AnalyticProfile`
 (named formula with parameters).  Conductivities have background 1,
-potentials background 0; the midpoint projection turns any profile into
-the piecewise-constant form consumed by the forward solver.
+potentials background 0.  Midpoint projection turns a formula into the forward
+solver's piecewise-constant form and passes a staircase through unchanged.  An
+``AnalyticProfile`` rejects an unknown, misspelt or missing parameter when made.
 
 Text format (one profile per file, UTF-8, line oriented)::
 
@@ -26,6 +27,7 @@ Blank lines and lines starting with '#' are ignored.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,9 +80,8 @@ class PiecewiseProfile:
             raise ValueError(f"{len(bp)} breakpoints require {len(bp)-1} values, got {len(vals)}")
         if bp[0] != 0:
             raise ValueError("first breakpoint must be 0")
-        for a, b in zip(bp, bp[1:]):
-            if not b > a:
-                raise ValueError("breakpoints not increasing")
+        if not all(b > a for a, b in zip(bp, bp[1:])):
+            raise ValueError("breakpoints not increasing")
         if bp[-1] != self.radius:
             raise ValueError("last breakpoint must equal the radius")
         if self.kind is ProfileKind.CONDUCTIVITY and any(v <= 0 for v in vals):
@@ -91,15 +92,10 @@ class PiecewiseProfile:
         return len(self.values)
 
     def __call__(self, r):
-        if r < 0 or r > float(self.radius):
+        if not 0 <= r <= float(self.radius):
             raise ValueError(f"r = {r} outside [0, {self.radius}]")
-        if r == 0:
-            return self.values[0]
-        # value on (r_{j-1}, r_j]
-        for b, v in zip(self.breakpoints[1:], self.values):
-            if r <= b:
-                return v
-        return self.values[-1]
+        # value j on (r_{j-1}, r_j], the first at r = 0; min() covers R < r <= float(R)
+        return self.values[min(bisect_left(self.breakpoints, r, 1), len(self.values)) - 1]
 
 
 @dataclass(frozen=True)
@@ -111,17 +107,21 @@ class AnalyticProfile:
     name: str
     params: dict
 
-    def __call__(self, r):
-        if r < 0 or r > float(self.radius):
-            raise ValueError(f"r = {r} outside [0, {self.radius}]")
+    def __post_init__(self):
         if self.name not in _ANALYTIC_BUILTINS:
             raise ValueError(f"unknown analytic descriptor {self.name!r}")
-        fn, _ = _ANALYTIC_BUILTINS[self.name]
-        try:
-            return fn(float(r), float(self.radius), self.params)
-        except KeyError as e:
-            raise ValueError(f"analytic descriptor {self.name!r} needs parameter "
-                             f"{e.args[0]}") from None
+        _, needs, optional = _ANALYTIC_BUILTINS[self.name]
+        for key in self.params:
+            if key not in needs + optional:
+                raise ValueError(f"{self.name} has no parameter {key!r}")
+        for key in needs:
+            if key not in self.params:
+                raise ValueError(f"analytic descriptor {self.name!r} needs parameter {key}")
+
+    def __call__(self, r):
+        if not 0 <= r <= float(self.radius):
+            raise ValueError(f"r = {r} outside [0, {self.radius}]")
+        return _ANALYTIC_BUILTINS[self.name][0](float(r), float(self.radius), self.params)
 
 
 def _eval_bump(r, R, p):
@@ -160,18 +160,20 @@ def _eval_exp3(r, R, p):
     return 2.5 - r
 
 
-# each built-in's formula and the parameter names it reads
+# each built-in's formula, the parameters it needs and those it may also take
 _ANALYTIC_BUILTINS = {
-    "bump": (_eval_bump, ("height", "support", "offset")),
-    "annular_bump": (_eval_annular_bump, ("inner", "outer", "height", "offset")),
-    "cosine_series": (_eval_cosine_series, ("c", "offset")),
-    "exp3_profile": (_eval_exp3, ()),
+    "bump": (_eval_bump, (), ("height", "support", "offset")),
+    "annular_bump": (_eval_annular_bump, ("inner", "outer"), ("height", "offset")),
+    "cosine_series": (_eval_cosine_series, ("c",), ("offset",)),
+    "exp3_profile": (_eval_exp3, (), ()),
 }
 
 def project_midpoint(profile, m):
-    """Project a profile onto m equal pieces by midpoint sampling."""
+    """Midpoint projection of a formula onto m equal pieces; a staircase is returned as it is."""
     if m < 1:
         raise ValueError("piece count must be >= 1")
+    if isinstance(profile, PiecewiseProfile):
+        return profile
     R = float(profile.radius)
     h = R / m
     breakpoints = tuple(j * h for j in range(m)) + (R,)
@@ -206,13 +208,24 @@ def _parse_decimal(tok, lineno):
         raise ProfileFormatError(str(e), lineno) from None
 
 
+def _parse_param(tok, lineno):
+    # one key=value or key=[v1,v2,...] token of an analytic line
+    key, eq, val = tok.partition("=")
+    if not eq:
+        raise ProfileFormatError(f"expected key=value, got {tok!r}", lineno)
+    if not val.startswith("["):
+        return key, float(_parse_decimal(val, lineno))
+    if not val.endswith("]"):
+        raise ProfileFormatError(f"unterminated list in {tok!r}", lineno)
+    return key, [float(_parse_decimal(v, lineno)) for v in val[1:-1].split(",") if v]
+
+
 def parse_profile(text):
     """Parse the profile text format into a profile object.
 
     Decimals are read at ``PARSE_PREC`` bits.  Errors carry the line number.
     """
-    kind = radius = None
-    breakpoints = values = analytic = None
+    kind = radius = breakpoints = values = analytic = analytic_line = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -231,36 +244,20 @@ def parse_profile(text):
         elif word == "values":
             values = [_parse_decimal(t, lineno) for t in rest.split()]
         elif word == "analytic":
-            analytic = (rest, lineno)
+            name, *pairs = rest.split() or [""]
+            analytic = (name, dict(_parse_param(tok, lineno) for tok in pairs))
+            analytic_line = lineno
         else:
             raise ProfileFormatError(f"unknown directive {word!r}", lineno)
     if kind is None:
         raise ProfileFormatError("missing 'kind' line")
     if radius is None:
         raise ProfileFormatError("missing 'radius' line")
-    if analytic is not None:
-        spec, lineno = analytic
-        toks = spec.split()
-        name, params = toks[0], {}
-        if name not in _ANALYTIC_BUILTINS:
-            raise ProfileFormatError(f"unknown analytic descriptor {name!r}", lineno)
-        for tok in toks[1:]:
-            key, eq, val = tok.partition("=")
-            if not eq:
-                raise ProfileFormatError(f"expected key=value, got {tok!r}", lineno)
-            if key not in _ANALYTIC_BUILTINS[name][1]:
-                raise ProfileFormatError(f"{name} has no parameter {key!r}", lineno)
-            if val.startswith("["):
-                if not val.endswith("]"):
-                    raise ProfileFormatError(f"unterminated list in {tok!r}", lineno)
-                items = [v for v in val[1:-1].split(",") if v]
-                params[key] = [float(_parse_decimal(v, lineno)) for v in items]
-            else:
-                params[key] = float(_parse_decimal(val, lineno))
-        return AnalyticProfile(kind, radius, name, params)
-    if breakpoints is None or values is None:
+    if analytic is None and (breakpoints is None or values is None):
         raise ProfileFormatError("need breakpoints+values or an analytic line")
     try:
+        if analytic is not None:
+            return AnalyticProfile(kind, radius, *analytic)
         return PiecewiseProfile(kind, radius, tuple(breakpoints), tuple(values))
     except ValueError as exc:
-        raise ProfileFormatError(str(exc)) from None
+        raise ProfileFormatError(str(exc), analytic_line) from None

@@ -19,6 +19,7 @@ import numpy as np
 from .born import born_conductivity_fourier, born_potential_fourier, target_radius
 from .forward import spectrum_of
 from .fourier import RadialSamples, default_xi_grid, inverse_radial_ft
+from .highprec import check_precision
 from .profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
 EPS_FLOOR = 1e-3  # conductivity clamp before forward solves
@@ -59,7 +60,8 @@ class SolverParams:
     samples: int = 20
 
     def __post_init__(self):
-        for name, least in (("grid_n", 2), ("iterations", 0), ("samples", 1)):
+        for name, least in (("terms", 0), ("pieces", 1), ("grid_n", 2), ("iterations", 0),
+                            ("samples", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -67,6 +69,7 @@ class SolverParams:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         if not 0 < self.length_factor < math.inf:
             raise ValueError(f"length_factor must be positive and finite, got {self.length_factor}")
+        check_precision(self.prec)
 
 
 # The only place the scales are written.  Commands and experiments start from

@@ -54,8 +54,11 @@ def test_paper_scale_overrides():
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(ValueError):
-        experiment_config(13)
+    # experiment_profiles used to return {} for an id outside the catalogue
+    for lookup in (experiment_config, experiment_profiles):
+        for exp_id in (13, 99, 0):
+            with pytest.raises(ValueError, match=f"experiment id must be 1..12, got {exp_id}"):
+                lookup(exp_id)
 
 
 @pytest.mark.parametrize("exp_id", EXPERIMENT_IDS)

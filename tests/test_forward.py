@@ -47,6 +47,14 @@ def test_negative_term_count_is_a_value_error():
             spectrum_of(p, -1, 128)
 
 
+def test_non_integer_term_count_is_a_value_error():
+    # 10.5 used to raise AttributeError on float.bit_length deep in the solve
+    p = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 1.0), (1.0,))
+    for kmax in (10.5, 10.0, "10"):
+        with pytest.raises(ValueError, match=f"integer term count kmax >= 0, got {kmax!r}"):
+            spectrum_of(p, kmax, 128)
+
+
 def test_unit_conductivity_eigenvalues():
     for R in (1.0, 2.0):
         g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, R, (0.0, R), (1.0,))

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from mpmath import mp, mpf
@@ -21,9 +22,55 @@ def step_gamma():
 
 
 def test_missing_analytic_parameter_is_a_value_error():
-    p = AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump", {"outer": 0.8})
     with pytest.raises(ValueError, match="'annular_bump' needs parameter inner"):
-        p(0.3)
+        AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "annular_bump", {"outer": 0.8})
+
+
+@pytest.mark.parametrize("name, params, message", (
+    ("bump", {"heigth": 5.0}, "bump has no parameter 'heigth'"),
+    ("no_such_thing", {}, "unknown analytic descriptor 'no_such_thing'"),
+    ("annular_bump", {"outer": 0.8, "height": 2.0}, "'annular_bump' needs parameter inner"),
+    ("cosine_series", {"offset": 1.0}, "'cosine_series' needs parameter c"),
+))
+def test_analytic_profile_checks_its_parameters_when_made(name, params, message):
+    # each used to be built: a misspelt key evaluated as the default height 1 and
+    # the other two raised only when the profile was first evaluated
+    with pytest.raises(ValueError, match=message):
+        AnalyticProfile(ProfileKind.POTENTIAL, 1.0, name, params)
+
+
+def _old_piecewise_value(p, r):
+    # PiecewiseProfile.__call__ as it was written with a loop over the pieces
+    if r == 0:
+        return p.values[0]
+    for b, v in zip(p.breakpoints[1:], p.values):
+        if r <= b:
+            return v
+    return p.values[-1]
+
+
+def test_piecewise_lookup_matches_the_loop_over_pieces():
+    rng = random.Random(2000)
+    widths = [rng.uniform(0.1, 1.0) for _ in range(2000)]
+    total = sum(widths)
+    bps, acc = [0.0], 0.0
+    for w in widths[:-1]:
+        acc += w / total
+        bps.append(acc)
+    p = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (*bps, 1.0),
+                         tuple(rng.uniform(-5.0, 5.0) for _ in widths))
+    mids = [(a + b) / 2 for a, b in zip(p.breakpoints, p.breakpoints[1:])]
+    for r in (0.0, *p.breakpoints, *mids, 1.0):
+        assert p(r) == _old_piecewise_value(p, r), r
+    with pytest.raises(ValueError, match="outside"):
+        p(math.nan)
+
+
+def test_projection_passes_a_staircase_through():
+    g = step_gamma()
+    assert project_midpoint(g, 7) is g
+    with pytest.raises(ValueError, match="piece count"):
+        project_midpoint(g, 0)
 
 
 def test_piecewise_evaluation_right_closed():
@@ -133,8 +180,13 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_unknown_descriptor():
-    with pytest.raises(ProfileFormatError):
+    with pytest.raises(ProfileFormatError, match="line 3: unknown analytic descriptor"):
         parse_profile("kind potential\nradius 1\nanalytic no_such_thing\n")
+    # an analytic line without a name used to raise IndexError
+    with pytest.raises(ProfileFormatError, match="line 3: unknown analytic descriptor ''"):
+        parse_profile("kind potential\nradius 1\nanalytic\n")
+    with pytest.raises(ProfileFormatError, match="line 4: analytic descriptor 'annular_bump' needs parameter inner"):
+        parse_profile("kind potential\nradius 1\n# no inner\nanalytic annular_bump outer=1\n")
 
 
 def test_parse_unknown_analytic_parameter():

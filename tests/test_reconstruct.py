@@ -159,11 +159,19 @@ def test_iterates_use_four_pieces_per_sample_spacing(monkeypatch, grid_n, length
     ("grid_n", 16.0, "grid_n must be an integer, got 16.0"),
     ("iterations", 1.5, "iterations must be an integer, got 1.5"),
     ("samples", 2.0, "samples must be an integer, got 2.0"),
+    ("terms", 10.5, "terms must be an integer, got 10.5"),
+    ("terms", -1, "terms must be at least 0, got -1"),
+    ("pieces", 3.5, "pieces must be an integer, got 3.5"),
+    ("pieces", 0, "pieces must be at least 1, got 0"),
+    ("prec", 32, "precision must be an integer >= 64 bits, got 32"),
+    ("prec", 64.5, "precision must be an integer >= 64 bits, got 64.5"),
 ))
 def test_settings_outside_their_range_are_rejected_naming_the_field(field, value, message):
     # each used to be taken: length_factor 0 raised ZeroDivisionError in the grid,
     # -10 a GridMismatchError, inf gave samples on a NaN r-grid, and grid_n 2.5
-    # raised TypeError only after the spectrum was solved
+    # raised TypeError only after the spectrum was solved; terms 10.5 raised
+    # AttributeError and pieces 3.5 TypeError deep in the solve, and prec 32 was
+    # taken until the first solve
     with pytest.raises(ValueError, match=f"^{message}$"):
         SolverParams(**{field: value})
     assert replace(SolverParams(), grid_n=np.int64(16)).grid_n == 16
