@@ -25,7 +25,6 @@ Non-finite entries or frequencies raise ``ValueError``.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import mpmath
@@ -205,7 +204,7 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
             raise ValueError("need at least lambda_1")
         with mp.workprec(prec + GUARD_BITS):
             if abs(mpf(spec.lambdas[0])) > mpmath.ldexp(mpf(1), -prec // 2):
-                warnings.warn("conductivity spectrum has lambda_0 != 0", stacklevel=3)
+                raise ValueError("conductivity spectrum has lambda_0 != 0")
         # -2 (L(mu; xi) - 4 pi mu_0) / xi^2 = sum_{k>=1} (-c_k mu_k / 2) (xi/2)^{2(k-1)};
         # -t / 2 is exact: a sign flip and one off the exponent (zero, NaN and inf kept)
         terms = [(1 - sign, man, exp - 1, bc) if man else (sign, man, exp, bc)
@@ -229,8 +228,9 @@ def born_conductivity_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):
     ``raw_scaled_shifts`` at the mode's ``target_radius``.  "moment_form" is this
     unit series: its Hausdorff entries nu_k = mu_{k+1} / ((k+1)(2k+3)) give
     c_k nu_k = -c_{k+1} mu_{k+1} / 2 term by term.  The xi = 0 node is the
-    analytic k = 1 limit, never a division by xi^2.  Any d but 3 raises
-    ``ValueError``.
+    analytic k = 1 limit, never a division by xi^2.  A conductivity's lambda_0 is
+    0: a spectrum with |lambda_0| > 2^(-prec/2) raises ``ValueError``, as does any
+    d but 3.
     """
     return _born_fourier(ProfileKind.CONDUCTIVITY, spec, xi_grid, mode, R, d, prec)
 

@@ -6,7 +6,9 @@ breakpoints and values), the term count and the precision.  Only a
 piecewise-constant profile has a key: an analytic one names no projection.
 Values are stored in the decimal form of ``highprec.to_decimal``, which
 round-trips the binary precision; writes go through a temporary file and an
-atomic rename so a killed process never leaves a torn entry.
+atomic rename so a killed process never leaves a torn entry.  Entries live in
+the ``cache_dir`` a call passes, else in ``$RADIALBORN_CACHE_DIR``, else in
+``~/.cache/radialborn``.
 """
 
 import hashlib
@@ -24,13 +26,6 @@ from .profiles import PiecewiseProfile
 
 CACHE_DIR_ENV = "RADIALBORN_CACHE_DIR"
 FORMAT_VERSION = 2
-
-
-def default_cache_dir():
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "radialborn"
 
 
 def _exact(x):
@@ -56,14 +51,15 @@ def spectrum_key(profile, kmax, prec):
 
 
 def _entry_path(cache_dir, key):
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_DIR_ENV) or Path.home() / ".cache" / "radialborn"
     return Path(cache_dir) / f"{key}.json"
 
 
 def store_spectrum(spec, profile, cache_dir=None):
     """Write a spectrum to the cache; returns the entry path."""
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    key = spectrum_key(profile, spec.kmax, spec.prec)
+    path = _entry_path(cache_dir, spectrum_key(profile, spec.kmax, spec.prec))
+    path.parent.mkdir(parents=True, exist_ok=True)
     entry = {
         "version": FORMAT_VERSION,
         "kind": spec.kind.value,
@@ -71,8 +67,7 @@ def store_spectrum(spec, profile, cache_dir=None):
         "prec": spec.prec,
         "lambdas": [to_decimal(v, spec.prec) for v in spec.lambdas],
     }
-    path = _entry_path(cache_dir, key)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(entry, fh)
@@ -88,7 +83,7 @@ def load_spectrum(profile, kmax, prec, cache_dir=None):
     """Cached spectrum for this exact problem, or None on a miss, a corrupt entry, one
     holding a non-finite number, or one whose version, kind, kmax, prec or lambda
     count does not fit the request."""
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    prec = check_precision(prec)
     path = _entry_path(cache_dir, spectrum_key(profile, kmax, prec))
     try:
         with open(path) as fh:

@@ -184,9 +184,9 @@ def cmd_invert_fourier(args):
         bits = xi_node_bits(len(rows) - 1)
         F = FourierSamples(tuple(read_decimal(a, bits) for a, _ in rows),
                            tuple(float(read_decimal(b, 53)) for _, b in rows))
+        s = inverse_radial_ft(F)
     except (OSError, ValueError, StopIteration) as e:
         raise ValueError(f"{args.input}: {e}")
-    s = inverse_radial_ft(F)
     return write_files(args.out, {"inverse.csv": (("r", "value"), value_rows(s.r_grid, s.values))})
 
 

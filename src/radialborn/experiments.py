@@ -19,7 +19,7 @@ from mpmath import mp, mpf
 from .cache import cached_spectrum_of
 from .forward import DtnSpectrum
 from .fourier import forward_radial_ft, xi_node_bits
-from .highprec import GUARD_BITS, read_decimal, to_decimal
+from .highprec import GUARD_BITS, check_precision, read_decimal, to_decimal
 from .profiles import (
     AnalyticProfile,
     PiecewiseProfile,
@@ -79,6 +79,7 @@ def read_spectrum_csv(path, kind, radius, prec):
     bad header, a number ``read_decimal`` rejects, k not running 0, 1, 2, ..., a
     shift off lambda - k/R by more than 2^(2-prec) max(|lambda|, |shift|), or no rows.
     """
+    prec = check_precision(prec)
     lambdas = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -106,7 +107,7 @@ def read_spectrum_csv(path, kind, radius, prec):
             lambdas.append(lam)
     if not lambdas:
         raise ValueError(f"{path}: no spectrum rows; need at least k = 0")
-    return DtnSpectrum(ProfileKind(kind), mpf(radius), lambdas, prec)
+    return DtnSpectrum(ProfileKind(kind), R, lambdas, prec)
 
 
 def value_rows(xs, ys):

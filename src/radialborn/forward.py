@@ -156,7 +156,7 @@ def _spectrum(p, kmax, prec):
         raise TypeError("the forward engine needs a PiecewiseProfile; use project_midpoint")
     if not isinstance(kmax, numbers.Integral) or kmax < 0:
         raise ValueError(f"need an integer term count kmax >= 0, got {kmax!r}")
-    prec = check_precision(prec)
+    kmax, prec = int(kmax), check_precision(prec)
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
     ks = range(kmax + 1)

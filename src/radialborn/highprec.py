@@ -25,6 +25,7 @@ differentiation is used anywhere.
 """
 
 import math
+import numbers
 
 import mpmath
 from mpmath import mp, mpf
@@ -35,7 +36,7 @@ MIN_PRECISION = 64
 
 
 def check_precision(prec):
-    if int(prec) != prec or prec < MIN_PRECISION:
+    if not isinstance(prec, numbers.Integral) or prec < MIN_PRECISION:
         raise ValueError(f"precision must be an integer >= {MIN_PRECISION} bits, got {prec!r}")
     return int(prec)
 

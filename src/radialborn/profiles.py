@@ -27,6 +27,7 @@ Blank lines and lines starting with '#' are ignored.
 """
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -170,8 +171,8 @@ _ANALYTIC_BUILTINS = {
 
 def project_midpoint(profile, m):
     """Midpoint projection of a formula onto m equal pieces; a staircase is returned as it is."""
-    if m < 1:
-        raise ValueError("piece count must be >= 1")
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"piece count must be an integer >= 1, got {m!r}")
     if isinstance(profile, PiecewiseProfile):
         return profile
     R = float(profile.radius)

@@ -60,16 +60,18 @@ class SolverParams:
     samples: int = 20
 
     def __post_init__(self):
+        # each field keeps the plain int its check passed, so asdict() always serializes
         for name, least in (("terms", 0), ("pieces", 1), ("grid_n", 2), ("iterations", 0),
-                            ("samples", 1)):
+                            ("seed", 0), ("samples", 1)):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+            object.__setattr__(self, name, int(value))
         if not 0 < self.length_factor < math.inf:
             raise ValueError(f"length_factor must be positive and finite, got {self.length_factor}")
-        check_precision(self.prec)
+        object.__setattr__(self, "prec", check_precision(self.prec))
 
 
 # The only place the scales are written.  Commands and experiments start from
@@ -113,8 +115,6 @@ def born_fourier(spec, params, mode="unit", R=None):
 
 def born_inverse(F, kind):
     """Radial samples of a Born transform of ``kind``, background added."""
-    if kind is ProfileKind.POTENTIAL:
-        return inverse_radial_ft(F)
     out = inverse_radial_ft(F)
     return RadialSamples(out.r_grid, out.values + kind.background)
 

@@ -31,4 +31,9 @@ python -m radialborn.cli born --spectrum "$run/q/spectrum.csv" --kind potential 
 # the desk grid lies inside the band of the series: no truncation garbage in the ball
 printf 'kind potential\nradius 1\nbreakpoints 0 0.25 0.5 0.75 1\nvalues 2 1.5 1 0.5\n' > "$run/qfull.txt"
 python -m radialborn.cli born --profile "$run/qfull.txt" --precision 256 --out "$run/qfull"
-python -c "import csv, sys; rows = [r for r in csv.DictReader(open(sys.argv[1])) if r['in_ball'] == '1']; assert rows and all(abs(float(r['value'])) < 10 for r in rows), max(abs(float(r['value'])) for r in rows)" "$run/qfull/reconstruction.csv"
+python - "$run/qfull/reconstruction.csv" <<'EOF'
+import csv, sys
+with open(sys.argv[1], newline="") as fh:
+    rows = [r for r in csv.DictReader(fh) if r["in_ball"] == "1"]
+assert rows and all(abs(float(r["value"])) < 10 for r in rows), max(abs(float(r["value"])) for r in rows)
+EOF

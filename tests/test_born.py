@@ -8,7 +8,6 @@ formula ``gamma_coefficients`` at d = 3, not from the code under test.
 
 import math
 import random
-import warnings
 
 import mpmath
 import pytest
@@ -279,13 +278,12 @@ def test_potential_conductivity_index_shift_identity():
         mu = [mpf(lam) - k for k, lam in enumerate(spec.lambdas)]
         xi = mpf(3)
         lhs = -2 * eval_series_L(mu, xi, prec=256) / xi**2
-        # reuse the conductivity evaluator on a synthetic spectrum with the
-        # same shifts (lambda_0 = 0 so no warning)
+        # reuse the conductivity evaluator on a synthetic spectrum with the same
+        # shifts for k >= 1; its series never reads lambda_0, which must be 0
         from radialborn.forward import DtnSpectrum
-        synth = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(1), tuple(mpf(k) + m for k, m in enumerate(mu)), 256)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # synthetic lambda_0 is nonzero
-            rhs = born_conductivity_fourier(synth, [float(xi)], mode="unit", prec=256)
+        synth = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(1),
+                            (mpf(0),) + tuple(mpf(k) + m for k, m in enumerate(mu) if k), 256)
+        rhs = born_conductivity_fourier(synth, [float(xi)], mode="unit", prec=256)
         # identity holds modulo the k = 0 term of the potential series
         c0_term = eval_series_L([mu[0]] + [mpf(0)] * 60, xi, prec=256)
         assert abs((lhs + 2 * c0_term / xi**2) - mpf(rhs.values[0])) < mpf(10) ** -50
@@ -303,7 +301,7 @@ def test_lambda0_warning_for_nonzero_boundary():
     from radialborn.forward import DtnSpectrum
     bad = DtnSpectrum(ProfileKind.CONDUCTIVITY, mpf(1),
                       (mpf("0.2"), mpf("1.1")), 128)
-    with pytest.warns(UserWarning, match="lambda_0"):
+    with pytest.raises(ValueError, match="lambda_0"):
         born_conductivity_fourier(bad, [0.0], mode="unit", prec=128)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -135,6 +136,8 @@ def test_a_hit_returns_what_a_solve_returns(tmp_path):
     hit = cached_spectrum_of(profile, 10, 256, cache_dir=tmp_path)
     assert hit == miss
     assert type(hit.radius) is type(miss.radius) is float
+    # a hit is labelled with the checked precision, as a solve is
+    assert type(cached_spectrum_of(profile, 10, np.int64(256), cache_dir=tmp_path).prec) is int
 
 
 def test_cached_spectrum_of_hits_without_recompute(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from radialborn import experiments
 from radialborn.experiments import (
@@ -13,7 +15,7 @@ from radialborn.experiments import (
     run_experiment,
     write_spectrum_csv,
 )
-from radialborn.forward import spectrum_of
+from radialborn.forward import spectrum_of, transfer_radius
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 from radialborn.reconstruct import SCALES
 
@@ -151,6 +153,19 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path):
         path = write_spectrum_csv(tmp_path / "s.csv", spec)
         back = read_spectrum_csv(path, spec.kind.value, spec.radius, spec.prec)
         assert [x._mpf_ for x in back.lambdas] == [x._mpf_ for x in spec.lambdas]
+
+
+def test_spectrum_csv_keeps_the_radius_it_checked(tmp_path):
+    # the label used to be mpf(radius) at 53 bits: a 288-bit radius read back unequal
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.4, 1.0), (-6.0, 2.0))
+    with mp.workprec(300):
+        R = mpf(7) / 3
+    spec = transfer_radius(spectrum_of(q, 20, 256), R)
+    path = write_spectrum_csv(tmp_path / "s.csv", spec)
+    for radius in (spec.radius, R):
+        back = read_spectrum_csv(path, spec.kind.value, radius, np.int64(spec.prec))
+        assert back.radius == spec.radius and back.lambdas == spec.lambdas
+        assert type(back.prec) is int
 
 
 def test_spectrum_csv_without_rows_is_rejected(tmp_path):

@@ -1,6 +1,7 @@
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -53,6 +54,8 @@ def test_non_integer_term_count_is_a_value_error():
     for kmax in (10.5, 10.0, "10"):
         with pytest.raises(ValueError, match=f"integer term count kmax >= 0, got {kmax!r}"):
             spectrum_of(p, kmax, 128)
+    # a numpy integer passed the check, then raised AttributeError on bit_length
+    assert spectrum_of(p, np.int64(10), np.int64(128)) == spectrum_of(p, 10, 128)
 
 
 def test_unit_conductivity_eigenvalues():

@@ -1,4 +1,7 @@
+import math
+
 import mpmath
+import numpy as np
 import pytest
 from mpmath import mp, mpf
 
@@ -79,9 +82,13 @@ def ladder_derivative(vals, k, x, sgn):
 def test_check_precision_rejects_small_and_fractional():
     with pytest.raises(ValueError):
         check_precision(32)
-    with pytest.raises(ValueError):
-        check_precision(128.5)
+    # a float equal to an integer, inf, None and a string used to pass or raise
+    # OverflowError or TypeError
+    for prec in (128.5, 128.0, math.inf, None, "128"):
+        with pytest.raises(ValueError, match="precision must be an integer"):
+            check_precision(prec)
     assert check_precision(256) == 256
+    assert type(check_precision(np.int64(256))) is int
 
 
 def test_gamma_half_integer_matches_mpmath():

@@ -69,8 +69,12 @@ def test_piecewise_lookup_matches_the_loop_over_pieces():
 def test_projection_passes_a_staircase_through():
     g = step_gamma()
     assert project_midpoint(g, 7) is g
-    with pytest.raises(ValueError, match="piece count"):
-        project_midpoint(g, 0)
+    bump = AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "bump", {})
+    for m in (0, 3.5, 7.0):
+        # 3.5 used to raise an untyped TypeError from range, and 7.0 passed a staircase
+        for p in (g, bump):
+            with pytest.raises(ValueError, match=f"piece count must be an integer >= 1, got {m!r}"):
+                project_midpoint(p, m)
 
 
 def test_piecewise_evaluation_right_closed():

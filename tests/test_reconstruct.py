@@ -1,5 +1,6 @@
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import mpmath
 import numpy as np
@@ -165,6 +166,9 @@ def test_iterates_use_four_pieces_per_sample_spacing(monkeypatch, grid_n, length
     ("pieces", 0, "pieces must be at least 1, got 0"),
     ("prec", 32, "precision must be an integer >= 64 bits, got 32"),
     ("prec", 64.5, "precision must be an integer >= 64 bits, got 64.5"),
+    ("prec", 512.0, "precision must be an integer >= 64 bits, got 512.0"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", -1, "seed must be at least 0, got -1"),
 ))
 def test_settings_outside_their_range_are_rejected_naming_the_field(field, value, message):
     # each used to be taken: length_factor 0 raised ZeroDivisionError in the grid,
@@ -175,6 +179,15 @@ def test_settings_outside_their_range_are_rejected_naming_the_field(field, value
     with pytest.raises(ValueError, match=f"^{message}$"):
         SolverParams(**{field: value})
     assert replace(SolverParams(), grid_n=np.int64(16)).grid_n == 16
+
+
+def test_settings_keep_the_plain_ints_they_checked():
+    # an np.int64 field used to be stored as it came, and json.dump of the
+    # experiment manifest raised after every CSV was written
+    fields = dict(terms=40, prec=256, pieces=300, grid_n=16, iterations=2, seed=7, samples=3)
+    made = SolverParams(**{k: np.int64(v) for k, v in fields.items()})
+    assert json.dumps(asdict(made)) == json.dumps(asdict(SolverParams(**fields)))
+    assert all(type(getattr(made, k)) is int for k in fields)
 
 
 @pytest.mark.parametrize("l2s, n_iterates", (
