@@ -252,6 +252,19 @@ def test_huge_outer_values_solve_quickly_and_right(c):
                 assert abs(ours[k] - exact) <= exact * mpf(2) ** (2 - 128), k
 
 
+@pytest.mark.parametrize("c", (1e-80, -1e-80))
+def test_tiny_outer_value_keeps_every_bit(c):
+    # x = 1e-40 r on the outer piece: the singular solution's coefficient is tiny
+    # and multiplies kk_k or y_k of order x^-(k+1), so its term in u and r u' is
+    # not small; a transfer that rounds it relative to the regular one loses it
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.5, 1.0), (5.0, c))
+    ours = potential_spectrum(q, 20, 256).lambdas
+    ref = potential_spectrum(q, 20, 320).lambdas
+    with mp.workprec(400):
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert abs(a - b) <= abs(b) * mpf(2) ** -254, k
+
+
 @pytest.mark.parametrize("R", RADII)
 def test_random_potentials_match_the_ode_oracle(R):
     rng = random.Random(int(R * 10))
