@@ -24,24 +24,30 @@ correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
 solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x, and
-r u' = x f_k' = k f_k +- x f_{k+1}.  Every ladder value comes as the exact
-int pair (N, E) its integer recurrence formed, so a column (f_k, x f_k') is
-a pair of exact ints sharing one exponent; the exponents drop out of
-Phi_b adj(Phi_a) up to one left shift that aligns the two columns, which
-leaves eight exact integer products per degree.  When one column's term lies more than 2F bits below the
-other's it is dropped, and the shift with it.  The ladders of a piece serve
-all k at once.
+r u' = x f_k' = k f_k +- x f_{k+1}.  So Phi_r = D(x) G_r with
+D(x) = [[1, 0], [k, x]] and G_r = [[f1_k, f2_k], [+-f1_{k+1}, -f2_{k+1}]], and
+the piece works in these ladder coordinates.  Every ladder value comes as the
+exact int pair (N, E) its integer recurrence formed, and G_r is read from the
+pairs as they are: no product is formed per ladder value.  The state enters as
+(P, Q) = (x_a U, V - k U), and A, B = adj(G_a) (P, Q) are exact.  Each is then
+cut so that u and r u' at b each move by less than 2^-(F + 16) of their larger
+term, below what the ladders carry, before the four products of G_b (A, B);
+a term wholly below its cut is dropped.  The state leaves as
+(u, r u') = (P', k P' + x_b Q') with (P', Q') = G_b (A, B), or as (P', Q')
+itself when the next piece is a Bessel piece too, which enters it as
+(P', Q' x_b / x_a) with the ratio and the product cut to F + 16 bits.  The
+ladders of a piece serve all k at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
-rounding inside the loop; unlike max(|U|, |V|), this keeps F bits of U however
-large a conductivity contrast makes V / U.  lambda is homogeneous of degree
-one in gamma, so a conductivity is solved for gamma / 2^se, whose outermost
-value lies in [1, 2), and V keeps its F bits however far gamma lies below 1.
-lambda_k = 2^se V / (U R) is rounded to prec once, at the end.  A spectrum
-costs O(m K) integer products, in the transfer and in the integer ladders of
-its Bessel pieces.  Only a potential can put a Dirichlet eigenvalue at 0,
-where u(R) vanishes; its spectrum raises DirichletCollisionError when
-|R u| < 2^(-prec/2) |u + R u'|.
+rounding inside the loop besides the Bessel cuts; unlike max(|U|, |V|), this
+keeps F bits of U however large a conductivity contrast makes V / U.  lambda
+is homogeneous of degree one in gamma, so a conductivity is solved for
+gamma / 2^se, whose outermost value lies in [1, 2), and V keeps its F bits
+however far gamma lies below 1.  lambda_k = 2^se V / (U R) is rounded to prec
+once, at the end.  A spectrum costs O(m K) integer products, in the transfer
+and in the integer ladders of its Bessel pieces.  Only a potential can put a
+Dirichlet eigenvalue at 0, where u(R) vanishes; its spectrum raises
+DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
 """
 
 import numbers
@@ -118,25 +124,6 @@ class DtnSpectrum:
         return len(self.lambdas) - 1
 
 
-def _bessel_columns(ladder, x, sgn, kmax):
-    """Exact ints (f, v, e) with (f_k(x), x f_k'(x)) = (f, v) 2^e, k = 0..kmax.
-
-    x f_k' = k f_k + sgn x f_{k+1}, so (f_k, x f_k') at x = s r is (u, r u')
-    for u = f_k(s r).
-    """
-    _, xm, xe, _ = x._mpf_
-    vals = ladder(kmax, x)
-    cols = []
-    for k in range(kmax + 1):
-        fm, fe = vals[k]
-        hm, he = vals[k + 1]
-        he += xe
-        e = min(fe, he)
-        f = fm << fe - e
-        cols.append((f, k * f + (sgn * xm * hm << he - e), e))
-    return cols
-
-
 def _to_bits(U, V, bits):
     # one shift brings U to `bits` bits (V when U = 0)
     s = (U or V).bit_length() - bits
@@ -169,6 +156,7 @@ def _spectrum(p, kmax, prec):
     # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
     gm, ge = flat[-1]
     se = ge + gm.bit_length() - 1
+    xin = None  # the x_b of a Bessel piece that left its state in ladder coordinates
     with mp.workprec(prec + GUARD_BITS):
         for j, value in enumerate(p.values):
             if potential and value != 0:
@@ -177,40 +165,110 @@ def _spectrum(p, kmax, prec):
                                   else (sph_j_ladder, sph_y_ladder, -1))
                 s = mpmath.sqrt(abs(c))
                 xa, xb = s * a, s * b
-                reg_b = _bessel_columns(reg, xb, sgn, kmax)
+                _, xbm, xbe, _ = xb._mpf_
+                rb = reg(kmax, xb)
+                # a Bessel piece next: leave the state as (u, (r u' - k u) / x_b)
+                chain = j + 1 < len(p.values) and p.values[j + 1] != 0
                 if j == 0:
-                    # innermost piece: the regular solution
-                    state = [_to_bits(f, v, F) for f, v, _ in reg_b]
+                    # innermost piece: the regular solution, u = f_k with
+                    # (r u' - k u) / x_b = sgn f_{k+1}
+                    xm, xe = (1, 0) if chain else (xbm, xbe)
+                    state = []
+                    for k, ((fm, fe), (hm, he)) in enumerate(zip(rb, rb[1:])):
+                        d = he + xe - fe
+                        U, W = (fm, sgn * xm * hm << d) if d >= 0 else (fm << -d, sgn * xm * hm)
+                        state.append(_to_bits(U, W if chain else k * U + W, F))
+                    xin = xb if chain else None
                     continue
-                cols = zip(_bessel_columns(reg, xa, sgn, kmax), _bessel_columns(sing, xa, -1, kmax),
-                           reg_b, _bessel_columns(sing, xb, -1, kmax))
-                for k, ends in enumerate(cols):
-                    (f1a, v1a, e1a), (f2a, v2a, e2a), (f1b, v1b, e1b), (f2b, v2b, e2b) = ends
-                    # adj(Phi_a) v_a: A carries 2^e2a and B 2^e1a, so one left
-                    # shift puts f1b A and f2b B on one exponent
+                _, xam, xae, _ = xa._mpf_
+                if xin is None:
+                    # (P, Q) = (x_a U, V - k U) on (2^xae, 1)
+                    rho, pe = None, xae
+                else:
+                    # from (u, (r u' - k u) / x) at x = xin: (P, Q) = (U, rho Qb)
+                    # on (1, 2^qe), rho = xin / x_a cut to F + 16 bits
+                    _, xim, xie, _ = xin._mpf_
+                    qe = xim.bit_length() + xie - xam.bit_length() - xae - F - 16
+                    rho, pe = _fixed_ratio((xim, xie), (xam, xae), -qe), 0
+                ra, sa, sb = reg(kmax, xa), sing(kmax, xa), sing(kmax, xb)
+                ladders = zip(ra, ra[1:], sa, sa[1:], rb, rb[1:], sb, sb[1:])
+                for k, ((f1, e1), (h1, g1), (f2, e2), (h2, g2),
+                        (F1, E1), (H1, G1), (F2, E2), (H2, G2)) in enumerate(ladders):
                     U, V = state[k]
-                    A, B = v2a * U - f2a * V, f1a * V - v1a * U
-                    d = e1b + e2a - e2b - e1a
-                    # (U, V) = A 2^d (f1b, v1b) + B (f2b, v2b), up to the scale
-                    # _to_bits removes.  ha, hb bound the bit lengths of the two
-                    # terms, and the larger one alone has max(|U|, |V|) >= 2^(h - 2),
-                    # so a term below 2^(h - 2F - 8) moves (U, V) by less than
-                    # 2^-(2F + 6) max(|U|, |V|).  That is below the 2^-F |U| which
-                    # _to_bits cuts, unless |U| < 2^-F |V|; there the columns,
-                    # exact to prec + GUARD_BITS bits only, leave U wrong by more.
-                    # Dropping it skips a shift by |d|: 1.4e8 bits for c = 1e16
-                    # on (0.5, 1], where i_k and kk_k grow apart by e^(2 s (b - a)).
-                    ha = A.bit_length() + max(f1b.bit_length(), v1b.bit_length()) + d
-                    hb = B.bit_length() + max(f2b.bit_length(), v2b.bit_length())
-                    if hb < ha - 2 * F - 8:
-                        B = d = 0
-                    elif ha < hb - 2 * F - 8:
-                        A = d = 0
-                    if d > 0:
-                        A <<= d
+                    if rho:
+                        # Q = rho Qb cut to F + 16 bits, on 2^qt
+                        Q = rho * V
+                        t = Q.bit_length() - F - 16
+                        if t < 0:
+                            t = 0
+                        P, Q, qt = U, Q >> t, qe + t
                     else:
-                        B <<= -d
-                    state[k] = _to_bits(f1b * A + f2b * B, v1b * A + v2b * B, F)
+                        P, Q, qt = xam * U, V - k * U, 0
+                    # adj(G_a) (P, Q) exactly: A = -(f2_{k+1} P + f2_k Q) on 2^eA and
+                    # B = f1_k Q - sgn f1_{k+1} P on 2^eB
+                    d = g2 + pe - e2 - qt
+                    if d >= 0:
+                        A, eA = -(h2 * P << d) - f2 * Q, e2 + qt
+                    else:
+                        A, eA = -h2 * P - (f2 * Q << -d), g2 + pe
+                    d = g1 + pe - e1 - qt
+                    if d >= 0:
+                        B, eB = f1 * Q - (sgn * h1 * P << d), e1 + qt
+                    else:
+                        B, eB = (f1 * Q << -d) - sgn * h1 * P, g1 + pe
+                    # u = F1 A + F2 B and Qb = sgn H1 A - H2 B = (r u' - k u) / x_b at
+                    # b.  Before these four products A and B are cut, so that u and
+                    # Qb each move by less than 2^-(F + 17) of their larger term and
+                    # r u' = k u + x_b Qb by less than 2^-(F + 16) of its: with ta, tb
+                    # the top bits of A and B, and ru, rq those of F2 / F1 and
+                    # H2 / H1, A keeps its bits above max(ta, tb + min(ru, rq)) - F - 20
+                    # and B its bits above max(tb, ta - max(ru, rq)) - F - 20.  Each
+                    # output is judged on its own terms: a tiny B times a huge kk_k
+                    # or y_k can be the larger term of u, and a cut relative to the
+                    # larger of A and B loses it.  The ladder values carry about
+                    # F + 16 bits, so the cut costs none they hold.  A term wholly
+                    # below its cut is dropped, and with it a shift by up to 1.4e8
+                    # bits (c = 1e16 on (0.5, 1], where i_k and kk_k grow apart by
+                    # e^(2 s (b - a))).
+                    ta, tb = A.bit_length() + eA, B.bit_length() + eB
+                    ru = F2.bit_length() + E2 - F1.bit_length() - E1
+                    rq = H2.bit_length() + G2 - H1.bit_length() - G1
+                    if ru > rq:  # min and max without the calls
+                        ru, rq = rq, ru
+                    ca = (ta if ta > tb + ru else tb + ru) - F - 20 - eA
+                    cb = (tb if tb > ta - rq else ta - rq) - F - 20 - eB
+                    if ca >= A.bit_length():
+                        A = 0
+                    elif ca > 0:
+                        A, eA = A >> ca, eA + ca
+                    if cb >= B.bit_length():
+                        B = 0
+                    elif cb > 0:
+                        B, eB = B >> cb, eB + cb
+                    # u on 2^x and Qb on 2^y
+                    if not B:
+                        U, Qb, x, y = F1 * A, sgn * H1 * A, E1 + eA, G1 + eA
+                    elif not A:
+                        U, Qb, x, y = F2 * B, -H2 * B, E2 + eB, G2 + eB
+                    else:
+                        x1, x2, y1, y2 = E1 + eA, E2 + eB, G1 + eA, G2 + eB
+                        x, y = (x1 if x1 < x2 else x2), (y1 if y1 < y2 else y2)
+                        U = (F1 * A << x1 - x) + (F2 * B << x2 - x)
+                        Qb = (sgn * H1 * A << y1 - y) - (H2 * B << y2 - y)
+                    if not chain:
+                        # r u' = k u + x_b Qb, x_b = xbm 2^xbe
+                        y += xbe
+                        Qb *= xbm
+                    d = x - y
+                    if d >= 0:
+                        U <<= d
+                    else:
+                        Qb <<= -d
+                    V = Qb if chain else k * U + Qb
+                    # _to_bits inlined, as in the flat loop
+                    d = (U or V).bit_length() - F
+                    state[k] = (U >> d, V >> d) if d >= 0 else (U << -d, V << -d)
+                xin = xb if chain else None
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
             gm, ge = flat[j]
