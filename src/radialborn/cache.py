@@ -5,10 +5,12 @@ a sha256 key of the exact binary value of every profile input (kind, radius,
 breakpoints and values), the term count and the precision.  Only a
 piecewise-constant profile has a key: an analytic one names no projection.
 Values are stored in the decimal form of ``highprec.to_decimal``, which
-round-trips the binary precision; writes go through a temporary file and an
-atomic rename so a killed process never leaves a torn entry.  Entries live in
-the ``cache_dir`` a call passes, else in ``$RADIALBORN_CACHE_DIR``, else in
-``~/.cache/radialborn``.
+round-trips the binary precision, and are read with ``highprec.read_decimal``,
+which takes text only: an entry whose lambdas are anything else, such as JSON
+numbers that would read at 53 bits, is a miss.  Writes go through a temporary
+file and an atomic rename so a killed process never leaves a torn entry.
+Entries live in the ``cache_dir`` a call passes, else in
+``$RADIALBORN_CACHE_DIR``, else in ``~/.cache/radialborn``.
 """
 
 import hashlib
@@ -81,8 +83,8 @@ def store_spectrum(spec, profile, cache_dir=None):
 
 def load_spectrum(profile, kmax, prec, cache_dir=None):
     """Cached spectrum for this exact problem, or None on a miss, a corrupt entry, one
-    holding a non-finite number, or one whose version, kind, kmax, prec or lambda
-    count does not fit the request."""
+    holding a non-finite number or a lambda that is not text, or one whose version,
+    kind, kmax, prec or lambda count does not fit the request."""
     prec = check_precision(prec)
     path = _entry_path(cache_dir, spectrum_key(profile, kmax, prec))
     try:

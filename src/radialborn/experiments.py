@@ -115,10 +115,18 @@ def value_rows(xs, ys):
     return [(repr(float(x)), repr(float(y))) for x, y in zip(xs, ys)]
 
 
-def fourier_rows(F, prec):
+def _node_column(xi_grid):
     # the nodes of default_xi_grid(n, L) are exact at xi_node_bits(n) bits
-    node_bits = xi_node_bits(len(F.xi_grid) - 1)
-    return [(to_decimal(x, node_bits), to_decimal(v, prec)) for x, v in zip(F.xi_grid, F.values)]
+    bits = xi_node_bits(len(xi_grid) - 1)
+    return [to_decimal(x, bits) for x in xi_grid]
+
+
+def _rows(column, F, prec):
+    return list(zip(column, [to_decimal(v, prec) for v in F.values]))
+
+
+def fourier_rows(F, prec):
+    return _rows(_node_column(F.xi_grid), F, prec)
 
 
 # the experiment catalogue ----------------------------------------------------
@@ -183,25 +191,38 @@ def experiment_profiles(exp_id):
     return copy.deepcopy(_experiment(exp_id).profiles)
 
 
+def _grid_entry(grids, grid):
+    """(column, names) of ``grid`` in one run's list ``grids`` of (grid, column, names):
+    the grid's ``_node_column``, formatted once per run for all of its Fourier files, and
+    the profiles whose truth pair is on it.  A run has few grids, so the list is searched
+    by equality rather than keyed by a hash of every node."""
+    for g, column, names in grids:
+        if g == grid:
+            return column, names
+    grids.append((grid, _node_column(grid), set()))
+    return grids[-1][1:]
+
+
 def _born_bundle(name, profile, pw, spec, cfg, mode, R, grids):
     """Born reconstruction and Born Fourier CSVs, with truth and Fourier-of-truth.
 
-    Only the first bundle on an xi grid writes the truth pair: ``grids`` holds
-    the grids written so far, so bundles on one grid (unit and scattering on
-    the unit ball) share one truth transform and one pair of truth files.
+    Only the first bundle of a profile on an xi grid writes the truth pair, so
+    bundles on one grid (unit and scattering on the unit ball) share one truth
+    transform and one pair of truth files; ``grids`` is the run's, see ``_grid_entry``.
     """
     # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
+    column, names = _grid_entry(grids, Fb.xi_grid)
     tag = name if mode == "unit" else f"{name}_{mode}"
     files = {f"{tag}_born.csv": (("r", "value"), value_rows(recon.r_grid, recon.values)),
-             f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec))}
-    if Fb.xi_grid not in grids:
-        grids.add(Fb.xi_grid)
+             f"{tag}_fourier_born.csv": (("xi", "value"), _rows(column, Fb, cfg.prec))}
+    if name not in names:
+        names.add(name)
         Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
         truth = profile_on_grid(profile, recon.r_grid)
         files[f"{tag}_truth.csv"] = (("r", "value"), value_rows(recon.r_grid, truth))
-        files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), fourier_rows(Ft, cfg.prec))
+        files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), _rows(column, Ft, cfg.prec))
     return files
 
 
@@ -222,11 +243,10 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
     """Run one experiment; returns the list of files written."""
     cfg = experiment_config(exp_id, paper_scale, **overrides)
     row = _experiment(exp_id)
-    files = {}
+    files, grids = {}, []
     for name, p in row.profiles.items():
         pw = project_midpoint(p, cfg.pieces)
         spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
-        grids = set()
         for mode, R in row.born:
             files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, grids))
         if row.iterate:

@@ -25,7 +25,8 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_cos_sin, mpf_mul, mpf_sub, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, mpf_cos_sin, mpf_div, mpf_mul, mpf_pos, mpf_pow_int,
+                          mpf_sub, round_nearest, to_fixed)
 
 from .born import FourierSamples
 from .highprec import GUARD_BITS, check_precision, one_exponent, to_prec
@@ -163,7 +164,7 @@ def forward_radial_ft(f, xi_grid, prec):
             A.append(a)
             P.append(a + b)
             Q.append(b - a)
-        pi4 = 4 * mpmath.pi
+        pi4, rn = 4 * mpmath.pi, round_nearest
         vals = []
         for j in range(len(xi_grid)):
             if j:
@@ -177,10 +178,11 @@ def forward_radial_ft(f, xi_grid, prec):
                 vals.append(to_prec(pi4 * vol / 3, prec))
                 continue
             t = mpf_sub(from_man_exp(sum(Y), E - F),
-                        from_man_exp(Nj * sum(map(mul, Rint, X)), e + er + E - F),
-                        work, round_nearest)
-            xi = mp.make_mpf(from_man_exp(Nj, e))
-            vals.append(to_prec(pi4 * mp.make_mpf(t) / xi**3, prec))
+                        from_man_exp(Nj * sum(map(mul, Rint, X)), e + er + E - F), work, rn)
+            # pi4 t / xi^3 at work bits, then rounded to prec, as mpf arithmetic does it
+            v = mpf_mul(pi4._mpf_, t, work, rn)
+            v = mpf_div(v, mpf_pow_int(from_man_exp(Nj, e), 3, work, rn), work, rn)
+            vals.append(mp.make_mpf(mpf_pos(v, prec, rn)))
     return FourierSamples(tuple(xi_grid), tuple(vals))
 
 

@@ -29,6 +29,7 @@ import numbers
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import from_str, round_nearest, to_str
 
 GUARD_BITS = 32
 
@@ -55,19 +56,22 @@ def decimal_digits(prec):
 def to_decimal(x, bits):
     """``x`` in ``decimal_digits(bits)`` digits, which ``read_decimal`` at ``bits`` reads
     back exactly when x has at most ``bits`` bits; a number that is not an mpf is
-    taken at ``bits + GUARD_BITS`` bits."""
+    taken at ``bits + GUARD_BITS`` bits.  The text is ``mpmath.nstr``'s, from the
+    libmp call that nstr makes."""
     x = x if isinstance(x, mpf) else to_prec(x, bits + GUARD_BITS)
-    return mpmath.nstr(x, decimal_digits(bits), strip_zeros=False)
+    return to_str(x._mpf_, decimal_digits(bits), strip_zeros=False)
 
 
 def read_decimal(text, bits):
-    """The decimal ``text`` rounded once to ``bits`` bits.  Raises ``ValueError`` on
+    """The decimal ``text`` rounded once to ``bits`` bits, the value ``mpf(text)`` has at
+    ``bits`` bits.  Raises ``TypeError`` on anything but a ``str`` and ``ValueError`` on
     text that is not a number and on NaN or an infinity."""
-    with mp.workprec(bits):
-        x = mpf(text)
-    if not mpmath.isfinite(x):
+    if not isinstance(text, str):
+        raise TypeError(f"a decimal must be given as text, got {type(text).__name__} {text!r}")
+    t = from_str(text, bits, round_nearest)
+    if not t[1] and t[2]:
         raise ValueError(f"value must be finite, got {text!r}")
-    return x
+    return mp.make_mpf(t)
 
 
 def finite_dyadic(x, what):

@@ -128,6 +128,19 @@ def test_entry_that_does_not_fit_the_request_is_a_miss(tmp_path):
     assert json.loads(path.read_text()) == good
 
 
+def test_an_entry_whose_lambdas_are_json_numbers_is_a_miss(tmp_path):
+    # a float read at 53 bits would pass every field check and load as a 128-bit hit
+    path = store_spectrum(spectrum_of(gamma(), 10, 128), gamma(), cache_dir=tmp_path)
+    good = json.loads(path.read_text())
+    for lambdas in ([float(s) for s in good["lambdas"]], [int(float(s)) for s in good["lambdas"]],
+                    good["lambdas"][:10] + [float(good["lambdas"][10])]):
+        path.write_text(json.dumps({**good, "lambdas": lambdas}))
+        assert load_spectrum(gamma(), 10, 128, cache_dir=tmp_path) is None
+    spec = cached_spectrum_of(gamma(), 10, 128, cache_dir=tmp_path)
+    assert spec.prec == 128 and spec.lambdas == spectrum_of(gamma(), 10, 128).lambdas
+    assert json.loads(path.read_text()) == good
+
+
 def test_a_hit_returns_what_a_solve_returns(tmp_path):
     # 0.7 is no short decimal in binary: an entry's rendering of it reads back as
     # mpf('0.69999999999999996'), the key's exact radius as the profile's float

@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from radialborn import highprec
 from radialborn.highprec import (
     GUARD_BITS,
     check_precision,
+    decimal_digits,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
     read_decimal,
@@ -261,6 +263,45 @@ def test_a_node_halfway_between_two_floats_round_trips():
         text = to_decimal(x, bits)
         assert read_decimal(text, bits) == x
         assert read_decimal(text, 53) != x
+
+
+def _decimal_cases(bits):
+    """Seeded mpfs: zero, halfway nodes of a grid and random mantissas of 2 ``bits`` bits,
+    at small and at decimal exponents beyond +-400, and a few texts that no mpf wrote."""
+    from radialborn.fourier import default_xi_grid
+    rng = random.Random(bits)
+    with mp.workprec(2 * bits):
+        xs = [mpf(0)] + [x for x in default_xi_grid(64, 10.0) if x._mpf_[3] == 54][:4]
+        for scale in (0, 3, 60, 420, 1500):
+            for _ in range(6):
+                man = rng.getrandbits(2 * bits) | 1 << (2 * bits - 1)
+                e = rng.randint(-scale, scale) * 3 - 2 * bits
+                xs.append(rng.choice((1, -1)) * mpf(man) * mpf(2) ** e)
+    texts = ["0.1", "-0", "  2.5 ", "1e401", "-3.25e-450", "7/3", "1" * 400 + "e-3",
+             "0." + "0" * 410 + "123"]
+    return xs, texts
+
+
+@pytest.mark.parametrize("bits", [64, 256, 1024])
+def test_decimal_pair_is_what_mpmath_writes_and_reads(bits):
+    xs, texts = _decimal_cases(bits)
+    for x in xs:
+        text = to_decimal(x, bits)
+        assert text == mpmath.nstr(x, decimal_digits(bits), strip_zeros=False)
+        # the text of 2 bits bits is read at bits, where the rounding shows
+        texts += [text, to_decimal(x, 2 * bits)]
+    # a number that is not an mpf is written at bits + GUARD_BITS
+    assert to_decimal(0.1, bits) == mpmath.nstr(to_prec(0.1, bits + GUARD_BITS),
+                                                decimal_digits(bits), strip_zeros=False)
+    for text in texts:
+        with mp.workprec(bits):
+            assert read_decimal(text, bits)._mpf_ == mpf(text)._mpf_
+
+
+@pytest.mark.parametrize("value", [0.5, 3, None, b"0.5", mpf(1) / 3])
+def test_read_decimal_takes_text_only(value):
+    with pytest.raises(TypeError, match="as text"):
+        read_decimal(value, 128)
 
 
 @pytest.mark.parametrize("text, message", [("nan", "must be finite"), ("inf", "must be finite"),
