@@ -44,7 +44,9 @@ class FourierSamples:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "xi_grid", tuple(self.xi_grid))
+        # a tuple, a shared KeptGrid included, is kept as it is
+        if not isinstance(self.xi_grid, tuple):
+            object.__setattr__(self, "xi_grid", tuple(self.xi_grid))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.xi_grid) != len(self.values):
             raise ValueError("grid/value length mismatch")
@@ -170,7 +172,7 @@ def eval_series_L_grid(mu, xi_grid, prec):
     with mp.workprec(prec + GUARD_BITS):
         mu = [mpf(m)._mpf_ for m in mu]
     vals = _series_sum(_series_terms(mu, prec), xi_grid, prec)
-    return FourierSamples(tuple(xi_grid), tuple(vals))
+    return FourierSamples(xi_grid, tuple(vals))
 
 
 def target_radius(spec, mode, R):
@@ -209,7 +211,7 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
         # -t / 2 is exact: a sign flip and one off the exponent (zero, NaN and inf kept)
         terms = [(1 - sign, man, exp - 1, bc) if man else (sign, man, exp, bc)
                  for sign, man, exp, bc in terms[1:]]
-    return FourierSamples(tuple(xi_grid), tuple(_series_sum(terms, xi_grid, prec)))
+    return FourierSamples(xi_grid, tuple(_series_sum(terms, xi_grid, prec)))
 
 
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):

@@ -24,19 +24,29 @@ correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
 solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x, and
-r u' = x f_k' = k f_k +- x f_{k+1}.  So Phi_r = D(x) G_r with
-D(x) = [[1, 0], [k, x]] and G_r = [[f1_k, f2_k], [+-f1_{k+1}, -f2_{k+1}]], and
-the piece works in these ladder coordinates.  Every ladder value comes as the
-exact int pair (N, E) its integer recurrence formed, and G_r is read from the
-pairs as they are: no product is formed per ladder value.  The state enters as
-(P, Q) = (x_a U, V - k U), and A, B = adj(G_a) (P, Q) are exact.  Each is then
-cut so that u and r u' at b each move by less than 2^-(F + 16) of their larger
-term, below what the ladders carry, before the four products of G_b (A, B);
-a term wholly below its cut is dropped.  The state leaves as
-(u, r u') = (P', k P' + x_b Q') with (P', Q') = G_b (A, B), or as (P', Q')
-itself when the next piece is a Bessel piece too, which enters it as
-(P', Q' x_b / x_a) with the ratio and the product cut to F + 16 bits.  The
-ladders of a piece serve all k at once.
+r u' - k u = +-x f_{k+1} by the ladder relations.  The ladders run on the exact
+square x^2 = |c| r^2 and return the regular family as g_k = S f1_k / x^k and
+the singular one as h_k = S x^k f2_k, exact int pairs (N, E), with one unknown
+factor S per argument that both ladders share.  The piece works on
+(U, Q) = (u, r u' - k u), which is M (alpha, beta) for u = alpha x^k g_k +
+beta x^-k h_k, M = [[g_k, h_k], [sgn x^2 g_{k+1}, -h_{k+1}]] and sgn = 1 for
+i_k, -1 for j_k.  So adj(M) at a gives the coefficients
+
+    A = -(h_{k+1} U + h_k Q),    B = g_k Q - sgn x_a^2 g_{k+1} U
+
+exactly, and at b, with tau_k = (a/b)^(2k) = (x_a / x_b)^(2k) carrying the
+powers of x from a to b,
+
+    u = G_k A + tau_k H_k B,     Q = sgn x_b^2 G_{k+1} A - tau_k H_{k+1} B.
+
+S at a and S at b each scale the whole pair, so neither is ever formed, and
+the innermost piece, u = g_k, needs none.  x^2 is a short dyadic (159 bits for
+float inputs), and tau_k is carried per degree in F bits, like the flat
+piece's t-power.  Before the products at b, A and B are cut so that u and Q
+each move by less than 2^-(F + 17) of their larger term, below what the
+ladders carry; a term wholly below its cut is dropped, and tau_k B is formed
+from the cut B.  The state enters as Q = V - k U and leaves as V = k u + Q.
+The ladders of a piece serve all k at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop besides the Bessel cuts; unlike max(|U|, |V|), this
@@ -156,119 +166,115 @@ def _spectrum(p, kmax, prec):
     # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
     gm, ge = flat[-1]
     se = ge + gm.bit_length() - 1
-    xin = None  # the x_b of a Bessel piece that left its state in ladder coordinates
     with mp.workprec(prec + GUARD_BITS):
         for j, value in enumerate(p.values):
             if potential and value != 0:
-                a, b, c = mpf(p.breakpoints[j]), mpf(p.breakpoints[j + 1]), mpf(value)
-                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if c > 0
+                # |c| and the breakpoints at prec + GUARD_BITS bits, and x^2 = |c| r^2
+                # exactly as (X, e)
+                (_, cm, ce, _), (_, am, ae, _), (_, bm, be, _) = (
+                    mpf(v)._mpf_ for v in (value, p.breakpoints[j], p.breakpoints[j + 1]))
+                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if value > 0
                                   else (sph_j_ladder, sph_y_ladder, -1))
-                s = mpmath.sqrt(abs(c))
-                xa, xb = s * a, s * b
-                _, xbm, xbe, _ = xb._mpf_
-                rb = reg(kmax, xb)
-                # a Bessel piece next: leave the state as (u, (r u' - k u) / x_b)
-                chain = j + 1 < len(p.values) and p.values[j + 1] != 0
+                Xb, xbe = xb2 = (cm * bm * bm, ce + 2 * be)
+                sXb = sgn * Xb
+                gb = reg(kmax, xb2)
                 if j == 0:
-                    # innermost piece: the regular solution, u = f_k with
-                    # (r u' - k u) / x_b = sgn f_{k+1}
-                    xm, xe = (1, 0) if chain else (xbm, xbe)
+                    # innermost piece: the regular solution, (u, r u' - k u) = (g_k,
+                    # sgn x_b^2 g_{k+1}) on dropping x_b^k
                     state = []
-                    for k, ((fm, fe), (hm, he)) in enumerate(zip(rb, rb[1:])):
-                        d = he + xe - fe
-                        U, W = (fm, sgn * xm * hm << d) if d >= 0 else (fm << -d, sgn * xm * hm)
-                        state.append(_to_bits(U, W if chain else k * U + W, F))
-                    xin = xb if chain else None
+                    for k, ((fm, fe), (hm, he)) in enumerate(zip(gb, gb[1:])):
+                        d = he + xbe - fe
+                        U, Q = (fm, sXb * hm << d) if d >= 0 else (fm << -d, sXb * hm)
+                        state.append(_to_bits(U, k * U + Q, F))
                     continue
-                _, xam, xae, _ = xa._mpf_
-                if xin is None:
-                    # (P, Q) = (x_a U, V - k U) on (2^xae, 1)
-                    rho, pe = None, xae
-                else:
-                    # from (u, (r u' - k u) / x) at x = xin: (P, Q) = (U, rho Qb)
-                    # on (1, 2^qe), rho = xin / x_a cut to F + 16 bits
-                    _, xim, xie, _ = xin._mpf_
-                    qe = xim.bit_length() + xie - xam.bit_length() - xae - F - 16
-                    rho, pe = _fixed_ratio((xim, xie), (xam, xae), -qe), 0
-                ra, sa, sb = reg(kmax, xa), sing(kmax, xa), sing(kmax, xb)
-                ladders = zip(ra, ra[1:], sa, sa[1:], rb, rb[1:], sb, sb[1:])
+                xa2 = (cm * am * am, ce + 2 * ae)
+                sXa, xae = sgn * xa2[0], xa2[1]
+                ga = reg(kmax, xa2)
+                ha, hb = sing(kmax, xa2, ga), sing(kmax, xb2, gb)
+                # tau_k = (a/b)^(2k) = tk 2^et, tk cut to F bits from k = 2 on, and
+                # (a/b)^2 = t2 2^-t2e with F or F + 1 bits
+                t2e = F + (bm * bm).bit_length() - (am * am).bit_length()
+                t2, t2e = _fixed_ratio((am * am, 0), (bm * bm, 0), t2e), t2e - 2 * (ae - be)
+                tk, et = 1, 0
+                # the top-bit gaps H_m / G_m at b
+                gaps = [Hm.bit_length() + He - Gm.bit_length() - Ge
+                        for (Gm, Ge), (Hm, He) in zip(gb, hb)]
+                xbt = Xb.bit_length() + xbe
+                ladders = zip(ga, ga[1:], ha, ha[1:], gb, gb[1:], hb, hb[1:], gaps, gaps[1:])
                 for k, ((f1, e1), (h1, g1), (f2, e2), (h2, g2),
-                        (F1, E1), (H1, G1), (F2, E2), (H2, G2)) in enumerate(ladders):
+                        (F1, E1), (H1, G1), (F2, E2), (H2, G2), ru, rq) in enumerate(ladders):
                     U, V = state[k]
-                    if rho:
-                        # Q = rho Qb cut to F + 16 bits, on 2^qt
-                        Q = rho * V
-                        t = Q.bit_length() - F - 16
-                        if t < 0:
-                            t = 0
-                        P, Q, qt = U, Q >> t, qe + t
-                    else:
-                        P, Q, qt = xam * U, V - k * U, 0
-                    # adj(G_a) (P, Q) exactly: A = -(f2_{k+1} P + f2_k Q) on 2^eA and
-                    # B = f1_k Q - sgn f1_{k+1} P on 2^eB
-                    d = g2 + pe - e2 - qt
+                    Q = V - k * U
+                    # adj(G_a) (U, Q) exactly: A = -(h2_{k+1} U + h2_k Q) on 2^eA and
+                    # B = g1_k Q - sgn x_a^2 g1_{k+1} U on 2^eB
+                    d = g2 - e2
                     if d >= 0:
-                        A, eA = -(h2 * P << d) - f2 * Q, e2 + qt
+                        A, eA = -((h2 * U << d) + f2 * Q), e2
                     else:
-                        A, eA = -h2 * P - (f2 * Q << -d), g2 + pe
-                    d = g1 + pe - e1 - qt
+                        A, eA = -(h2 * U + (f2 * Q << -d)), g2
+                    d = g1 + xae - e1
                     if d >= 0:
-                        B, eB = f1 * Q - (sgn * h1 * P << d), e1 + qt
+                        B, eB = f1 * Q - (sXa * h1 * U << d), e1
                     else:
-                        B, eB = (f1 * Q << -d) - sgn * h1 * P, g1 + pe
-                    # u = F1 A + F2 B and Qb = sgn H1 A - H2 B = (r u' - k u) / x_b at
-                    # b.  Before these four products A and B are cut, so that u and
-                    # Qb each move by less than 2^-(F + 17) of their larger term and
-                    # r u' = k u + x_b Qb by less than 2^-(F + 16) of its: with ta, tb
-                    # the top bits of A and B, and ru, rq those of F2 / F1 and
-                    # H2 / H1, A keeps its bits above max(ta, tb + min(ru, rq)) - F - 20
-                    # and B its bits above max(tb, ta - max(ru, rq)) - F - 20.  Each
-                    # output is judged on its own terms: a tiny B times a huge kk_k
-                    # or y_k can be the larger term of u, and a cut relative to the
-                    # larger of A and B loses it.  The ladder values carry about
-                    # F + 16 bits, so the cut costs none they hold.  A term wholly
-                    # below its cut is dropped, and with it a shift by up to 1.4e8
-                    # bits (c = 1e16 on (0.5, 1], where i_k and kk_k grow apart by
-                    # e^(2 s (b - a))).
+                        B, eB = (f1 * Q << -d) - sXa * h1 * U, g1 + xae
+                    # u = G1_k A + tau_k H2_k B and Q = sgn x_b^2 G1_{k+1} A - tau_k
+                    # H2_{k+1} B at b.  Before these products A and B are cut, so
+                    # that u and Q each move by less than 2^-(F + 17) of their larger
+                    # term: with ta, tb the top bits of A and B, and ru, rq those of
+                    # tau_k H2_k / G1_k and tau_k H2_{k+1} / (x_b^2 G1_{k+1}), A keeps
+                    # its bits above max(ta, tb + min(ru, rq)) - F - 21 and B its
+                    # bits above max(tb, ta - max(ru, rq)) - F - 21.  Each output is
+                    # judged on its own terms: a tiny B times a huge kk_k or y_k can
+                    # be the larger term of u, and a cut relative to the larger of A
+                    # and B loses it.  The ladder values carry about F + 16 bits, so
+                    # the cut costs none they hold.  A term wholly below its cut is
+                    # dropped, and with it a shift by up to 1.4e8 bits (c = 1e16 on
+                    # (0.5, 1], where i_k and kk_k grow apart by e^(2 s (b - a))).
                     ta, tb = A.bit_length() + eA, B.bit_length() + eB
-                    ru = F2.bit_length() + E2 - F1.bit_length() - E1
-                    rq = H2.bit_length() + G2 - H1.bit_length() - G1
+                    ts = tk.bit_length() + et
+                    ru, rq = ru + ts, rq - xbt + ts
                     if ru > rq:  # min and max without the calls
                         ru, rq = rq, ru
-                    ca = (ta if ta > tb + ru else tb + ru) - F - 20 - eA
-                    cb = (tb if tb > ta - rq else ta - rq) - F - 20 - eB
+                    ca = (ta if ta > tb + ru else tb + ru) - F - 21 - eA
+                    cb = (tb if tb > ta - rq else ta - rq) - F - 21 - eB
                     if ca >= A.bit_length():
                         A = 0
                     elif ca > 0:
                         A, eA = A >> ca, eA + ca
                     if cb >= B.bit_length():
                         B = 0
-                    elif cb > 0:
-                        B, eB = B >> cb, eB + cb
-                    # u on 2^x and Qb on 2^y
+                    elif B:
+                        # B <- tau_k B, floored at most to tau_k times its cut
+                        d = tk.bit_length() - 1 + (cb if cb < 0 else 0)
+                        if cb > 0:
+                            B, eB = B >> cb, eB + cb
+                        if d > 0:
+                            B, eB = tk * B >> d, eB + et + d
+                        else:
+                            B, eB = tk * B, eB + et
+                    # u on 2^x and Q on 2^y
                     if not B:
-                        U, Qb, x, y = F1 * A, sgn * H1 * A, E1 + eA, G1 + eA
+                        U, Q, x, y = F1 * A, sXb * H1 * A, E1 + eA, G1 + xbe + eA
                     elif not A:
-                        U, Qb, x, y = F2 * B, -H2 * B, E2 + eB, G2 + eB
+                        U, Q, x, y = F2 * B, -H2 * B, E2 + eB, G2 + eB
                     else:
-                        x1, x2, y1, y2 = E1 + eA, E2 + eB, G1 + eA, G2 + eB
+                        x1, x2, y1, y2 = E1 + eA, E2 + eB, G1 + xbe + eA, G2 + eB
                         x, y = (x1 if x1 < x2 else x2), (y1 if y1 < y2 else y2)
                         U = (F1 * A << x1 - x) + (F2 * B << x2 - x)
-                        Qb = (sgn * H1 * A << y1 - y) - (H2 * B << y2 - y)
-                    if not chain:
-                        # r u' = k u + x_b Qb, x_b = xbm 2^xbe
-                        y += xbe
-                        Qb *= xbm
+                        Q = (sXb * H1 * A << y1 - y) - (H2 * B << y2 - y)
                     d = x - y
                     if d >= 0:
                         U <<= d
                     else:
-                        Qb <<= -d
-                    V = Qb if chain else k * U + Qb
+                        Q <<= -d
+                    V = k * U + Q
                     # _to_bits inlined, as in the flat loop
                     d = (U or V).bit_length() - F
                     state[k] = (U >> d, V >> d) if d >= 0 else (U << -d, V << -d)
-                xin = xb if chain else None
+                    tk, et = tk * t2, et - t2e
+                    d = tk.bit_length() - F
+                    if d > 0:
+                        tk, et = tk >> d, et + d
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
             gm, ge = flat[j]

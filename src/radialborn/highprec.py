@@ -4,14 +4,17 @@ decimal form of a value in a file and spherical Bessel ladders.
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
 mantissa precision and round results with :func:`to_prec`.  The Bessel
 ladders run their three-term recurrence in Python integers on
-F = working precision + 16 + bit_length(n) bits and return each value as the
-exact pair (N, E), value = N 2^E, that the recurrence forms; nothing is
-rounded to an mpf.  The regular ladders start by Miller's backward
-recurrence and are scaled once to a closed form; only where x is so large
+F = working precision + 16 + bit_length(n) bits, on the exact square x^2 of
+their argument, and return each value as an exact pair (N, E),
+value = N 2^E; nothing is rounded to an mpf.  The regular ladders carry
+g_k = S i_k(x) / x^k or S j_k(x) / x^k, start by Miller's backward recurrence
+and are not rescaled, so S is an unknown factor; only where x is so large
 that this start needs more than ``MILLER_ORDERS`` extra orders do they start
-from two mpmath Bessel values instead.  The mpmath big-float type plays the
-role of the extended-precision real number; precision is carried by the
-caller, not by the value.
+from two mpmath Bessel values instead, with S = 1.  The singular ladders
+carry h_k = S x^k kk_k(x) or S x^k y_k(x) on the factor S of the regular
+ladder they are handed, from closed forms at one transcendental per
+argument.  The mpmath big-float type plays the role of the extended-precision
+real number; precision is carried by the caller, not by the value.
 
 Conventions for the spherical families (order ``k >= 0``, argument ``x > 0``):
 
@@ -29,7 +32,23 @@ import numbers
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import from_str, round_nearest, to_str
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    from_str,
+    mpf_add,
+    mpf_cos_sin,
+    mpf_div,
+    mpf_exp,
+    mpf_mul,
+    mpf_pi,
+    mpf_shift,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+    to_float,
+    to_str,
+)
 
 GUARD_BITS = 32
 
@@ -90,16 +109,29 @@ def raw_dyadic(t, what):
 
 
 def one_exponent(xi_grid):
-    """(e, [(m_n, z_n)]) with xi_n = m_n 2^(e + z_n) exactly and z_n >= 0.
+    """(e, ((m_n, z_n), ...)) with xi_n = m_n 2^(e + z_n) exactly and z_n >= 0.
 
     e is the least exponent of a nonzero node, so N_n = m_n 2^z_n are the nodes
     as integers on one exponent; forming them is left to the caller, since
     nodes far apart in scale make them long.  A zero node reads (0, 0).
-    Non-finite nodes raise ``ValueError``.
+    Non-finite nodes raise ``ValueError``.  A :class:`KeptGrid` returns the read
+    it kept when it was formed; any other sequence, an equal one too, is read.
     """
+    if type(xi_grid) is KeptGrid:
+        return xi_grid.exponent_read
     X = [finite_dyadic(x, "frequency") for x in xi_grid]
     e = min((xe for xm, xe in X if xm), default=0)
-    return e, [(xm, xe - e if xm else 0) for xm, xe in X]
+    return e, tuple((xm, xe - e if xm else 0) for xm, xe in X)
+
+
+class KeptGrid(tuple):
+    """A tuple of frequency nodes that keeps its ``one_exponent`` read, made once
+    when the tuple is formed, for grids that many transforms share."""
+
+    def __new__(cls, nodes):
+        grid = super().__new__(cls, nodes)
+        grid.exponent_read = one_exponent(tuple(grid))
+        return grid
 
 
 def _sph_from_cyl(kind, k, x):
@@ -110,49 +142,56 @@ def _sph_from_cyl(kind, k, x):
 
 
 # ---------------------------------------------------------------------------
-# Whole-ladder evaluations used by the potential forward solver.  All four
-# steps are f_next = sigma f_prev + (2m+1) f_m / x, run by _recurrence in
-# integers on F = mp.prec + 16 + bit_length(n) bits, and every ladder value is
-# the exact (N, E) that step forms, f = N 2^E.  The singular family starts from
-# closed forms at orders 0, 1 and goes up.  The regular family goes down (stable:
-# the regular solution dominates going down) from a Miller start f_{M+1}, f_M =
-# 0, 1 and is scaled once to a closed form at order 0 or 1; where that start
-# needs more than MILLER_ORDERS orders above the ladder, it goes down from
-# mpmath values at the top two orders instead.  Each ladder returns a list of
-# length kmax + 2 so callers can form derivatives via the ladder relations.
+# Whole-ladder evaluations used by the potential forward solver.  Each ladder
+# runs on the exact square x^2 = X 2^e of its argument, given as the pair
+# (X, e), not on a rounded x.  The regular family is carried as g_m = f_m / x^m
+# going down, g_{m-1} = (2m+1) g_m + sigma x^2 g_{m+1}, and the singular family
+# as h_m = x^m f_m going up, h_{m+1} = (2m+1) h_m + sigma x^2 h_{m-1}: each
+# family grows in its direction of travel, and a step multiplies by a short
+# integer and by X, never by a reciprocal of x.  _recurrence runs both in
+# integers on F = mp.prec + 16 + bit_length(n) bits.  The regular ladder goes
+# down from a Miller start f_{M+1}, f_M = 0, 1 and is not rescaled: its values
+# carry one unknown factor S.  Where that start needs more than MILLER_ORDERS
+# orders above the ladder, it goes down from mpmath values at the top two
+# orders instead, and S = 1.  The singular ladder of the same argument is
+# handed the regular one and starts from closed forms at orders 0 and 1 on the
+# same scale S, at the cost of one transcendental per argument: expm1(2x) for
+# kk_k, cos_sin(x) for y_k.  Every ladder value is an exact (N, E), f = N 2^E,
+# and each ladder is a list of length kmax + 2, so that callers can form
+# derivatives by the ladder relations.
 # ---------------------------------------------------------------------------
 
 MILLER_ORDERS = 1000
 
 
-def _recurrence(prev, cur, x, orders, sigma):
-    """[(N, E) for m in orders]: f_next = N 2^E of f_next = sigma f_prev + (2m+1) f_m / x
+def _recurrence(prev, cur, x2, orders, sigma):
+    """[(N, E) for m in orders]: w_next = N 2^E of w_next = (2m+1) w_m + sigma x^2 w_prev
     from the seeds (prev, cur), each an exact (man, exp).
 
-    x is read once as an exact dyadic and 1/x becomes one fixed-point integer
-    W 2^-s with F + 1 bits.  The running pair (P, C) are ints on one exponent E;
-    both shift right whenever the larger grows past F bits, so every step keeps
-    F bits of the larger, and the bit_length(n) + 16 bits above mp.prec cover
-    the few floors of each of the n steps.  A step's value is recorded as the
-    exact (N, E) before that shift.
+    ``orders`` runs down for the regular family (w_next = g_{m-1}) and up for the
+    singular one (w_next = h_{m+1}).  x^2 = X 2^e is read exactly: X 2^e P is
+    X P shifted by e, a floor when e < 0.  The running pair (P, C) shares one
+    exponent E, and both shift right whenever the older value C has grown past
+    F bits.  So P enters each step with F bits or more, and C with as many when
+    it is the larger: the pair of a family that grows by x a step would
+    otherwise keep F - log2 x bits of P, whose term x^2 P is as large as the
+    step.  A step thus loses a few units of its last place, whose n-fold sum the
+    bit_length(n) + 16 bits above mp.prec cover.  A value is recorded after the
+    shift.
     """
+    X, e = x2
+    X, s = (sigma * X << e, 0) if e >= 0 else (sigma * X, -e)
     F = mp.prec + 16 + len(orders).bit_length()
-    xm, xe = finite_dyadic(x, "ladder argument")
-    W = (1 << F + xm.bit_length()) // xm
-    s = F + xm.bit_length() + xe
-    if s < 0:  # x below 2^-(F+1): the left shift goes into W once
-        W, s = W << -s, 0
-    # the larger seed at F bits: the smaller may lose bits here, which lie
-    # below the F bits the pair carries
-    E = max(se + sm.bit_length() for sm, se in (prev, cur)) - F
+    # both seeds keep F bits or more: P enters the first step like every later one
+    E = min(se + sm.bit_length() for sm, se in (prev, cur) if sm) - F
     P, C = (sm << se - E if se >= E else sm >> E - se for sm, se in (prev, cur))
     out = []
     for m in orders:
-        N = sigma * P + ((2 * m + 1) * C * W >> s)
-        out.append((N, E))
-        b = max(C.bit_length(), N.bit_length()) - F
+        N = (2 * m + 1) * C + (X * P >> s)
+        b = C.bit_length() - F
         if b > 0:
-            C, N, E = C >> b, N >> b, E + b
+            N, C, E = N >> b, C >> b, E + b
+        out.append((N, E))
         P, C = C, N
     return out
 
@@ -182,62 +221,78 @@ def _start_order(kmax, x, sigma):
     return None
 
 
-def _regular_ladder(kmax, x, sigma, bessel, closed_form):
-    """[f_0, ..., f_{kmax+1}] of the regular family as exact (N, E) pairs, going down.
+def _root(x2, prec):
+    """x as a raw mpf at ``prec`` bits from its exact square x2 = (X, e)."""
+    return mpf_sqrt(from_man_exp(*x2), prec, round_nearest)
 
-    From a Miller start, scaled by one F-bit factor, F = mp.prec + 16, so that
-    f_i reads the closed form: closed_form(vals) gives (i, f_i) at F bits from
-    the unscaled pairs.  Past the start's reach, from the mpmath ``bessel`` at
-    orders kmax + 2 and kmax + 1.
+
+def _regular_ladder(kmax, x2, sigma, bessel):
+    """[g_0, ..., g_{kmax+1}], g_m = S f_m(x) / x^m, as exact (N, E) pairs, going down.
+
+    From a Miller start, with an unknown factor S != 0; past the start's reach,
+    from the mpmath ``bessel`` at orders kmax + 2 and kmax + 1, with S = 1.
     """
     n = kmax + 1
-    M = _start_order(kmax, x, sigma)
+    M = _start_order(kmax, to_float(_root(x2, 53)), sigma)
     if M is None:
-        top, below = (finite_dyadic(_sph_from_cyl(bessel, m, x), "ladder seed")
+        x = mp.make_mpf(_root(x2, mp.prec))
+        top, below = (finite_dyadic(_sph_from_cyl(bessel, m, x) / x**m, "ladder seed")
                       for m in (n + 1, n))
-        return _recurrence(top, below, x, range(n, 0, -1), sigma)[::-1] + [below]
-    vals = _recurrence((0, 0), (1, 0), x, range(M, 0, -1), sigma)[::-1][:n + 1]
-    F = mp.prec + 16
-    with mp.workprec(F):
-        i, exact = closed_form(vals)
-        cm, ce = finite_dyadic(exact, "ladder scale")
-    rm, re = vals[i]
-    g = F + rm.bit_length() - cm.bit_length()
-    S = (cm << g) // rm
-    return [(N * S >> F, E + ce - re - g + F) for N, E in vals]
+        return _recurrence(top, below, x2, range(n, 0, -1), sigma)[::-1] + [below]
+    return _recurrence((0, 0), (1, 0), x2, range(M, 0, -1), sigma)[::-1][:n + 1]
 
 
-def mod_sph_i_ladder(kmax, x):
-    """[i_0(x), ..., i_{kmax+1}(x)] as exact (N, E) pairs, i_k = N 2^E."""
-    # i_{m-1} = i_{m+1} + (2m+1)/x * i_m, scaled to i_0 = sinh x / x
-    return _regular_ladder(kmax, x, 1, mpmath.besseli, lambda vals: (0, mpmath.sinh(x) / x))
+def _singular_ladder(kmax, x2, sigma, seeds):
+    """[h_0, ..., h_{kmax+1}] as exact (N, E) pairs, going up from the raw mpfs (h_0, h_1)."""
+    h0, h1 = (raw_dyadic(v, "ladder seed") for v in seeds)
+    return [h0, h1] + _recurrence(h0, h1, x2, range(1, kmax + 1), sigma)
 
 
-def mod_sph_k_ladder(kmax, x):
-    """[kk_0(x), ..., kk_{kmax+1}(x)] as exact (N, E) pairs."""
-    e = mpmath.exp(-x) * mpmath.pi / 2
-    k0, k1 = (finite_dyadic(v, "ladder seed") for v in (e / x, e * (1 / x + 1 / x**2)))
-    # kk_{m+1} = kk_{m-1} + (2m+1)/x * kk_m
-    return [k0, k1] + _recurrence(k0, k1, x, range(1, kmax + 1), 1)
+def mod_sph_i_ladder(kmax, x2):
+    """[g_0, ..., g_{kmax+1}] as exact (N, E) pairs, g_m = S i_m(x) / x^m for one S > 0,
+    from x2 = (X, e), x^2 = X 2^e."""
+    # g_{m-1} = (2m+1) g_m + x^2 g_{m+1}
+    return _regular_ladder(kmax, x2, 1, mpmath.besseli)
 
 
-def sph_j_ladder(kmax, x):
-    """[j_0(x), ..., j_{kmax+1}(x)] as exact (N, E) pairs."""
-    def closed_form(vals):
-        # j_0 = sin x / x, or j_1 = (j_0 - cos x) / x where j_0 is the smaller by
-        # a bit or more: j_1 cancels to nothing as x -> 0, and j_0 = 0 at x = n pi
-        (n0, e0), (n1, e1) = vals[:2]
-        if n0.bit_length() + e0 >= n1.bit_length() + e1:
-            return 0, mpmath.sin(x) / x
-        return 1, (mpmath.sin(x) / x - mpmath.cos(x)) / x
+def mod_sph_k_ladder(kmax, x2, regular):
+    """[h_0, ..., h_{kmax+1}] as exact (N, E) pairs, h_m = S x^m kk_m(x), with S the
+    factor of the ``mod_sph_i_ladder`` output ``regular`` at the same x2."""
+    w, rn = mp.prec + 16, round_nearest
+    # S = g_0 / i_0 = x g_0 / sinh x, so h_0 = S kk_0 = pi g_0 / (e^(2x) - 1) and
+    # h_1 = S x kk_1 = (1 + x) h_0.  e^(2x) takes the bits that e^(2x) - 1 cancels
+    # when 2x < 1 on top of w.
+    x = _root(x2, w)
+    t = mpf_shift(x, 1)
+    em1 = mpf_sub(mpf_exp(t, w + max(0, -(t[2] + t[3])) + 8, rn), fone, w, rn)
+    h0 = mpf_div(mpf_mul(mpf_pi(w, rn), from_man_exp(*regular[0]), w, rn), em1, w, rn)
+    # h_{m+1} = (2m+1) h_m + x^2 h_{m-1}
+    return _singular_ladder(kmax, x2, 1, (h0, mpf_mul(mpf_add(fone, x, w, rn), h0, w, rn)))
 
-    # j_{m-1} = (2m+1)/x * j_m - j_{m+1}
-    return _regular_ladder(kmax, x, -1, mpmath.besselj, closed_form)
+
+def sph_j_ladder(kmax, x2):
+    """[g_0, ..., g_{kmax+1}] as exact (N, E) pairs, g_m = S j_m(x) / x^m for one S != 0,
+    from x2 = (X, e), x^2 = X 2^e."""
+    # g_{m-1} = (2m+1) g_m - x^2 g_{m+1}
+    return _regular_ladder(kmax, x2, -1, mpmath.besselj)
 
 
-def sph_y_ladder(kmax, x):
-    """[y_0(x), ..., y_{kmax+1}(x)] as exact (N, E) pairs."""
-    c, s = mpmath.cos(x), mpmath.sin(x)
-    y0, y1 = (finite_dyadic(v, "ladder seed") for v in (-c / x, -c / x**2 - s / x))
-    # y_{m+1} = (2m+1)/x * y_m - y_{m-1}
-    return [y0, y1] + _recurrence(y0, y1, x, range(1, kmax + 1), -1)
+def sph_y_ladder(kmax, x2, regular):
+    """[h_0, ..., h_{kmax+1}] as exact (N, E) pairs, h_m = S x^m y_m(x), with S the
+    factor of the ``sph_j_ladder`` output ``regular`` at the same x2."""
+    (n0, e0), (n1, e1) = regular[:2]
+    X, e = x2
+    w, rn = mp.prec + 16, round_nearest
+    x = _root(x2, w)
+    c, s = mpf_cos_sin(x, w, rn)
+    # S from j_0 = sin x / x = g_0 / S, or from j_1 = (sin x - x cos x) / x^2 = x g_1 / S
+    # where j_0 is the smaller by a bit or more: j_1 cancels to nothing as x -> 0,
+    # and j_0 = 0 at x = n pi.  With K = -g_0 / sin x or -x^2 g_1 / (sin x - x cos x),
+    # h_0 = S y_0 = K cos x and h_1 = S x y_1 = K (cos x + x sin x).
+    if 2 * (n0.bit_length() + e0) >= 2 * (n1.bit_length() + e1) + X.bit_length() + e:
+        K = mpf_div(from_man_exp(-n0, e0), s, w, rn)
+    else:
+        K = mpf_div(from_man_exp(-n1 * X, e1 + e), mpf_sub(s, mpf_mul(x, c, w, rn), w, rn), w, rn)
+    seeds = mpf_mul(K, c, w, rn), mpf_mul(K, mpf_add(c, mpf_mul(x, s, w, rn), w, rn), w, rn)
+    # h_{m+1} = (2m+1) h_m - x^2 h_{m-1}
+    return _singular_ladder(kmax, x2, -1, seeds)

@@ -11,6 +11,7 @@ from radialborn.highprec import (
     GUARD_BITS,
     check_precision,
     decimal_digits,
+    finite_dyadic,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
     read_decimal,
@@ -71,9 +72,25 @@ def sph_bessel_pair(k, x, prec):
         return tuple(to_prec(v, prec) for v in (jk, djk, yk, dyk))
 
 
-def ladder_mpfs(pairs):
-    """The exact (N, E) pairs of a ladder as mpfs N 2^E, each rounded to the working precision."""
-    return [mpmath.ldexp(mpf(N), E) for N, E in pairs]
+def ladder_square(x):
+    """(X, e) with x^2 = X 2^e exactly, for a float or mpf x."""
+    m, e = finite_dyadic(x, "ladder argument")
+    return m * m, 2 * e
+
+
+def ladder_values(pairs, x, power):
+    """N 2^E x^(power m) for the exact (N, E) pairs of a ladder, each formed at the
+    working precision: power 1 turns the regular g_m into S f_m, and power -1 the
+    singular h_m into S f_m."""
+    return [mpmath.ldexp(mpf(N), E) * x ** (power * m) for m, (N, E) in enumerate(pairs)]
+
+
+def ladder_family(reg_ladder, sing_ladder, kmax, x):
+    """(S f1_m, S f2_m) for m = 0..kmax+1 of the two ladders at x, which share one factor S."""
+    x2 = ladder_square(x)
+    regular = reg_ladder(kmax, x2)
+    return (ladder_values(regular, x, 1),
+            ladder_values(sing_ladder(kmax, x2, regular), x, -1))
 
 
 def ladder_derivative(vals, k, x, sgn):
@@ -137,16 +154,19 @@ def test_derivative_pairs_satisfy_wronskian():
 
 
 def test_ladders_match_direct_evaluations():
-    # at x = 5e-44 each step multiplies by about (2m+1)/x >= 2^144, and
+    # at x = 5e-44 each step multiplies by about (2m+1)/x >= 2^144 in f, and
     # kk_1/kk_0 and y_1/y_0 are about 1/x, so a seed rounded onto its
-    # partner's exponent would lose about 144 bits at k = 0
+    # partner's exponent would lose about 144 bits at k = 0.  Each ladder pair
+    # is read on its regular ladder's scale, taken from i_0 or j_0.
     kmax = 30
     with mp.workprec(320):
         for x in (mpf(5) / 4, mpf("5e-44"), mpf("1e-20")):
-            il = ladder_mpfs(mod_sph_i_ladder(kmax, x))
-            kl = ladder_mpfs(mod_sph_k_ladder(kmax, x))
-            jl = ladder_mpfs(sph_j_ladder(kmax, x))
-            yl = ladder_mpfs(sph_y_ladder(kmax, x))
+            i0, _ = mod_sph_bessel_pair(0, x, 256)
+            j0, _, _, _ = sph_bessel_pair(0, x, 256)
+            il, kl = ladder_family(mod_sph_i_ladder, mod_sph_k_ladder, kmax, x)
+            jl, yl = ladder_family(sph_j_ladder, sph_y_ladder, kmax, x)
+            il, kl = ([v * i0 / il[0] for v in vals] for vals in (il, kl))
+            jl, yl = ([v * j0 / jl[0] for v in vals] for vals in (jl, yl))
             for k in (0, 1, 7, 15, 30):
                 ik, _ = mod_sph_bessel_pair(k, x, 256)
                 kk, _ = mod_sph_bessel_second_pair(k, x, 256)
@@ -157,21 +177,37 @@ def test_ladders_match_direct_evaluations():
                 assert abs(yl[k] - y) <= abs(y) * mpf(2) ** -240, (x, k)
 
 
-def _regular_ladder_bits(kind, ladder, kmax, x, prec):
-    """Bits the regular ladder keeps at prec: the least over k of -log2 |f_k - ref_k| /
-    max(|ref_k|, |ref_{k+1}|), on every tenth order and the top one, against mpmath.
+def _ladder_bits(kinds, ladders, kmax, x, prec):
+    """Bits each ladder keeps at prec: the least over k of -log2 |f_k / S - ref_k| /
+    max(|ref_k|, |ref_{k+1}|), on every tenth order and the top one, against mpmath,
+    with S the regular ladder's factor read at order 0 or at order 1, whichever
+    reference value is the larger.
 
-    Near a zero of j_k the next order carries the scale of the oscillation."""
+    ``kinds`` and ``ladders`` are the regular family's, or the regular and the
+    singular family's, mpmath function and ladder.  Near a zero of j_k the next
+    order carries the scale of the oscillation."""
     with mp.workprec(prec):
         x = mpf(x)
-        vals = ladder(kmax, x)
+        x2 = ladder_square(x)
+        regular = ladders[0](kmax, x2)
+        pairs = [regular] + [ladder(kmax, x2, regular) for ladder in ladders[1:]]
     with mp.workprec(prec + GUARD_BITS):
-        vals = ladder_mpfs(vals)
-        worst = mpf(0)
-        for k in sorted(set(range(0, kmax + 1, max(1, kmax // 10))) | {kmax + 1}):
-            ref, up = _sph(kind, k, x), _sph(kind, k + 1, x)
-            worst = max(worst, abs(vals[k] - ref) / max(abs(ref), abs(up)))
-        return -mpmath.log(worst, 2) if worst else mpmath.inf
+        ref0, ref1 = _sph(kinds[0], 0, x), _sph(kinds[0], 1, x)
+        i = 0 if abs(ref0) >= abs(ref1) else 1
+        S = ladder_values(regular[:2], x, 1)[i] / (ref0, ref1)[i]
+        bits = []
+        for kind, vals, power in zip(kinds, pairs, (1, -1)):
+            vals = ladder_values(vals, x, power)
+            worst = mpf(0)
+            for k in sorted(set(range(0, kmax + 1, max(1, kmax // 10))) | {kmax + 1}):
+                ref, up = _sph(kind, k, x), _sph(kind, k + 1, x)
+                worst = max(worst, abs(vals[k] / S - ref) / max(abs(ref), abs(up)))
+            bits.append(-mpmath.log(worst, 2) if worst else mpmath.inf)
+        return min(bits)
+
+
+def _regular_ladder_bits(kind, ladder, kmax, x, prec):
+    return _ladder_bits((kind,), (ladder,), kmax, x, prec)
 
 
 @pytest.mark.parametrize("prec", (96, 544))
@@ -215,18 +251,37 @@ def test_ladders_keep_every_bit_on_both_sides_of_the_seed_switch(kind, ladder, s
         calls = []
         monkeypatch.setattr(mpmath, bessel, lambda *args: calls.append(args) or kind(*args))
         with mp.workprec(prec):
-            ladder(kmax, mpf(x))
+            ladder(kmax, ladder_square(mpf(x)))
         monkeypatch.undo()
         assert bool(calls) is seeded, x
         assert _regular_ladder_bits(kind, ladder, kmax, x, prec) >= prec - 4, x
+
+
+@pytest.mark.parametrize("prec", (96, 544))
+@pytest.mark.parametrize("x", ("5e9", "1e10"))
+def test_seeded_ladders_keep_every_bit_far_past_the_miller_reach(x, prec):
+    # past the Miller start's reach the regular ladder goes down from mpmath
+    # values.  Each family must be carried in its direction of growth: as x^m f_m
+    # the regular one would shrink by 1/x a step going down and lose about 66
+    # bits a step at x = 5e9, and so would h_m = x^m f_m going down
+    kmax = 150
+    for kinds, ladders, sigma in (
+            ((mpmath.besseli, mpmath.besselk), (mod_sph_i_ladder, mod_sph_k_ladder), 1),
+            ((mpmath.besselj, mpmath.bessely), (sph_j_ladder, sph_y_ladder), -1)):
+        with mp.workprec(prec):
+            assert highprec._start_order(kmax, mpf(x), sigma) is None
+        assert _ladder_bits(kinds, ladders, kmax, x, prec) >= prec - 4, ladders[0].__name__
 
 
 def test_ladder_derivative_recovers_derivatives():
     kmax = 12
     with mp.workprec(320):
         x = mpf(9) / 5
-        il = ladder_mpfs(mod_sph_i_ladder(kmax, x))
-        jl = ladder_mpfs(sph_j_ladder(kmax, x))
+        i0, _ = mod_sph_bessel_pair(0, x, 256)
+        j0, _, _, _ = sph_bessel_pair(0, x, 256)
+        il = ladder_values(mod_sph_i_ladder(kmax, ladder_square(x)), x, 1)
+        jl = ladder_values(sph_j_ladder(kmax, ladder_square(x)), x, 1)
+        il, jl = [v * i0 / il[0] for v in il], [v * j0 / jl[0] for v in jl]
         for k in (0, 3, 8):
             _, ipd = mod_sph_bessel_pair(k, x, 256)
             _, jpd, _, _ = sph_bessel_pair(k, x, 256)
@@ -309,3 +364,15 @@ def test_read_decimal_takes_text_only(value):
 def test_read_decimal_rejects_what_is_not_a_finite_number(text, message):
     with pytest.raises(ValueError, match=message):
         read_decimal(text, 128)
+
+
+def test_a_shared_grid_keeps_its_exponent_read():
+    from radialborn.fourier import default_xi_grid
+    from radialborn.highprec import KeptGrid, one_exponent
+    grid = default_xi_grid(64, 10.0)
+    assert type(grid) is KeptGrid and grid is default_xi_grid(64, 10.0)
+    # the same tuple returns the read it kept; an equal tuple or a slice is read
+    assert one_exponent(grid) is grid.exponent_read
+    fresh = one_exponent(tuple(grid))
+    assert fresh == grid.exponent_read and fresh is not grid.exponent_read
+    assert one_exponent(grid[3:]) == one_exponent(tuple(grid)[3:])

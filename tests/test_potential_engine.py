@@ -3,8 +3,10 @@
 ``mpf_potential_spectrum`` is the reference: per piece and degree it solves
 for the coefficients of the two fundamental solutions from (w, w') in big
 floats at prec + 32 bits and renormalizes.  It reads the same Bessel ladders
-as the engine but shares none of its integer arithmetic, so agreement
-between the two checks both.
+as the engine, turned back into values of f_m at prec + 32 bits, but shares
+none of its integer arithmetic, so agreement between the two checks both.
+The two ladders of one argument share one unknown factor, which cancels in
+the coefficients of a piece.
 """
 
 import itertools
@@ -27,7 +29,7 @@ from radialborn.highprec import (
     to_prec,
 )
 from radialborn.profiles import PiecewiseProfile, ProfileKind, project_midpoint
-from test_highprec import ladder_mpfs
+from test_highprec import ladder_values
 
 KS = (0, 1, 20, 150)
 PRECS = (64, 256, 512)
@@ -42,24 +44,30 @@ def _renormalize(w, wp):
     return w / scale, wp / scale
 
 
+def _ladder_square(c, r):
+    """x^2 = |c| r^2 as the exact (X, e) the ladders take, and x at the working precision."""
+    x2 = mpmath.fmul(abs(c), mpmath.fmul(r, r, exact=True), exact=True)
+    _, X, e, _ = x2._mpf_
+    return (X, e), mpmath.sqrt(x2)
+
+
 def _piece_bases(c, a, b, kmax):
     """Fundamental-solution values and derivatives of w at a and b, k-indexed."""
     if c > 0:
-        s = mpmath.sqrt(c)
         fam = (mod_sph_i_ladder, mod_sph_k_ladder, 1, -1)
     else:
-        s = mpmath.sqrt(-c)
         fam = (sph_j_ladder, sph_y_ladder, -1, -1)
     reg_ladder, sing_ladder, sgn1, sgn2 = fam
     out = []
     for r in (a, b):
-        x = s * r
-        f1 = ladder_mpfs(reg_ladder(kmax, x))
-        f2 = ladder_mpfs(sing_ladder(kmax, x))
+        x2, x = _ladder_square(c, r)
+        regular = reg_ladder(kmax, x2)
+        f1 = ladder_values(regular, x, 1)
+        f2 = ladder_values(sing_ladder(kmax, x2, regular), x, -1)
         W1 = [r * f1[k] for k in range(kmax + 1)]
         W2 = [r * f2[k] for k in range(kmax + 1)]
-        dW1 = [f1[k] + s * r * (sgn1 * f1[k + 1] + k * f1[k] / x) for k in range(kmax + 1)]
-        dW2 = [f2[k] + s * r * (sgn2 * f2[k + 1] + k * f2[k] / x) for k in range(kmax + 1)]
+        dW1 = [f1[k] + x * (sgn1 * f1[k + 1] + k * f1[k] / x) for k in range(kmax + 1)]
+        dW2 = [f2[k] + x * (sgn2 * f2[k + 1] + k * f2[k] / x) for k in range(kmax + 1)]
         out.extend([W1, dW1, W2, dW2])
     return out
 
@@ -79,19 +87,13 @@ def mpf_potential_spectrum(q, kmax, prec):
         if c == 0:
             states = [(mpf(1), mpf(k + 1) / b) for k in range(nk)]
         else:
-            if c > 0:
-                s = mpmath.sqrt(c)
-                lad = ladder_mpfs(mod_sph_i_ladder(kmax, s * b))
-                sgn = 1
-            else:
-                s = mpmath.sqrt(-c)
-                lad = ladder_mpfs(sph_j_ladder(kmax, s * b))
-                sgn = -1
-            x = s * b
+            ladder, sgn = (mod_sph_i_ladder, 1) if c > 0 else (sph_j_ladder, -1)
+            x2, x = _ladder_square(c, b)
+            lad = ladder_values(ladder(kmax, x2), x, 1)
             states = []
             for k in range(nk):
                 w = b * lad[k]
-                wp = lad[k] + s * b * (sgn * lad[k + 1] + k * lad[k] / x)
+                wp = lad[k] + x * (sgn * lad[k + 1] + k * lad[k] / x)
                 states.append(_renormalize(w, wp))
 
         for j in range(1, len(vals)):
