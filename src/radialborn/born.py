@@ -44,7 +44,7 @@ class FourierSamples:
     values: tuple
 
     def __post_init__(self):
-        # a tuple, a shared KeptGrid included, is kept as it is
+        # a tuple is kept as it is, so that a shared KeptGrid keeps its read
         if not isinstance(self.xi_grid, tuple):
             object.__setattr__(self, "xi_grid", tuple(self.xi_grid))
         object.__setattr__(self, "values", tuple(self.values))

@@ -187,8 +187,8 @@ def _spectrum(p, kmax, prec):
                         U, Q = (fm, sXb * hm << d) if d >= 0 else (fm << -d, sXb * hm)
                         state.append(_to_bits(U, k * U + Q, F))
                     continue
-                xa2 = (cm * am * am, ce + 2 * ae)
-                sXa, xae = sgn * xa2[0], xa2[1]
+                Xa, xae = xa2 = (cm * am * am, ce + 2 * ae)
+                sXa = sgn * Xa
                 ga = reg(kmax, xa2)
                 ha, hb = sing(kmax, xa2, ga), sing(kmax, xb2, gb)
                 # tau_k = (a/b)^(2k) = tk 2^et, tk cut to F bits from k = 2 on, and

@@ -70,7 +70,7 @@ def default_xi_grid(n, L):
     the float grid j * np.pi / L; read as floats, some nodes differ from that
     grid by one ulp.  Every call with equal (n, L) returns one shared tuple, a
     ``KeptGrid`` that keeps its nodes' exact ``one_exponent`` read: the last 16
-    grids are kept, about 0.2 MB for a 513-node grid.
+    grids are kept, about 0.15 MB for a 513-node grid.
     """
     h = mpf(np.pi / float(L))
     with mp.workprec(xi_node_bits(n)):
