@@ -263,7 +263,7 @@ def test_seeded_ladders_keep_every_bit_far_past_the_miller_reach(x, prec):
     # past the Miller start's reach the regular ladder goes down from mpmath
     # values.  Each family must be carried in its direction of growth: as x^m f_m
     # the regular one would shrink by 1/x a step going down and lose about 66
-    # bits a step at x = 5e9, and so would h_m = x^m f_m going down
+    # bits a step at x = 5e9, and so would the singular one as f_m / x^m going up
     kmax = 150
     for kinds, ladders, sigma in (
             ((mpmath.besseli, mpmath.besselk), (mod_sph_i_ladder, mod_sph_k_ladder), 1),
