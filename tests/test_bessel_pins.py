@@ -7,8 +7,9 @@ oscillatory, one with a tail that reaches c ~ 1e-87), the first two members
 of experiment 7's ensemble at its seed (400 pieces at 256 bits; the first is
 positive throughout, the second has pieces of both signs), and the
 two-piece cases: outer values 1e20 and -1e16 make the two solutions of a
-piece grow apart by millions of bits, and 1e9 starts the regular ladder of
-the outer piece from mpmath values.  One bit moved in one lambda changes a
+piece grow apart by millions of bits, and 1e9 and -1e9 start the regular
+ladder of the outer piece from mpmath values, the i ladder and the j ladder,
+at K = 150 and 512 bits.  One bit moved in one lambda changes a
 digest.  A change meant to move values regenerates them with
 ``python tests/test_bessel_pins.py`` and says why.
 """
@@ -52,6 +53,7 @@ CASES = {
     "two_piece_5_3e6": (lambda: _two_piece(5.0, 3e6), 150, 512),
     "two_piece_5_-3e5": (lambda: _two_piece(5.0, -3e5), 150, 512),
     "two_piece_5_1e9": (lambda: _two_piece(5.0, 1e9), 150, 512),
+    "two_piece_5_-1e9": (lambda: _two_piece(5.0, -1e9), 150, 512),
 }
 
 PINS = {
@@ -66,6 +68,7 @@ PINS = {
     "two_piece_5_3e6": "6a261b13e06be808",
     "two_piece_5_-3e5": "4b7d3927727da5ad",
     "two_piece_5_1e9": "43b5da2017f7babd",
+    "two_piece_5_-1e9": "02c632518192ed82",
 }
 
 
