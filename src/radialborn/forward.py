@@ -23,30 +23,27 @@ r^k solution, which crosses unchanged: the pair is reset exactly to
 correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
-solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x, and
-r u' - k u = +-x f_{k+1} by the ladder relations.  The ladders run on the exact
-square x^2 = |c| r^2 and return the regular family as g_k = S f1_k / x^k and
-the singular one as h_k = S x^k f2_k, exact int pairs (N, E), with one unknown
-factor S per argument that both ladders share.  The piece works on
-(U, Q) = (u, r u' - k u), which is M (alpha, beta) for u = alpha x^k g_k +
-beta x^-k h_k, M = [[g_k, h_k], [sgn x^2 g_{k+1}, -h_{k+1}]] and sgn = 1 for
-i_k, -1 for j_k.  So adj(M) at a gives the coefficients
+solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x.  The ladders run on
+the exact square x^2 = |c| r^2 and return both families in one coordinate,
+r_k and h_k, exact int pairs (N, E) on one unknown factor S per argument that
+both ladders share (see highprec).  In it (u, r u' - k u) at x is
++-x^-k (r_k, r_{k+1}) / S for the regular solution, with a sign that depends
+on k alone, and x^-k (h_k, -h_{k+1}) / S for the singular one.  So
+Phi_b adj(Phi_a) is M_b adj(M_a) times one number per degree, with
+M = [[r_k, h_k], [r_{k+1}, -h_{k+1}]], and the piece works on
+(U, Q) = (u, r u' - k u): adj(M) at a gives the coefficients
 
-    A = -(h_{k+1} U + h_k Q),    B = g_k Q - sgn x_a^2 g_{k+1} U
+    A = -(h_{k+1} U + h_k Q),    B = r_k Q - r_{k+1} U
 
-exactly, and at b, with tau_k = (a/b)^(2k) = (x_a / x_b)^(2k) carrying the
-powers of x from a to b,
+exactly, and M at b, with R_k and H_k the ladder values there,
 
-    u = G_k A + tau_k H_k B,     Q = sgn x_b^2 G_{k+1} A - tau_k H_{k+1} B.
+    u = R_k A + H_k B,     Q = R_{k+1} A - H_{k+1} B.
 
-S at a and S at b each scale the whole pair, so neither is ever formed, and
-the innermost piece, u = g_k, needs none.  x^2 is a short dyadic (159 bits for
-float inputs), and tau_k is carried per degree in F bits, like the flat
-piece's t-power.  Before the products at b, A and B are cut so that u and Q
-each move by less than 2^-(F + 17) of their larger term, below what the
-ladders carry; a term wholly below its cut is dropped, and tau_k B is formed
-from the cut B.  The state enters as Q = V - k U and leaves as V = k u + Q.
-The ladders of a piece serve all k at once.
+The innermost piece is (U, Q) = (R_k, R_{k+1}).  Before the products at b,
+A and B are cut so that u and Q each move by less than 2^-(F + 17) of their
+larger term, below what the ladders carry; a term wholly below its cut is
+dropped.  The state enters as Q = V - k U and leaves as V = k u + Q.  The
+ladders of a piece serve all k at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop besides the Bessel cuts; unlike max(|U|, |V|), this
@@ -55,8 +52,9 @@ is homogeneous of degree one in gamma, so a conductivity is solved for
 gamma / 2^se, whose outermost value lies in [1, 2), and V keeps its F bits
 however far gamma lies below 1.  lambda_k = 2^se V / (U R) is rounded to prec
 once, at the end.  A spectrum costs O(m K) integer products, in the transfer
-and in the integer ladders of its Bessel pieces.  Only a potential can put a
-Dirichlet eigenvalue at 0, where u(R) vanishes; its spectrum raises
+and in the integer ladders of its Bessel pieces.  Only a potential with a
+negative piece can put a Dirichlet eigenvalue at 0, where u(R) vanishes (for
+q >= 0, -Delta + q is positive definite); its spectrum raises
 DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
 """
 
@@ -173,66 +171,55 @@ def _spectrum(p, kmax, prec):
                 # exactly as (X, e)
                 (_, cm, ce, _), (_, am, ae, _), (_, bm, be, _) = (
                     mpf(v)._mpf_ for v in (value, p.breakpoints[j], p.breakpoints[j + 1]))
-                reg, sing, sgn = ((mod_sph_i_ladder, mod_sph_k_ladder, 1) if value > 0
-                                  else (sph_j_ladder, sph_y_ladder, -1))
-                Xb, xbe = xb2 = (cm * bm * bm, ce + 2 * be)
-                sXb = sgn * Xb
-                gb = reg(kmax, xb2)
+                reg, sing = ((mod_sph_i_ladder, mod_sph_k_ladder) if value > 0
+                             else (sph_j_ladder, sph_y_ladder))
+                xb2 = (cm * bm * bm, ce + 2 * be)
+                rb = reg(kmax, xb2)
                 if j == 0:
-                    # innermost piece: the regular solution, (u, r u' - k u) = (g_k,
-                    # sgn x_b^2 g_{k+1}) on dropping x_b^k
+                    # innermost piece: the regular solution, whose (u, r u' - k u) is
+                    # (r_k, r_{k+1}) times one number per degree
                     state = []
-                    for k, ((fm, fe), (hm, he)) in enumerate(zip(gb, gb[1:])):
-                        d = he + xbe - fe
-                        U, Q = (fm, sXb * hm << d) if d >= 0 else (fm << -d, sXb * hm)
+                    for k, ((r0, r0e), (r1, r1e)) in enumerate(zip(rb, rb[1:])):
+                        d = r1e - r0e
+                        U, Q = (r0, r1 << d) if d >= 0 else (r0 << -d, r1)
                         state.append(_to_bits(U, k * U + Q, F))
                     continue
-                Xa, xae = xa2 = (cm * am * am, ce + 2 * ae)
-                sXa = sgn * Xa
-                ga = reg(kmax, xa2)
-                ha, hb = sing(kmax, xa2, ga), sing(kmax, xb2, gb)
-                # tau_k = (a/b)^(2k) = tk 2^et, tk cut to F bits from k = 2 on, and
-                # (a/b)^2 = t2 2^-t2e with F or F + 1 bits
-                t2e = F + (bm * bm).bit_length() - (am * am).bit_length()
-                t2, t2e = _fixed_ratio((am * am, 0), (bm * bm, 0), t2e), t2e - 2 * (ae - be)
-                tk, et = 1, 0
-                # the top-bit gaps H_m / G_m at b
-                gaps = [Hm.bit_length() + He - Gm.bit_length() - Ge
-                        for (Gm, Ge), (Hm, He) in zip(gb, hb)]
-                xbt = Xb.bit_length() + xbe
-                ladders = zip(ga, ga[1:], ha, ha[1:], gb, gb[1:], hb, hb[1:], gaps, gaps[1:])
-                for k, ((f1, e1), (h1, g1), (f2, e2), (h2, g2),
-                        (F1, E1), (H1, G1), (F2, E2), (H2, G2), ru, rq) in enumerate(ladders):
+                xa2 = (cm * am * am, ce + 2 * ae)
+                ra = reg(kmax, xa2)
+                ha, hb = sing(kmax, xa2, ra), sing(kmax, xb2, rb)
+                # the top-bit gaps H_m / R_m at b
+                gaps = [Hm.bit_length() + He - Rm.bit_length() - Re
+                        for (Rm, Re), (Hm, He) in zip(rb, hb)]
+                ladders = zip(ra, ra[1:], ha, ha[1:], rb, rb[1:], hb, hb[1:], gaps, gaps[1:])
+                for k, ((r0, r0e), (r1, r1e), (h0, h0e), (h1, h1e),
+                        (R0, R0e), (R1, R1e), (H0, H0e), (H1, H1e), ru, rq) in enumerate(ladders):
                     U, V = state[k]
                     Q = V - k * U
-                    # adj(G_a) (U, Q) exactly: A = -(h2_{k+1} U + h2_k Q) on 2^eA and
-                    # B = g1_k Q - sgn x_a^2 g1_{k+1} U on 2^eB
-                    d = g2 - e2
+                    # adj(M_a) (U, Q) exactly: A = -(h_{k+1} U + h_k Q) on 2^eA and
+                    # B = r_k Q - r_{k+1} U on 2^eB
+                    d = h1e - h0e
                     if d >= 0:
-                        A, eA = -((h2 * U << d) + f2 * Q), e2
+                        A, eA = -((h1 * U << d) + h0 * Q), h0e
                     else:
-                        A, eA = -(h2 * U + (f2 * Q << -d)), g2
-                    d = g1 + xae - e1
+                        A, eA = -(h1 * U + (h0 * Q << -d)), h1e
+                    d = r1e - r0e
                     if d >= 0:
-                        B, eB = f1 * Q - (sXa * h1 * U << d), e1
+                        B, eB = r0 * Q - (r1 * U << d), r0e
                     else:
-                        B, eB = (f1 * Q << -d) - sXa * h1 * U, g1 + xae
-                    # u = G1_k A + tau_k H2_k B and Q = sgn x_b^2 G1_{k+1} A - tau_k
-                    # H2_{k+1} B at b.  Before these products A and B are cut, so
-                    # that u and Q each move by less than 2^-(F + 17) of their larger
-                    # term: with ta, tb the top bits of A and B, and ru, rq those of
-                    # tau_k H2_k / G1_k and tau_k H2_{k+1} / (x_b^2 G1_{k+1}), A keeps
-                    # its bits above max(ta, tb + min(ru, rq)) - F - 21 and B its
-                    # bits above max(tb, ta - max(ru, rq)) - F - 21.  Each output is
-                    # judged on its own terms: a tiny B times a huge kk_k or y_k can
-                    # be the larger term of u, and a cut relative to the larger of A
-                    # and B loses it.  The ladder values carry about F + 16 bits, so
-                    # the cut costs none they hold.  A term wholly below its cut is
-                    # dropped, and with it a shift by up to 1.4e8 bits (c = 1e16 on
-                    # (0.5, 1], where i_k and kk_k grow apart by e^(2 s (b - a))).
+                        B, eB = (r0 * Q << -d) - r1 * U, r1e
+                    # u = R_k A + H_k B and Q = R_{k+1} A - H_{k+1} B at b.  Before these
+                    # products A and B are cut, so that u and Q each move by less than
+                    # 2^-(F + 17) of their larger term: with ta, tb the top bits of A and
+                    # B, and ru, rq those of H_k / R_k and H_{k+1} / R_{k+1}, A keeps its
+                    # bits above max(ta, tb + min(ru, rq)) - F - 21 and B its bits above
+                    # max(tb, ta - max(ru, rq)) - F - 21.  Each output is judged on its
+                    # own terms: a tiny B times a huge kk_k or y_k can be the larger term
+                    # of u, and a cut relative to the larger of A and B loses it.  The
+                    # ladder values carry about F + 16 bits, so the cut costs none they
+                    # hold.  A term wholly below its cut is dropped, and with it a shift
+                    # by up to 1.4e8 bits (c = 1e16 on (0.5, 1], where i_k and kk_k grow
+                    # apart by e^(2 s (b - a))).
                     ta, tb = A.bit_length() + eA, B.bit_length() + eB
-                    ts = tk.bit_length() + et
-                    ru, rq = ru + ts, rq - xbt + ts
                     if ru > rq:  # min and max without the calls
                         ru, rq = rq, ru
                     ca = (ta if ta > tb + ru else tb + ru) - F - 21 - eA
@@ -243,25 +230,18 @@ def _spectrum(p, kmax, prec):
                         A, eA = A >> ca, eA + ca
                     if cb >= B.bit_length():
                         B = 0
-                    elif B:
-                        # B <- tau_k B, floored at most to tau_k times its cut
-                        d = tk.bit_length() - 1 + (cb if cb < 0 else 0)
-                        if cb > 0:
-                            B, eB = B >> cb, eB + cb
-                        if d > 0:
-                            B, eB = tk * B >> d, eB + et + d
-                        else:
-                            B, eB = tk * B, eB + et
+                    elif cb > 0:
+                        B, eB = B >> cb, eB + cb
                     # u on 2^x and Q on 2^y
                     if not B:
-                        U, Q, x, y = F1 * A, sXb * H1 * A, E1 + eA, G1 + xbe + eA
+                        U, Q, x, y = R0 * A, R1 * A, R0e + eA, R1e + eA
                     elif not A:
-                        U, Q, x, y = F2 * B, -H2 * B, E2 + eB, G2 + eB
+                        U, Q, x, y = H0 * B, -H1 * B, H0e + eB, H1e + eB
                     else:
-                        x1, x2, y1, y2 = E1 + eA, E2 + eB, G1 + xbe + eA, G2 + eB
+                        x1, x2, y1, y2 = R0e + eA, H0e + eB, R1e + eA, H1e + eB
                         x, y = (x1 if x1 < x2 else x2), (y1 if y1 < y2 else y2)
-                        U = (F1 * A << x1 - x) + (F2 * B << x2 - x)
-                        Q = (sXb * H1 * A << y1 - y) - (H2 * B << y2 - y)
+                        U = (R0 * A << x1 - x) + (H0 * B << x2 - x)
+                        Q = (R1 * A << y1 - y) - (H1 * B << y2 - y)
                     d = x - y
                     if d >= 0:
                         U <<= d
@@ -271,10 +251,6 @@ def _spectrum(p, kmax, prec):
                     # _to_bits inlined, as in the flat loop
                     d = (U or V).bit_length() - F
                     state[k] = (U >> d, V >> d) if d >= 0 else (U << -d, V << -d)
-                    tk, et = tk * t2, et - t2e
-                    d = tk.bit_length() - F
-                    if d > 0:
-                        tk, et = tk >> d, et + d
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
             gm, ge = flat[j]
@@ -306,7 +282,8 @@ def _spectrum(p, kmax, prec):
 
     # (U, V) is proportional to (u, R gamma u'), R = rm 2^re
     rm, re = dy[-1]
-    if potential:
+    # -Delta + q is positive definite for q >= 0: only a negative piece can collide
+    if potential and any(v < 0 for v in p.values):
         # a collision is |R u| < 2^(-prec//2) |u + R u'|, that is |U| rm 2^z < |U + V|
         z = re - (-prec // 2)
         for k, (U, V) in enumerate(state):

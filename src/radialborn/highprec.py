@@ -6,15 +6,18 @@ mantissa precision and round results with :func:`to_prec`.  The Bessel
 ladders run their three-term recurrence in Python integers on
 F = working precision + 16 + bit_length(n) bits, on the exact square x^2 of
 their argument, and return each value as an exact pair (N, E),
-value = N 2^E; nothing is rounded to an mpf.  The regular ladders carry
-g_k = S i_k(x) / x^k or S j_k(x) / x^k, start by Miller's backward recurrence
-and are not rescaled, so S is an unknown factor; only where x is so large
-that this start needs more than ``MILLER_ORDERS`` extra orders do they start
-from two mpmath Bessel values instead, with S = 1.  The singular ladders
-carry h_k = S x^k kk_k(x) or S x^k y_k(x) on the factor S of the regular
-ladder they are handed, from closed forms at one transcendental per
-argument.  The mpmath big-float type plays the role of the extended-precision
-real number; precision is carried by the caller, not by the value.
+value = N 2^E; nothing is rounded to an mpf.  All four return one
+coordinate: r_m = S sigma^m x^m f_m for the regular families (sigma = 1 for
+i_k, -1 for j_k) and h_m = S x^m f_m for the singular ones, with one unknown
+factor S per argument that the two families share.  The regular ladders
+recur downward on g_m = f_m / x^m, from Miller's backward start, which leaves
+S unknown; only where x is so large that this start needs more than
+``MILLER_ORDERS`` extra orders do they start from two mpmath Bessel values
+instead, with S = 1.  Each g_m is then multiplied by (sigma x^2)^m.  The
+singular ladders go up from closed forms at one transcendental per argument,
+on the factor S of the regular ladder they are handed.  The mpmath big-float
+type plays the role of the extended-precision real number; precision is
+carried by the caller, not by the value.
 
 Conventions for the spherical families (order ``k >= 0``, argument ``x > 0``):
 
@@ -144,21 +147,27 @@ def _sph_from_cyl(kind, k, x):
 # ---------------------------------------------------------------------------
 # Whole-ladder evaluations used by the potential forward solver.  Each ladder
 # runs on the exact square x^2 = X 2^e of its argument, given as the pair
-# (X, e), not on a rounded x.  The regular family is carried as g_m = f_m / x^m
-# going down, g_{m-1} = (2m+1) g_m + sigma x^2 g_{m+1}, and the singular family
-# as h_m = x^m f_m going up, h_{m+1} = (2m+1) h_m + sigma x^2 h_{m-1}: each
-# family grows in its direction of travel, and a step multiplies by a short
-# integer and by X, never by a reciprocal of x.  _recurrence runs both in
-# integers on F = mp.prec + 16 + bit_length(n) bits.  The regular ladder goes
-# down from a Miller start f_{M+1}, f_M = 0, 1 and is not rescaled: its values
-# carry one unknown factor S.  Where that start needs more than MILLER_ORDERS
-# orders above the ladder, it goes down from mpmath values at the top two
-# orders instead, and S = 1.  The singular ladder of the same argument is
-# handed the regular one and starts from closed forms at orders 0 and 1 on the
-# same scale S, at the cost of one transcendental per argument: expm1(2x) for
-# kk_k, cos_sin(x) for y_k.  Every ladder value is an exact (N, E), f = N 2^E,
-# and each ladder is a list of length kmax + 2, so that callers can form
-# derivatives by the ladder relations.
+# (X, e), not on a rounded x, and all four return x^m f_m on one factor S: the
+# regular family as r_m = S sigma^m x^m f_m and the singular one as
+# h_m = S x^m f_m, sigma = 1 for i_k and kk_k and -1 for j_k and y_k.  So at x
+# the pair (f_k, x f_k' - k f_k) is sigma^k x^-k (r_k, r_{k+1}) / S for the
+# regular family and x^-k (h_k, -h_{k+1}) / S for the singular one.  Each family
+# recurs in its direction of growth: the regular one as g_m = f_m / x^m going
+# down, g_{m-1} = (2m+1) g_m + sigma x^2 g_{m+1}, and the singular one as h_m
+# going up, h_{m+1} = (2m+1) h_m + sigma x^2 h_{m-1}.  As x^m f_m the regular
+# family would shrink by 1/x a step going down and lose bits a step at large x,
+# so it is multiplied by (sigma x^2)^m only after the recurrence.  A step
+# multiplies by a short integer and by X, never by a reciprocal of x.
+# _recurrence runs both in integers on F = mp.prec + 16 + bit_length(n) bits.
+# The regular ladder goes down from a Miller start f_{M+1}, f_M = 0, 1 and is not
+# rescaled: its values carry one unknown factor S.  Where that start needs more
+# than MILLER_ORDERS orders above the ladder, it goes down from mpmath values at
+# the top two orders instead, and S = 1.  The singular ladder of the same
+# argument is handed the regular one and starts from closed forms at orders 0
+# and 1 on the same scale S, at the cost of one transcendental per argument:
+# expm1(2x) for kk_k, cos_sin(x) for y_k.  Every ladder value is an exact
+# (N, E), value = N 2^E, and each ladder is a list of length kmax + 2, so that
+# callers can form derivatives by the ladder relations.
 # ---------------------------------------------------------------------------
 
 MILLER_ORDERS = 1000
@@ -227,10 +236,12 @@ def _root(x2, prec):
 
 
 def _regular_ladder(kmax, x2, sigma, bessel):
-    """[g_0, ..., g_{kmax+1}], g_m = S f_m(x) / x^m, as exact (N, E) pairs, going down.
+    """[r_0, ..., r_{kmax+1}], r_m = S (sigma x^2)^m g_m and g_m = f_m(x) / x^m, as exact
+    (N, E) pairs.
 
-    From a Miller start, with an unknown factor S != 0; past the start's reach,
-    from the mpmath ``bessel`` at orders kmax + 2 and kmax + 1, with S = 1.
+    g_m goes down from a Miller start, with an unknown factor S != 0, or past the
+    start's reach from the mpmath ``bessel`` at orders kmax + 2 and kmax + 1, with
+    S = 1.  The power (sigma x^2)^m and each product are then cut to F bits.
     """
     n = kmax + 1
     M = _start_order(kmax, to_float(_root(x2, 53)), sigma)
@@ -238,8 +249,22 @@ def _regular_ladder(kmax, x2, sigma, bessel):
         x = mp.make_mpf(_root(x2, mp.prec))
         top, below = (finite_dyadic(_sph_from_cyl(bessel, m, x) / x**m, "ladder seed")
                       for m in (n + 1, n))
-        return _recurrence(top, below, x2, range(n, 0, -1), sigma)[::-1] + [below]
-    return _recurrence((0, 0), (1, 0), x2, range(M, 0, -1), sigma)[::-1][:n + 1]
+        g = _recurrence(top, below, x2, range(n, 0, -1), sigma)[::-1] + [below]
+    else:
+        g = _recurrence((0, 0), (1, 0), x2, range(M, 0, -1), sigma)[::-1][:n + 1]
+    X, e = x2
+    X *= sigma
+    F = mp.prec + 16 + n.bit_length()
+    out, P, pe = [], 1, 0  # (sigma x^2)^m = P 2^pe
+    for N, E in g:
+        N *= P
+        d = N.bit_length() - F
+        out.append((N >> d, E + pe + d) if d > 0 else (N, E + pe))
+        P, pe = P * X, pe + e
+        d = P.bit_length() - F
+        if d > 0:
+            P, pe = P >> d, pe + d
+    return out
 
 
 def _singular_ladder(kmax, x2, sigma, seeds):
@@ -249,7 +274,7 @@ def _singular_ladder(kmax, x2, sigma, seeds):
 
 
 def mod_sph_i_ladder(kmax, x2):
-    """[g_0, ..., g_{kmax+1}] as exact (N, E) pairs, g_m = S i_m(x) / x^m for one S > 0,
+    """[r_0, ..., r_{kmax+1}] as exact (N, E) pairs, r_m = S x^m i_m(x) for one S > 0,
     from x2 = (X, e), x^2 = X 2^e."""
     # g_{m-1} = (2m+1) g_m + x^2 g_{m+1}
     return _regular_ladder(kmax, x2, 1, mpmath.besseli)
@@ -259,7 +284,7 @@ def mod_sph_k_ladder(kmax, x2, regular):
     """[h_0, ..., h_{kmax+1}] as exact (N, E) pairs, h_m = S x^m kk_m(x), with S the
     factor of the ``mod_sph_i_ladder`` output ``regular`` at the same x2."""
     w, rn = mp.prec + 16, round_nearest
-    # S = g_0 / i_0 = x g_0 / sinh x, so h_0 = S kk_0 = pi g_0 / (e^(2x) - 1) and
+    # S = r_0 / i_0 = x r_0 / sinh x, so h_0 = S kk_0 = pi r_0 / (e^(2x) - 1) and
     # h_1 = S x kk_1 = (1 + x) h_0.  e^(2x) takes the bits that e^(2x) - 1 cancels
     # when 2x < 1 on top of w.
     x = _root(x2, w)
@@ -271,7 +296,7 @@ def mod_sph_k_ladder(kmax, x2, regular):
 
 
 def sph_j_ladder(kmax, x2):
-    """[g_0, ..., g_{kmax+1}] as exact (N, E) pairs, g_m = S j_m(x) / x^m for one S != 0,
+    """[r_0, ..., r_{kmax+1}] as exact (N, E) pairs, r_m = S (-x)^m j_m(x) for one S != 0,
     from x2 = (X, e), x^2 = X 2^e."""
     # g_{m-1} = (2m+1) g_m - x^2 g_{m+1}
     return _regular_ladder(kmax, x2, -1, mpmath.besselj)
@@ -285,14 +310,14 @@ def sph_y_ladder(kmax, x2, regular):
     w, rn = mp.prec + 16, round_nearest
     x = _root(x2, w)
     c, s = mpf_cos_sin(x, w, rn)
-    # S from j_0 = sin x / x = g_0 / S, or from j_1 = (sin x - x cos x) / x^2 = x g_1 / S
+    # S from j_0 = sin x / x = r_0 / S, or from j_1 = (sin x - x cos x) / x^2 = -r_1 / (x S)
     # where j_0 is the smaller by a bit or more: j_1 cancels to nothing as x -> 0,
-    # and j_0 = 0 at x = n pi.  With K = -g_0 / sin x or -x^2 g_1 / (sin x - x cos x),
+    # and j_0 = 0 at x = n pi.  With K = -r_0 / sin x or r_1 / (sin x - x cos x),
     # h_0 = S y_0 = K cos x and h_1 = S x y_1 = K (cos x + x sin x).
-    if 2 * (n0.bit_length() + e0) >= 2 * (n1.bit_length() + e1) + X.bit_length() + e:
+    if 2 * (n0.bit_length() + e0) + X.bit_length() + e >= 2 * (n1.bit_length() + e1):
         K = mpf_div(from_man_exp(-n0, e0), s, w, rn)
     else:
-        K = mpf_div(from_man_exp(-n1 * X, e1 + e), mpf_sub(s, mpf_mul(x, c, w, rn), w, rn), w, rn)
+        K = mpf_div(from_man_exp(n1, e1), mpf_sub(s, mpf_mul(x, c, w, rn), w, rn), w, rn)
     seeds = mpf_mul(K, c, w, rn), mpf_mul(K, mpf_add(c, mpf_mul(x, s, w, rn), w, rn), w, rn)
     # h_{m+1} = (2m+1) h_m - x^2 h_{m-1}
     return _singular_ladder(kmax, x2, -1, seeds)

@@ -78,19 +78,23 @@ def ladder_square(x):
     return m * m, 2 * e
 
 
-def ladder_values(pairs, x, power):
-    """N 2^E x^(power m) for the exact (N, E) pairs of a ladder, each formed at the
-    working precision: power 1 turns the regular g_m into S f_m, and power -1 the
-    singular h_m into S f_m."""
-    return [mpmath.ldexp(mpf(N), E) * x ** (power * m) for m, (N, E) in enumerate(pairs)]
+# sigma of each regular ladder: r_m = S sigma^m x^m f_m
+SIGMA = {mod_sph_i_ladder: 1, sph_j_ladder: -1}
+
+
+def ladder_values(pairs, x):
+    """N 2^E / x^m for the exact (N, E) pairs of a ladder, each formed at the working
+    precision: S f_m for a singular ladder h_m = S x^m f_m, and for a regular ladder
+    r_m = S sigma^m x^m f_m when it is read at sigma x."""
+    return [mpmath.ldexp(mpf(N), E) / x ** m for m, (N, E) in enumerate(pairs)]
 
 
 def ladder_family(reg_ladder, sing_ladder, kmax, x):
     """(S f1_m, S f2_m) for m = 0..kmax+1 of the two ladders at x, which share one factor S."""
     x2 = ladder_square(x)
     regular = reg_ladder(kmax, x2)
-    return (ladder_values(regular, x, 1),
-            ladder_values(sing_ladder(kmax, x2, regular), x, -1))
+    return (ladder_values(regular, SIGMA[reg_ladder] * x),
+            ladder_values(sing_ladder(kmax, x2, regular), x))
 
 
 def ladder_derivative(vals, k, x, sgn):
@@ -194,10 +198,11 @@ def _ladder_bits(kinds, ladders, kmax, x, prec):
     with mp.workprec(prec + GUARD_BITS):
         ref0, ref1 = _sph(kinds[0], 0, x), _sph(kinds[0], 1, x)
         i = 0 if abs(ref0) >= abs(ref1) else 1
-        S = ladder_values(regular[:2], x, 1)[i] / (ref0, ref1)[i]
+        sigma = SIGMA[ladders[0]]
+        S = ladder_values(regular[:2], sigma * x)[i] / (ref0, ref1)[i]
         bits = []
-        for kind, vals, power in zip(kinds, pairs, (1, -1)):
-            vals = ladder_values(vals, x, power)
+        for kind, vals, at in zip(kinds, pairs, (sigma * x, x)):
+            vals = ladder_values(vals, at)
             worst = mpf(0)
             for k in sorted(set(range(0, kmax + 1, max(1, kmax // 10))) | {kmax + 1}):
                 ref, up = _sph(kind, k, x), _sph(kind, k + 1, x)
@@ -273,14 +278,25 @@ def test_seeded_ladders_keep_every_bit_far_past_the_miller_reach(x, prec):
         assert _ladder_bits(kinds, ladders, kmax, x, prec) >= prec - 4, ladders[0].__name__
 
 
+@pytest.mark.parametrize("prec", (96, 544))
+@pytest.mark.parametrize("n", (1, 2, 10))
+def test_y_ladder_seeds_keep_every_bit_where_j0_vanishes(n, prec):
+    # at x = n pi (1 + 2^-(prec/2)) j_0 = sin x / x nearly vanishes, so sph_y_ladder
+    # takes its factor from j_1 = -r_1 / (x S), the branch that reads r_1 = -x^2 g_1
+    with mp.workprec(prec):
+        x = n * mpmath.pi * (1 + mpf(2) ** -(prec // 2))
+    assert _ladder_bits((mpmath.besselj, mpmath.bessely), (sph_j_ladder, sph_y_ladder),
+                        20, x, prec) >= prec - 4
+
+
 def test_ladder_derivative_recovers_derivatives():
     kmax = 12
     with mp.workprec(320):
         x = mpf(9) / 5
         i0, _ = mod_sph_bessel_pair(0, x, 256)
         j0, _, _, _ = sph_bessel_pair(0, x, 256)
-        il = ladder_values(mod_sph_i_ladder(kmax, ladder_square(x)), x, 1)
-        jl = ladder_values(sph_j_ladder(kmax, ladder_square(x)), x, 1)
+        il = ladder_values(mod_sph_i_ladder(kmax, ladder_square(x)), x)
+        jl = ladder_values(sph_j_ladder(kmax, ladder_square(x)), -x)
         il, jl = [v * i0 / il[0] for v in il], [v * j0 / jl[0] for v in jl]
         for k in (0, 3, 8):
             _, ipd = mod_sph_bessel_pair(k, x, 256)

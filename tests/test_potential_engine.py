@@ -62,8 +62,9 @@ def _piece_bases(c, a, b, kmax):
     for r in (a, b):
         x2, x = _ladder_square(c, r)
         regular = reg_ladder(kmax, x2)
-        f1 = ladder_values(regular, x, 1)
-        f2 = ladder_values(sing_ladder(kmax, x2, regular), x, -1)
+        # r_m = S sgn1^m x^m f1_m and h_m = S x^m f2_m
+        f1 = ladder_values(regular, sgn1 * x)
+        f2 = ladder_values(sing_ladder(kmax, x2, regular), x)
         W1 = [r * f1[k] for k in range(kmax + 1)]
         W2 = [r * f2[k] for k in range(kmax + 1)]
         dW1 = [f1[k] + x * (sgn1 * f1[k + 1] + k * f1[k] / x) for k in range(kmax + 1)]
@@ -89,7 +90,7 @@ def mpf_potential_spectrum(q, kmax, prec):
         else:
             ladder, sgn = (mod_sph_i_ladder, 1) if c > 0 else (sph_j_ladder, -1)
             x2, x = _ladder_square(c, b)
-            lad = ladder_values(ladder(kmax, x2), x, 1)
+            lad = ladder_values(ladder(kmax, x2), sgn * x)
             states = []
             for k in range(nk):
                 w = b * lad[k]
@@ -132,8 +133,9 @@ def mpf_potential_spectrum(q, kmax, prec):
 
         lambdas = []
         collision_floor = mpmath.ldexp(mpf(1), -prec // 2)
+        negative = any(v < 0 for v in vals)
         for k, (w, wp) in enumerate(states):
-            if abs(w) < collision_floor * abs(wp):
+            if negative and abs(w) < collision_floor * abs(wp):
                 raise DirichletCollisionError(k)
             lambdas.append(to_prec(wp / w - 1 / R, prec))
     return lambdas
@@ -294,6 +296,19 @@ def test_collision_raised_at_the_oracle_degree(R, m):
     with pytest.raises(DirichletCollisionError) as ours:
         potential_spectrum(q, 3, 256)
     assert ours.value.k == theirs.value.k == 0
+
+
+@pytest.mark.parametrize("breaks, values", (((0.0, 1.0), (1e20,)), ((0.0, 0.5, 1.0), (1.0, 1e20))))
+def test_large_nonnegative_potentials_raise_no_collision(breaks, values):
+    # -Delta + q is positive definite for q >= 0, so 0 is never a Dirichlet
+    # eigenvalue; yet lambda_0 = x coth x - 1 ~ 1e10 for q = 1e20 puts |R u| below
+    # the floor 2^(-prec/2) |u + R u'| at 64 bits
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, breaks, values)
+    ours = potential_spectrum(q, 5, 64).lambdas
+    ref = potential_spectrum(q, 5, 512).lambdas
+    with mp.workprec(600):
+        for k, (a, b) in enumerate(zip(ours, ref)):
+            assert abs(a - b) <= abs(b) * mpf(2) ** -62, k
 
 
 @pytest.mark.parametrize("offset", (-4, 4))
