@@ -229,6 +229,13 @@ def _root(x2, prec):
     return mpf_sqrt(from_man_exp(*x2), prec, round_nearest)
 
 
+def _seed_root(x2, prec):
+    """x from x2 = (X, e) at prec + max(0, ceil(log2 x)) bits, for a transcendental
+    of x at prec bits: rounded to prec bits, x would move it by up to x 2^-prec."""
+    X, e = x2
+    return _root(x2, prec + max(0, (X.bit_length() + e + 1) // 2))
+
+
 def _regular_ladder(kmax, x2, sigma):
     """[r_0, ..., r_{kmax+1}], r_m = S sigma^m x^m f_m(x), as exact (N, E) pairs.
 
@@ -248,7 +255,7 @@ def _regular_ladder(kmax, x2, sigma):
         guard = math.ceil(n * (n + 1) / (x * math.log(2))) + 8 if sigma > 0 else 0
         with mp.workprec(mp.prec + guard):
             w, rn = mp.prec + 16, round_nearest
-            xw = _root(x2, w)
+            xw = _seed_root(x2, w)
             c, s = (mpf_cosh_sinh if sigma > 0 else mpf_cos_sin)(xw, w, rn)
             r0 = mpf_div(s, xw, w, rn)
             h = _singular_ladder(kmax, x2, sigma, (r0, mpf_sub(r0, c, w, rn)))
@@ -290,7 +297,7 @@ def mod_sph_k_ladder(kmax, x2, regular):
     # S = r_0 / i_0 = x r_0 / sinh x, so h_0 = S kk_0 = pi r_0 / (e^(2x) - 1) and
     # h_1 = S x kk_1 = (1 + x) h_0.  e^(2x) takes the bits that e^(2x) - 1 cancels
     # when 2x < 1 on top of w.
-    x = _root(x2, w)
+    x = _seed_root(x2, w)
     t = mpf_shift(x, 1)
     em1 = mpf_sub(mpf_exp(t, w + max(0, -(t[2] + t[3])) + 8, rn), fone, w, rn)
     h0 = mpf_div(mpf_mul(mpf_pi(w, rn), from_man_exp(*regular[0]), w, rn), em1, w, rn)
@@ -311,7 +318,7 @@ def sph_y_ladder(kmax, x2, regular):
     (n0, e0), (n1, e1) = regular[:2]
     X, e = x2
     w, rn = mp.prec + 16, round_nearest
-    x = _root(x2, w)
+    x = _seed_root(x2, w)
     c, s = mpf_cos_sin(x, w, rn)
     # S from j_0 = sin x / x = r_0 / S, or from j_1 = (sin x - x cos x) / x^2 = -r_1 / (x S)
     # where j_0 is the smaller by a bit or more: j_1 cancels to nothing as x -> 0,

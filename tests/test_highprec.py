@@ -191,11 +191,17 @@ def _ladder_bits(kinds, ladders, kmax, x, prec):
     singular family's, mpmath function and ladder.  Near a zero of j_k the next
     order carries the scale of the oscillation."""
     with mp.workprec(prec):
-        x = mpf(x)
-        x2 = ladder_square(x)
+        x2 = ladder_square(mpf(x))
+    return _ladder_bits_at(kinds, ladders, kmax, x2, prec, prec + GUARD_BITS)
+
+
+def _ladder_bits_at(kinds, ladders, kmax, x2, prec, ref_prec):
+    """_ladder_bits on the exact square x2 = (X, e), read against mpmath at ref_prec."""
+    with mp.workprec(prec):
         regular = ladders[0](kmax, x2)
         pairs = [regular] + [ladder(kmax, x2, regular) for ladder in ladders[1:]]
-    with mp.workprec(prec + GUARD_BITS):
+    with mp.workprec(ref_prec):
+        x = mpmath.sqrt(mpmath.ldexp(x2[0], x2[1]))
         ref0, ref1 = _sph(kinds[0], 0, x), _sph(kinds[0], 1, x)
         i = 0 if abs(ref0) >= abs(ref1) else 1
         sigma = SIGMA[ladders[0]]
@@ -300,6 +306,19 @@ def test_seeded_ladders_keep_every_bit_far_past_the_miller_reach(x, prec):
     # singular one as f_m / x^m going up
     for kinds, ladders in FAMILIES:
         assert _ladder_bits(kinds, ladders, 150, x, prec) >= prec - 4, ladders[0].__name__
+
+
+@pytest.mark.parametrize("prec", (96, 544))
+@pytest.mark.parametrize("log2x", (20, 40, 60))
+def test_seeded_ladders_keep_every_bit_where_x_squared_is_not_a_square(log2x, prec):
+    # x^2 = 1.5 4^log2x has no root at any precision.  The closed-form seeds take
+    # x at log2 x bits more than the transcendental they feed: rounded to the
+    # transcendental's own bits, x would move cos x or e^x by x 2^-(prec + 16),
+    # prec - 4 bits at x = 2^20 and prec - 44 at 2^60.  Every other ladder test
+    # squares a given x, whose root is then exact
+    for kinds, ladders in FAMILIES:
+        bits = _ladder_bits_at(kinds, ladders, 150, (3, 2 * log2x - 1), prec, prec + 400)
+        assert bits >= prec - 4, ladders[0].__name__
 
 
 @pytest.mark.parametrize("prec", (96, 544))
