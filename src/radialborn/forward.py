@@ -6,8 +6,9 @@ piece (a, b] is (r^2 gamma_j u')' = k(k+1) gamma_j u for a conductivity and
 (gamma = 1 for a potential) are continuous across interfaces.  Per degree the
 state is a projective pair of Python ints (U, V) proportional to
 (u, r gamma u').  A piece carries it by v_b = Phi_b adj(Phi_a) v_a, where the
-columns of Phi_r are the two fundamental solutions as (u, r gamma u') at r;
-the innermost piece keeps its regular solution alone.
+columns of Phi_r are the two fundamental solutions as (u, r gamma u') at r.
+A degree enters at its first piece (the innermost, unless the cut below skips
+it) as that piece's regular solution alone.
 
 A flat piece is every conductivity piece, and a potential piece with c = 0
 taken as gamma_j = 1.  Its solutions r^k and r^{-(k+1)}, scaled, give
@@ -19,8 +20,8 @@ g = gamma_j and t = (a/b)^{2k+1}, so with B = g k U - V and A = g(k+1) U + V
 gamma_j = G / 2^gn enters exactly and t in F-bit fixed point,
 F = prec + GUARD_BITS + bit_length(max(m, K+1)).  B = 0 means u is the pure
 r^k solution, which crosses unchanged: the pair is reset exactly to
-(1, gamma_j k), so lambda_0 = 0 and a flat gamma gives lambda_k = gamma k/R
-correctly rounded.
+(1, gamma_j k), the state in which a degree enters a flat piece, so
+lambda_0 = 0 and a flat gamma gives lambda_k = gamma k/R correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
 solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x.  The ladders run on
@@ -39,11 +40,11 @@ exactly, and M at b, with R_k and H_k the ladder values there,
 
     u = R_k A + H_k B,     Q = R_{k+1} A - H_{k+1} B.
 
-The innermost piece is (U, Q) = (R_k, R_{k+1}).  Before the products at b,
+A degree enters as (U, Q) = (R_k, R_{k+1}).  Before the products at b,
 A and B are cut so that u and Q each move by less than 2^-(F + 17) of their
 larger term, below what the ladders carry; a term wholly below its cut is
 dropped.  The state enters as Q = V - k U and leaves as V = k u + Q.  The
-ladders of a piece serve all k at once.
+ladders of a piece serve all its degrees at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop besides the Bessel cuts; unlike max(|U|, |V|), this
@@ -51,13 +52,57 @@ keeps F bits of U however large a conductivity contrast makes V / U.  lambda
 is homogeneous of degree one in gamma, so a conductivity is solved for
 gamma / 2^se, whose outermost value lies in [1, 2), and V keeps its F bits
 however far gamma lies below 1.  lambda_k = 2^se V / (U R) is rounded to prec
-once, at the end.  A spectrum costs O(m K) integer products, in the transfer
-and in the integer ladders of its Bessel pieces.  Only a potential with a
-negative piece can put a Dirichlet eigenvalue at 0, where u(R) vanishes (for
-q >= 0, -Delta + q is positive definite); its spectrum raises
-DirichletCollisionError when |R u| < 2^(-prec/2) |u + R u'|.
+once, at the end.  Only a potential with a negative piece can put a Dirichlet
+eigenvalue at 0, where u(R) vanishes (for q >= 0, -Delta + q is positive
+definite); its spectrum raises DirichletCollisionError when
+|R u| < 2^(-prec/2) |u + R u'|.
+
+Each degree skips the depth it cannot see.  Piece j gets a limit k_j, the
+highest degree that the pieces inside its outer radius b_j can move at F bits
+(-1 if none); the limits never fall outward, and the outermost is kmax.  Degree
+k enters the first piece j with k_j >= k, which in effect gives the coefficient
+inside its inner radius b its value on piece j.  So piece j carries degrees
+0..k_{j-1}, its ladders run to k_j + 1 at b_j and to k_{j-1} + 1 at its inner
+end, and a spectrum costs sum_j (k_{j-1} + 1) degree steps, each a few integer
+products, in place of m (K + 1).  A degree is cut only where this bound proves
+that the cut moves lambda_k by less than 2^-(F + 8): relative to lambda_k for a
+conductivity, and relative to k + 1 + R lambda_k for a potential, the scale at
+which the transfer itself carries V / U = R lambda_k.
+
+With y = r u'/u, let rho = (k - y) / (k + 1 + y); on a flat piece
+u = alpha r^k + beta r^-(k+1) has rho = beta r^-(2k+1) / alpha.
+
+* Conductivity.  Inside a piece rho shrinks outward by exactly (a/b)^{2k+1}.
+  r^2 gamma u' grows from 0 while u > 0, so y >= 0 and rho lies in
+  (-1, k/(k+1)]; the cut starts at rho = 0, so the two rho differ by less
+  than 1 at b.  An interface maps y to g y, g = gamma_in / gamma_out, and rho by a map
+  of slope g ((y + k + 1) / (g y + k + 1))^2, between g and 1/g for y >= 0.  So
+  at R they differ by less than (b/R)^{2k+1} P,
+  P = exp(sum_i |ln(gamma_{i+1} / gamma_i)|).  Inside a piece y moves towards
+  k, so k P_- <= y <= k P_+, with P_- and P_+ the products of min(1, g) and
+  max(1, g) over the interfaces, and P_+ / P_- = P.  As
+  y = (2k + 1) / (1 + rho) - k - 1, lambda_k = gamma y / R then moves by a
+  relative amount below 3 P^2 (b/R)^{2k+1}.  At k = 0, u = 1 and the cut is
+  exact.
+* Potential.  rho obeys r rho' = -(2k+1) rho - c r^2 (1 + rho)^2 / (2k+1), so two
+  solutions differ by delta with
+  r delta' = -delta ((2k+1) + c r^2 (2 + rho_1 + rho_2) / (2k+1)).  rho cannot
+  fall to -1 (there r rho' = 2k+1) and cannot rise to 1 (y = -1/2) while
+  |c| r^2 < (k + 1/2)^2 on every negative piece.  The guard asks
+  x = sqrt(|c|) b <= k of every negative piece, inner ones included.  Under it
+  rho stays in (-1, 1) for the solution and for the cut one, which is the
+  regular solution of the profile with piece j's value inside b; so
+  |delta| < 2 at b and |delta| < 2 (b/R)^{2k+1} e^{2S/(2k+1)} at R, with
+  S = sum of |c| (b^2 - a^2) over the negative pieces.  By comparison with the
+  constant c+ = max(0, max c), y <= k + x+ with x+ = sqrt(c+) R (i_{k+1} < i_k),
+  so k + 1 + R lambda_k moves by a relative amount below
+  2 (b/R)^{2k+1} e^{2S/(2k+1)} (1 + x+ / (2k+1)).  A degree the guard does not
+  cover is never cut: past its turning point an outer negative piece makes u
+  grow faster than r^k, and an inner one can leave y anywhere at b, even on the
+  singular solution of the piece outside it.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -145,6 +190,44 @@ def _fixed_ratio(a, b, bits):
     return (am << s) // bm if s >= 0 else am // (bm << -s)
 
 
+def _degree_limits(p, kmax, F, dy, flat):
+    """[k_0, ..., k_{m-1}]: k_j is the highest degree that the pieces inside b_j can
+    move at F bits, -1 if none, and kmax on the outermost piece.
+
+    Degree k is cut below b_j when the bound of the module docstring,
+    (b_j / R)^{2k+1} 2^{D_k}, lies below 2^-(F + 8).  The bound is read in floats,
+    with one bit in hand for their rounding, and falls as k grows and as b_j
+    shrinks, so the limits never fall outward.
+    """
+    rm, re = dy[-1]
+    if p.kind is ProfileKind.POTENTIAL:
+        bp, c = [float(x) for x in p.breakpoints], [float(v) for v in p.values]
+        neg = [(-v, a, b) for v, a, b in zip(c, bp, bp[1:]) if v < 0]
+        # the guard: x = sqrt(|c|) b <= k on every negative piece
+        x_neg = max((math.sqrt(v) * b for v, _, b in neg), default=0.0)
+        # 2 S log2(e), S = sum of |c| (b^2 - a^2) over the negative pieces
+        s_bits = 2 * sum(v * (b * b - a * a) for v, a, b in neg) / math.log(2)
+        x_pos = math.sqrt(max(0.0, *c)) * bp[-1]
+
+        def excess(k):
+            n = 2 * k + 1
+            return 1 + s_bits / n + math.log2(1 + x_pos / n) if k >= x_neg else math.inf
+    else:
+        logs = [math.log2(gm) + ge for gm, ge in flat]
+        # log2(3 P^2), P = exp(sum |ln(gamma_{i+1} / gamma_i)|)
+        bits = math.log2(3) + 2 * sum(abs(u - v) for u, v in zip(logs, logs[1:]))
+
+        def excess(k):
+            return bits
+    limits, k = [], 0  # k: the least degree the pieces inside b_j cannot move
+    for bm, be in dy[1:-1]:
+        depth = math.log2(rm) + re - math.log2(bm) - be  # log2(R / b_j)
+        while k <= kmax and (2 * k + 1) * depth <= F + 9 + excess(k):
+            k += 1
+        limits.append(k - 1)
+    return limits + [kmax]
+
+
 def _spectrum(p, kmax, prec):
     """lambda_0..lambda_kmax of either kind by the one transfer described above."""
     if not isinstance(p, PiecewiseProfile):
@@ -154,7 +237,6 @@ def _spectrum(p, kmax, prec):
     kmax, prec = int(kmax), check_precision(prec)
     potential = p.kind is ProfileKind.POTENTIAL
     F = prec + GUARD_BITS + max(p.piece_count, kmax + 1).bit_length()
-    ks = range(kmax + 1)
     # breakpoints and the gamma_j of flat pieces (1 for a potential) as exact
     # dyadics: floats and mpfs as they are, other numbers at F >= 53 bits
     with mp.workprec(F):
@@ -164,8 +246,15 @@ def _spectrum(p, kmax, prec):
     # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
     gm, ge = flat[-1]
     se = ge + gm.bit_length() - 1
+    limits = _degree_limits(p, kmax, F, dy, flat)
+    # (U, V) of degrees 0..k_{j-1}, which cross piece j; degrees k_{j-1} + 1..k_j
+    # enter it as its regular solution
+    state = []
     with mp.workprec(prec + GUARD_BITS):
         for j, value in enumerate(p.values):
+            n, top = len(state), limits[j]
+            if top < 0:
+                continue
             if potential and value != 0:
                 # |c| and the breakpoints at prec + GUARD_BITS bits, and x^2 = |c| r^2
                 # exactly as (X, e)
@@ -174,23 +263,16 @@ def _spectrum(p, kmax, prec):
                 reg, sing = ((mod_sph_i_ladder, mod_sph_k_ladder) if value > 0
                              else (sph_j_ladder, sph_y_ladder))
                 xb2 = (cm * bm * bm, ce + 2 * be)
-                rb = reg(kmax, xb2)
-                if j == 0:
-                    # innermost piece: the regular solution, whose (u, r u' - k u) is
-                    # (r_k, r_{k+1}) times one number per degree
-                    state = []
-                    for k, ((r0, r0e), (r1, r1e)) in enumerate(zip(rb, rb[1:])):
-                        d = r1e - r0e
-                        U, Q = (r0, r1 << d) if d >= 0 else (r0 << -d, r1)
-                        state.append(_to_bits(U, k * U + Q, F))
-                    continue
-                xa2 = (cm * am * am, ce + 2 * ae)
-                ra = reg(kmax, xa2)
-                ha, hb = sing(kmax, xa2, ra), sing(kmax, xb2, rb)
-                # the top-bit gaps H_m / R_m at b
-                gaps = [Hm.bit_length() + He - Rm.bit_length() - Re
-                        for (Rm, Re), (Hm, He) in zip(rb, hb)]
-                ladders = zip(ra, ra[1:], ha, ha[1:], rb, rb[1:], hb, hb[1:], gaps, gaps[1:])
+                rb = reg(top, xb2)
+                ladders = ()  # no degree crosses a piece that all enter
+                if n:
+                    xa2 = (cm * am * am, ce + 2 * ae)
+                    ra = reg(n - 1, xa2)
+                    ha, hb = sing(n - 1, xa2, ra), sing(n - 1, xb2, rb)
+                    # the top-bit gaps H_m / R_m at b
+                    gaps = [Hm.bit_length() + He - Rm.bit_length() - Re
+                            for (Rm, Re), (Hm, He) in zip(rb, hb)]
+                    ladders = zip(ra, ra[1:], ha, ha[1:], rb, rb[1:], hb, hb[1:], gaps, gaps[1:])
                 for k, ((r0, r0e), (r1, r1e), (h0, h0e), (h1, h1e),
                         (R0, R0e), (R1, R1e), (H0, H0e), (H1, H1e), ru, rq) in enumerate(ladders):
                     U, V = state[k]
@@ -251,19 +333,22 @@ def _spectrum(p, kmax, prec):
                     # _to_bits inlined, as in the flat loop
                     d = (U or V).bit_length() - F
                     state[k] = (U >> d, V >> d) if d >= 0 else (U << -d, V << -d)
+                # an entering degree's (u, r u' - k u) is (r_k, r_{k+1}) times one
+                # number per degree
+                for k in range(n, top + 1):
+                    (r0, r0e), (r1, r1e) = rb[k], rb[k + 1]
+                    d = r1e - r0e
+                    U, Q = (r0, r1 << d) if d >= 0 else (r0 << -d, r1)
+                    state.append(_to_bits(U, k * U + Q, F))
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
             gm, ge = flat[j]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
-            if j == 0:
-                # innermost piece: u = r^k
-                state = [(1 << gn, k * G) for k in ks]
-                continue
             t = _fixed_ratio(dy[j], dy[j + 1], F)
             t2 = t * t >> F
             tk = t  # (a/b)^{2k+1}
-            for k in ks:
+            for k in range(n):
                 U, V = state[k]
                 u, v = U * G, V << gn  # B and A below carry 2^gn
                 ku = k * u
@@ -279,6 +364,8 @@ def _spectrum(p, kmax, prec):
                     # the pure r^k solution crosses unchanged
                     state[k] = (1 << gn, k * G)
                 tk = tk * t2 >> F
+            # an entering degree is the pure r^k solution
+            state += [(1 << gn, k * G) for k in range(n, top + 1)]
 
     # (U, V) is proportional to (u, R gamma u'), R = rm 2^re
     rm, re = dy[-1]

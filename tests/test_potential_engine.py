@@ -346,7 +346,7 @@ def test_collision_floor_is_decided_like_the_oracle(R, offset):
                    "collision is neither raised nor recorded")
 def test_lambda_near_the_collision_floor_keeps_every_bit():
     # lambda_0 ~ 2^124 is so conditioned that only about prec + 32 - 124 of its
-    # bits survive; it agrees with a 1200-bit solve to 2^-165.8 relative
+    # bits survive; it agrees with a 1200-bit solve to 2^-194.5 relative
     with mp.workprec(256):
         q = _constant_q(1.0, 1, -(mpmath.pi * (1 + mpf(2) ** -124)) ** 2)
     ours = potential_spectrum(q, 3, 256).lambdas[0]
