@@ -89,7 +89,8 @@ u = alpha r^k + beta r^-(k+1) has rho = beta r^-(2k+1) / alpha.
   r delta' = -delta ((2k+1) + c r^2 (2 + rho_1 + rho_2) / (2k+1)).  rho cannot
   fall to -1 (there r rho' = 2k+1) and cannot rise to 1 (y = -1/2) while
   |c| r^2 < (k + 1/2)^2 on every negative piece.  The guard asks
-  x = sqrt(|c|) b <= k of every negative piece, inner ones included.  Under it
+  x = sqrt(|c|) b <= k of every negative piece, inner ones included, half a
+  unit inside that barrier, which covers the float rounding of x.  Under it
   rho stays in (-1, 1) for the solution and for the cut one, which is the
   regular solution of the profile with piece j's value inside b; so
   |delta| < 2 at b and |delta| < 2 (b/R)^{2k+1} e^{2S/(2k+1)} at R, with

@@ -42,7 +42,7 @@ def _bessel_columns(c, r, kmax):
 
 
 def _flat_columns(gamma, r, kmax):
-    """The same for r^k and r^-(k+1) with gamma: (r^k, gamma k r^k, r^-(k+1), -gamma (k+1) r^-(k+1))."""
+    """The same for r^k and r^-(k+1) under gamma."""
     out = []
     for k in range(kmax + 1):
         p, q = r ** k, r ** -(k + 1)

@@ -96,9 +96,10 @@ def _near_resonant_core(k, depth):
     half = mpf(1) / 2
     with mp.workprec(500):
         y_sing = k - depth * mpmath.besselk(k + 3 * half, depth) / mpmath.besselk(k + half, depth)
-        x = mpmath.findroot(
-            lambda x: k - x * mpmath.besselj(k + 3 * half, x) / mpmath.besselj(k + half, x) - y_sing,
-            mpmath.besseljzero(k - half, 1))
+        def gap(x):
+            return k - x * mpmath.besselj(k + 3 * half, x) / mpmath.besselj(k + half, x) - y_sing
+
+        x = mpmath.findroot(gap, mpmath.besseljzero(k - half, 1))
         c = -(x * (1 + mpf(2) ** -100) / depth) ** 2
     with mp.workprec(280):
         return _pot((0.0, depth, 1.0), (+c, 1.0))
@@ -117,3 +118,18 @@ def test_an_inner_negative_piece_past_the_turning_point_is_not_cut(monkeypatch):
         m.setattr(forward, "_degree_limits", lambda p, kmax, *_: [kmax - 1, kmax])
         depth_only = spectrum_of(q, 20, 256).lambdas
     assert ulps(depth_only[20], ref[20], 256) > 2 ** 20
+
+
+@pytest.mark.parametrize("kind, values", [
+    (ProfileKind.POTENTIAL, (1e6, 3.0, 0.0)), (ProfileKind.CONDUCTIVITY, (5.0, 0.5, 1.0)),
+], ids=("potential", "conductivity"))
+def test_a_piece_no_degree_can_see_is_skipped(monkeypatch, kind, values):
+    # below 2^-(F + 9) even degree 0 cannot see a piece: it runs no degree step
+    # and, on a Bessel piece, no ladder
+    p = PiecewiseProfile(kind, 1.0, (0.0, 1e-100, 0.5, 1.0), values)
+    limits = degree_limits(p, 40, 256)
+    assert limits[0] == -1 and limits[1:] == [40, 40]
+    ours = spectrum_of(p, 40, 256).lambdas
+    assert [x._mpf_ for x in ours] == [x._mpf_ for x in uncut(monkeypatch, p, 40, 256)]
+    ref = oracle_spectrum(p, 40, 256)
+    assert max(ulps(a, b, 256) for a, b in zip(ours, ref)) <= 1
