@@ -62,12 +62,12 @@ highest degree that the pieces inside its outer radius b_j can move at F bits
 (-1 if none); the limits never fall outward, and the outermost is kmax.  Degree
 k enters the first piece j with k_j >= k, which in effect gives the coefficient
 inside its inner radius b its value on piece j.  So piece j carries degrees
-0..k_{j-1}, its ladders run to k_j + 1 at b_j and to k_{j-1} + 1 at its inner
-end, and a spectrum costs sum_j (k_{j-1} + 1) degree steps, each a few integer
-products, in place of m (K + 1).  A degree is cut only where this bound proves
-that the cut moves lambda_k by less than 2^-(F + 8): relative to lambda_k for a
-conductivity, and relative to k + 1 + R lambda_k for a potential, the scale at
-which the transfer itself carries V / U = R lambda_k.
+0..k_{j-1}; its regular ladder at b_j runs to k_j + 1 and its other three to
+k_{j-1} + 1; and a spectrum costs sum_j (k_{j-1} + 1) degree steps, each a few
+integer products, in place of m (K + 1).  A degree is cut only where this bound
+proves that the cut moves lambda_k by less than 2^-(F + 8): relative to
+lambda_k for a conductivity, and relative to k + 1 + R lambda_k for a potential,
+the scale at which the transfer itself carries V / U = R lambda_k.
 
 With y = r u'/u, let rho = (k - y) / (k + 1 + y); on a flat piece
 u = alpha r^k + beta r^-(k+1) has rho = beta r^-(2k+1) / alpha.
