@@ -10,6 +10,16 @@ columns of Phi_r are the two fundamental solutions as (u, r gamma u') at r.
 A degree enters at its first piece (the innermost, unless the cut below skips
 it) as that piece's regular solution alone.
 
+A run of equal neighbouring values (gamma, or c as the Bessel pieces read it)
+is one piece here, from the run's first inner radius to its last outer one; the
+profile itself is not changed.  Phi_r of a run is the same on all its pieces,
+so the product of their maps telescopes to the run's one map: in exact
+arithmetic the run is crossed as it would be piece by piece.  A degree that
+would enter inside the run enters it as the regular solution of the same
+value, (1, gamma k) or (R_k, R_{k+1}), which is what it would reach at the
+run's outer radius.  F below still counts the given pieces.  So a background
+shell of any number of pieces costs one step per degree.
+
 A flat piece is every conductivity piece, and a potential piece with c = 0
 taken as gamma_j = 1.  Its solutions r^k and r^{-(k+1)}, scaled, give
 Phi_a = [[1, 1], [g k, -g(k+1)]] and Phi_b = [[1, t], [g k, -g(k+1) t]] with
@@ -18,7 +28,14 @@ g = gamma_j and t = (a/b)^{2k+1}, so with B = g k U - V and A = g(k+1) U + V
     U <- A + t B,    V <- g (k A - (k+1) t B).
 
 gamma_j = G / 2^gn enters exactly and t in F-bit fixed point,
-F = prec + GUARD_BITS + bit_length(max(m, K+1)).  B = 0 means u is the pure
+F = prec + GUARD_BITS + bit_length(max(m, K+1)).  B / A is rho at a (rho as
+in the cut below), so the fixed point's error in t B, 2^-F |B| at most, stays
+below 2^-F |A| while |rho| < 1.  That holds for every conductivity degree, and
+for a potential degree k at or above x = sqrt(|c|) b of every negative piece
+inside (the cut's guard).  Below that guard, past a negative piece's turning
+point, rho can be 2^100 or more, and that error grows with it, up to t B lost
+whole where t^{2k+1} lies below 2^-F; so these degrees carry t^{2k+1} as an
+F-bit mantissa and an exponent instead.  B = 0 means u is the pure
 r^k solution, which crosses unchanged: the pair is reset exactly to
 (1, gamma_j k), the state in which a degree enters a flat piece, so
 lambda_0 = 0 and a flat gamma gives lambda_k = gamma k/R correctly rounded.
@@ -52,7 +69,10 @@ keeps F bits of U however large a conductivity contrast makes V / U.  lambda
 is homogeneous of degree one in gamma, so a conductivity is solved for
 gamma / 2^se, whose outermost value lies in [1, 2), and V keeps its F bits
 however far gamma lies below 1.  lambda_k = 2^se V / (U R) is rounded to prec
-once, at the end.  Only a potential with a negative piece can put a Dirichlet
+once, at the end: with R = rm 2^re, one integer division of |V| 2^s by
+|U| rm gives prec + 2 or more bits and its remainder the sticky bit, so the
+result is the correctly rounded quotient, the mpf that mpf_div returns.  Only a
+potential with a negative piece can put a Dirichlet
 eigenvalue at 0, where u(R) vanishes (for q >= 0, -Delta + q is positive
 definite); its spectrum raises DirichletCollisionError when
 |R u| < 2^(-prec/2) |u + R u'|.
@@ -110,11 +130,11 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    MPZ,
     finf,
     fninf,
     fone,
     from_int,
-    from_man_exp,
     fzero,
     mpf_add,
     mpf_div,
@@ -192,8 +212,10 @@ def _fixed_ratio(a, b, bits):
 
 
 def _degree_limits(p, kmax, F, dy, flat):
-    """[k_0, ..., k_{m-1}]: k_j is the highest degree that the pieces inside b_j can
-    move at F bits, -1 if none, and kmax on the outermost piece.
+    """[k_0, ..., k_{m-1}] of the pieces between the breakpoints dy, with gamma_j = flat[j]
+    (the runs of p's pieces, or p's pieces themselves): k_j is the highest degree
+    that the pieces inside b_j can move at F bits, -1 if none, and kmax on the
+    outermost piece.  A potential's bound reads c from p's own pieces.
 
     Degree k is cut below b_j when the bound of the module docstring,
     (b_j / R)^{2k+1} 2^{D_k}, lies below 2^-(F + 8).  The bound is read in floats,
@@ -229,6 +251,29 @@ def _degree_limits(p, kmax, F, dy, flat):
     return limits + [kmax]
 
 
+def _quotient(n, e, d, prec):
+    """n 2^e / d rounded to nearest at prec bits, as a raw mpf: the value that
+    mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest) returns; d != 0.
+
+    One division of the magnitudes gives prec + 2 or prec + 3 bits, and its
+    remainder the sticky bit, so one rounding gives the correctly rounded quotient.
+    """
+    if not n:
+        return fzero
+    sign = 1 if (n < 0) != (d < 0) else 0
+    n, d = abs(n), abs(d)
+    s = prec + 2 + d.bit_length() - n.bit_length()  # n 2^s / d lies in (2^(prec+1), 2^(prec+3))
+    q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
+    drop = q.bit_length() - prec
+    half = 1 << drop - 1
+    low = q & (half << 1) - 1
+    q >>= drop
+    if low > half or low == half and (r or q & 1):
+        q += 1
+    z = (q & -q).bit_length() - 1  # an mpf mantissa is odd
+    return sign, MPZ(q >> z), e + drop - s + z, q.bit_length() - z
+
+
 def _spectrum(p, kmax, prec):
     """lambda_0..lambda_kmax of either kind by the one transfer described above."""
     if not isinstance(p, PiecewiseProfile):
@@ -243,26 +288,35 @@ def _spectrum(p, kmax, prec):
     with mp.workprec(F):
         dy = [finite_dyadic(x, "breakpoint") for x in p.breakpoints]
         flat = [finite_dyadic(1 if potential else v, "value") for v in p.values]
+    # a run of equal neighbouring values is one piece: piece j is
+    # (bp[runs[j]], bp[runs[j+1]]] with the value of p.values[runs[j]].  A potential
+    # compares c as its Bessel pieces read it, at prec + GUARD_BITS bits.
+    with mp.workprec(prec + GUARD_BITS):
+        keys = [mpf(v)._mpf_ for v in p.values] if potential else flat
+    runs = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
     # lambda is homogeneous of degree one in gamma: solve for gamma / 2^se, whose
     # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
     gm, ge = flat[-1]
     se = ge + gm.bit_length() - 1
-    limits = _degree_limits(p, kmax, F, dy, flat)
+    limits = _degree_limits(p, kmax, F, [dy[i] for i in runs], [flat[i] for i in runs[:-1]])
     # (U, V) of degrees 0..k_{j-1}, which cross piece j; degrees k_{j-1} + 1..k_j
-    # enter it as its regular solution
-    state = []
+    # enter it as its regular solution.  x_in: the largest sqrt(|c|) b of the
+    # negative pieces crossed so far, the guard of the flat pieces
+    state, x_in = [], 0.0
     with mp.workprec(prec + GUARD_BITS):
-        for j, value in enumerate(p.values):
+        for j, (ia, ib) in enumerate(zip(runs, runs[1:])):
             n, top = len(state), limits[j]
             if top < 0:
                 continue
-            if potential and value != 0:
+            if potential and keys[ia][1]:
                 # |c| and the breakpoints at prec + GUARD_BITS bits, and x^2 = |c| r^2
                 # exactly as (X, e)
-                (_, cm, ce, _), (_, am, ae, _), (_, bm, be, _) = (
-                    mpf(v)._mpf_ for v in (value, p.breakpoints[j], p.breakpoints[j + 1]))
-                reg, sing = ((mod_sph_i_ladder, mod_sph_k_ladder) if value > 0
-                             else (sph_j_ladder, sph_y_ladder))
+                (neg, cm, ce, _), (_, am, ae, _), (_, bm, be, _) = (
+                    keys[ia], *(mpf(p.breakpoints[i])._mpf_ for i in (ia, ib)))
+                reg, sing = ((sph_j_ladder, sph_y_ladder) if neg
+                             else (mod_sph_i_ladder, mod_sph_k_ladder))
+                if neg:
+                    x_in = max(x_in, math.sqrt(-float(p.values[ia])) * float(p.breakpoints[ib]))
                 xb2 = (cm * bm * bm, ce + 2 * be)
                 rb = reg(top, xb2)
                 ladders = ()  # no degree crosses a piece that all enter
@@ -343,13 +397,38 @@ def _spectrum(p, kmax, prec):
                     state.append(_to_bits(U, k * U + Q, F))
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
-            gm, ge = flat[j]
+            gm, ge = flat[ia]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
-            t = _fixed_ratio(dy[j], dy[j + 1], F)
+            t = _fixed_ratio(dy[ia], dy[ib], F)
             t2 = t * t >> F
             tk = t  # (a/b)^{2k+1}
-            for k in range(n):
+            # below the guard |rho| = |B / A| may far exceed 1: there
+            # t^{2k+1} = Tk 2^-ek keeps F bits however small it is.  Only a
+            # potential has a guard, so gamma = 1 here
+            lo = min(n, math.ceil(x_in))
+            if lo:
+                (am, ae), (bm, be) = dy[ia], dy[ib]
+                ek = F + 1 + bm.bit_length() + be - am.bit_length() - ae
+                Tk = _fixed_ratio(dy[ia], dy[ib], ek)
+                T2, e2 = Tk * Tk, 2 * ek
+                s = T2.bit_length() - F
+                T2, e2 = T2 >> s, e2 - s
+            for k in range(lo):
+                U, V = state[k]
+                B = k * U - V
+                if B:
+                    A = k * U + U + V
+                    s = ek - F  # x = t^{2k+1} B 2^F
+                    x = Tk * B >> s if s >= 0 else Tk * B << -s
+                    state[k] = _to_bits((A << F) + x, (k * A << F) - (k + 1) * x, F)
+                else:
+                    state[k] = (1, k)
+                tk = tk * t2 >> F
+                Tk, ek = Tk * T2, ek + e2
+                s = Tk.bit_length() - F
+                Tk, ek = Tk >> s, ek - s
+            for k in range(lo, n):
                 U, V = state[k]
                 u, v = U * G, V << gn  # B and A below carry 2^gn
                 ku = k * u
@@ -377,8 +456,7 @@ def _spectrum(p, kmax, prec):
         for k, (U, V) in enumerate(state):
             if abs(U) * rm << max(z, 0) < abs(U + V) << max(-z, 0):
                 raise DirichletCollisionError(k)
-    lambdas = [mp.make_mpf(mpf_div(from_man_exp(V, se - re), from_int(U * rm), prec, round_nearest))
-               for U, V in state]
+    lambdas = [mp.make_mpf(_quotient(V, se - re, U * rm, prec)) for U, V in state]
     return DtnSpectrum(p.kind, p.radius, lambdas, prec)
 
 

@@ -99,8 +99,16 @@ def read_decimal(text, bits):
 
 
 def finite_dyadic(x, what):
-    """Exact signed (man, exp) of a float or mpf; other types are read at the
-    current working precision.  A non-finite x raises ``ValueError`` naming ``what``."""
+    """Exact signed (man, exp) of a float or mpf, with man odd (0, 0 for zero), as
+    mpf normalizes it; other types are read at the current working precision.  A
+    non-finite x raises ``ValueError`` naming ``what``."""
+    if isinstance(x, float) and math.isfinite(x):
+        # n / d in lowest terms with d = 2^z: n is odd unless d = 1
+        n, d = x.as_integer_ratio()
+        if d > 1:
+            return n, 1 - d.bit_length()
+        z = (n & -n).bit_length() - 1 if n else 0
+        return n >> z, z
     return raw_dyadic(x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_, what)
 
 

@@ -14,7 +14,12 @@ disagreement and prints the worst ulp and the time of each family.
   about 2^u;
 * ``deep``: positive inner pieces under an outer negative one with |c| R^2 up to
   (kmax + 1)^2, the case that a cut of the inner pieces must not touch;
-* ``contrast``: conductivities of 2-30 pieces with values in 10^+-3.
+* ``contrast``: conductivities of 2-30 pieces with values in 10^+-3;
+* ``runs``: runs of 1-6 equal pieces, which the engine crosses as one piece:
+  conductivities with gamma in 10^+-2, and potentials with c of either sign or
+  0, half of them with a strong negative core before a zero run: x =
+  sqrt(|c|) b up to 1.5 kmax, or within 2^-20..2^-100 of a zero of j_{k-1},
+  where degree k leaves the core near r^-(k+1).
 """
 
 import argparse
@@ -23,6 +28,9 @@ import random
 import sys
 import time
 from pathlib import Path
+
+import mpmath
+from mpmath import mp, mpf
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -75,8 +83,48 @@ def _contrast(rng, K):
     return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, _breaks(rng, m), tuple(values))
 
 
+def _run_values(rng, draw):
+    values = []
+    for _ in range(rng.randint(1, 4)):
+        values += [draw()] * rng.randint(1, 6)
+    return values
+
+
+def _runs(rng, K):
+    if rng.random() < 0.3:
+        values = _run_values(rng, lambda: 10 ** rng.uniform(-2, 2))
+        return PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, _breaks(rng, len(values)),
+                                tuple(values))
+    values = _run_values(rng, lambda: 0.0 if rng.random() < 0.3 else _signed(rng, -1, 3))
+    if rng.random() < 0.5:
+        return PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, _breaks(rng, len(values)),
+                                tuple(values))
+    # a negative core of 1-3 pieces on (0, b] before a zero run
+    n_core = rng.randint(1, 3)
+    if rng.random() < 0.5:
+        # x = sqrt(|c|) b up to 1.5 kmax
+        b = rng.uniform(0.05, 0.5)
+        core = -(rng.uniform(0.2, 1.5) * K / b) ** 2
+        outer = [0.0] * rng.randint(1, 6) + values
+    else:
+        # x = 1 + 2^-u times the first zero of j_{k-1}: degree k leaves the core
+        # within about 2^-u of r^-(k+1), so rho ~ 2^u where the zero run starts.
+        # With (b/R)^{2k+1} <= 2^-2u, r^k overtakes r^-(k+1) before R, so that
+        # lambda_k does not hang on the bits of A that the state loses under B (a
+        # positive run after the zero run only speeds that up)
+        k, b = rng.randint(10, K), 2 ** -rng.uniform(2, 8)
+        u = rng.uniform(20, min(100, (2 * k + 1) * -math.log2(b) / 2))
+        with mp.workprec(400):
+            core = -(mpmath.besseljzero(k - mpf(1) / 2, 1) * (1 + mpf(2) ** -u) / b) ** 2
+        outer = [0.0] * rng.randint(1, 6) + [10 ** rng.uniform(-1, 3)] * rng.randint(0, 3)
+    cuts = (sorted(rng.uniform(0.01, 0.99) * b for _ in range(n_core - 1))
+            + [b] + sorted(rng.uniform(b, 1.0) for _ in range(len(outer) - 1)))
+    return PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, *cuts, 1.0),
+                            tuple([core] * n_core + outer))
+
+
 FAMILIES = {"mixed": _mixed, "turning": _turning, "collision": _collision, "deep": _deep,
-            "contrast": _contrast}
+            "contrast": _contrast, "runs": _runs}
 
 
 def main(argv=None):

@@ -4,11 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
 from radialborn.forward import (
     DirichletCollisionError,
     DtnSpectrum,
     TransferDenominatorError,
+    _quotient,
     ode_log_derivative_oracle,
     potential_spectrum,
     raw_scaled_shifts,
@@ -221,3 +223,46 @@ def test_spectrum_monotone_in_potential_sign():
     down = potential_spectrum(const_q(-2.0), 10, 128)
     for k in range(11):
         assert up.lambdas[k] > k > down.lambdas[k]
+
+
+def _quotient_cases(prec):
+    """(n, e, d): seeded random, exact half-way ties and their neighbours, either
+    sign, n = 0 and d with trailing zeros."""
+    rng = random.Random(prec)
+    cases = [(0, 5, 3), (0, -7, -12), (1, 0, 1), (-1, 0, 3), (5, 3, -1 << 40)]
+    for _ in range(300):
+        n = rng.getrandbits(rng.randint(1, 3 * prec)) * rng.choice((-1, 1)) or 1
+        d = rng.getrandbits(rng.randint(1, 3 * prec)) * rng.choice((-1, 1)) or 1
+        cases.append((n, rng.randint(-600, 600), d << rng.choice((0, 0, 1, 37, 300))))
+    for _ in range(100):
+        # n 2^-1 / d = M + 1/2 exactly, half-way between two prec-bit values M and M + 1
+        M = rng.getrandbits(prec) | 1 << prec - 1
+        d = rng.getrandbits(rng.randint(1, 2 * prec)) | 1
+        d <<= rng.choice((0, 5))
+        for n in ((2 * M + 1) * d, (2 * M + 1) * d + 1, (2 * M + 1) * d - 1):
+            cases.append((n * rng.choice((-1, 1)), rng.randint(-300, 300) - 1, d))
+    return cases
+
+
+@pytest.mark.parametrize("prec", [64, 96, 256, 543])
+def test_the_lambda_quotient_is_mpf_div_bit_for_bit(prec):
+    for n, e, d in _quotient_cases(prec):
+        ref = mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest)
+        assert _quotient(n, e, d, prec) == ref, (n, e, d)
+
+
+@pytest.mark.parametrize("kind, values", [
+    (ProfileKind.POTENTIAL, (-40.0, -40.0, 0.0, 0.0, 0.0, 7.0, 7.0, -3.0)),
+    (ProfileKind.CONDUCTIVITY, (2.0, 2.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0)),
+], ids=("potential", "conductivity"))
+def test_a_run_of_equal_pieces_is_crossed_as_one_piece(kind, values):
+    # the engine merges each run itself; with m <= K + 1 both profiles get the same F,
+    # so they agree bit for bit
+    breaks = (0.0, 0.1, 0.2, 0.35, 0.5, 0.6, 0.8, 0.9, 1.0)
+    split = PiecewiseProfile(kind, 1.0, breaks, values)
+    keep = [0] + [j for j in range(1, len(values)) if values[j] != values[j - 1]]
+    merged = PiecewiseProfile(kind, 1.0, tuple(breaks[j] for j in keep) + (1.0,),
+                              tuple(values[j] for j in keep))
+    assert merged.piece_count < split.piece_count
+    ours, ref = (spectrum_of(p, 30, 256).lambdas for p in (split, merged))
+    assert [x._mpf_ for x in ours] == [x._mpf_ for x in ref]

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -435,3 +436,30 @@ def test_a_shared_grid_keeps_its_exponent_read():
     fresh = one_exponent(tuple(grid))
     assert fresh == grid.exponent_read and fresh is not grid.exponent_read
     assert one_exponent(grid[3:]) == one_exponent(tuple(grid)[3:])
+
+
+def _float_read_cases():
+    rng = random.Random(20260)
+    tiny, top = 5e-324, sys.float_info.max
+    fixed = [0.0, -0.0, tiny, -tiny, 2 * tiny, 3 * tiny, sys.float_info.min / 2,
+             -sys.float_info.min * 0.75, sys.float_info.min, top, -top, 2.0 ** 53,
+             2.0 ** 53 + 2, -(2.0 ** 60) * 3, 1e300, 0.5, -1.0, 0.1, 1 / 3]
+    # integral floats >= 2^53 have an even numerator in as_integer_ratio
+    integral = [float(rng.getrandbits(rng.randint(54, 1000))) * rng.choice((-1, 1))
+                for _ in range(2000)]
+    subnormal = [rng.randint(1, 2 ** 52 - 1) * tiny * rng.choice((-1, 1)) for _ in range(500)]
+    spread = [rng.uniform(1, 2) * 2.0 ** rng.randint(-1070, 1020) * rng.choice((-1, 1))
+              for _ in range(2000)]
+    return fixed + integral + subnormal + spread
+
+
+def test_the_float_read_is_the_mpf_read():
+    for x in _float_read_cases():
+        assert finite_dyadic(x, "x") == highprec.raw_dyadic(mpf(x)._mpf_, "x"), x
+    assert finite_dyadic(np.float64(0.75), "x") == (3, -2)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_float_read_names_what_it_reads(x):
+    with pytest.raises(ValueError, match="non-finite breakpoint"):
+        finite_dyadic(x, "breakpoint")

@@ -2,17 +2,21 @@
 
 The potentials cover both signs, x past kmax + 1 on an outer piece, an outer
 negative piece past its turning point and twelve pieces; the conductivities a
-smooth profile and a contrast of 10^+-3.  ``tests/oracle_sweep.py`` runs a
-seeded random set against the same oracle.
+smooth profile and a contrast of 10^+-3.  Runs of equal pieces, which the
+engine crosses as one piece, cover a flat run after a negative piece, Bessel
+runs of each sign, an innermost run and a bump conductivity on a background
+shell.  ``tests/oracle_sweep.py`` runs a seeded random set against the same
+oracle.
 """
 
 import random
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import mp, mpf
 
 from mpf_oracle import oracle_spectrum, ulps
+from radialborn.experiments import experiment_profiles
 from radialborn.forward import spectrum_of
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
@@ -49,6 +53,15 @@ CASES = {
         ProfileKind.CONDUCTIVITY, 1.0, "cosine_series",
         {"c": [0.2, -0.1, 0.05], "offset": 1.0}), 30), 60),
     "cond_contrast": (_cond((0.0, 0.2, 0.45, 0.7, 1.0), (1e3, 1e-3, 1e3, 2.0)), 60),
+    # x = 42 on the core, past its turning point for the degrees below 42
+    "run_flat_after_negative": (_pot((0.0, 0.1, 0.3, 0.5, 0.75, 1.0),
+                                     (3.0, -2e4, 0.0, 0.0, 0.0)), 60),
+    "run_positive": (_pot((0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (-50.0, 400.0, 400.0, 400.0, 2.0)), 40),
+    "run_negative": (_pot((0.0, 0.15, 0.35, 0.55, 0.8, 1.0), (10.0, -900.0, -900.0, -900.0, -900.0)),
+                     40),
+    "run_innermost": (_pot((0.0, 0.1, 0.25, 0.4, 0.7, 1.0), (-3e3, -3e3, -3e3, 50.0, 0.0)), 40),
+    # experiment 2's bump on [0, 1/3] on 30 pieces: the outer 20 are gamma = 1
+    "run_cond_background": (project_midpoint(experiment_profiles(2)["gamma_2"], 30), 60),
 }
 
 
@@ -68,3 +81,26 @@ def test_oracle_reads_the_closed_form_of_a_constant_potential():
     with mp.workprec(2 * PREC):
         exact = 3 * mpmath.coth(3) - 1
     assert ulps(ref[0], exact, PREC + 64) <= 1
+
+
+def _resonant_core_then_flat(zeros):
+    """(c, 0, ..., 0) on (0, 2^-8, ..., 1] with `zeros` equal flat pieces, where
+    sqrt(|c|) 2^-8 is 1 + 2^-100 times the first zero of j_19.
+
+    Degree 20 leaves the core within about 2^-100 of r^-(k+1), so rho is near
+    2^100 on the flat run, and t B moves lambda_20 by about 2^24 ulp though
+    t^41 = 2^-328 lies below 2^-F on one flat piece."""
+    with mp.workprec(300):
+        x = mpmath.besseljzero(mpf(39) / 2, 1) * (1 + mpf(2) ** -100)
+        c = -(x * 2 ** 8) ** 2
+    d = 2.0 ** -8
+    breaks = (0.0, d, *(d + (1 - d) * i / zeros for i in range(1, zeros)), 1.0)
+    return _pot(breaks, (c,) + (0.0,) * zeros)
+
+
+@pytest.mark.parametrize("zeros", [1, 10])
+def test_a_flat_run_after_a_core_past_its_turning_point_keeps_its_last_bit(zeros):
+    q = _resonant_core_then_flat(zeros)
+    ours = spectrum_of(q, 20, PREC).lambdas
+    ref = oracle_spectrum(q, 20, PREC)
+    assert max(ulps(a, b, PREC) for a, b in zip(ours, ref)) <= 1
