@@ -406,7 +406,7 @@ def _spectrum(p, kmax, prec):
             # below the guard |rho| = |B / A| may far exceed 1: there
             # t^{2k+1} = Tk 2^-ek keeps F bits however small it is.  Only a
             # potential has a guard, so gamma = 1 here
-            lo = min(n, math.ceil(x_in))
+            lo = n if x_in >= n else math.ceil(x_in)  # x_in may be inf
             if lo:
                 (am, ae), (bm, be) = dy[ia], dy[ib]
                 ek = F + 1 + bm.bit_length() + be - am.bit_length() - ae

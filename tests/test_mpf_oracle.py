@@ -104,3 +104,12 @@ def test_a_flat_run_after_a_core_past_its_turning_point_keeps_its_last_bit(zeros
     ours = spectrum_of(q, 20, PREC).lambdas
     ref = oracle_spectrum(q, 20, PREC)
     assert max(ulps(a, b, PREC) for a, b in zip(ours, ref)) <= 1
+
+
+def test_a_core_past_the_float_range_keeps_its_last_bit():
+    # sqrt(|c|) b = 5e199 is inf as a float: every degree lies below the flat
+    # piece's guard
+    q = _pot((0.0, 0.5, 1.0), (mpf("-1e400"), 0.0))
+    ours = spectrum_of(q, 5, 64).lambdas
+    ref = oracle_spectrum(q, 5, 64)
+    assert max(ulps(a, b, 64) for a, b in zip(ours, ref)) <= 1
