@@ -178,12 +178,18 @@ def cmd_invert_fourier(args):
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
             next(reader)
-            rows = [(a, b) for a, b, *_ in reader if a]
+            rows = []
+            for line, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) < 2:
+                    raise ValueError(f"line {line}: expected xi and value columns, got {row!r}")
+                rows.append(row)
         # nodes at the bits fourier_rows writes them with, so one halfway between two
         # floats rounds as when it was computed; values at the 53 bits of a float
         bits = xi_node_bits(len(rows) - 1)
-        F = FourierSamples(tuple(read_decimal(a, bits) for a, _ in rows),
-                           tuple(float(read_decimal(b, 53)) for _, b in rows))
+        F = FourierSamples(tuple(read_decimal(a, bits) for a, *_ in rows),
+                           tuple(float(read_decimal(b, 53)) for _, b, *_ in rows))
         s = inverse_radial_ft(F)
     except (OSError, ValueError, StopIteration) as e:
         raise ValueError(f"{args.input}: {e}")

@@ -27,18 +27,21 @@ g = gamma_j and t = (a/b)^{2k+1}, so with B = g k U - V and A = g(k+1) U + V
 
     U <- A + t B,    V <- g (k A - (k+1) t B).
 
-gamma_j = G / 2^gn enters exactly and t in F-bit fixed point,
-F = prec + GUARD_BITS + bit_length(max(m, K+1)).  B / A is rho at a (rho as
-in the cut below), so the fixed point's error in t B, 2^-F |B| at most, stays
-below 2^-F |A| while |rho| < 1.  That holds for every conductivity degree, and
-for a potential degree k at or above x = sqrt(|c|) b of every negative piece
-inside (the cut's guard).  Below that guard, past a negative piece's turning
-point, rho can be 2^100 or more, and that error grows with it, up to t B lost
-whole where t^{2k+1} lies below 2^-F; so these degrees carry t^{2k+1} as an
-F-bit mantissa and an exponent instead.  B = 0 means u is the pure
-r^k solution, which crosses unchanged: the pair is reset exactly to
-(1, gamma_j k), the state in which a degree enters a flat piece, so
-lambda_0 = 0 and a flat gamma gives lambda_k = gamma k/R correctly rounded.
+gamma_j = G / 2^gn enters exactly and t in Fp-bit fixed point, whose floors
+put t^{2k+1} below its value by fewer than 4(k+1) units of 2^-Fp.  B / A is
+rho at a (rho as in the cut below), so that error in t B stays below
+4(k+1) 2^-Fp |A| where |rho| < 1: at every conductivity degree, and at a
+potential degree k >= x = sqrt(|c|) b of every negative piece inside (the
+cut's guard).  There Fp = F = prec + GUARD_BITS + bit_length(max(m, K+1)).
+Past a negative piece's turning point rho can be 2^100 or more; if the guard
+leaves the lowest lo > 0 degrees below it, Fp = F + (2 lo - 1) L +
+bit_length(lo) + 2, with L = bit_length(b_m) + b_e - bit_length(a_m) - a_e + 1
+>= log2(b/a) for a = a_m 2^a_e, b = b_m 2^b_e, so t^{2k+1} > 2^-(2 lo - 1) L
+keeps F bits relative to itself for k < lo.  The state is cut back to F bits
+after the piece.  B = 0 means u is the pure r^k solution, which crosses
+unchanged: the pair is reset exactly to (1, gamma_j k), the state in which a
+degree enters a flat piece, so lambda_0 = 0 and a flat gamma gives
+lambda_k = gamma k/R correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
 solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x.  The ladders run on
@@ -400,35 +403,17 @@ def _spectrum(p, kmax, prec):
             gm, ge = flat[ia]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
-            t = _fixed_ratio(dy[ia], dy[ib], F)
-            t2 = t * t >> F
-            tk = t  # (a/b)^{2k+1}
-            # below the guard |rho| = |B / A| may far exceed 1: there
-            # t^{2k+1} = Tk 2^-ek keeps F bits however small it is.  Only a
-            # potential has a guard, so gamma = 1 here
+            # t in Fp-bit fixed point, wider than F below the guard; L >= log2(b/a)
             lo = n if x_in >= n else math.ceil(x_in)  # x_in may be inf
+            Fp = F
             if lo:
                 (am, ae), (bm, be) = dy[ia], dy[ib]
-                ek = F + 1 + bm.bit_length() + be - am.bit_length() - ae
-                Tk = _fixed_ratio(dy[ia], dy[ib], ek)
-                T2, e2 = Tk * Tk, 2 * ek
-                s = T2.bit_length() - F
-                T2, e2 = T2 >> s, e2 - s
-            for k in range(lo):
-                U, V = state[k]
-                B = k * U - V
-                if B:
-                    A = k * U + U + V
-                    s = ek - F  # x = t^{2k+1} B 2^F
-                    x = Tk * B >> s if s >= 0 else Tk * B << -s
-                    state[k] = _to_bits((A << F) + x, (k * A << F) - (k + 1) * x, F)
-                else:
-                    state[k] = (1, k)
-                tk = tk * t2 >> F
-                Tk, ek = Tk * T2, ek + e2
-                s = Tk.bit_length() - F
-                Tk, ek = Tk >> s, ek - s
-            for k in range(lo, n):
+                L = bm.bit_length() + be - am.bit_length() - ae + 1
+                Fp += (2 * lo - 1) * L + lo.bit_length() + 2
+            t = _fixed_ratio(dy[ia], dy[ib], Fp)
+            t2 = t * t >> Fp
+            tk = t  # (a/b)^{2k+1}
+            for k in range(n):
                 U, V = state[k]
                 u, v = U * G, V << gn  # B and A below carry 2^gn
                 ku = k * u
@@ -436,14 +421,14 @@ def _spectrum(p, kmax, prec):
                 if B:
                     A = ku + u + v
                     x = tk * B
-                    U, V = (A << F) + x << gn, ((k * A << F) - (k + 1) * x) * G
+                    U, V = (A << Fp) + x << gn, ((k * A << Fp) - (k + 1) * x) * G
                     # _to_bits inlined: a call costs about 3 % of this loop
                     s = (U or V).bit_length() - F
                     state[k] = (U >> s, V >> s) if s >= 0 else (U << -s, V << -s)
                 else:
                     # the pure r^k solution crosses unchanged
                     state[k] = (1 << gn, k * G)
-                tk = tk * t2 >> F
+                tk = tk * t2 >> Fp
             # an entering degree is the pure r^k solution
             state += [(1 << gn, k * G) for k in range(n, top + 1)]
 

@@ -112,7 +112,7 @@ def _runs(rng, K):
         # With (b/R)^{2k+1} <= 2^-2u, r^k overtakes r^-(k+1) before R, so that
         # lambda_k does not hang on the bits of A that the state loses under B (a
         # positive run after the zero run only speeds that up)
-        k, b = rng.randint(10, K), 2 ** -rng.uniform(2, 8)
+        k, b = rng.randint(10, K), 2 ** -rng.uniform(2, 40)
         u = rng.uniform(20, min(100, (2 * k + 1) * -math.log2(b) / 2))
         with mp.workprec(400):
             core = -(mpmath.besseljzero(k - mpf(1) / 2, 1) * (1 + mpf(2) ** -u) / b) ** 2

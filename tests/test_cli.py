@@ -314,6 +314,21 @@ def test_invert_fourier_rejects_a_value_or_node_that_is_not_finite(workdir, caps
     assert not (workdir / "run").exists()
 
 
+def test_invert_fourier_skips_blank_rows_and_names_a_short_one(workdir, capsys):
+    # a blank row, such as a trailing empty line, used to exit 2 with "not enough
+    # values to unpack"
+    rows = "xi,value\n0,1.0\n0.5,1.0\n\n1.0,1.0\n1.5,1.0\n"
+    write(workdir / "F.csv", rows)
+    write(workdir / "G.csv", rows.replace("\n\n", "\n") + "\n")
+    assert main(["invert-fourier", "--input", "F.csv", "--out", "f"]) == 0
+    assert main(["invert-fourier", "--input", "G.csv", "--out", "g"]) == 0
+    assert (workdir / "f" / "inverse.csv").read_bytes() == \
+        (workdir / "g" / "inverse.csv").read_bytes()
+    fpath = write(workdir / "H.csv", "xi,value\n0,1.0\n0.5\n1.0,1.0\n")
+    assert main(["invert-fourier", "--input", fpath, "--out", "h"]) == 2
+    assert f"{fpath}: line 3: expected xi and value columns" in capsys.readouterr().err
+
+
 def test_misspelt_analytic_parameter_is_an_input_error(workdir, capsys):
     prof = write(workdir / "q.txt", "kind potential\nradius 1\nanalytic bump hieght=2\n")
     assert main(["dtn", "--profile", prof, "--terms", "5", "--precision", "64"]) == 2
