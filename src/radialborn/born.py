@@ -10,6 +10,8 @@ weights are the scaled shifts mu_k = R^{2k+2} (lambda_k^R - k/R) of the one
 radius map ``forward.raw_scaled_shifts``, each mode one target radius R
 (``target_radius``): the spectrum's own (unit), the given R (finiteR) or
 infinity (scattering); a zero denominator raises ``TransferDenominatorError``.
+The map holds only where R does not cut the support, which a spectrum does not
+know: ``check_support`` checks it against a profile.
 Fed these, L gives the potential Born approximation, and the conductivity
 transform divides by |xi|^2 via an index shift; that series is also the
 conductivity moment form.  The weights and the products a_k = c_k mu_k with
@@ -20,6 +22,7 @@ an exact sign flip and exponent decrement.  One kernel, ``_series_sum``, sums th
 a_k (xi/2)^{2k} by a truncated Horner pass in Python integers, one
 small-integer product per step, and rounds each value to prec once; the error
 before that rounding is below 2^-(prec + GUARD_BITS + 5) sum_k |a_k| (xi/2)^{2k}.
+What it reads from the nodes alone is kept with the ``highprec.XiGrid``.
 Non-finite entries or frequencies raise ``ValueError``.
 """
 
@@ -30,23 +33,23 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, mpf_mul, round_nearest
+from mpmath.libmp import mpf_mul, round_nearest
 
 from .forward import raw_scaled_shifts
-from .highprec import GUARD_BITS, check_precision, one_exponent, raw_dyadic, to_prec
+from .highprec import (GUARD_BITS, XiGrid, check_precision, one_exponent, raw_dyadic,
+                       round_half_even, to_prec)
 from .profiles import PiecewiseProfile, ProfileKind
 
 @dataclass(frozen=True)
 class FourierSamples:
-    """Values of a radial Fourier transform on a uniform xi-grid from 0."""
+    """Values of a radial Fourier transform on a uniform xi-grid from 0; the grid is
+    kept as an ``XiGrid``, the one it is given when it is one."""
 
-    xi_grid: tuple
+    xi_grid: XiGrid
     values: tuple
 
     def __post_init__(self):
-        # a tuple is kept as it is, so that a shared KeptGrid keeps its read
-        if not isinstance(self.xi_grid, tuple):
-            object.__setattr__(self, "xi_grid", tuple(self.xi_grid))
+        object.__setattr__(self, "xi_grid", XiGrid(self.xi_grid))
         object.__setattr__(self, "values", tuple(self.values))
         if len(self.xi_grid) != len(self.values):
             raise ValueError("grid/value length mismatch")
@@ -74,17 +77,41 @@ def _series_terms(mu, prec):
             for c, m in zip(series_coefficients(len(mu) - 1, work), mu)]
 
 
+def _node_plan(grid):
+    """The nodes' part of ``_series_sum``, read once per XiGrid: (e, g, lj, groups).
+
+    |xi_n| = N_n 2^e on one exponent with N_n = m_n 2^z_n (``one_exponent``), g is
+    the gcd of the mantissas m_n, J_n = (N_n / g)^2 is exact and lj holds log2 J_n
+    of the nonzero nodes in order.  Each group (s, index, pairs) holds the nonzero
+    nodes with s = bit_length(J_n - 1): their positions in lj as an array and
+    their (position in the grid, J_n).  Nodes over 2^22 binary orders apart raise
+    ``ValueError``.
+    """
+    e, X = grid.read(one_exponent)
+    nodes = [n for n, (xm, _) in enumerate(X) if xm]
+    g = math.gcd(*(xm for xm, _ in X))
+    qz = [(abs(X[n][0]) // g, X[n][1]) for n in nodes]  # N_n / g = q_n 2^z_n
+    # J_n is exact, so nodes 2^22 binary orders apart would make it megabytes long
+    if max((q.bit_length() + z for q, z in qz), default=0) > 2 ** 22:
+        raise ValueError("frequency out of range: nodes span over 2^22 binary orders")
+    J = [(q << z) ** 2 for q, z in qz]
+    groups = {}
+    for i, j in enumerate(J):
+        groups.setdefault((j - 1).bit_length(), []).append(i)
+    return e, g, np.array([math.log2(j) for j in J]), tuple(
+        (s, np.array(m), tuple((nodes[i], J[i]) for i in m)) for s, m in groups.items())
+
+
 def _series_sum(a, xi_grid, prec):
     """sum_k a_k y^k with y = (xi/2)^2 at every node, each rounded to prec once.
 
     The terms a_k are raw mpf tuples, as ``_series_terms`` gives them.
 
     A truncated Horner pass in Python integers, F = prec + GUARD_BITS + 8 +
-    bit_length(K).  The nonzero nodes are read as integers on one exponent,
-    |xi_n| = N_n 2^e with N_n = m_n 2^z_n (``highprec.one_exponent``), and with g the gcd
-    of the mantissas m_n (gcd(N_n) for odd mantissas), y_n = J_n Y0 with the
-    exact integer J_n = (N_n / g)^2, n^2 on ``default_xi_grid``, and
-    Y0 = g^2 2^(2e - 2); nodes over 2^22 binary orders apart raise ``ValueError``.
+    bit_length(K).  The nonzero nodes are read once per ``XiGrid`` (``_node_plan``)
+    as integers on one exponent, |xi_n| = N_n 2^e, and with g the gcd of their
+    mantissas (gcd(N_n) for odd mantissas), y_n = J_n Y0 with the exact integer
+    J_n = (N_n / g)^2, n^2 on ``default_xi_grid``, and Y0 = g^2 2^(2e - 2).
     Y0 is folded into the terms once per call, b_k = a_k Y0^k to within
     2^-(F + bit_length(K) + 2) relative, so each node sums t_k = b_k J_n^k.
 
@@ -101,18 +128,21 @@ def _series_sum(a, xi_grid, prec):
     fold, < 2^-(prec + GUARD_BITS + 5) sum|t_k| in all.  The
     bits of a node's value below that bound may depend on the other nodes of
     the call, through g, e and its group's schedule, but never on their order.
+    Each value is rounded half to even by ``round_half_even``.
     """
     K = len(a) - 1
     bits = prec + GUARD_BITS + 8 + K.bit_length()
     A = [raw_dyadic(t, "series term") for t in a]
+    grid = XiGrid(xi_grid)
     with mp.workprec(prec + GUARD_BITS):
-        e, X = one_exponent(xi_grid)
+        grid.read(one_exponent)  # a non-finite node raises whatever the terms
     # xi = 0 (and an all-zero or empty series) leaves a_0 alone
-    out = [mp.make_mpf(from_man_exp(*(A[0] if A else (0, 0)), prec, round_nearest))] * len(X)
-    nodes = [n for n, (xm, _) in enumerate(X) if xm]
-    if not (nodes and any(am for am, _ in A)):
+    out = [mp.make_mpf(round_half_even(*(A[0] if A else (0, 0)), prec))] * len(grid)
+    if not any(am for am, _ in A):
         return out
-    g = math.gcd(*(xm for xm, _ in X))
+    e, g, lj, groups = grid.read(_node_plan)
+    if not groups:
+        return out
     # Y0^k = pm 2^(pe + k (2e - 2)) with pm cut to Q bits after each product
     P = bits + K.bit_length() + 4
     Q = P + K.bit_length() + 1
@@ -125,15 +155,9 @@ def _series_sum(a, xi_grid, prec):
         b = am * pm
         cut = max(b.bit_length() - P, 0)
         B.append((b >> cut, ae + pe + k * (2 * e - 2) + cut))
-    qz = [(abs(X[n][0]) // g, X[n][1]) for n in nodes]  # N_n / g = q_n 2^z_n
-    # J_n is exact, so nodes 2^22 binary orders apart would make it megabytes long
-    if max(q.bit_length() + z for q, z in qz) > 2 ** 22:
-        raise ValueError("frequency out of range: nodes span over 2^22 binary orders")
-    J = [(q << z) ** 2 for q, z in qz]
     ks = np.arange(len(B))
     nz = np.array([bm != 0 for bm, _ in B])
     top = np.where(nz, [float(abs(bm).bit_length() + be) for bm, be in B], -np.inf)
-    lj = np.array([math.log2(j) for j in J])
     # keeps the float64 estimates within a bit and the shifts bounded
     if max(np.abs(top[nz]).max(), lj.max() * len(B)) >= 2.0 ** 50:
         raise ValueError("series term or frequency out of range: |log2| >= 2^50")
@@ -143,21 +167,18 @@ def _series_sum(a, xi_grid, prec):
     # highest k whose bound reaches 2^L
     kt = K - np.argmax((est >= L[:, None])[:, ::-1], axis=1)
     del est
-    groups = {}
-    for i, j in enumerate(J):
-        groups.setdefault((j - 1).bit_length(), []).append(i)
-    for s, members in groups.items():
-        T, first = int(L[members].min()), int(kt[members].max())
+    for s, index, pairs in groups:
+        T, first = int(L[index].min()), int(kt[index].max())
         aligned = []  # b_k on the LSB 2^(T - ks), k = first..0
         for k in range(first, -1, -1):
             bm, be = B[k]
             d = T - k * s - be
             aligned.append(bm >> d if d >= 0 else bm << -d)
-        for i in members:
-            j, S = J[i], 0
+        for n, j in pairs:
+            S = 0
             for b in aligned:
                 S = (S * j >> s) + b
-            out[nodes[i]] = mp.make_mpf(from_man_exp(S, T, prec, round_nearest))
+            out[n] = mp.make_mpf(round_half_even(S, T, prec))
     return out
 
 
@@ -168,11 +189,10 @@ def eval_series_L(mu, xi, prec):
 
 def eval_series_L_grid(mu, xi_grid, prec):
     """L(mu; .) on a grid; one coefficient precomputation for all nodes."""
-    prec = check_precision(prec)
+    prec, grid = check_precision(prec), XiGrid(xi_grid)
     with mp.workprec(prec + GUARD_BITS):
         mu = [mpf(m)._mpf_ for m in mu]
-    vals = _series_sum(_series_terms(mu, prec), xi_grid, prec)
-    return FourierSamples(xi_grid, tuple(vals))
+    return FourierSamples(grid, _series_sum(_series_terms(mu, prec), grid, prec))
 
 
 def target_radius(spec, mode, R):
@@ -194,6 +214,25 @@ def target_radius(spec, mode, R):
     return targets[mode]
 
 
+def check_support(profile, mode, R):
+    """Raise ``ValueError`` in finiteR mode when R lies below the outer radius of the
+    outermost piece of the staircase ``profile`` that is not background.
+
+    The radius map of ``raw_scaled_shifts`` holds only where the coefficient is
+    background outside the ball of radius min(a, R), so such an R would give
+    numbers that mean nothing.  A spectrum alone does not know its support; a
+    caller that holds the profile checks it before the solve.
+    """
+    if mode != "finiteR":
+        return
+    bg = profile.kind.background
+    outer = max((b for v, b in zip(profile.values, profile.breakpoints[1:]) if v != bg),
+                default=0)
+    if R < outer:
+        raise ValueError(f"finiteR radius {R} lies inside the support of the profile, "
+                         f"which reaches r = {outer}")
+
+
 def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
     if d != 3:
         raise ValueError(f"only d = 3 is supported, got d = {d!r}")
@@ -211,7 +250,8 @@ def _born_fourier(kind, spec, xi_grid, mode, R, d, prec):
         # -t / 2 is exact: a sign flip and one off the exponent (zero, NaN and inf kept)
         terms = [(1 - sign, man, exp - 1, bc) if man else (sign, man, exp, bc)
                  for sign, man, exp, bc in terms[1:]]
-    return FourierSamples(xi_grid, tuple(_series_sum(terms, xi_grid, prec)))
+    grid = XiGrid(xi_grid)
+    return FourierSamples(grid, _series_sum(terms, grid, prec))
 
 
 def born_potential_fourier(spec, xi_grid, mode="unit", R=None, d=3, *, prec):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .born import FourierSamples, moment_sequence_exact, target_radius
+from .born import FourierSamples, check_support, moment_sequence_exact, target_radius
 from .cache import cached_spectrum_of
 from .experiments import (
     EXPERIMENT_IDS,
@@ -152,7 +152,9 @@ def _spectrum_from_args(args, params, R):
         raise ValueError("born needs --profile or --spectrum")
     profile = _load_profile(args.profile)
     target_radius(profile, args.mode, R)  # a mode the profile cannot take fails before the solve
-    return cached_spectrum_of(project_midpoint(profile, params.pieces), params.terms, params.prec)
+    profile = project_midpoint(profile, params.pieces)
+    check_support(profile, args.mode, R)
+    return cached_spectrum_of(profile, params.terms, params.prec)
 
 
 def cmd_born(args):

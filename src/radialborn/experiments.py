@@ -16,6 +16,7 @@ import mpmath
 import numpy as np
 from mpmath import mp, mpf
 
+from .born import check_support
 from .cache import cached_spectrum_of
 from .forward import DtnSpectrum
 from .fourier import forward_radial_ft, xi_node_bits
@@ -31,6 +32,7 @@ from .reconstruct import (
     born_fourier,
     born_samples,
     ensemble_depth_profile,
+    grid_radius,
     iterate_born,
     profile_on_grid,
 )
@@ -115,18 +117,17 @@ def value_rows(xs, ys):
     return [(repr(float(x)), repr(float(y))) for x, y in zip(xs, ys)]
 
 
-def _node_column(xi_grid):
-    # the nodes of default_xi_grid(n, L) are exact at xi_node_bits(n) bits
-    bits = xi_node_bits(len(xi_grid) - 1)
-    return [to_decimal(x, bits) for x in xi_grid]
-
-
-def _rows(column, F, prec):
-    return list(zip(column, [to_decimal(v, prec) for v in F.values]))
+def _node_column(grid):
+    """The decimal node column of an XiGrid, read once per grid: the nodes of
+    default_xi_grid(n, L) are exact at xi_node_bits(n) bits."""
+    bits = xi_node_bits(len(grid) - 1)
+    return tuple(to_decimal(x, bits) for x in grid)
 
 
 def fourier_rows(F, prec):
-    return _rows(_node_column(F.xi_grid), F, prec)
+    """(xi, value) rows: the grid's node column, kept with the grid, and each value
+    in the ``to_decimal`` form at prec bits."""
+    return list(zip(F.xi_grid.read(_node_column), [to_decimal(v, prec) for v in F.values]))
 
 
 # the experiment catalogue ----------------------------------------------------
@@ -191,38 +192,25 @@ def experiment_profiles(exp_id):
     return copy.deepcopy(_experiment(exp_id).profiles)
 
 
-def _grid_entry(grids, grid):
-    """(column, names) of ``grid`` in one run's list ``grids`` of (grid, column, names):
-    the grid's ``_node_column``, formatted once per run for all of its Fourier files, and
-    the profiles whose truth pair is on it.  A run has few grids, so the list is searched
-    by equality rather than keyed by a hash of every node."""
-    for g, column, names in grids:
-        if g == grid:
-            return column, names
-    grids.append((grid, _node_column(grid), set()))
-    return grids[-1][1:]
+def _born_bundle(name, profile, pw, spec, cfg, mode, R, truth):
+    """Born reconstruction and Born Fourier CSVs, and with ``truth`` the truth and
+    Fourier-of-truth pair on the same grids.
 
-
-def _born_bundle(name, profile, pw, spec, cfg, mode, R, grids):
-    """Born reconstruction and Born Fourier CSVs, with truth and Fourier-of-truth.
-
-    Only the first bundle of a profile on an xi grid writes the truth pair, so
-    bundles on one grid (unit and scattering on the unit ball) share one truth
-    transform and one pair of truth files; ``grids`` is the run's, see ``_grid_entry``.
+    Bundles of a profile on one xi grid (unit and scattering on the unit ball)
+    share one truth transform and one pair of truth files: only the first one
+    writes them.
     """
     # born_samples repeats the transform Fb; the benchmark pins it (ROADMAP item 1)
     recon = born_samples(spec, cfg, mode=mode, R=R)
     Fb = born_fourier(spec, cfg, mode=mode, R=R)
-    column, names = _grid_entry(grids, Fb.xi_grid)
     tag = name if mode == "unit" else f"{name}_{mode}"
     files = {f"{tag}_born.csv": (("r", "value"), value_rows(recon.r_grid, recon.values)),
-             f"{tag}_fourier_born.csv": (("xi", "value"), _rows(column, Fb, cfg.prec))}
-    if name not in names:
-        names.add(name)
+             f"{tag}_fourier_born.csv": (("xi", "value"), fourier_rows(Fb, cfg.prec))}
+    if truth:
         Ft = forward_radial_ft(pw, Fb.xi_grid, prec=cfg.prec)
-        truth = profile_on_grid(profile, recon.r_grid)
-        files[f"{tag}_truth.csv"] = (("r", "value"), value_rows(recon.r_grid, truth))
-        files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), _rows(column, Ft, cfg.prec))
+        values = profile_on_grid(profile, recon.r_grid)
+        files[f"{tag}_truth.csv"] = (("r", "value"), value_rows(recon.r_grid, values))
+        files[f"{tag}_fourier_truth.csv"] = (("xi", "value"), fourier_rows(Ft, cfg.prec))
     return files
 
 
@@ -243,12 +231,19 @@ def run_experiment(exp_id, out_dir, paper_scale=False, cache_dir=None, **overrid
     """Run one experiment; returns the list of files written."""
     cfg = experiment_config(exp_id, paper_scale, **overrides)
     row = _experiment(exp_id)
-    files, grids = {}, []
-    for name, p in row.profiles.items():
-        pw = project_midpoint(p, cfg.pieces)
-        spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
+    staircases = {name: project_midpoint(p, cfg.pieces) for name, p in row.profiles.items()}
+    for pw in staircases.values():
         for mode, R in row.born:
-            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, grids))
+            check_support(pw, mode, R)
+    files = {}
+    for name, p in row.profiles.items():
+        pw = staircases[name]
+        spec = cached_spectrum_of(pw, cfg.terms, cfg.prec, cache_dir)
+        radii = set()  # grid_radius fixes a bundle's xi-grid: one truth pair per radius
+        for mode, R in row.born:
+            rho = grid_radius(spec, mode, R)
+            files.update(_born_bundle(name, p, pw, spec, cfg, mode, R, rho not in radii))
+            radii.add(rho)
         if row.iterate:
             files.update(_iteration_bundle(name, p, spec, cfg))
     for alpha in row.depth_scales:

@@ -133,7 +133,6 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import (
-    MPZ,
     finf,
     fninf,
     fone,
@@ -153,8 +152,10 @@ from .highprec import (
     GUARD_BITS,
     check_precision,
     finite_dyadic,
+    float_root,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
+    round_half_even,
     sph_j_ladder,
     sph_y_ladder,
     to_prec,
@@ -214,6 +215,19 @@ def _fixed_ratio(a, b, bits):
     return (am << s) // bm if s >= 0 else am // (bm << -s)
 
 
+def _flat_width(F, x_in, n, a, b):
+    """Fp, the width of t in fixed point on a flat piece (a, b] that degrees 0..n-1
+    cross, for the dyadics a and b and the guard x_in of the negative pieces inside:
+    F where no degree lies below the guard, else F + (2 lo - 1) L + bit_length(lo) + 2
+    for the lo lowest degrees, which lie below it, with L >= log2(b/a)."""
+    lo = n if x_in >= n else math.ceil(x_in)  # x_in may be inf
+    if not lo:
+        return F
+    (am, ae), (bm, be) = a, b
+    L = bm.bit_length() + be - am.bit_length() - ae + 1
+    return F + (2 * lo - 1) * L + lo.bit_length() + 2
+
+
 def _degree_limits(p, kmax, F, dy, flat):
     """[k_0, ..., k_{m-1}] of the pieces between the breakpoints dy, with gamma_j = flat[j]
     (the runs of p's pieces, or p's pieces themselves): k_j is the highest degree
@@ -259,22 +273,16 @@ def _quotient(n, e, d, prec):
     mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest) returns; d != 0.
 
     One division of the magnitudes gives prec + 2 or prec + 3 bits, and its
-    remainder the sticky bit, so one rounding gives the correctly rounded quotient.
+    remainder the sticky bit, ORed into the last of them, which lies below the
+    half bit, so one rounding gives the correctly rounded quotient.
     """
-    if not n:
-        return fzero
-    sign = 1 if (n < 0) != (d < 0) else 0
-    n, d = abs(n), abs(d)
-    s = prec + 2 + d.bit_length() - n.bit_length()  # n 2^s / d lies in (2^(prec+1), 2^(prec+3))
-    q, r = divmod(n << s, d) if s >= 0 else divmod(n, d << -s)
-    drop = q.bit_length() - prec
-    half = 1 << drop - 1
-    low = q & (half << 1) - 1
-    q >>= drop
-    if low > half or low == half and (r or q & 1):
-        q += 1
-    z = (q & -q).bit_length() - 1  # an mpf mantissa is odd
-    return sign, MPZ(q >> z), e + drop - s + z, q.bit_length() - z
+    if d < 0:
+        n, d = -n, -d
+    m = -n if n < 0 else n
+    s = prec + 2 + d.bit_length() - m.bit_length()  # m 2^s / d lies in (2^(prec+1), 2^(prec+3))
+    q, r = divmod(m << s, d) if s >= 0 else divmod(m, d << -s)
+    q |= r > 0
+    return round_half_even(-q if n < 0 else q, e - s, prec)
 
 
 def _spectrum(p, kmax, prec):
@@ -304,7 +312,8 @@ def _spectrum(p, kmax, prec):
     limits = _degree_limits(p, kmax, F, [dy[i] for i in runs], [flat[i] for i in runs[:-1]])
     # (U, V) of degrees 0..k_{j-1}, which cross piece j; degrees k_{j-1} + 1..k_j
     # enter it as its regular solution.  x_in: the largest sqrt(|c|) b of the
-    # negative pieces crossed so far, the guard of the flat pieces
+    # negative pieces crossed so far, read as a float from the exact x^2 of the
+    # Bessel piece, the guard of the flat pieces
     state, x_in = [], 0.0
     with mp.workprec(prec + GUARD_BITS):
         for j, (ia, ib) in enumerate(zip(runs, runs[1:])):
@@ -318,9 +327,9 @@ def _spectrum(p, kmax, prec):
                     keys[ia], *(mpf(p.breakpoints[i])._mpf_ for i in (ia, ib)))
                 reg, sing = ((sph_j_ladder, sph_y_ladder) if neg
                              else (mod_sph_i_ladder, mod_sph_k_ladder))
-                if neg:
-                    x_in = max(x_in, math.sqrt(-float(p.values[ia])) * float(p.breakpoints[ib]))
                 xb2 = (cm * bm * bm, ce + 2 * be)
+                if neg:
+                    x_in = max(x_in, float_root(xb2))
                 rb = reg(top, xb2)
                 ladders = ()  # no degree crosses a piece that all enter
                 if n:
@@ -403,13 +412,7 @@ def _spectrum(p, kmax, prec):
             gm, ge = flat[ia]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
-            # t in Fp-bit fixed point, wider than F below the guard; L >= log2(b/a)
-            lo = n if x_in >= n else math.ceil(x_in)  # x_in may be inf
-            Fp = F
-            if lo:
-                (am, ae), (bm, be) = dy[ia], dy[ib]
-                L = bm.bit_length() + be - am.bit_length() - ae + 1
-                Fp += (2 * lo - 1) * L + lo.bit_length() + 2
+            Fp = _flat_width(F, x_in, n, dy[ia], dy[ib])
             t = _fixed_ratio(dy[ia], dy[ib], Fp)
             t2 = t * t >> Fp
             tk = t  # (a/b)^{2k+1}
@@ -511,7 +514,8 @@ def transfer_radius(spec, R):
     """Move a spectrum to the ball of radius R: lambda_k^R = k/R + R^{-(2k+2)} mu_k(R).
 
     Valid when the coefficient is background outside the ball of radius
-    min(spec.radius, R); see :func:`raw_scaled_shifts`.  The result's radius
+    min(spec.radius, R), so R must not cut the support; a spectrum does not know
+    it, so that is not checked (see :func:`raw_scaled_shifts`).  The result's radius
     is R as the mpf at prec + GUARD_BITS bits that the lambdas were formed at.
     """
     if not 0 < R < mpmath.inf:

@@ -29,7 +29,7 @@ from mpmath.libmp import (from_man_exp, mpf_cos_sin, mpf_div, mpf_mul, mpf_pos, 
                           mpf_sub, round_nearest, to_fixed)
 
 from .born import FourierSamples
-from .highprec import GUARD_BITS, KeptGrid, check_precision, one_exponent, to_prec
+from .highprec import GUARD_BITS, XiGrid, check_precision, one_exponent, to_prec
 from .profiles import PiecewiseProfile
 
 
@@ -68,22 +68,22 @@ def default_xi_grid(n, L):
     and the grid is exactly arithmetic, as ``forward_radial_ft`` requires.
     float(xi_1) == np.pi / L, so the inverse's spacing and r-grid are those of
     the float grid j * np.pi / L; read as floats, some nodes differ from that
-    grid by one ulp.  Every call with equal (n, L) returns one shared tuple, a
-    ``KeptGrid`` that keeps its nodes' exact ``one_exponent`` read: the last 16
-    grids are kept, about 0.15 MB for a 513-node grid.
+    grid by one ulp.  Every call with equal (n, L) returns one shared ``XiGrid``,
+    which keeps what the transforms and the writers read from its nodes: the
+    last 16 grids are kept, about 0.4 MB for a 513-node grid with all its reads.
     """
     h = mpf(np.pi / float(L))
     with mp.workprec(xi_node_bits(n)):
-        return KeptGrid(j * h for j in range(n + 1))
+        return XiGrid(j * h for j in range(n + 1))
 
 
-def _arithmetic_grid(e, X):
-    """(N, H, e) with xi_j = (N + j H) 2^e exactly, from ``one_exponent``, or GridMismatchError."""
-    N = [xm << z for xm, z in X]
+def _arithmetic_grid(grid):
+    """(N, H) with xi_j = (N + j H) 2^e exactly, e from ``one_exponent``, or GridMismatchError."""
+    N = [xm << z for xm, z in grid.read(one_exponent)[1]]
     H = N[1] - N[0] if len(N) > 1 else 0
     if any(x != N[0] + j * H for j, x in enumerate(N)):
         raise GridMismatchError("xi-grid is not exactly arithmetic, xi_j = xi_0 + j h")
-    return (N[0] if N else 0), H, e
+    return (N[0] if N else 0), H
 
 
 def _fixed_cos_sin(t, F):
@@ -127,10 +127,10 @@ def forward_radial_ft(f, xi_grid, prec):
     """
     if not isinstance(f, PiecewiseProfile):
         raise TypeError("forward_radial_ft needs a piecewise-constant profile")
-    prec = check_precision(prec)
+    prec, grid = check_precision(prec), XiGrid(xi_grid)
     work = prec + GUARD_BITS
     with mp.workprec(work):
-        e, X = one_exponent(xi_grid)
+        e, X = grid.read(one_exponent)
         bp = [mpf(x) for x in f.breakpoints]
         dev = [mpf(v) - f.kind.background for v in f.values]
         pieces = [(j, v) for j, v in enumerate(dev) if v != 0]
@@ -145,8 +145,8 @@ def forward_radial_ft(f, xi_grid, prec):
         if t > prec:
             raise ValueError(f"smallest nonzero xi-grid node too small for {prec} bits: "
                              f"min |xi| max r_i is about 2^-{t}")
-        N0, H, e = _arithmetic_grid(e, X)
-        F = (work + len(xi_grid).bit_length() + len(jumps).bit_length() + 8
+        N0, H = grid.read(_arithmetic_grid)
+        F = (work + len(grid).bit_length() + len(jumps).bit_length() + 8
              + 3 * max(0, t - 10))
         E = max((w[2] + w[3] for _, w in jumps), default=0)  # |w_i| < 2^E
         # breakpoints as integers r_i 2^-er, exact unless they span over F bits
@@ -167,7 +167,7 @@ def forward_radial_ft(f, xi_grid, prec):
             Q.append(b - a)
         pi4, rn = 4 * mpmath.pi, round_nearest
         vals = []
-        for j in range(len(xi_grid)):
+        for j in range(len(grid)):
             if j:
                 # (X + iY)(A + iB) = (K - YP) + i(K + XQ) with K = A(X + Y)
                 K = [a * (x + y) for x, y, a in zip(X, Y, A)]
@@ -184,7 +184,7 @@ def forward_radial_ft(f, xi_grid, prec):
             v = mpf_mul(pi4._mpf_, t, work, rn)
             v = mpf_div(v, mpf_pow_int(from_man_exp(Nj, e), 3, work, rn), work, rn)
             vals.append(mp.make_mpf(mpf_pos(v, prec, rn)))
-    return FourierSamples(xi_grid, tuple(vals))
+    return FourierSamples(grid, vals)
 
 
 def _floats(xs):
@@ -208,35 +208,47 @@ def _floats(xs):
     return np.asarray(out, dtype=float)
 
 
+def _dst_grid(grid):
+    """What ``inverse_radial_ft`` reads from the nodes alone, once per XiGrid: the
+    r-grid, the float nodes xi_j and xi_j^2 for j = 1..N and the factors of the
+    sine sums, or ``GridMismatchError`` for fewer than 3 nodes, a non-finite node,
+    a first node other than 0 or a grid that is not uniform."""
+    xi = _floats(grid)
+    n = len(xi) - 1
+    if n < 2:
+        raise GridMismatchError("need at least 3 Fourier samples")
+    # NaN compares false, so a NaN node would pass the tests below
+    if not np.isfinite(xi).all():
+        raise GridMismatchError("Fourier nodes must be finite")
+    if grid[0] != 0:
+        raise GridMismatchError(f"xi-grid starts at {grid[0]}, not at 0")
+    h_xi = xi[1] - xi[0]
+    if np.max(np.abs(np.diff(xi) - h_xi)) > 1e-9 * h_xi:
+        raise GridMismatchError("xi-grid is not uniform")
+    L = np.pi / h_xi
+    r = np.arange(n + 1) * (L / n)
+    return r, xi[1:], xi[1:] ** 2, h_xi / (2 * np.pi**2), h_xi / (2 * np.pi**2 * r[1:-1])
+
+
 def inverse_radial_ft(F):
     """Discrete inverse of radial Fourier samples on xi_j = j pi / L.
 
     Returns samples on r_m = m L / N, m = 0..N where N = len(F) - 1 and
     L = pi / (xi_1 - xi_0).  A non-finite node or value raises ``GridMismatchError``.
     """
-    xi, vals = _floats(F.xi_grid), _floats(F.values)
-    n = len(xi) - 1
-    if n < 2:
-        raise GridMismatchError("need at least 3 Fourier samples")
-    # NaN compares false, so a NaN node would pass the tests below
-    if not (np.isfinite(xi).all() and np.isfinite(vals).all()):
-        raise GridMismatchError("Fourier nodes and values must be finite")
-    if F.xi_grid[0] != 0:
-        raise GridMismatchError(f"xi-grid starts at {F.xi_grid[0]}, not at 0")
-    h_xi = xi[1] - xi[0]
-    if np.max(np.abs(np.diff(xi) - h_xi)) > 1e-9 * h_xi:
-        raise GridMismatchError("xi-grid is not uniform")
-
-    L = np.pi / h_xi
-    r = np.arange(n + 1) * (L / n)
-    a = xi[1:] * vals[1:]  # xi_j F_j, j = 1..N
+    r, xi, xi2, w0, w = F.xi_grid.read(_dst_grid)
+    vals = _floats(F.values)
+    if not np.isfinite(vals).all():
+        raise GridMismatchError("Fourier values must be finite")
+    n = len(xi)
+    a = xi * vals[1:]  # xi_j F_j, j = 1..N
     out = np.empty(n + 1)
-    out[0] = h_xi / (2 * np.pi**2) * np.sum(xi[1:] ** 2 * vals[1:])
+    out[0] = w0 * np.sum(xi2 * vals[1:])
     # sum_{j=1}^{N-1} a_j sin(pi j m / N), a type-I DST of a_1..a_{N-1}, is
     # -1/2 Im of the real FFT of the odd extension (0, a_1..a_{N-1}, 0,
     # -a_{N-1}..-a_1); the j = N term has sin(pi m) = 0 and drops out
     odd = np.concatenate(([0.0], a[:-1], [0.0], -a[-2::-1]))
     sine_sums = -0.5 * np.fft.rfft(odd)[1:n].imag
-    out[1:-1] = h_xi / (2 * np.pi**2 * r[1:-1]) * sine_sums
+    out[1:-1] = w * sine_sums
     out[-1] = 0.0
-    return RadialSamples(r, out)
+    return RadialSamples(r.copy(), out)

@@ -1,5 +1,6 @@
 """Arbitrary-precision building blocks: precision checks, exact dyadic reads, the
-decimal form of a value in a file and spherical Bessel ladders.
+frequency grid that keeps its reads, integer rounding to nearest, the decimal
+form of a value in a file and spherical Bessel ladders.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
 mantissa precision and round results with :func:`to_prec`.  The Bessel
@@ -37,9 +38,11 @@ import numbers
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
+    MPZ,
     fone,
     from_man_exp,
     from_str,
+    fzero,
     mpf_add,
     mpf_cos_sin,
     mpf_cosh_sinh,
@@ -127,24 +130,60 @@ def one_exponent(xi_grid):
     e is the least exponent of a nonzero node, so N_n = m_n 2^z_n are the nodes
     as integers on one exponent; forming them is left to the caller, since
     nodes far apart in scale make them long.  A zero node reads (0, 0).
-    Non-finite nodes raise ``ValueError``.  A :class:`KeptGrid` returns the read
-    it kept when it was formed; any other sequence, an equal one too, is read.
+    Non-finite nodes raise ``ValueError``.
     """
-    if type(xi_grid) is KeptGrid:
-        return xi_grid.exponent_read
     X = [finite_dyadic(x, "frequency") for x in xi_grid]
     e = min((xe for xm, xe in X if xm), default=0)
     return e, tuple((xm, xe - e if xm else 0) for xm, xe in X)
 
 
-class KeptGrid(tuple):
-    """A tuple of frequency nodes that keeps its ``one_exponent`` read, made once
-    when the tuple is formed, for grids that many transforms share."""
+class XiGrid(tuple):
+    """A tuple of frequency nodes that keeps what is read from them.
+
+    ``grid.read(f)`` is ``f(grid)``, made on the first call with that ``f`` and
+    kept for the grid's life, so each read is one function of the nodes alone:
+    ``one_exponent``, the Born kernel's node plan, the inverse transform's
+    float grid, the writers' decimal node column.  ``XiGrid(nodes)`` is
+    ``nodes`` itself when it is an XiGrid, so a grid that many transforms
+    share, such as every ``fourier.default_xi_grid``, reads its nodes once; any
+    other sequence (a slice, a list, a single node, a grid read from a file)
+    becomes a new XiGrid whose reads are made per call.  Reads of float and
+    mpf nodes are exact; another number is read as an mpf at the working
+    precision of its first read.
+    """
 
     def __new__(cls, nodes):
+        if type(nodes) is cls:
+            return nodes
         grid = super().__new__(cls, nodes)
-        grid.exponent_read = one_exponent(tuple(grid))
+        grid._reads = {}
         return grid
+
+    def read(self, f):
+        """``f(self)``, kept from the first call."""
+        reads = self._reads
+        if f not in reads:
+            reads[f] = f(self)
+        return reads[f]
+
+
+def round_half_even(n, e, prec):
+    """n 2^e rounded to nearest at prec bits, ties to even, as a raw mpf: the tuple
+    that ``from_man_exp(n, e, prec, round_nearest)`` returns, made in integers."""
+    if not n:
+        return fzero
+    sign = 0
+    if n < 0:
+        sign, n = 1, -n
+    drop = n.bit_length() - prec
+    if drop > 0:
+        t = n >> drop - 1  # the kept bits and the half bit
+        # up when the half bit is set and the kept bits are odd or a lower bit is set
+        if t & 1 and (t & 2 or (n & -n).bit_length() < drop):
+            t += 2
+        n, e = t >> 1, e + drop
+    z = (n & -n).bit_length() - 1  # an mpf mantissa is odd
+    return sign, MPZ(n >> z), e + z, n.bit_length() - z
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +276,12 @@ def _root(x2, prec):
     return mpf_sqrt(from_man_exp(*x2), prec, round_nearest)
 
 
+def float_root(x2):
+    """x from its exact square x2 = (X, e) as a float: x rounded to 53 bits, inf above
+    the float range and 0 below it."""
+    return to_float(_root(x2, 53))
+
+
 def _seed_root(x2, prec):
     """x from x2 = (X, e) at prec + max(0, ceil(log2 x)) bits, for a transcendental
     of x at prec bits: rounded to prec bits, x would move it by up to x 2^-prec."""
@@ -258,7 +303,7 @@ def _regular_ladder(kmax, x2, sigma):
     no guard.  x rounded to 53 bits exceeds kmax + 1 only where x does.
     """
     n = kmax + 1
-    x = to_float(_root(x2, 53))
+    x = float_root(x2)
     if x > n:
         guard = math.ceil(n * (n + 1) / (x * math.log(2))) + 8 if sigma > 0 else 0
         with mp.workprec(mp.prec + guard):

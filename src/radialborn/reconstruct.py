@@ -123,7 +123,9 @@ def born_samples(spec, params, mode="unit", R=None):
     """Born reconstruction of a spectrum as radial samples on [0, length_factor * rho].
 
     rho is as in ``born_fourier``.  Potentials return q_exp; conductivities
-    gamma_exp (background 1 already added).
+    gamma_exp (background 1 already added).  In finiteR mode R must not cut the
+    support: a spectrum does not know it, so that is not checked here, and a
+    caller that holds the profile checks it with ``born.check_support``.
     """
     return born_inverse(born_fourier(spec, params, mode, R), spec.kind)
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Prints every radialborn command's help, runs each once on small inputs, writing
-# under DIR, and checks that a desk-grid Born reconstruction stays bounded in the ball.
+# under DIR, checks that a finiteR radius inside a profile's support exits with code 2
+# and that a desk-grid Born reconstruction stays bounded in the ball.
 #
 #     tests/cli_smoke.sh DIR
 #
@@ -28,6 +29,12 @@ python -m radialborn.cli experiment 12 --terms 20 --precision 128 --grid 32 --it
 printf 'kind potential\nradius 1\nbreakpoints 0 0.4 0.7 1\nvalues 6 -3 0\n' > "$run/q.txt"
 python -m radialborn.cli dtn --profile "$run/q.txt" --terms 30 --precision 128 --out "$run/q"
 python -m radialborn.cli born --spectrum "$run/q/spectrum.csv" --kind potential --mode scattering --precision 128 --grid 64 --out "$run/q"
+python -m radialborn.cli born --profile "$run/q.txt" --mode finiteR --radius 2 --terms 20 --precision 128 --grid 32 --out "$run/qfinite"
+# a finiteR radius inside the profile's support (it reaches r = 0.7) is an input error
+rc=0
+python -m radialborn.cli born --profile "$run/q.txt" --mode finiteR --radius 0.5 --terms 20 --precision 128 --grid 32 --out "$run/qinside" 2> "$run/qinside.err" || rc=$?
+test "$rc" -eq 2
+grep -q "inside the support" "$run/qinside.err"
 # the desk grid lies inside the band of the series: no truncation garbage in the ball
 printf 'kind potential\nradius 1\nbreakpoints 0 0.25 0.5 0.75 1\nvalues 2 1.5 1 0.5\n' > "$run/qfull.txt"
 python -m radialborn.cli born --profile "$run/qfull.txt" --precision 256 --out "$run/qfull"

@@ -16,6 +16,7 @@ from mpmath import mp, mpf
 from radialborn.born import (
     born_conductivity_fourier,
     born_potential_fourier,
+    check_support,
     eval_series_L,
     eval_series_L_grid,
     moment_sequence_exact,
@@ -30,7 +31,7 @@ from radialborn.forward import (
 )
 from radialborn.fourier import RadialSamples, default_xi_grid
 from radialborn.highprec import GUARD_BITS, to_prec
-from radialborn.profiles import PiecewiseProfile, ProfileKind
+from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
 import numpy as np
 
@@ -415,3 +416,19 @@ def test_non_finite_inputs_raise(bad):
         eval_series_L([1, bad], 1.0, prec=128)
     with pytest.raises(ValueError, match="non-finite"):
         eval_series_L([1, 2], bad, prec=128)
+
+
+def test_a_finite_radius_inside_the_support_is_an_input_error():
+    # born_samples on this bump's spectrum at R = 0.5 returns -4.2e10 at r = 0:
+    # the radius map holds only outside the support
+    bump = project_midpoint(AnalyticProfile(ProfileKind.POTENTIAL, 1.0, "bump",
+                                            {"height": 2.0}), 200)
+    with pytest.raises(ValueError, match="inside the support"):
+        check_support(bump, "finiteR", 0.5)
+    check_support(bump, "finiteR", 2.0)
+    check_support(bump, "unit", None)
+    # the support ends at the outer radius of the last piece off the background
+    gamma = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.25, 0.5, 1.0), (2.0, 3.0, 1.0))
+    check_support(gamma, "finiteR", 0.5)
+    with pytest.raises(ValueError, match="reaches r = 0.5"):
+        check_support(gamma, "finiteR", 0.49)

@@ -284,6 +284,19 @@ def test_bad_finite_radius_is_rejected_before_the_profile_is_solved(workdir, cap
         assert not (workdir / "run").exists()
 
 
+def test_a_finite_radius_inside_the_profile_support_is_an_input_error(workdir, capsys):
+    q = write(workdir / "q.txt", "kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2 1\n")
+    small = ["--terms", "10", "--precision", "64", "--grid", "16"]
+    assert main(["born", "--profile", q, "--mode", "finiteR", "--radius", "0.5", *small,
+                 "--out", "run"]) == 2
+    assert "inside the support of the profile, which reaches r = 1" in capsys.readouterr().err
+    cache = workdir / "cache"
+    assert not cache.exists() or not any(cache.iterdir())
+    assert not (workdir / "run").exists()
+    assert main(["born", "--profile", q, "--mode", "finiteR", "--radius", "2", *small,
+                 "--out", "run"]) == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     # the library's moment_form mode is the unit series, so the CLI does not offer it
     (["born", "--profile", "q.txt", "--mode", "moment-form"], "invalid choice: 'moment-form'"),

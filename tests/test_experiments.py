@@ -199,3 +199,18 @@ def test_spectrum_csv_rejects_bad_k_and_shift(tmp_path):
     for radius in (0.0, -2.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="s.csv: radius must be positive and finite"):
             read_spectrum_csv(tmp_path / "s.csv", "conductivity", radius, 256)
+
+
+def test_a_finite_radius_inside_the_support_fails_before_any_solve(tmp_path, monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a spectrum")
+
+    # the first profile is zero, so only the bump's support can refuse R = 0.5
+    row = experiments._Experiment({"q_zero": experiments._step_q((0.0,), (0.0, 1.0)),
+                                   "q": experiments._bump_q(2.0)},
+                                  born=(("unit", None), ("finiteR", 0.5)))
+    monkeypatch.setitem(experiments._CATALOGUE, 9, row)
+    monkeypatch.setattr(experiments, "cached_spectrum_of", solve)
+    with pytest.raises(ValueError, match="inside the support"):
+        run_experiment(9, tmp_path, **SMALL)
+    assert not any(tmp_path.iterdir())

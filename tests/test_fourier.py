@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
-from radialborn.born import FourierSamples
+from radialborn.born import (FourierSamples, born_conductivity_fourier, born_potential_fourier,
+                             eval_series_L_grid)
+from radialborn.forward import spectrum_of
 from radialborn.fourier import (
     GridMismatchError,
     RadialSamples,
@@ -16,7 +18,7 @@ from radialborn.fourier import (
     inverse_radial_ft,
     _floats,
 )
-from radialborn.highprec import GUARD_BITS, to_prec
+from radialborn.highprec import GUARD_BITS, XiGrid, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
 
 
@@ -335,3 +337,45 @@ def test_float_read_is_float_of_each_value():
                 xs.append(mpmath.ldexp(mpf(m), rng.randrange(-1100, 1000)))
     want = np.asarray([float(x) for x in xs])
     assert _floats(xs).tobytes() == want.tobytes()
+
+
+def _bits(F):
+    return [v._mpf_ for v in F.values]
+
+
+def test_a_kept_grid_read_is_a_fresh_read():
+    # what an XiGrid keeps from its first use, a tuple, a list or a slice reads anew
+    prec = 128
+    grid = default_xi_grid(48, 10.0)
+    q = PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, 0.3, 0.6, 1.0), (4.0, -2.0, 0.0))
+    g = PiecewiseProfile(ProfileKind.CONDUCTIVITY, 1.0, (0.0, 0.5, 1.0), (2.0, 1.0))
+    sq, sg = spectrum_of(q, 20, prec), spectrum_of(g, 20, prec)
+    with mp.workprec(prec):
+        mu = [mpf(1) / (k + 2) for k in range(21)]
+    transforms = [lambda x: eval_series_L_grid(mu, x, prec),
+                  lambda x: born_potential_fourier(sq, x, "finiteR", 2.0, prec=prec),
+                  lambda x: born_conductivity_fourier(sg, x, "scattering", prec=prec),
+                  lambda x: forward_radial_ft(q, x, prec)]
+    for kept in (grid, XiGrid(grid[7:30]), XiGrid(grid[:12])):
+        for transform in transforms:
+            want = _bits(transform(kept))
+            assert _bits(transform(kept)) == want  # the second call reads what the first kept
+            for fresh in (tuple(kept), list(kept)):
+                assert _bits(transform(fresh)) == want
+        if kept[0] == 0:
+            F = forward_radial_ft(q, kept, prec)
+            want = inverse_radial_ft(F)
+            for nodes in (kept, tuple(kept), list(kept)):
+                s = inverse_radial_ft(FourierSamples(nodes, F.values))
+                assert s.r_grid.tobytes() == want.r_grid.tobytes()
+                assert s.values.tobytes() == want.values.tobytes()
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ((0.0, 0.1), "at least 3"), ((0.0, 0.3, 0.9), "not uniform"),
+    ((0.1, 0.2, 0.3), "not at 0"), (default_xi_grid(1, 10.0), "at least 3")])
+def test_a_grid_the_inverse_cannot_take_raises_every_time(nodes, message):
+    F = FourierSamples(nodes, [1.0] * len(nodes))
+    for _ in range(2):  # a read that raised is not kept
+        with pytest.raises(GridMismatchError, match=message):
+            inverse_radial_ft(F)

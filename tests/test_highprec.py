@@ -426,16 +426,48 @@ def test_read_decimal_rejects_what_is_not_a_finite_number(text, message):
         read_decimal(text, 128)
 
 
-def test_a_shared_grid_keeps_its_exponent_read():
+def test_a_shared_grid_keeps_its_reads():
     from radialborn.fourier import default_xi_grid
-    from radialborn.highprec import KeptGrid, one_exponent
+    from radialborn.highprec import XiGrid, one_exponent
     grid = default_xi_grid(64, 10.0)
-    assert type(grid) is KeptGrid and grid is default_xi_grid(64, 10.0)
-    # the same tuple returns the read it kept; an equal tuple or a slice is read
-    assert one_exponent(grid) is grid.exponent_read
-    fresh = one_exponent(tuple(grid))
-    assert fresh == grid.exponent_read and fresh is not grid.exponent_read
-    assert one_exponent(grid[3:]) == one_exponent(tuple(grid)[3:])
+    assert type(grid) is XiGrid and grid is default_xi_grid(64, 10.0) and XiGrid(grid) is grid
+    # a read is made once and kept; an equal sequence or a slice is a new grid, read anew
+    assert grid.read(one_exponent) is grid.read(one_exponent)
+    for other in (tuple(grid), list(grid), grid[3:]):
+        copy = XiGrid(other)
+        assert copy == tuple(other) and copy is not grid
+        assert copy.read(one_exponent) == one_exponent(tuple(other))
+    assert grid.read(one_exponent) is not XiGrid(tuple(grid)).read(one_exponent)
+    assert type(grid[3:]) is tuple
+
+
+def _rounding_cases(prec):
+    """(n, e) pairs: ties, carries into a new power of two, short and long inputs of
+    both signs and zero."""
+    rng = random.Random(prec)
+    cases = [(0, 0), (0, -7), (1, 0), (-1, 5)]
+    for drop in (1, 2, 3, 17):
+        for head in (1 << prec - 1, (1 << prec) - 2, (1 << prec) - 1, 5 << prec - 3):
+            for tail in (0, 1, 1 << drop - 1, (1 << drop - 1) + 1, (1 << drop) - 1):
+                cases += [((head << drop) + tail, -drop), (-(head << drop) - tail, 40)]
+    for _ in range(300):
+        bits = rng.randint(1, 3 * prec)
+        n = rng.getrandbits(bits) | 1 << bits - 1
+        cases.append((rng.choice((1, -1)) * n << rng.randint(0, 5), rng.randint(-900, 900)))
+    return cases
+
+
+@pytest.mark.parametrize("prec", [53, 64, 288])
+def test_round_half_even_is_from_man_exp(prec):
+    from mpmath.libmp import from_man_exp, round_nearest
+    from radialborn.highprec import round_half_even
+    even, odd = 1 << prec - 1, (1 << prec - 1) + 1
+    # a tie goes to the even neighbour, down and up, and 2^prec - 1/2 carries to 2^prec
+    assert round_half_even(2 * even + 1, -1, prec) == (0, 1, prec - 1, 1)
+    assert round_half_even(-(2 * odd + 1), 0, prec) == (1, odd + 1 >> 1, 2, prec - 1)
+    assert round_half_even((1 << prec + 1) - 1, 3, prec) == (0, 1, prec + 4, 1)
+    for n, e in _rounding_cases(prec):
+        assert round_half_even(n, e, prec) == from_man_exp(n, e, prec, round_nearest), (n, e)
 
 
 def _float_read_cases():

@@ -17,6 +17,7 @@ from mpmath import mp, mpf
 
 from mpf_oracle import oracle_spectrum, ulps
 from radialborn.experiments import experiment_profiles
+from radialborn import forward
 from radialborn.forward import spectrum_of
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind, project_midpoint
 
@@ -149,5 +150,24 @@ def test_a_core_past_the_float_range_keeps_its_last_bit():
     # piece's guard
     q = _pot((0.0, 0.5, 1.0), (mpf("-1e400"), 0.0))
     ours = spectrum_of(q, 5, 64).lambdas
+    ref = oracle_spectrum(q, 5, 64)
+    assert max(ulps(a, b, 64) for a, b in zip(ours, ref)) <= 1
+
+
+def test_a_core_below_the_float_range_gives_the_flat_piece_its_guard(monkeypatch):
+    # b = 2^-20000 is 0 as a float and sqrt(|c|) inf, so their product was
+    # inf * 0 = nan, and max(0, nan) left the flat piece's guard at 0; read from
+    # the exact x^2 = |c| b^2 = 1600 it is 40
+    with mp.workprec(64):
+        q = _pot((0.0, mpf(2) ** -20000, 0.5, 1.0), (-(40 * mpf(2) ** 20000) ** 2, 0.0, 3.0))
+    guards, width = [], forward._flat_width
+
+    def recorded(F, x_in, *rest):
+        guards.append(x_in)
+        return width(F, x_in, *rest)
+
+    monkeypatch.setattr(forward, "_flat_width", recorded)
+    ours = spectrum_of(q, 5, 64).lambdas
+    assert guards == [40.0]
     ref = oracle_spectrum(q, 5, 64)
     assert max(ulps(a, b, 64) for a, b in zip(ours, ref)) <= 1
