@@ -44,7 +44,9 @@ degree enters a flat piece, so lambda_0 = 0 and a flat gamma gives
 lambda_k = gamma k/R correctly rounded.
 
 A Bessel piece is a potential piece with c != 0: with x = sqrt(|c|) r its
-solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x.  The ladders run on
+solutions are i_k, kk_k (c > 0) or j_k, y_k (c < 0) of x.  Its c and radii are
+read once at prec + GUARD_BITS bits, which bounds the size of x^2 (a flat piece
+reads its radii exactly: they enter only its ratio a/b).  The ladders run on
 the exact square x^2 = |c| r^2 and return both families in one coordinate,
 r_k and h_k, exact int pairs (N, E) on one unknown factor S per argument that
 both ladders share (see highprec).  In it (u, r u' - k u) at x is
@@ -60,11 +62,13 @@ exactly, and M at b, with R_k and H_k the ladder values there,
 
     u = R_k A + H_k B,     Q = R_{k+1} A - H_{k+1} B.
 
-A degree enters as (U, Q) = (R_k, R_{k+1}).  Before the products at b,
-A and B are cut so that u and Q each move by less than 2^-(F + 17) of their
-larger term, below what the ladders carry; a term wholly below its cut is
-dropped.  The state enters as Q = V - k U and leaves as V = k u + Q.  The
-ladders of a piece serve all its degrees at once.
+Each ladder is read as pairs (N_k, N_{k+1}) on their lower exponent, so A, B,
+u and Q each come out on one exponent, u and Q after one shift of A against B.
+A degree enters as (U, Q) = (R_k, R_{k+1}).  Before the products at b, A and B
+are cut so that u and Q each move by less than 2^-(F + 17) of their larger
+term, below what the ladders carry; a term wholly below its cut is dropped.
+The state enters as Q = V - k U and leaves as V = k u + Q.  The ladders of a
+piece serve all its degrees at once.
 
 After each piece one shift brings U back to F bits (V when U = 0), the only
 rounding inside the loop besides the Bessel cuts; unlike max(|U|, |V|), this
@@ -123,7 +127,8 @@ u = alpha r^k + beta r^-(k+1) has rho = beta r^-(2k+1) / alpha.
   2 (b/R)^{2k+1} e^{2S/(2k+1)} (1 + x+ / (2k+1)).  A degree the guard does not
   cover is never cut: past its turning point an outer negative piece makes u
   grow faster than r^k, and an inner one can leave y anywhere at b, even on the
-  singular solution of the piece outside it.
+  singular solution of the piece outside it.  x, S and x+ are read from the
+  exact |c| b^2, |c| a^2 and c+ R^2 by float roots, which are never NaN.
 """
 
 import math
@@ -208,6 +213,12 @@ def _to_bits(U, V, bits):
     return (U >> s, V >> s) if s >= 0 else (U << -s, V << -s)
 
 
+def _paired(ladder):
+    # [(N_k, N_{k+1}, e)]: neighbouring ladder values N 2^E on their lower exponent e
+    return [(n0, n1 << e1 - e0, e0) if e0 <= e1 else (n0 << e0 - e1, n1, e1)
+            for (n0, e0), (n1, e1) in zip(ladder, ladder[1:])]
+
+
 def _fixed_ratio(a, b, bits):
     # floor(a / b * 2**bits) for dyadics a = (man, exp), b = (man, exp)
     (am, ae), (bm, be) = a, b
@@ -228,11 +239,22 @@ def _flat_width(F, x_in, n, a, b):
     return F + (2 * lo - 1) * L + lo.bit_length() + 2
 
 
-def _degree_limits(p, kmax, F, dy, flat):
+def _bessel_runs(cs, radii):
+    """(c, xa2, xb2, x) of each run (radii[j], radii[j+1]] of a potential, None where
+    c = cs[j] is 0: x^2 = |c| r^2 exactly at both ends as (X, e), float x = sqrt(|c|) b."""
+    out = []
+    for c, (_, am, ae, _), (_, bm, be, _) in zip(cs, radii, radii[1:]):
+        _, cm, ce, _ = c
+        xb2 = (cm * bm * bm, ce + 2 * be)
+        out.append((c, (cm * am * am, ce + 2 * ae), xb2, float_root(xb2)) if cm else None)
+    return out
+
+
+def _degree_limits(kmax, F, dy, flat, bessel):
     """[k_0, ..., k_{m-1}] of the pieces between the breakpoints dy, with gamma_j = flat[j]
-    (the runs of p's pieces, or p's pieces themselves): k_j is the highest degree
-    that the pieces inside b_j can move at F bits, -1 if none, and kmax on the
-    outermost piece.  A potential's bound reads c from p's own pieces.
+    or, for a potential, the _bessel_runs readings bessel of the same pieces (None for a
+    conductivity): k_j is the highest degree that the pieces inside b_j can move at F
+    bits, -1 if none, and kmax on the outermost piece.
 
     Degree k is cut below b_j when the bound of the module docstring,
     (b_j / R)^{2k+1} 2^{D_k}, lies below 2^-(F + 8).  The bound is read in floats,
@@ -240,14 +262,15 @@ def _degree_limits(p, kmax, F, dy, flat):
     shrinks, so the limits never fall outward.
     """
     rm, re = dy[-1]
-    if p.kind is ProfileKind.POTENTIAL:
-        bp, c = [float(x) for x in p.breakpoints], [float(v) for v in p.values]
-        neg = [(-v, a, b) for v, a, b in zip(c, bp, bp[1:]) if v < 0]
+    if bessel is not None:
+        neg = [b for b in bessel if b and b[0][0]]
         # the guard: x = sqrt(|c|) b <= k on every negative piece
-        x_neg = max((math.sqrt(v) * b for v, _, b in neg), default=0.0)
+        x_neg = max((x for *_, x in neg), default=0.0)
         # 2 S log2(e), S = sum of |c| (b^2 - a^2) over the negative pieces
-        s_bits = 2 * sum(v * (b * b - a * a) for v, a, b in neg) / math.log(2)
-        x_pos = math.sqrt(max(0.0, *c)) * bp[-1]
+        xa = [float_root(xa2) for _, xa2, _, _ in neg]
+        s_bits = 2 * sum(x * x - y * y for (*_, x), y in zip(neg, xa)) / math.log(2)
+        x_pos = max((float_root((cm * rm * rm, ce + 2 * re))
+                     for (s, cm, ce, _), *_ in filter(None, bessel) if not s), default=0.0)
 
         def excess(k):
             n = 2 * k + 1
@@ -304,70 +327,54 @@ def _spectrum(p, kmax, prec):
     # compares c as its Bessel pieces read it, at prec + GUARD_BITS bits.
     with mp.workprec(prec + GUARD_BITS):
         keys = [mpf(v)._mpf_ for v in p.values] if potential else flat
-    runs = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
-    # lambda is homogeneous of degree one in gamma: solve for gamma / 2^se, whose
-    # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
-    gm, ge = flat[-1]
-    se = ge + gm.bit_length() - 1
-    limits = _degree_limits(p, kmax, F, [dy[i] for i in runs], [flat[i] for i in runs[:-1]])
-    # (U, V) of degrees 0..k_{j-1}, which cross piece j; degrees k_{j-1} + 1..k_j
-    # enter it as its regular solution.  x_in: the largest sqrt(|c|) b of the
-    # negative pieces crossed so far, read as a float from the exact x^2 of the
-    # Bessel piece, the guard of the flat pieces
-    state, x_in = [], 0.0
-    with mp.workprec(prec + GUARD_BITS):
-        for j, (ia, ib) in enumerate(zip(runs, runs[1:])):
-            n, top = len(state), limits[j]
+        runs = [0] + [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]] + [len(keys)]
+        dy, flat = [dy[i] for i in runs], [flat[i] for i in runs[:-1]]
+        bessel = _bessel_runs([keys[i] for i in runs[:-1]],
+                              [mpf(p.breakpoints[i])._mpf_ for i in runs]) if potential else None
+        # lambda is homogeneous of degree one in gamma: solve for gamma / 2^se, whose
+        # outermost value lies in [1, 2), so that V keeps its F bits at the boundary
+        gm, ge = flat[-1]
+        se = ge + gm.bit_length() - 1
+        limits = _degree_limits(kmax, F, dy, flat, bessel)
+        # (U, V) of degrees 0..k_{j-1}, which cross piece j; degrees k_{j-1} + 1..k_j
+        # enter it as its regular solution.  x_in: the largest guard x = sqrt(|c|) b of
+        # the negative pieces crossed so far, the guard of the flat pieces
+        state, x_in = [], 0.0
+        for j, top in enumerate(limits):
+            n = len(state)
             if top < 0:
                 continue
-            if potential and keys[ia][1]:
-                # |c| and the breakpoints at prec + GUARD_BITS bits, and x^2 = |c| r^2
-                # exactly as (X, e)
-                (neg, cm, ce, _), (_, am, ae, _), (_, bm, be, _) = (
-                    keys[ia], *(mpf(p.breakpoints[i])._mpf_ for i in (ia, ib)))
+            if bessel and bessel[j]:
+                (neg, *_), xa2, xb2, x = bessel[j]
                 reg, sing = ((sph_j_ladder, sph_y_ladder) if neg
                              else (mod_sph_i_ladder, mod_sph_k_ladder))
-                xb2 = (cm * bm * bm, ce + 2 * be)
                 if neg:
-                    x_in = max(x_in, float_root(xb2))
+                    x_in = max(x_in, x)
                 rb = reg(top, xb2)
+                pb = _paired(rb)
                 ladders = ()  # no degree crosses a piece that all enter
                 if n:
-                    xa2 = (cm * am * am, ce + 2 * ae)
                     ra = reg(n - 1, xa2)
                     ha, hb = sing(n - 1, xa2, ra), sing(n - 1, xb2, rb)
                     # the top-bit gaps H_m / R_m at b
                     gaps = [Hm.bit_length() + He - Rm.bit_length() - Re
                             for (Rm, Re), (Hm, He) in zip(rb, hb)]
-                    ladders = zip(ra, ra[1:], ha, ha[1:], rb, rb[1:], hb, hb[1:], gaps, gaps[1:])
-                for k, ((r0, r0e), (r1, r1e), (h0, h0e), (h1, h1e),
-                        (R0, R0e), (R1, R1e), (H0, H0e), (H1, H1e), ru, rq) in enumerate(ladders):
+                    ladders = zip(_paired(ra), _paired(ha), pb, _paired(hb), gaps, gaps[1:])
+                for k, ((r0, r1, er), (h0, h1, eh), (R0, R1, eR), (H0, H1, eH),
+                        ru, rq) in enumerate(ladders):
                     U, V = state[k]
                     Q = V - k * U
-                    # adj(M_a) (U, Q) exactly: A = -(h_{k+1} U + h_k Q) on 2^eA and
-                    # B = r_k Q - r_{k+1} U on 2^eB
-                    d = h1e - h0e
-                    if d >= 0:
-                        A, eA = -((h1 * U << d) + h0 * Q), h0e
-                    else:
-                        A, eA = -(h1 * U + (h0 * Q << -d)), h1e
-                    d = r1e - r0e
-                    if d >= 0:
-                        B, eB = r0 * Q - (r1 * U << d), r0e
-                    else:
-                        B, eB = (r0 * Q << -d) - r1 * U, r1e
-                    # u = R_k A + H_k B and Q = R_{k+1} A - H_{k+1} B at b.  Before these
-                    # products A and B are cut, so that u and Q each move by less than
-                    # 2^-(F + 17) of their larger term: with ta, tb the top bits of A and
-                    # B, and ru, rq those of H_k / R_k and H_{k+1} / R_{k+1}, A keeps its
-                    # bits above max(ta, tb + min(ru, rq)) - F - 21 and B its bits above
-                    # max(tb, ta - max(ru, rq)) - F - 21.  Each output is judged on its
-                    # own terms: a tiny B times a huge kk_k or y_k can be the larger term
-                    # of u, and a cut relative to the larger of A and B loses it.  The
-                    # ladder values carry about F + 16 bits, so the cut costs none they
-                    # hold.  A term wholly below its cut is dropped, and with it a shift
-                    # by up to 1.4e8 bits (c = 1e16 on (0.5, 1], where i_k and kk_k grow
-                    # apart by e^(2 s (b - a))).
+                    # adj(M_a) (U, Q) exactly, A on 2^eA and B on 2^eB
+                    A, eA, B, eB = -(h1 * U + h0 * Q), eh, r0 * Q - r1 * U, er
+                    # the cut: with ta, tb the top bits of A and B, and ru, rq those of
+                    # H_k / R_k and H_{k+1} / R_{k+1}, A keeps its bits above
+                    # max(ta, tb + min(ru, rq)) - F - 21 and B its bits above
+                    # max(tb, ta - max(ru, rq)) - F - 21.  Each output is judged on its own
+                    # terms: a tiny B times a huge kk_k or y_k can be the larger term of u,
+                    # and a cut relative to the larger of A and B loses it.  The ladder
+                    # values carry about F + 16 bits, so the cut costs none they hold.  A
+                    # dropped term takes with it a shift by up to 1.4e8 bits (c = 1e16 on
+                    # (0.5, 1], where i_k and kk_k grow apart by e^(2 s (b - a))).
                     ta, tb = A.bit_length() + eA, B.bit_length() + eB
                     if ru > rq:  # min and max without the calls
                         ru, rq = rq, ru
@@ -381,39 +388,31 @@ def _spectrum(p, kmax, prec):
                         B = 0
                     elif cb > 0:
                         B, eB = B >> cb, eB + cb
-                    # u on 2^x and Q on 2^y
+                    # u and Q on one exponent: R A on 2^(eR + eA), H B on 2^(eH + eB)
                     if not B:
-                        U, Q, x, y = R0 * A, R1 * A, R0e + eA, R1e + eA
+                        U, Q = R0 * A, R1 * A
                     elif not A:
-                        U, Q, x, y = H0 * B, -H1 * B, H0e + eB, H1e + eB
+                        U, Q = H0 * B, -H1 * B
                     else:
-                        x1, x2, y1, y2 = R0e + eA, H0e + eB, R1e + eA, H1e + eB
-                        x, y = (x1 if x1 < x2 else x2), (y1 if y1 < y2 else y2)
-                        U = (R0 * A << x1 - x) + (H0 * B << x2 - x)
-                        Q = (R1 * A << y1 - y) - (H1 * B << y2 - y)
-                    d = x - y
-                    if d >= 0:
-                        U <<= d
-                    else:
-                        Q <<= -d
+                        d = eR + eA - eH - eB
+                        if d >= 0:
+                            A <<= d
+                        else:
+                            B <<= -d
+                        U, Q = R0 * A + H0 * B, R1 * A - H1 * B
                     V = k * U + Q
                     # _to_bits inlined, as in the flat loop
                     d = (U or V).bit_length() - F
                     state[k] = (U >> d, V >> d) if d >= 0 else (U << -d, V << -d)
-                # an entering degree's (u, r u' - k u) is (r_k, r_{k+1}) times one
-                # number per degree
-                for k in range(n, top + 1):
-                    (r0, r0e), (r1, r1e) = rb[k], rb[k + 1]
-                    d = r1e - r0e
-                    U, Q = (r0, r1 << d) if d >= 0 else (r0 << -d, r1)
-                    state.append(_to_bits(U, k * U + Q, F))
+                # an entering degree is (U, Q) = (R_k, R_{k+1})
+                state += [_to_bits(U, k * U + Q, F) for k, (U, Q, _) in enumerate(pb[n:], n)]
                 continue
             # flat piece: gamma_j / 2^se = G / 2^gn, and 1 for a potential
-            gm, ge = flat[ia]
+            gm, ge = flat[j]
             ge -= se
             G, gn = gm << max(ge, 0), max(-ge, 0)
-            Fp = _flat_width(F, x_in, n, dy[ia], dy[ib])
-            t = _fixed_ratio(dy[ia], dy[ib], Fp)
+            Fp = _flat_width(F, x_in, n, dy[j], dy[j + 1])
+            t = _fixed_ratio(dy[j], dy[j + 1], Fp)
             t2 = t * t >> Fp
             tk = t  # (a/b)^{2k+1}
             for k in range(n):
@@ -438,7 +437,7 @@ def _spectrum(p, kmax, prec):
     # (U, V) is proportional to (u, R gamma u'), R = rm 2^re
     rm, re = dy[-1]
     # -Delta + q is positive definite for q >= 0: only a negative piece can collide
-    if potential and any(v < 0 for v in p.values):
+    if bessel and any(b and b[0][0] for b in bessel):
         # a collision is |R u| < 2^(-prec//2) |u + R u'|, that is |U| rm 2^z < |U + V|
         z = re - (-prec // 2)
         for k, (U, V) in enumerate(state):

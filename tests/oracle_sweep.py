@@ -1,7 +1,7 @@
 """A seeded random sweep of the forward engine against the independent mpf oracle.
 
 Run as ``PYTHONPATH=src python tests/oracle_sweep.py [--seed S] [--count N]``.
-Each of the N rounds solves five profiles, one of each family below, and
+Each of the N rounds solves one profile of each family below, and
 checks every lambda_k to 1 ulp of the oracle; the script exits 1 on the first
 disagreement and prints the worst ulp and the time of each family.
 
@@ -19,7 +19,10 @@ disagreement and prints the worst ulp and the time of each family.
   conductivities with gamma in 10^+-2, and potentials with c of either sign or
   0, half of them with a strong negative core before a zero run: x =
   sqrt(|c|) b up to 1.5 kmax, or within 2^-20..2^-100 of a zero of j_{k-1},
-  where degree k leaves the core near r^-(k+1).
+  where degree k leaves the core near r^-(k+1);
+* ``edge``: a negative core on (0, b] with b in 2^-1300..2^-1100, below the
+  float range, |c| above it and x = sqrt(|c|) b in [1, kmax], then a zero run of
+  1-3 pieces and a positive piece.
 """
 
 import argparse
@@ -123,8 +126,18 @@ def _runs(rng, K):
                             tuple([core] * n_core + outer))
 
 
+def _edge(rng, K):
+    b = mpf(2) ** -rng.randint(1100, 1300)
+    with mp.workprec(64):  # c as both the engine and the oracle read it
+        core = -(rng.uniform(1.0, K) / b) ** 2
+    zeros = rng.randint(1, 3)
+    cuts = sorted(rng.uniform(0.05, 0.95) for _ in range(zeros))
+    return PiecewiseProfile(ProfileKind.POTENTIAL, 1.0, (0.0, b, *cuts, 1.0),
+                            (core, *[0.0] * zeros, 10 ** rng.uniform(-1, 3)))
+
+
 FAMILIES = {"mixed": _mixed, "turning": _turning, "collision": _collision, "deep": _deep,
-            "contrast": _contrast, "runs": _runs}
+            "contrast": _contrast, "runs": _runs, "edge": _edge}
 
 
 def main(argv=None):

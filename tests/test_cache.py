@@ -167,8 +167,18 @@ def test_cached_spectrum_of_hits_without_recompute(tmp_path, monkeypatch):
     assert [float(x) for x in a.lambdas] == [float(x) for x in b.lambdas]
 
 
-def test_no_temp_files_left_behind(tmp_path):
+def test_no_temp_files_left_behind(tmp_path, monkeypatch):
     spec = spectrum_of(gamma(), 5, 128)
     store_spectrum(spec, gamma(), cache_dir=tmp_path)
     leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
     assert leftovers == []
+    # a write that fails part way raises and removes its temporary file
+    failed = tmp_path / "failed"
+
+    def full_disk(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    with monkeypatch.context() as m, pytest.raises(OSError, match="No space left"):
+        m.setattr(json, "dump", full_disk)  # store_spectrum writes with json.dump
+        store_spectrum(spec, gamma(), cache_dir=failed)
+    assert os.listdir(failed) == []

@@ -305,7 +305,9 @@ def test_a_finite_radius_inside_the_profile_support_is_an_input_error(workdir, c
     (["reconstruct", "--profile", "q.txt", "--iterations", "-1"],
      "iterations must be at least 0, got -1"),
     (["ensemble", "--samples", "0"], "samples must be at least 1, got 0"),
-], ids=["moment-form", "grid-1", "grid-minus-3", "iterations-minus-1", "samples-0"])
+    (["born", "--spectrum", "s.csv"], "--spectrum requires --kind"),
+], ids=["moment-form", "grid-1", "grid-minus-3", "iterations-minus-1", "samples-0",
+        "spectrum-without-kind"])
 def test_a_mode_or_setting_the_run_cannot_take_fails_before_any_solve(workdir, capsys, argv,
                                                                        message):
     # at desk scale a solve of this bump takes seconds; each case used to run it,
@@ -536,3 +538,6 @@ def test_stdout_is_the_written_paths_in_order(workdir, capsys):
                  "--out", "r"]) == 0
     assert capsys.readouterr().out.splitlines() == \
         [f"r/{n}" for n in ("iterate_0.csv", "iterate_1.csv", "errors.csv")]
+    assert main(["ensemble", "--samples", "1", *small, "--out", "e"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["e/depth_error_seed1234.csv"]
+    assert len(read_rows(workdir / "e" / "depth_error_seed1234.csv")) > 0

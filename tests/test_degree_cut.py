@@ -27,12 +27,15 @@ def degree_limits(p, kmax, prec):
     with mp.workprec(F):
         dy = [finite_dyadic(x, "breakpoint") for x in p.breakpoints]
         flat = [finite_dyadic(1 if potential else v, "value") for v in p.values]
-    return forward._degree_limits(p, kmax, F, dy, flat)
+    with mp.workprec(prec + GUARD_BITS):
+        bessel = forward._bessel_runs([mpf(v)._mpf_ for v in p.values],
+                                      [mpf(x)._mpf_ for x in p.breakpoints]) if potential else None
+    return forward._degree_limits(kmax, F, dy, flat, bessel)
 
 
 def uncut(monkeypatch, p, kmax, prec):
     with monkeypatch.context() as m:
-        m.setattr(forward, "_degree_limits", lambda p, kmax, *_: [kmax] * p.piece_count)
+        m.setattr(forward, "_degree_limits", lambda kmax, F, dy, *_: [kmax] * (len(dy) - 1))
         return spectrum_of(p, kmax, prec).lambdas
 
 
@@ -115,7 +118,7 @@ def test_an_inner_negative_piece_past_the_turning_point_is_not_cut(monkeypatch):
     # a cut on depth alone would start degree 20 outside the core, since
     # (2^-8)^41 = 2^-328 < 2^-(F + 8), and miss lambda_20 by about 2^24 ulp
     with monkeypatch.context() as m:
-        m.setattr(forward, "_degree_limits", lambda p, kmax, *_: [kmax - 1, kmax])
+        m.setattr(forward, "_degree_limits", lambda kmax, *_: [kmax - 1, kmax])
         depth_only = spectrum_of(q, 20, 256).lambdas
     assert ulps(depth_only[20], ref[20], 256) > 2 ** 20
 
@@ -133,3 +136,24 @@ def test_a_piece_no_degree_can_see_is_skipped(monkeypatch, kind, values):
     assert [x._mpf_ for x in ours] == [x._mpf_ for x in uncut(monkeypatch, p, 40, 256)]
     ref = oracle_spectrum(p, 40, 256)
     assert max(ulps(a, b, 256) for a, b in zip(ours, ref)) <= 1
+
+
+@pytest.mark.parametrize("depth", [500, 20000])
+def test_a_core_below_the_float_range_keeps_its_guard_in_the_cut(monkeypatch, depth):
+    # b = 2^-20000 is 0 as a float and |c| inf, so the guard and S read in floats
+    # were nan, no k passed k >= nan and no degree was ever cut ([60, 60, 60]); read
+    # from the exact x^2 = |c| b^2 = 1600, the guard is 40 at either depth
+    with mp.workprec(64):
+        b = mpf(2) ** -depth
+        q = _pot((0.0, b, 0.5, 1.0), (-(40 / b) ** 2, 0.0, 3.0))
+    seen, limits = [], forward._degree_limits
+
+    def recorded(*args):
+        seen.append(limits(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(forward, "_degree_limits", recorded)
+    ours = spectrum_of(q, 60, 64).lambdas
+    assert seen == [[39, 60, 60]]
+    ref = oracle_spectrum(q, 60, 64)
+    assert max(ulps(a, b, 64) for a, b in zip(ours, ref)) <= 1

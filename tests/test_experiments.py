@@ -153,6 +153,11 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path):
         path = write_spectrum_csv(tmp_path / "s.csv", spec)
         back = read_spectrum_csv(path, spec.kind.value, spec.radius, spec.prec)
         assert [x._mpf_ for x in back.lambdas] == [x._mpf_ for x in spec.lambdas]
+        # blank rows, inside the table and at its end, are skipped
+        rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows[:3] + [""] + rows[3:] + ["", ""]) + "\n")
+        back = read_spectrum_csv(path, spec.kind.value, spec.radius, spec.prec)
+        assert [x._mpf_ for x in back.lambdas] == [x._mpf_ for x in spec.lambdas]
 
 
 def test_spectrum_csv_keeps_the_radius_it_checked(tmp_path):

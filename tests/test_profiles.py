@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from mpmath import mp, mpf
@@ -181,6 +182,23 @@ def test_parse_errors_carry_line_numbers():
         parse_profile("kind potential\nradius 1\nwobble 3\n")
     with pytest.raises(ProfileFormatError, match="line 2"):
         parse_profile("kind potential\nradius abc\n")
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("radius 1\nbreakpoints 0 1\nvalues 1", "missing 'kind' line"),
+    ("kind potential\nbreakpoints 0 1\nvalues 1", "missing 'radius' line"),
+    ("kind potential\nradius 1\nbreakpoints 0 1", "need breakpoints+values or an analytic line"),
+    ("kind potential\nradius 1\nbreakpoints 0\nvalues", "need at least two breakpoints"),
+    ("kind potential\nradius 1\nbreakpoints 0 0.5 1\nvalues 2",
+     "3 breakpoints require 2 values, got 1"),
+    ("kind potential\nradius 1\nanalytic bump height", "line 3: expected key=value, got 'height'"),
+    ("kind potential\nradius 1\nanalytic cosine_series c=[1,2",
+     "line 3: unterminated list in 'c=[1,2'"),
+], ids=["no-kind", "no-radius", "no-values", "one-breakpoint", "values-short", "no-equals",
+        "open-list"])
+def test_parse_rejects_an_incomplete_profile(lines, message):
+    with pytest.raises(ProfileFormatError, match=re.escape(message)):
+        parse_profile(lines + "\n")
 
 
 def test_parse_unknown_descriptor():
