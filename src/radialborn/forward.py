@@ -78,7 +78,8 @@ gamma / 2^se, whose outermost value lies in [1, 2), and V keeps its F bits
 however far gamma lies below 1.  lambda_k = 2^se V / (U R) is rounded to prec
 once, at the end: with R = rm 2^re, one integer division of |V| 2^s by
 |U| rm gives prec + 2 or more bits and its remainder the sticky bit, so the
-result is the correctly rounded quotient, the mpf that mpf_div returns.  Only a
+result is the correctly rounded quotient, the mpf that mpf_div returns
+(``highprec._quotient``, which ``read_decimal`` rounds by too).  Only a
 potential with a negative piece can put a Dirichlet
 eigenvalue at 0, where u(R) vanishes (for q >= 0, -Delta + q is positive
 definite); its spectrum raises DirichletCollisionError when
@@ -155,6 +156,7 @@ from mpmath.libmp import (
 
 from .highprec import (
     GUARD_BITS,
+    _quotient,
     check_precision,
     finite_dyadic,
     float_root,
@@ -289,23 +291,6 @@ def _degree_limits(kmax, F, dy, flat, bessel):
             k += 1
         limits.append(k - 1)
     return limits + [kmax]
-
-
-def _quotient(n, e, d, prec):
-    """n 2^e / d rounded to nearest at prec bits, as a raw mpf: the value that
-    mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest) returns; d != 0.
-
-    One division of the magnitudes gives prec + 2 or prec + 3 bits, and its
-    remainder the sticky bit, ORed into the last of them, which lies below the
-    half bit, so one rounding gives the correctly rounded quotient.
-    """
-    if d < 0:
-        n, d = -n, -d
-    m = -n if n < 0 else n
-    s = prec + 2 + d.bit_length() - m.bit_length()  # m 2^s / d lies in (2^(prec+1), 2^(prec+3))
-    q, r = divmod(m << s, d) if s >= 0 else divmod(m, d << -s)
-    q |= r > 0
-    return round_half_even(-q if n < 0 else q, e - s, prec)
 
 
 def _spectrum(p, kmax, prec):

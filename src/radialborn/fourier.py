@@ -25,11 +25,12 @@ from operator import mul
 import numpy as np
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import (from_man_exp, mpf_cos_sin, mpf_div, mpf_mul, mpf_pos, mpf_pow_int,
-                          mpf_sub, round_nearest, to_fixed)
+from mpmath.libmp import (from_man_exp, mpf_cos_sin, mpf_mul, mpf_pow_int, mpf_sub, round_nearest,
+                          to_fixed)
 
 from .born import FourierSamples
-from .highprec import GUARD_BITS, XiGrid, check_precision, one_exponent, to_prec
+from .highprec import (GUARD_BITS, XiGrid, _quotient, check_precision, one_exponent,
+                       round_half_even, to_prec)
 from .profiles import PiecewiseProfile
 
 
@@ -94,6 +95,29 @@ def _fixed_cos_sin(t, F):
     return to_fixed(c, F), to_fixed(s, F)
 
 
+def _node_value(S1, e1, S2, e2, xi, pi4, prec):
+    """4 pi (S1 2^e1 - S2 2^e2) / xi^3 as a raw mpf, from exact integers, xi = N 2^e
+    given as (N, e) and pi4, 4 pi at work = prec + GUARD_BITS bits.
+
+    Rounded in integers as mpf arithmetic rounds it: the difference, its product
+    with pi4, xi^3 and the quotient each to work bits, then the quotient to prec,
+    the values of mpf_sub, mpf_mul, mpf_pow_int, mpf_div and mpf_pos at
+    round_nearest.  mpf_pow_int cubes a mantissa of under 334 bits exactly before
+    it rounds; a longer N is left to it.
+    """
+    work = prec + GUARD_BITS
+    d = e2 - e1
+    ts, tm, te, _ = round_half_even(S1 - (S2 << d) if d >= 0 else (S1 << -d) - S2,
+                                    min(e1, e2), work)
+    _, pm, pe, _ = pi4._mpf_
+    vs, vm, ve, _ = round_half_even(-pm * tm if ts else pm * tm, pe + te, work)
+    N, e = xi
+    cs, cm, ce, _ = (round_half_even(N ** 3, 3 * e, work) if N.bit_length() < 334
+                     else mpf_pow_int(from_man_exp(N, e), 3, work, round_nearest))
+    qs, qm, qe, _ = _quotient(-vm if vs else vm, ve - ce, -cm if cs else cm, work)
+    return round_half_even(-qm if qs else qm, qe, prec)
+
+
 def forward_radial_ft(f, xi_grid, prec):
     """Closed-form radial Fourier transform of a profile's deviation from background.
 
@@ -117,7 +141,9 @@ def forward_radial_ft(f, xi_grid, prec):
     so S1 and S2 / max r_i are off by less than 2^(E - F + 4 + bit_length(n)
     + bit_length(m)), and F(xi) by that times 4 pi (1 + |xi| max r_i) / |xi|^3.
     S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied by
-    4 pi / xi^3 at that precision and rounded to prec.
+    4 pi / xi^3 at that precision and rounded to prec, each step in integers by
+    ``highprec.round_half_even`` and ``highprec._quotient`` as mpf arithmetic
+    rounds it (``_node_value``).
 
     S1 - xi S2 is about (xi r)^3 |w| / 3, so at the smallest nonzero node,
     2^-t = min |xi| max r_i, it cancels about 3t bits: F grows by
@@ -165,7 +191,7 @@ def forward_radial_ft(f, xi_grid, prec):
             A.append(a)
             P.append(a + b)
             Q.append(b - a)
-        pi4, rn = 4 * mpmath.pi, round_nearest
+        pi4 = 4 * mpmath.pi
         vals = []
         for j in range(len(grid)):
             if j:
@@ -178,12 +204,8 @@ def forward_radial_ft(f, xi_grid, prec):
                 vol = sum(v * (bp[i + 1] ** 3 - bp[i] ** 3) for i, v in pieces)
                 vals.append(to_prec(pi4 * vol / 3, prec))
                 continue
-            t = mpf_sub(from_man_exp(sum(Y), E - F),
-                        from_man_exp(Nj * sum(map(mul, Rint, X)), e + er + E - F), work, rn)
-            # pi4 t / xi^3 at work bits, then rounded to prec, as mpf arithmetic does it
-            v = mpf_mul(pi4._mpf_, t, work, rn)
-            v = mpf_div(v, mpf_pow_int(from_man_exp(Nj, e), 3, work, rn), work, rn)
-            vals.append(mp.make_mpf(mpf_pos(v, prec, rn)))
+            vals.append(mp.make_mpf(_node_value(sum(Y), E - F, Nj * sum(map(mul, Rint, X)),
+                                                e + er + E - F, (Nj, e), pi4, prec)))
     return FourierSamples(grid, vals)
 
 

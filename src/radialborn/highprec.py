@@ -1,6 +1,13 @@
 """Arbitrary-precision building blocks: precision checks, exact dyadic reads, the
-frequency grid that keeps its reads, integer rounding to nearest, the decimal
-form of a value in a file and spherical Bessel ladders.
+frequency grid that keeps its reads, integer rounding to nearest (a dyadic
+value by ``round_half_even``, a quotient by ``_quotient``), the decimal form of
+a value in a file and spherical Bessel ladders.
+
+The decimal form is mpmath's, made in integers with those two roundings:
+``to_decimal`` returns the text of ``to_str(x, dps, strip_zeros=False)`` and
+``read_decimal`` the value of ``from_str(text, bits, round_nearest)``.  Zero, a
+value beyond 2^+-3500, a text of over 4000 digits, a numeral that is not plain
+ASCII and a decimal exponent beyond +-400 are left to those mpmath calls.
 
 Callers evaluate with 32 guard bits (``GUARD_BITS``) on top of the requested
 mantissa precision and round results with :func:`to_prec`.  The Bessel
@@ -32,9 +39,11 @@ Derivatives follow from the half-integer ladder relations; no numerical
 differentiation is used anywhere.
 """
 
+import functools
 import itertools
 import math
 import numbers
+import re
 
 from mpmath import mp, mpf
 from mpmath.libmp import (
@@ -75,6 +84,7 @@ def to_prec(x, prec):
         return +mpf(x)
 
 
+@functools.lru_cache(maxsize=None)
 def decimal_digits(prec):
     """Digits needed to round-trip a binary precision: ceil(prec * log10 2) + 2."""
     return int(math.ceil(prec * math.log10(2))) + 2
@@ -83,22 +93,78 @@ def decimal_digits(prec):
 def to_decimal(x, bits):
     """``x`` in ``decimal_digits(bits)`` digits, which ``read_decimal`` at ``bits`` reads
     back exactly when x has at most ``bits`` bits; a number that is not an mpf is
-    taken at ``bits + GUARD_BITS`` bits.  The text is ``mpmath.nstr``'s, from the
-    libmp call that nstr makes."""
+    taken at ``bits + GUARD_BITS`` bits.  The text is ``mpmath.nstr``'s,
+    ``to_str(x, dps, strip_zeros=False)``, made here in integers as to_str makes it:
+    the floor digits at dps + 3 from one fixed-point product with a power of ten,
+    rounded up on a next digit of 5-9 with the carry through 9s, in fixed layout
+    when the decimal exponent lies in (min(-(dps // 3), -5), dps).  Zero, a value
+    beyond 2^+-3500 and a text of over 4000 digits are to_str's own."""
     x = x if isinstance(x, mpf) else to_prec(x, bits + GUARD_BITS)
-    return to_str(x._mpf_, decimal_digits(bits), strip_zeros=False)
+    dps = decimal_digits(bits)
+    t = x._mpf_
+    sign, man, exp, bc = t
+    if not man or abs(exp + bc) > 3500 or dps > 4000:  # str() of an int stops at 4300 digits
+        return to_str(t, dps, strip_zeros=False)
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * _ten_to(fixdps) >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # the product is 10^(dps + 4.9) or more: digits has dps + 5 or more
+    if digits[dps] in "56789":
+        digits = str(int(digits[:dps]) + 1)
+        if len(digits) > dps:
+            digits, exponent = digits[:dps], exponent + 1
+    else:
+        digits = digits[:dps]
+    sign = "-" if sign else ""
+    if not min(-(dps // 3), -5) < exponent < dps:
+        return f"{sign}{digits[0]}.{digits[1:]}e{exponent:+d}"
+    if exponent < 0:
+        return f"{sign}0.{'0' * (-exponent - 1)}{digits}"
+    return f"{sign}{digits[:exponent + 1]}.{digits[exponent + 1:]}"
 
 
 def read_decimal(text, bits):
     """The decimal ``text`` rounded once to ``bits`` bits, the value ``mpf(text)`` has at
     ``bits`` bits.  Raises ``TypeError`` on anything but a ``str`` and ``ValueError`` on
-    text that is not a number and on NaN or an infinity."""
+    text that is not a number and on NaN or an infinity.
+
+    A plain ASCII numeral [+-]d[.d][e[+-]n] is read as the exact D 10^n, with n the
+    exponent that ``from_str`` reads, and rounded once in integers: D 10^n by
+    ``round_half_even`` for n >= 0, D / 10^-n by ``_quotient`` for n < 0.  That is
+    from_str's rounding at |n| <= 400; any other text, and |n| > 400, where from_str
+    rounds 10^n first, is from_str's own."""
     if not isinstance(text, str):
         raise TypeError(f"a decimal must be given as text, got {type(text).__name__} {text!r}")
+    m = _NUMERAL.fullmatch(text)
+    if m:
+        sign, whole, frac, n = m.groups()
+        frac = frac.rstrip("0") if frac else ""
+        n = (int(n) if n else 0) - len(frac)
+        if (whole or frac) and -400 <= n <= 400:  # from_str finds no digits in ".0"
+            D = int(sign + whole + frac)
+            if n >= 0:
+                return mp.make_mpf(round_half_even(D * _ten_to(n), 0, bits))
+            return mp.make_mpf(_quotient(D, 0, _ten_to(-n), bits))
     t = from_str(text, bits, round_nearest)
     if not t[1] and t[2]:
         raise ValueError(f"value must be finite, got {text!r}")
     return mp.make_mpf(t)
+
+
+_LOG2_10 = math.log(10, 2)  # as to_str takes it
+
+# [+-]d[.d][e[+-]n] in ASCII digits, with a digit before or after the point and
+# an exponent of at most 6 digits
+_NUMERAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,6}))?")
+
+
+@functools.lru_cache(maxsize=None)
+def _ten_to(n):
+    """10^n, kept: n runs over a few dozen values at one precision, and stays below
+    1100 + dps for values within 2^+-3500."""
+    return MPZ(10) ** n
 
 
 def finite_dyadic(x, what):
@@ -184,6 +250,23 @@ def round_half_even(n, e, prec):
         n, e = t >> 1, e + drop
     z = (n & -n).bit_length() - 1  # an mpf mantissa is odd
     return sign, MPZ(n >> z), e + z, n.bit_length() - z
+
+
+def _quotient(n, e, d, prec):
+    """n 2^e / d rounded to nearest at prec bits, as a raw mpf: the value that
+    mpf_div(from_man_exp(n, e), from_int(d), prec, round_nearest) returns; d != 0.
+
+    One division of the magnitudes gives prec + 2 or prec + 3 bits, and its
+    remainder the sticky bit, ORed into the last of them, which lies below the
+    half bit, so one rounding gives the correctly rounded quotient.
+    """
+    if d < 0:
+        n, d = -n, -d
+    m = -n if n < 0 else n
+    s = prec + 2 + d.bit_length() - m.bit_length()  # m 2^s / d lies in (2^(prec+1), 2^(prec+3))
+    q, r = divmod(m << s, d) if s >= 0 else divmod(m, d << -s)
+    q |= r > 0
+    return round_half_even(-q if n < 0 else q, e - s, prec)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from radialborn.forward import (
     DirichletCollisionError,
     DtnSpectrum,
     TransferDenominatorError,
-    _quotient,
     ode_log_derivative_oracle,
     potential_spectrum,
     raw_scaled_shifts,
@@ -18,6 +17,7 @@ from radialborn.forward import (
     transfer_radius,
     untransfer_radius,
 )
+from radialborn.highprec import _quotient
 from radialborn.profiles import AnalyticProfile, PiecewiseProfile, ProfileKind
 
 

@@ -17,6 +17,7 @@ from radialborn.fourier import (
     forward_radial_ft,
     inverse_radial_ft,
     _floats,
+    _node_value,
 )
 from radialborn.highprec import GUARD_BITS, XiGrid, to_prec
 from radialborn.profiles import PiecewiseProfile, ProfileKind
@@ -379,3 +380,35 @@ def test_a_grid_the_inverse_cannot_take_raises_every_time(nodes, message):
     for _ in range(2):  # a read that raised is not kept
         with pytest.raises(GridMismatchError, match=message):
             inverse_radial_ft(F)
+
+
+def libmp_node_value(S1, e1, S2, e2, xi, pi4, prec):
+    """The reference for ``_node_value``: the chain of libmp calls that it rounds as."""
+    from mpmath.libmp import (from_man_exp, mpf_div, mpf_mul, mpf_pos, mpf_pow_int, mpf_sub,
+                              round_nearest as rn)
+    work = prec + GUARD_BITS
+    t = mpf_sub(from_man_exp(S1, e1), from_man_exp(S2, e2), work, rn)
+    v = mpf_div(mpf_mul(pi4._mpf_, t, work, rn), mpf_pow_int(from_man_exp(*xi), 3, work, rn),
+                work, rn)
+    return mpf_pos(v, prec, rn)
+
+
+@pytest.mark.parametrize("prec", [64, 96, 256, 512, 1024])
+def test_node_value_rounds_as_the_libmp_chain(prec):
+    # seeded S1, S2 on exponents near and far apart, cancelling differences, zero, and
+    # node integers on both sides of the 334 bits that mpf_pow_int cubes exactly
+    rng = random.Random(prec)
+    with mp.workprec(prec + GUARD_BITS):
+        pi4 = 4 * mpmath.pi
+    for _ in range(300):
+        S1 = rng.getrandbits(rng.randint(0, prec + 80)) * rng.choice((-1, 1))
+        S2 = rng.getrandbits(rng.randint(0, prec + 80)) * rng.choice((-1, 1))
+        e1 = rng.randint(-300, 100)
+        e2 = e1 + rng.choice((0, 1, -3, rng.randint(-200, 200)))
+        if rng.random() < 0.2:  # S1 2^e1 - S2 2^e2 cancels all but a few bits
+            S2, e2 = (S1 << 7) + rng.randint(-3, 3), e1 - 7
+        N = (rng.getrandbits(rng.choice((1, 40, 64, 333, 334, 400))) | 1) * rng.choice((-1, 1))
+        xi = N << rng.choice((0, 0, 5)), rng.randint(-120, 20)
+        assert _node_value(S1, e1, S2, e2, xi, pi4, prec) == \
+            libmp_node_value(S1, e1, S2, e2, xi, pi4, prec), (S1, e1, S2, e2, xi)
+    assert _node_value(5, 3, 5, 3, (3, 0), pi4, prec) == (0, 0, 0, 0)

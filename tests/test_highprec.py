@@ -413,6 +413,58 @@ def test_decimal_pair_is_what_mpmath_writes_and_reads(bits):
             assert read_decimal(text, bits)._mpf_ == mpf(text)._mpf_
 
 
+# from_str rounds 10^n first beyond |n| = 400, and these come out one ulp off the
+# correctly rounded value at their precision: read_decimal must read them as it does
+_TWICE_ROUNDED = {
+    53: ["2024189724086822364871e-401", "3871168684626018871e401"],
+    64: ["1818164252116710298119e-401", "1895700819799599481526655e401"],
+    117: ["9401053008129119050381637890368439e-401", "207692069930378578711564427276000693781e401"],
+}
+
+
+def _integer_decimal_cases(bits):
+    """Seeded mpfs at ``bits`` bits for the writer: zero, either sign, a 9...9 that carries
+    into a new leading digit, decimal exponents on both sides of the fixed/exponent
+    switch and binary ones past +-3500; and texts for the reader: what the writer wrote,
+    at ``bits`` and at twice as many, and numerals that no mpf wrote."""
+    rng = random.Random(bits)
+    dps = decimal_digits(bits)
+    with mp.workprec(bits):
+        ten = mpf(10)
+        xs = [mpf(0), 1 - mpf(2) ** -bits, -(1 - mpf(2) ** -bits), ten ** 7 - ten ** -(dps - 3)]
+        # 2 10^d on both sides of the switch: fixed layout at min(-(dps // 3), -5) < d < dps
+        low = min(-(dps // 3), -5)
+        xs += [2 * ten ** d * s for d in (low, low + 1, dps - 1, dps) for s in (1, -1)]
+        for scale in (2, 40, 1200, 3600, 5000):
+            for _ in range(8):
+                man = rng.getrandbits(rng.randint(1, bits)) | 1
+                xs.append(rng.choice((1, -1)) * mpf(man) * mpf(2) ** rng.randint(-scale, scale))
+    with mp.workprec(2 * bits):
+        xs2 = [mpf(rng.getrandbits(2 * bits) | 1) * mpf(2) ** rng.randint(-1500, 1500)
+               for _ in range(10)]
+    texts = ["+7.5e+3", "1E10", " 2.5 ", ".5", "5.", "-0", "1_000", "\u0661\u0662.5", "0.000",
+             "-00012.3400e-2", "1e-400", "1e400", "1e-401", "9" * 60 + "e-30", "7/3"]
+    return xs, xs2, texts + _TWICE_ROUNDED.get(bits, [])
+
+
+@pytest.mark.parametrize("bits", [53, 64, 117, 256, 512, 1024])
+def test_integer_decimal_pair_is_mpmath_character_for_character_and_bit_for_bit(bits):
+    from mpmath.libmp import from_str, round_nearest, to_str
+    xs, xs2, texts = _integer_decimal_cases(bits)
+    dps = decimal_digits(bits)
+    assert any(abs(x._mpf_[2] + x._mpf_[3]) > 3500 for x in xs)
+    written = [to_decimal(x, bits) for x in xs]
+    assert written == [to_str(x._mpf_, dps, strip_zeros=False) for x in xs]
+    assert ["e" in text for text in written[4:12]] == [True] * 2 + [False] * 4 + [True] * 2
+    assert to_decimal(xs[3], bits).startswith("10000000.")  # 9999999.99...9 carries
+    texts += written + [to_decimal(x, 2 * bits) for x in xs2]
+    for text in texts:
+        assert read_decimal(text, bits)._mpf_ == from_str(text, bits, round_nearest), text
+    for text in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="must be finite"):
+            read_decimal(text, bits)
+
+
 @pytest.mark.parametrize("value", [0.5, 3, None, b"0.5", mpf(1) / 3])
 def test_read_decimal_takes_text_only(value):
     with pytest.raises(TypeError, match="as text"):

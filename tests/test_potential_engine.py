@@ -342,7 +342,7 @@ def test_collision_floor_is_decided_like_the_oracle(R, offset):
             assert abs(a - b) <= abs(b) * mpf(2) ** -(prec // 2)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: precision lost near a Dirichlet "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 24: precision lost near a Dirichlet "
                    "collision is neither raised nor recorded")
 def test_lambda_near_the_collision_floor_keeps_every_bit():
     # lambda_0 ~ 2^124 is so conditioned that only about prec + 32 - 124 of its
