@@ -162,7 +162,6 @@ from .highprec import (
     float_root,
     mod_sph_i_ladder,
     mod_sph_k_ladder,
-    round_half_even,
     sph_j_ladder,
     sph_y_ladder,
     to_prec,

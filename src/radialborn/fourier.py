@@ -100,10 +100,9 @@ def _node_value(S1, e1, S2, e2, xi, pi4, prec):
     given as (N, e) and pi4, 4 pi at work = prec + GUARD_BITS bits.
 
     Rounded in integers as mpf arithmetic rounds it: the difference, its product
-    with pi4, xi^3 and the quotient each to work bits, then the quotient to prec,
-    the values of mpf_sub, mpf_mul, mpf_pow_int, mpf_div and mpf_pos at
-    round_nearest.  mpf_pow_int cubes a mantissa of under 334 bits exactly before
-    it rounds; a longer N is left to it.
+    with pi4 and the quotient by xi^3 (mpf_pow_int's, at work bits) each to work
+    bits, then the quotient to prec, the values of mpf_sub, mpf_mul, mpf_div and
+    mpf_pos at round_nearest.
     """
     work = prec + GUARD_BITS
     d = e2 - e1
@@ -112,8 +111,7 @@ def _node_value(S1, e1, S2, e2, xi, pi4, prec):
     _, pm, pe, _ = pi4._mpf_
     vs, vm, ve, _ = round_half_even(-pm * tm if ts else pm * tm, pe + te, work)
     N, e = xi
-    cs, cm, ce, _ = (round_half_even(N ** 3, 3 * e, work) if N.bit_length() < 334
-                     else mpf_pow_int(from_man_exp(N, e), 3, work, round_nearest))
+    cs, cm, ce, _ = mpf_pow_int(from_man_exp(N, e), 3, work, round_nearest)
     qs, qm, qe, _ = _quotient(-vm if vs else vm, ve - ce, -cm if cs else cm, work)
     return round_half_even(-qm if qs else qm, qe, prec)
 
@@ -141,9 +139,9 @@ def forward_radial_ft(f, xi_grid, prec):
     so S1 and S2 / max r_i are off by less than 2^(E - F + 4 + bit_length(n)
     + bit_length(m)), and F(xi) by that times 4 pi (1 + |xi| max r_i) / |xi|^3.
     S1 - xi S2 is rounded once to prec + GUARD_BITS bits, multiplied by
-    4 pi / xi^3 at that precision and rounded to prec, each step in integers by
-    ``highprec.round_half_even`` and ``highprec._quotient`` as mpf arithmetic
-    rounds it (``_node_value``).
+    4 pi / xi^3 at that precision and rounded to prec, each step but the cube in
+    integers by ``highprec.round_half_even`` and ``highprec._quotient`` as mpf
+    arithmetic rounds it (``_node_value``).
 
     S1 - xi S2 is about (xi r)^3 |w| / 3, so at the smallest nonzero node,
     2^-t = min |xi| max r_i, it cancels about 3t bits: F grows by

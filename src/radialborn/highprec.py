@@ -160,10 +160,11 @@ _LOG2_10 = math.log(10, 2)  # as to_str takes it
 _NUMERAL = re.compile(r"([+-]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,6}))?")
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def _ten_to(n):
-    """10^n, kept: n runs over a few dozen values at one precision, and stays below
-    1100 + dps for values within 2^+-3500."""
+    """10^n, the last 128 kept: n runs over a few dozen values at one precision,
+    and stays below 1100 + dps for values within 2^+-3500, so the cache holds at
+    most about 300 kB."""
     return MPZ(10) ** n
 
 

@@ -396,7 +396,7 @@ def libmp_node_value(S1, e1, S2, e2, xi, pi4, prec):
 @pytest.mark.parametrize("prec", [64, 96, 256, 512, 1024])
 def test_node_value_rounds_as_the_libmp_chain(prec):
     # seeded S1, S2 on exponents near and far apart, cancelling differences, zero, and
-    # node integers on both sides of the 334 bits that mpf_pow_int cubes exactly
+    # node integers of 1 to 400 bits
     rng = random.Random(prec)
     with mp.workprec(prec + GUARD_BITS):
         pi4 = 4 * mpmath.pi
